@@ -11,6 +11,7 @@ bad trace file), 2 when verify finds a failing check.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .bench import bench_per_trial, ratio_report
@@ -21,7 +22,6 @@ from .experiment import (
     ExperimentConfig,
     ScenarioSpec,
     emit_results,
-    render_json,
     run_experiment,
 )
 from .game import GameConfig
@@ -129,7 +129,7 @@ def _cmd_bench(args) -> int:
     if args.out:
         path = f"{args.out}.bench.json"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(render_json({"rows": rows, "ratios": ratio_report(rows)}) + "\n")
+            fh.write(json.dumps({"rows": rows, "ratios": ratio_report(rows)}, indent=2) + "\n")
         print(f"wrote {path}")
     return 0
 

@@ -10,6 +10,12 @@ lr = sqrt(ln(n) / horizon) / grad_bound, which gives average regret at most
 grad_bound * sqrt(2 ln(n) / horizon) against any fixed simplex point for
 convex losses whose gradients stay in [-grad_bound, grad_bound].
 
+A coordinate may stand for several identical experts, which always share a
+gradient: `multiplicity` gives the count per coordinate (all ones by
+default). The weights then start proportional to it and n in the learning
+rate is the total expert count, so the run equals exponentiated gradient over
+the expanded expert list with each group's weights summed.
+
 This class never evaluates a loss function itself; callers hand it the loss
 value at the current weights (echoed back, for bookkeeping) and the gradient.
 """
@@ -26,18 +32,22 @@ GRAD_RANGE_SLACK = 1e-9
 
 
 class ExponentiatedGradient:
-    def __init__(self, n: int, grad_bound: float, horizon: int):
+    def __init__(self, n: int, grad_bound: float, horizon: int, multiplicity=None):
         if not isinstance(n, int) or n < 1:
             raise ConfigError(f"n must be a positive integer, got {n!r}")
         if not isinstance(horizon, int) or horizon < 1:
             raise ConfigError(f"horizon must be a positive integer, got {horizon!r}")
         if not (grad_bound > 0 and np.isfinite(grad_bound)):
             raise ConfigError(f"grad_bound must be positive and finite, got {grad_bound!r}")
+        counts = np.ones(n) if multiplicity is None else np.asarray(multiplicity, dtype=float)
+        if counts.shape != (n,) or not np.all(np.isfinite(counts)) or counts.min() < 1:
+            raise ConfigError(f"multiplicity must be {n} finite counts >= 1, got {multiplicity!r}")
+        experts = float(counts.sum())
         self.n = n
         self.grad_bound = float(grad_bound)
         self.horizon = horizon
-        self.lr = math.sqrt(math.log(n) / horizon) / self.grad_bound
-        self.w = np.full(n, 1.0 / n)
+        self.lr = math.sqrt(math.log(experts) / horizon) / self.grad_bound
+        self.w = counts / experts
 
     def play(self) -> np.ndarray:
         """Current weights. Do not mutate; update() replaces the array."""

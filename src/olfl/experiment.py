@@ -391,40 +391,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def render_json(obj, indent: int = 0) -> str:
-    """JSON with floats at 17 significant digits (exact round-trip)."""
-    pad = "  " * indent
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isnan(x) or math.isinf(x):
-            return "null"
-        return format(x, ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        inner = ",\n".join("  " * (indent + 1) + render_json(v, indent + 1) for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            "  " * (indent + 1) + json.dumps(str(k)) + ": " + render_json(v, indent + 1)
-            for k, v in obj.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 TRIAL_CSV_HEADER = "seed,trial,action,loss,lambda,theta,k,segment"
 CURVE_CSV_HEADER = "trial,mean_cumulative_loss,comparator_scaled_cumulative,regret,bound"
 
@@ -531,6 +497,6 @@ def emit_results(result: RunResult, prefix: str) -> list[str]:
     }
     json_path = f"{prefix}.aggregate.json"
     with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_json(aggregate) + "\n")
+        fh.write(json.dumps(aggregate, indent=2) + "\n")
     paths.append(json_path)
     return paths

@@ -7,10 +7,13 @@ Three layers, each wrapping the previous:
   exponentiated-gradient weight vector and plays the distinct draws; the
   update feeds the convex surrogate's value and gradient to the inner step.
 - BoundedCardinalityLearner: competes with every subset of size <= K by
-  running the fixed learner on a doubled instance whose extra N "dummy"
-  sites are free to open but too expensive to connect (d = C + D); dummies
-  are stripped from the played set, with {1} as a fallback when nothing real
-  was drawn.
+  running the fixed learner on an instance extended with N "dummy" sites
+  that are free to open but too expensive to connect (d = C + D). The
+  dummies share every cost, so they share every gradient and their weights
+  stay equal; the learner keeps them as one aggregate site N+1 of
+  multiplicity N, holding their total mass, and tunes for 2N experts. A
+  dummy draw is stripped from the played set, with {1} as a fallback when
+  nothing real was drawn.
 - DoublingLearner: guesses the comparator scale, running the bounded
   learner and doubling the guess (with a fresh restart at the matching
   cardinality budget) whenever the accumulated surrogate loss of the current
@@ -36,15 +39,6 @@ def half_log_ceil(horizon: int) -> int:
     return max(1, math.ceil(math.log(horizon) / 2.0))
 
 
-def extend_with_dummy_sites(costs: CostPair, dummy_connection: float) -> CostPair:
-    """Append one free-to-open, never-worth-connecting twin per real site."""
-    n = costs.n_sites
-    return CostPair(
-        np.concatenate([costs.opening, np.zeros(n)]),
-        np.concatenate([costs.connection, np.full(n, float(dummy_connection))]),
-    )
-
-
 def restrict_to_real_sites(chosen: SiteSet, n_real: int) -> SiteSet:
     """Drop dummy indices above n_real; fall back to {1} if none remain."""
     real = tuple(i for i in chosen.members if i <= n_real)
@@ -54,7 +48,9 @@ def restrict_to_real_sites(chosen: SiteSet, n_real: int) -> SiteSet:
 class FixedCardinalityLearner:
     """Plays the distinct outcomes of num_draws weighted site draws per trial."""
 
-    def __init__(self, cfg: GameConfig, cardinality: int):
+    def __init__(self, cfg: GameConfig, cardinality: int, multiplicity=None):
+        """`multiplicity` counts the identical sites each coordinate stands
+        for (see ExponentiatedGradient); all ones by default."""
         if not isinstance(cardinality, int) or not 1 <= cardinality <= cfg.n_sites:
             raise ConfigError(
                 f"cardinality must be an integer in 1..{cfg.n_sites}, got {cardinality!r}"
@@ -63,7 +59,7 @@ class FixedCardinalityLearner:
         self.cardinality = cardinality
         self.num_draws = cardinality * half_log_ceil(cfg.horizon)
         grad_bound = (cfg.opening_max + cfg.connection_max) * self.num_draws
-        self._inner = ExponentiatedGradient(cfg.n_sites, grad_bound, cfg.horizon)
+        self._inner = ExponentiatedGradient(cfg.n_sites, grad_bound, cfg.horizon, multiplicity)
         self._awaiting_update = False
 
     @property
@@ -105,15 +101,17 @@ class BoundedCardinalityLearner:
         self.cfg = cfg
         self.max_cardinality = max_cardinality
         self._dummy_connection = cfg.opening_max + cfg.connection_max
-        extended = GameConfig(
-            2 * cfg.n_sites, cfg.horizon, cfg.opening_max, self._dummy_connection
-        )
-        self._inner = FixedCardinalityLearner(extended, max_cardinality)
+        n = cfg.n_sites
+        extended = GameConfig(n + 1, cfg.horizon, cfg.opening_max, self._dummy_connection)
+        self._inner = FixedCardinalityLearner(extended, max_cardinality, np.append(np.ones(n), n))
 
     @property
     def weights(self) -> np.ndarray:
-        """Weights over the extended (real + dummy) instance."""
-        return self._inner.weights
+        """Weights over the 2N-site extended instance: the N real sites, then
+        N equal dummies sharing the aggregate site's mass."""
+        n = self.cfg.n_sites
+        w = self._inner.weights
+        return np.concatenate([w[:n], np.full(n, w[n] / n)])
 
     @property
     def num_draws(self) -> int:
@@ -130,7 +128,12 @@ class BoundedCardinalityLearner:
         """Returns the surrogate loss of the extended instance."""
         if costs.n_sites != self.cfg.n_sites:
             raise ConfigError(f"costs for {costs.n_sites} sites, expected {self.cfg.n_sites}")
-        return self._inner.update(extend_with_dummy_sites(costs, self._dummy_connection))
+        return self._inner.update(
+            CostPair(
+                np.append(costs.opening, 0.0),
+                np.append(costs.connection, self._dummy_connection),
+            )
+        )
 
 
 class DoublingLearner:

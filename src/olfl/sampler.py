@@ -1,89 +1,41 @@
-"""Logarithmic-time sampling from a finite distribution.
+"""Proportional sampling from a finite distribution by inverse CDF.
 
-A complete binary tree over 2^ceil(log2 n) leaves holds the probability
-masses (sites beyond n padded with mass 0); every internal node caches the
-sum of its subtree. A draw walks root to leaf, branching left when a fresh
-uniform r satisfies r <= mass(left) / (mass(left) + mass(right)); a
-zero-mass left child forces a right branch so padded leaves are unreachable.
-Build is O(n), each draw is O(log n) and consumes exactly `height` uniforms.
+A draw scales a fresh uniform u in [0, 1) by the total mass and returns the
+first site whose cumulative mass exceeds it. Scaling by the computed total,
+not 1, keeps every draw strictly below the last cumulative value, so a draw
+never lands past the last positive-mass site; a zero-mass site adds nothing
+to the cumulative sum, so no draw lands on one. A call costs one O(n)
+cumulative sum plus a binary search per draw, and each draw consumes exactly
+one uniform.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, InvalidDistributionError, NumericError
+from .errors import ConfigError, InvalidDistributionError
 from .game import SiteSet
 
 MASS_TOL = 1e-9
 
 
-class SamplingTree:
-    def __init__(self, p):
-        p = np.asarray(p, dtype=float)
-        if p.ndim != 1 or p.size == 0:
-            raise InvalidDistributionError("p must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(p)):
-            raise InvalidDistributionError("p must be finite")
-        if p.min() < 0:
-            i = int(np.argmin(p))
-            raise InvalidDistributionError(f"negative mass p_{i + 1} = {p[i]}")
-        total = float(p.sum())
-        if abs(total - 1.0) > MASS_TOL:
-            raise InvalidDistributionError(f"total mass {total} not 1 within {MASS_TOL}")
-        self.n = p.size
-        self.height = (self.n - 1).bit_length()  # ceil(log2 n); 0 for n = 1
-        self.leaf_count = 1 << self.height
-        mass = np.zeros(2 * self.leaf_count)
-        mass[self.leaf_count : self.leaf_count + self.n] = p
-        start = self.leaf_count
-        while start > 1:  # fill parents level by level, bottom-up
-            half = start >> 1
-            mass[half:start] = mass[start : 2 * start : 2] + mass[start + 1 : 2 * start : 2]
-            start = half
-        self.mass = mass
-
-    def leaf_mass(self, site: int) -> float:
-        return float(self.mass[self.leaf_count + site - 1])
-
-    def sample(self, rng: np.random.Generator) -> int:
-        """One draw; returns a 1-based site index."""
-        node = 1
-        mass = self.mass
-        for _ in range(self.height):
-            r = rng.random()
-            left = mass[2 * node]
-            right = mass[2 * node + 1]
-            if left <= 0.0 and right <= 0.0:
-                raise NumericError("descended into a zero-mass subtree; tree corrupt")
-            if left > 0.0 and r <= left / (left + right):
-                node = 2 * node
-            else:
-                node = 2 * node + 1
-        return node - self.leaf_count + 1
-
-    def sample_many(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """`count` draws at once; the descent is vectorized level by level.
-
-        Consumes `height` uniforms per draw like sample(), but batched, so
-        the stream interleaving differs from repeated single draws.
-        """
-        if count < 1:
-            raise ConfigError(f"count must be >= 1, got {count!r}")
-        mass = self.mass
-        nodes = np.ones(count, dtype=np.int64)
-        for _ in range(self.height):
-            r = rng.random(count)
-            left = mass[2 * nodes]
-            total = left + mass[2 * nodes + 1]
-            if total.min() <= 0.0:
-                raise NumericError("descended into a zero-mass subtree; tree corrupt")
-            go_left = (left > 0.0) & (r <= left / total)
-            nodes = 2 * nodes + np.where(go_left, 0, 1)
-        return nodes - self.leaf_count + 1
+def draw_sites(p, count: int, rng: np.random.Generator) -> np.ndarray:
+    """`count` independent draws from p, as 1-based site indices."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or p.size == 0:
+        raise InvalidDistributionError("p must be a nonempty 1-D vector")
+    if not np.all(np.isfinite(p)):
+        raise InvalidDistributionError("p must be finite")
+    if p.min() < 0:
+        i = int(np.argmin(p))
+        raise InvalidDistributionError(f"negative mass p_{i + 1} = {p[i]}")
+    cdf = np.cumsum(p)
+    if abs(cdf[-1] - 1.0) > MASS_TOL:
+        raise InvalidDistributionError(f"total mass {cdf[-1]} not 1 within {MASS_TOL}")
+    if count < 1:
+        raise ConfigError(f"count must be >= 1, got {count!r}")
+    return np.searchsorted(cdf, rng.random(count) * cdf[-1], side="right") + 1
 
 
 def sample_site_multiset(p, count: int, rng: np.random.Generator) -> SiteSet:
     """Draw `count` sites with replacement from p and keep the distinct ones."""
-    tree = SamplingTree(p)
-    draws = tree.sample_many(count, rng)
-    return SiteSet(tuple(int(i) for i in np.unique(draws)))
+    return SiteSet(tuple(np.unique(draw_sites(p, count, rng)).tolist()))

@@ -46,7 +46,7 @@ class SurrogateInstance:
         n = opening.size
         if connection.size != n or order.size != n or n == 0:
             raise ConfigError("opening, connection, and order must share a positive length")
-        if sorted(order.tolist()) != list(range(1, n + 1)):
+        if not np.array_equal(np.sort(order), np.arange(1, n + 1)):
             raise ConfigError("order must be a permutation of 1..N")
         sorted_conn = connection[order - 1]
         if n > 1 and np.any(np.diff(sorted_conn) > 0):

@@ -3,9 +3,9 @@
 Every check pits a fast code path against an independent reference: direct
 formula evaluation instead of the prefix/suffix passes, central finite
 differences instead of the analytic gradient, full enumeration instead of
-sampling, frequency counts instead of the tree walk, hand arithmetic instead
-of the doubling bookkeeping. The suite runs at desk scale in seconds; the
-test suite reruns the same comparisons at full acceptance scale.
+sampling, frequency counts instead of the inverse-CDF draw, hand arithmetic
+instead of the doubling bookkeeping. The suite runs at desk scale in seconds;
+the test suite reruns the same comparisons at full acceptance scale.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .oracles import (
     exact_expected_loss,
     ftl_greedy_play,
 )
-from .sampler import SamplingTree
+from .sampler import draw_sites
 from .surrogate import SurrogateInstance, value_and_gradient
 
 
@@ -143,13 +143,15 @@ def check_single_draw_identity(rng=None) -> CheckResult:
 
 def check_sampler_distribution(rng=None, draws: int = 200_000) -> CheckResult:
     rng = rng or np.random.default_rng(13)
-    for n in (3, 16, 257):
+    # a fifth of the sites get zero mass: at random places, or as the last
+    # fifth, past the final positive-mass site
+    for n, trailing in ((3, False), (16, False), (257, False), (40, True)):
         p = rng.uniform(0.2, 1.0, n)
-        zero = rng.choice(n, size=max(1, n // 5), replace=False)
+        k = max(1, n // 5)
+        zero = np.arange(n - k, n) if trailing else rng.choice(n, size=k, replace=False)
         p[zero] = 0.0
         p /= p.sum()
-        tree = SamplingTree(p)
-        sample = tree.sample_many(draws, rng)
+        sample = draw_sites(p, draws, rng)
         counts = np.bincount(sample - 1, minlength=n)
         if counts[zero].sum() != 0:
             return CheckResult("sampler distribution", False, f"zero-mass site drawn (n={n})")
@@ -160,7 +162,9 @@ def check_sampler_distribution(rng=None, draws: int = 200_000) -> CheckResult:
                 "sampler distribution", False, f"chi-square rejects at n={n} (p={pvalue:.2e})"
             )
     return CheckResult(
-        "sampler distribution", True, f"chi-square accepts at n=3,16,257 ({draws} draws each)"
+        "sampler distribution",
+        True,
+        f"chi-square accepts at n=3,16,257 and at n=40 with a zero-mass tail ({draws} draws each)",
     )
 
 

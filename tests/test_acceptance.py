@@ -20,10 +20,10 @@ from olfl import (
     ExponentiatedGradient,
     GameConfig,
     KillerSource,
-    SamplingTree,
     ScenarioSpec,
     SurrogateInstance,
     best_fixed_subset,
+    draw_sites,
     exact_expected_loss,
     facility_loss,
     ftl_greedy_play,
@@ -88,8 +88,7 @@ def test_sampler_frequencies_pass_chi_square_at_scale():
         zero_sites = rng.choice(n, size=zero_count, replace=False)
         p[zero_sites] = 0.0
         p /= p.sum()
-        tree = SamplingTree(p)
-        sample = tree.sample_many(draws, rng)
+        sample = draw_sites(p, draws, rng)
         counts = np.bincount(sample - 1, minlength=n)
         assert counts[zero_sites].sum() == 0
         support = p > 0

@@ -18,6 +18,11 @@ def test_init_examples():
     eg2 = ExponentiatedGradient(2, 10.0, 4)
     assert eg2.lr == pytest.approx(0.1 * math.sqrt(math.log(2) / 4), rel=1e-15)
 
+    # weights start proportional to the multiplicity; the rate counts experts
+    grouped = ExponentiatedGradient(3, 1.0, 100, multiplicity=[1, 1, 4])
+    assert np.allclose(grouped.w, [1 / 6, 1 / 6, 4 / 6])
+    assert grouped.lr == pytest.approx(math.sqrt(math.log(6) / 100), rel=1e-15)
+
 
 def test_init_rejects_bad_arguments():
     with pytest.raises(ConfigError):
@@ -28,6 +33,9 @@ def test_init_rejects_bad_arguments():
         ExponentiatedGradient(2, -1.0, 10)
     with pytest.raises(ConfigError):
         ExponentiatedGradient(2, 1.0, 0)
+    for bad in ([1.0], [1.0, 0.5], [1.0, np.inf], [1.0, np.nan]):
+        with pytest.raises(ConfigError):
+            ExponentiatedGradient(2, 1.0, 10, multiplicity=bad)
 
 
 def test_play_returns_current_weights():

@@ -182,6 +182,33 @@ def test_emit_results_files(tmp_path):
         aggregate["loss"]["mean_cumulative"], rel=1e-12
     )
 
+    # every float in the aggregate parses back to the exact value it was made from
+    assert [
+        aggregate["comparator"]["cumulative_loss"],
+        aggregate["bound"]["scaled_comparator_term"],
+        aggregate["bound"]["penalty_term"],
+        aggregate["bound"]["rhs"],
+        aggregate["loss"]["mean_cumulative"],
+        *aggregate["loss"]["ci95"],
+        *[entry["cumulative"] for entry in aggregate["loss"]["per_seed"]],
+        aggregate["regret"]["raw"],
+        aggregate["regret"]["bound_normalized"],
+        aggregate["timing"]["total_wall_s"],
+        aggregate["timing"]["per_trial_median_ms"],
+    ] == [
+        result.comparator_loss,
+        result.scale_factor * result.comparator_loss,
+        result.penalty_term,
+        result.bound_rhs,
+        result.mean_cumulative_loss,
+        *result.ci95,
+        *[sr.cumulative_loss for sr in result.seed_runs],
+        result.regret_raw,
+        result.regret_normalized,
+        sum(sr.wall_time_s for sr in result.seed_runs),
+        float(np.median([sr.per_trial_median_ms for sr in result.seed_runs])),
+    ]
+
 
 def test_trial_csv_losses_replay_exactly(tmp_path):
     prefix = str(tmp_path / "exp")

@@ -13,7 +13,7 @@ from olfl import (
     ProtocolError,
     half_log_ceil,
 )
-from olfl.learners import extend_with_dummy_sites, restrict_to_real_sites
+from olfl.learners import restrict_to_real_sites
 
 
 def test_half_log_ceil():
@@ -133,12 +133,6 @@ def test_play_update_alternation_enforced():
     lrn.play(rng)  # back in phase
 
 
-def test_dummy_extension_example():
-    extended = extend_with_dummy_sites(CostPair([0.4, 0.7], [0.2, 0.9]), 2.0)
-    assert extended.opening.tolist() == [0.4, 0.7, 0.0, 0.0]
-    assert extended.connection.tolist() == [0.2, 0.9, 2.0, 2.0]
-
-
 def test_restriction_rules():
     from olfl import SiteSet
 
@@ -150,7 +144,8 @@ def test_restriction_rules():
 def test_bounded_learner_shape():
     cfg = GameConfig(3, 100, 1.0, 0.5)
     lrn = BoundedCardinalityLearner(cfg, 2)
-    assert lrn.weights.size == 6  # doubled instance
+    assert lrn.weights.size == 6  # real sites, then the N dummies' equal shares
+    assert lrn.state_nbytes == 4 * 8  # the dummies are held as one aggregate site
     assert lrn.num_draws == 2 * half_log_ceil(100)
     # inner connection bound is C + D
     assert lrn._inner.cfg.connection_max == 1.5
@@ -259,3 +254,89 @@ def test_doubling_restart_resets_inner_state():
     assert lrn.scale >= 2
     assert all(b >= a for a, b in zip(scales, scales[1:]))  # nondecreasing
     assert lrn.segment_starts[0] == 1 and len(lrn.segment_starts) >= 2
+
+
+class _ExplicitTwins:
+    """Reference bounded learner: the fixed learner on 2N explicit sites, the
+    N dummy twins priced one by one (opening 0, connection C + D)."""
+
+    def __init__(self, cfg, max_cardinality):
+        n, d = cfg.n_sites, cfg.opening_max + cfg.connection_max
+        self.n, self.dummy = n, d
+        self.inner = FixedCardinalityLearner(
+            GameConfig(2 * n, cfg.horizon, cfg.opening_max, d), max_cardinality
+        )
+
+    def step(self, costs, rng):
+        self.inner.play(rng)
+        return self.inner.update(
+            CostPair(
+                np.concatenate([costs.opening, np.zeros(self.n)]),
+                np.concatenate([costs.connection, np.full(self.n, self.dummy)]),
+            )
+        )
+
+
+def _tied_cost_sequence(rng, cfg, trials):
+    # costs on a coarse grid of the full ranges: ties among real sites, and
+    # real connections equal to the dummies' C + D whenever C = 0
+    c, d = cfg.opening_max, cfg.connection_max
+    return [
+        CostPair(
+            c * rng.integers(0, 3, cfg.n_sites) / 2.0,
+            d * rng.integers(0, 3, cfg.n_sites) / 2.0,
+        )
+        for _ in range(trials)
+    ]
+
+
+EQUIVALENCE_CASES = [
+    (n, c, d)
+    for n in (5, 6, 16, 64)
+    for c, d in ((1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (2.0, 0.5))
+]
+
+
+@pytest.mark.parametrize("n, c_max, d_max", EQUIVALENCE_CASES)
+def test_aggregate_dummy_matches_explicit_twins(n, c_max, d_max):
+    # weights depend only on the costs, so the collapsed learners must track
+    # the explicit 2N-site reference to float dust whatever their draws
+    cfg = GameConfig(n, 300, c_max, d_max)
+    seq = _tied_cost_sequence(np.random.default_rng(1000 + n), cfg, cfg.horizon)
+    for k in sorted({1, 3, n}):
+        lrn = BoundedCardinalityLearner(cfg, k)
+        ref = _ExplicitTwins(cfg, k)
+        play_rng, ref_rng = np.random.default_rng(1), np.random.default_rng(2)
+        for costs in seq:
+            lrn.play(play_rng)
+            assert lrn.update(costs) == pytest.approx(ref.step(costs, ref_rng), rel=0, abs=1e-12)
+            assert np.abs(lrn.weights - ref.inner.weights).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n, c_max, d_max", EQUIVALENCE_CASES)
+def test_doubling_on_aggregate_dummy_matches_explicit_twins(n, c_max, d_max):
+    # every set loses at least C + D under costs at their bounds, so a long
+    # run of them crosses the first threshold at this horizon in every case;
+    # tied grid costs follow. Restarts must land on the same trials.
+    cfg = GameConfig(n, 10_000, c_max, d_max)
+    top = CostPair(np.full(n, c_max), np.full(n, d_max))
+    seq = [top] * 9400 + _tied_cost_sequence(np.random.default_rng(2000 + n), cfg, 600)
+    h = half_log_ceil(cfg.horizon)
+    a = h * (4.0 * c_max + 2.0 * d_max)
+    b = c_max + d_max
+    unit = 2.0 * (a + b) * math.sqrt(math.log(2 * n) * cfg.horizon)
+    lrn = DoublingLearner(cfg)
+    ref, scale, accumulated, starts = _ExplicitTwins(cfg, 1), 1, 0.0, [1]
+    play_rng, ref_rng = np.random.default_rng(3), np.random.default_rng(4)
+    for t, costs in enumerate(seq, start=1):
+        lrn.play(play_rng)
+        value = ref.step(costs, ref_rng)
+        assert lrn.update(costs) == pytest.approx(value, rel=0, abs=1e-12)
+        accumulated += value
+        if accumulated >= scale * unit:
+            scale, accumulated = 2 * scale, 0.0
+            starts.append(t + 1)
+            ref = _ExplicitTwins(cfg, min(n, math.ceil(scale + (scale - 1) * b / a)))
+        assert np.abs(lrn.weights - ref.inner.weights).max() <= 1e-12
+    assert len(starts) >= 2
+    assert lrn.segment_starts == starts

@@ -1,104 +1,90 @@
 import numpy as np
 import pytest
 
-from olfl import InvalidDistributionError, SamplingTree, sample_site_multiset
+from olfl import ConfigError, InvalidDistributionError, draw_sites, sample_site_multiset
 
 
-def test_build_examples():
-    t1 = SamplingTree([1.0])
-    assert t1.height == 0 and t1.leaf_count == 1
-    assert t1.mass[1] == 1.0
+class _TopUniform:
+    """Stub generator whose every uniform is the largest double below 1."""
 
-    t2 = SamplingTree([0.5, 0.5])
-    assert t2.height == 1 and t2.leaf_count == 2
-    assert t2.leaf_mass(1) == 0.5 and t2.leaf_mass(2) == 0.5
-    assert t2.mass[1] == pytest.approx(1.0, abs=1e-15)
-
-    t3 = SamplingTree([0.2, 0.3, 0.5])
-    assert t3.leaf_count == 4
-    assert t3.leaf_mass(4) == 0.0  # padded leaf
-    assert t3.mass[2] == pytest.approx(0.5, abs=1e-15)  # 0.2 + 0.3
-    assert t3.mass[3] == pytest.approx(0.5, abs=1e-15)  # 0.5 + padding
-
-
-def test_internal_sums_hold_everywhere():
-    rng = np.random.default_rng(4)
-    for _ in range(30):
-        n = int(rng.integers(1, 70))
-        p = rng.dirichlet(np.ones(n))
-        tree = SamplingTree(p)
-        for node in range(1, tree.leaf_count):
-            assert tree.mass[node] == pytest.approx(
-                tree.mass[2 * node] + tree.mass[2 * node + 1], abs=1e-12
-            )
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
 
 
 def test_build_rejects_bad_distributions():
+    rng = np.random.default_rng(3)
     with pytest.raises(InvalidDistributionError):
-        SamplingTree([0.5, -0.5, 1.0])
+        draw_sites([0.5, -0.5, 1.0], 1, rng)
     with pytest.raises(InvalidDistributionError):
-        SamplingTree([0.0, 0.0])
+        draw_sites([0.0, 0.0], 1, rng)
     with pytest.raises(InvalidDistributionError):
-        SamplingTree([0.5, 0.6])
+        draw_sites([0.5, 0.6], 1, rng)
     with pytest.raises(InvalidDistributionError):
-        SamplingTree([])
+        draw_sites([], 1, rng)
     with pytest.raises(InvalidDistributionError):
-        SamplingTree([np.nan, 1.0])
+        draw_sites([np.nan, 1.0], 1, rng)
+    with pytest.raises(InvalidDistributionError):
+        draw_sites([[0.5, 0.5]], 1, rng)
+    with pytest.raises(ConfigError):
+        draw_sites([0.5, 0.5], 0, rng)
+    with pytest.raises(ConfigError):
+        sample_site_multiset([1.0], -1, rng)
 
 
 def test_point_mass_always_hits_its_site():
-    tree = SamplingTree([1.0, 0.0, 0.0, 0.0])
     rng = np.random.default_rng(5)
-    assert all(tree.sample(rng) == 1 for _ in range(200))
-    assert np.all(tree.sample_many(10_000, rng) == 1)
+    assert np.all(draw_sites([1.0, 0.0, 0.0, 0.0], 10_000, rng) == 1)
+    assert np.all(draw_sites([0.0, 0.0, 1.0, 0.0], 10_000, rng) == 3)
+    assert draw_sites([1.0], 1, rng).tolist() == [1]
 
 
 def test_zero_mass_sites_never_drawn():
     p = np.array([0.25, 0.0, 0.5, 0.0, 0.25])
-    tree = SamplingTree(p)
     rng = np.random.default_rng(6)
-    draws = tree.sample_many(200_000, rng)
+    draws = draw_sites(p, 200_000, rng)
     assert not np.any((draws == 2) | (draws == 4))
 
 
+def test_top_uniform_lands_on_the_last_positive_mass_site():
+    # the largest uniform must stop at the last positive-mass site even when
+    # the cumulative sum ends a few ulps away from 1 and zero-mass sites trail
+    rng = np.random.default_rng(14)
+    for n_pos, n_zero in ((1, 1), (4, 2), (7, 5), (100, 30), (1000, 1)):
+        for _ in range(20):
+            p = np.concatenate([rng.dirichlet(np.ones(n_pos)), np.zeros(n_zero)])
+            assert draw_sites(p, 3, _TopUniform()).tolist() == [n_pos] * 3
+    assert draw_sites([0.1, 0.2, 0.3, 0.4, 0.0, 0.0], 1, _TopUniform()).tolist() == [4]
+
+
 def test_uniform_frequencies():
-    tree = SamplingTree([0.25] * 4)
     rng = np.random.default_rng(7)
-    draws = tree.sample_many(1_000_000, rng)
+    draws = draw_sites([0.25] * 4, 1_000_000, rng)
     freq = np.bincount(draws - 1, minlength=4) / 1e6
     assert np.abs(freq - 0.25).max() <= 0.005
 
 
 def test_biased_frequencies():
-    tree = SamplingTree([0.7, 0.3])
     rng = np.random.default_rng(8)
-    draws = tree.sample_many(1_000_000, rng)
+    draws = draw_sites([0.7, 0.3], 1_000_000, rng)
     freq = np.bincount(draws - 1, minlength=2) / 1e6
     assert abs(freq[0] - 0.7) <= 0.005
     assert abs(freq[1] - 0.3) <= 0.005
 
 
+def test_four_site_frequencies_match_p():
+    p = np.array([0.1, 0.2, 0.3, 0.4])
+    draws = draw_sites(p, 100_000, np.random.default_rng(11))
+    freq = np.bincount(draws - 1, minlength=4) / draws.size
+    assert np.abs(freq - p).max() <= 0.01
+
+
 def test_identical_seed_gives_identical_draws():
     p = np.random.default_rng(9).dirichlet(np.ones(13))
-    tree = SamplingTree(p)
-    one = [tree.sample(np.random.default_rng(42)) for _ in range(50)]
-    two = [tree.sample(np.random.default_rng(42)) for _ in range(50)]
-    assert one == two
-    many_one = tree.sample_many(5000, np.random.default_rng(43))
-    many_two = tree.sample_many(5000, np.random.default_rng(43))
-    assert np.array_equal(many_one, many_two)
-
-
-def test_scalar_and_vector_paths_agree_in_distribution():
-    p = np.array([0.1, 0.2, 0.3, 0.4])
-    tree = SamplingTree(p)
-    rng = np.random.default_rng(10)
-    scalar = np.array([tree.sample(rng) for _ in range(100_000)])
-    vector = tree.sample_many(100_000, np.random.default_rng(11))
-    f_scalar = np.bincount(scalar - 1, minlength=4) / scalar.size
-    f_vector = np.bincount(vector - 1, minlength=4) / vector.size
-    assert np.abs(f_scalar - p).max() <= 0.01
-    assert np.abs(f_vector - p).max() <= 0.01
+    one = draw_sites(p, 5000, np.random.default_rng(43))
+    two = draw_sites(p, 5000, np.random.default_rng(43))
+    assert np.array_equal(one, two)
+    single = [int(draw_sites(p, 1, np.random.default_rng(42))[0]) for _ in range(50)]
+    assert len(set(single)) == 1
 
 
 def test_multiset_point_mass_dedupes():
