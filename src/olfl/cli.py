@@ -6,7 +6,8 @@
     olfl verify
 
 Exit codes: 0 on success, 1 on a validation error (bad flags, bad config,
-bad trace file), 2 when verify finds a failing check.
+bad trace file), 2 when verify finds a failing check, 3 on a numeric or
+protocol failure inside a run (NumericError, ProtocolError).
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import json
 import sys
 
 from .bench import bench_per_trial, ratio_report
-from .errors import TraceFormatError
+from .errors import NumericError, ProtocolError, TraceFormatError
 from .experiment import (
     ALGO_NAMES,
     AlgoSpec,
@@ -160,3 +161,6 @@ def main(argv=None) -> int:
     except (ValueError, TraceFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (NumericError, ProtocolError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3

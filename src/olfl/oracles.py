@@ -4,7 +4,9 @@ efficient learners, used to verify them at desk scale.
 - ExactHedge: exponential weights over all 2^N - 1 nonempty subsets.
 - ftl_greedy_play / cheapest_singleton_play: deterministic follow-the-leader
   baselines (both provably beatable by an adaptive adversary).
-- best_fixed_subset: the in-hindsight comparator by exhaustive scan.
+- best_fixed_subset: the in-hindsight comparator. Up to the site cap it
+  prices all 2^N bitmasks in one subset-lattice pass per distinct cost row;
+  above the cap a cardinality-restricted scan enumerates combinations.
 - exact_expected_loss: the true expectation of the draw-and-deduplicate
   action rule, by enumerating every ordered draw sequence.
 
@@ -30,6 +32,43 @@ def _subset_members(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
+def _subset_lattice(opening_sums: np.ndarray, rows: np.ndarray, counts) -> np.ndarray:
+    """Loss of every bitmask 0..2^N - 1, indexed by mask (bit j is site j+1;
+    mask 0 is inf): sum_r counts[r] * min over the mask of rows[r], plus the
+    opening sums.
+
+    The masks with top bit j are the masks below 2^j plus site j, so each
+    table doubles one site at a time: min over S = min(min over S minus j,
+    d_j), and the opening sum gains c_j. Rows are priced one at a time in a
+    reused buffer, which keeps memory at two arrays of 2^N floats.
+    """
+    size = 1 << opening_sums.size
+    total = np.zeros(size)
+    buf = np.empty(size)
+    halves = [(buf[: 1 << j], buf[1 << j : 2 << j]) for j in range(opening_sums.size)]
+    buf[0] = np.inf
+    for row, count in zip(rows.tolist(), counts):
+        for (low, high), d in zip(halves, row):
+            np.minimum(low, d, out=high)
+        if count != 1:
+            buf *= count
+        total += buf
+    buf[0] = 0.0
+    for (low, high), c in zip(halves, opening_sums):
+        np.add(low, c, out=high)
+    total += buf
+    return total
+
+
+def _cardinalities(n: int) -> np.ndarray:
+    """Popcount of every bitmask 0..2^N - 1."""
+    cards = np.empty(1 << n, dtype=np.int8)
+    cards[0] = 0
+    for j in range(n):
+        np.add(cards[: 1 << j], 1, out=cards[1 << j : 2 << j])
+    return cards
+
+
 class ExactHedge:
     """Exponential weights over every nonempty subset, with exact bookkeeping.
 
@@ -49,16 +88,11 @@ class ExactHedge:
         self.weights = np.full(self.n_subsets, 1.0 / self.n_subsets)
         self.learning_rate = math.sqrt(8.0 * math.log(self.n_subsets) / cfg.horizon)
         self.loss_scale = n * cfg.opening_max + cfg.connection_max
-        # row k describes subset with bitmask k+1
-        masks = np.arange(1, self.n_subsets + 1)
-        self._bits = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
         self._awaiting_update = False
 
     def subset_losses(self, costs: CostPair) -> np.ndarray:
         """Facility loss of every nonempty subset, in bitmask order."""
-        open_sums = self._bits @ costs.opening
-        conn_mins = np.where(self._bits > 0, costs.connection[None, :], np.inf).min(axis=1)
-        return open_sums + conn_mins
+        return _subset_lattice(costs.opening, costs.connection[None, :], (1,))[1:]
 
     def expected_loss(self, costs: CostPair) -> float:
         return float(self.weights @ self.subset_losses(costs))
@@ -132,14 +166,16 @@ def best_fixed_subset(
     exact_card: int | None = None,
     site_cap: int = BRUTE_FORCE_SITE_CAP,
 ) -> tuple[SiteSet, float]:
-    """Exhaustive in-hindsight comparator: the nonempty subset minimizing
-    cumulative facility loss, ties broken by smaller cardinality then
-    lexicographic members.
+    """In-hindsight comparator: the nonempty subset minimizing cumulative
+    facility loss, ties broken by smaller cardinality then lexicographic
+    members.
 
-    `max_card` / `exact_card` restrict the candidate cardinalities; with a
-    restriction the scan enumerates combinations (and may exceed `site_cap`
-    sites if the combination count stays within bounds), otherwise it walks
-    all bitmasks of at most `site_cap` sites.
+    `max_card` / `exact_card` restrict the candidate cardinalities. Up to
+    `site_cap` sites every bitmask is priced exactly by one subset-lattice
+    pass per distinct connection row (repeated rows are counted, not
+    rescanned), and the restriction masks out the other cardinalities.
+    Above the cap only a restricted scan is allowed: it enumerates the
+    candidate combinations while their count stays within bounds.
     """
     opening, connection = _history_arrays(history)
     n = opening.shape[1]
@@ -161,6 +197,17 @@ def best_fixed_subset(
         count = sum(math.comb(n, k) for k in candidate_cards)
         if count > COMBINATION_CAP:
             raise CapExceededError(f"{count} candidate subsets exceeds cap {COMBINATION_CAP}")
+
+    if n <= site_cap:
+        rows, counts = np.unique(connection, axis=0, return_counts=True)
+        losses = _subset_lattice(cum_open, rows, counts)
+        cards = _cardinalities(n)
+        losses[~np.isin(cards, candidate_cards)] = np.inf
+        best_cost = losses.min()
+        ties = np.flatnonzero(losses == best_cost)
+        ties = ties[cards[ties] == cards[ties].min()]
+        mask = min((int(m) for m in ties), key=_subset_members)
+        return SiteSet(_subset_members(mask)), float(best_cost)
 
     best_cost = math.inf
     best_members: tuple[int, ...] | None = None

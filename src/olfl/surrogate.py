@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractViolationError
-from .game import CostPair, sort_by_connection_desc
+from .game import CostPair
 
 SIMPLEX_TOL = 1e-9
 
@@ -57,7 +57,9 @@ class SurrogateInstance:
 
     @classmethod
     def from_costs(cls, costs: CostPair, num_draws: int) -> "SurrogateInstance":
-        return cls(costs.opening, costs.connection, sort_by_connection_desc(costs.connection), num_draws)
+        # f does not depend on how tied connection costs are ordered, so the
+        # faster unstable sort serves here.
+        return cls(costs.opening, costs.connection, np.argsort(-costs.connection) + 1, num_draws)
 
     @property
     def n_sites(self) -> int:

@@ -24,6 +24,7 @@ from olfl import (
     save_trace,
 )
 from olfl.cli import main
+from olfl.errors import NumericError, ProtocolError
 from olfl.experiment import bound_terms, half_log_ceil
 
 
@@ -280,6 +281,26 @@ def test_cli_validation_failures(tmp_path):
         ]
     )
     assert rc == 1
+
+
+@pytest.mark.parametrize("error", [NumericError("weights underflowed"), ProtocolError("play twice")])
+def test_cli_numeric_and_protocol_failures_exit_3(error, tmp_path, monkeypatch, capsys):
+    def failing_run(config):
+        raise error
+
+    monkeypatch.setattr("olfl.cli.run_experiment", failing_run)
+    rc = main(
+        [
+            "run", "--algo", "fl", "--n", "2", "--t", "5",
+            "--c-max", "1", "--d-max", "1",
+            "--scenario", "iid", "--seeds", "1",
+            "--out", str(tmp_path / "z"),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == f"error: {error}\n"
+    assert "Traceback" not in err
 
 
 def test_cli_bench_smoke(tmp_path):

@@ -8,8 +8,10 @@ from olfl import (
     CapExceededError,
     ConfigError,
     CostPair,
+    DoublingLearner,
     ExactHedge,
     GameConfig,
+    KillerSource,
     ProtocolError,
     SiteSet,
     best_fixed_subset,
@@ -39,6 +41,18 @@ def test_hedge_subset_losses_in_bitmask_order():
     losses = hedge.subset_losses(CostPair([0.5, 0.2], [0.3, 0.9]))
     # masks 1,2,3 are {1}, {2}, {1,2}
     assert np.allclose(losses, [0.8, 1.1, 1.0])
+
+
+def test_hedge_subset_losses_match_the_bit_matrix_formula():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 5, 8, 12):
+        hedge = ExactHedge(GameConfig(n, 10, 1.0, 1.0))
+        masks = np.arange(1, 1 << n)
+        bits = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
+        for _ in range(3):
+            costs = CostPair(rng.uniform(0, 1, n), rng.uniform(0, 1, n))
+            expected = bits @ costs.opening + np.where(bits > 0, costs.connection, np.inf).min(axis=1)
+            assert np.abs(hedge.subset_losses(costs) - expected).max() <= 1e-12
 
 
 def test_hedge_play_single_site():
@@ -190,6 +204,95 @@ def test_best_fixed_matches_independent_scan():
                     best = key
         assert loss == pytest.approx(best[0], rel=1e-12)
         assert subset.members == best[2]
+
+
+def _reference_best_fixed(history, max_card=None, exact_card=None):
+    # the exhaustive scan: every candidate subset's block, row-wise min
+    opening = np.stack([cp.opening for cp in history])
+    connection = np.stack([cp.connection for cp in history])
+    n = opening.shape[1]
+    cum_open = opening.sum(axis=0)
+    if exact_card is not None:
+        cards = (exact_card,)
+    else:
+        cards = range(1, (max_card or n) + 1)
+    best_cost, best_members = math.inf, None
+    for card in cards:
+        for combo in itertools.combinations(range(n), card):
+            idx = list(combo)
+            cost = float(cum_open[idx].sum() + connection[:, idx].min(axis=1).sum())
+            members = tuple(i + 1 for i in combo)
+            if cost < best_cost or (
+                cost == best_cost and (card, members) < (len(best_members), best_members)
+            ):
+                best_cost, best_members = cost, members
+    return best_members, best_cost
+
+
+def _restrictions(rng, n):
+    return [{}, {"max_card": int(rng.integers(1, n + 1))}, {"exact_card": int(rng.integers(1, n + 1))}]
+
+
+def _history_with_repeats(rng, n, draw):
+    rows = [CostPair(draw(n), draw(n)) for _ in range(int(rng.integers(1, 6)))]
+    return [rows[int(i)] for i in rng.integers(0, len(rows), int(rng.integers(1, 25)))]
+
+
+def test_best_fixed_matches_reference_scan_exactly_on_grid_costs():
+    rng = np.random.default_rng(12)
+    grid = lambda n: rng.integers(0, 5, n) / 4.0  # noqa: E731 - multiples of 1/4, many ties
+    for n in range(1, 11):
+        for _ in range(6):
+            history = _history_with_repeats(rng, n, grid)
+            for restriction in _restrictions(rng, n):
+                subset, loss = best_fixed_subset(history, **restriction)
+                assert (subset.members, loss) == _reference_best_fixed(history, **restriction)
+
+
+def test_best_fixed_matches_reference_scan_on_uniform_costs():
+    rng = np.random.default_rng(13)
+    uniform = lambda n: rng.uniform(0, 1, n)  # noqa: E731
+    for n in range(1, 11):
+        for _ in range(4):
+            history = _history_with_repeats(rng, n, uniform)
+            for restriction in _restrictions(rng, n):
+                subset, loss = best_fixed_subset(history, **restriction)
+                members, ref_loss = _reference_best_fixed(history, **restriction)
+                assert subset.members == members
+                assert loss == pytest.approx(ref_loss, rel=1e-12)
+
+
+def test_best_fixed_structural_tie_prefers_the_smaller_set():
+    # site 2 opens for free but is never the cheapest connection, so {1} and
+    # {1, 2} tie exactly at every history length
+    history = [CostPair([0.5, 0.0, 0.25], [0.25, 1.0, 1.0]), CostPair([0.5, 0.0, 0.25], [0.0, 0.75, 1.0])] * 3
+    for restriction in ({}, {"max_card": 2}):
+        subset, loss = best_fixed_subset(history, **restriction)
+        assert subset.members == (1,) and loss == 3.75
+        assert (subset.members, loss) == _reference_best_fixed(history, **restriction)
+
+
+def test_best_fixed_bit_identical_on_a_killer_history():
+    n, horizon = 16, 400
+    learner = DoublingLearner(GameConfig(n, horizon, 1.0, 1.0))
+    source = KillerSource(n, use_current_action=False)
+    rng = np.random.default_rng(14)
+    history = []
+    for t in range(1, horizon + 1):
+        costs = source.costs_for(t, learner.play(rng))
+        learner.update(costs)
+        history.append(costs)
+    assert len({cp.connection.tobytes() for cp in history}) < horizon  # repeated rows occur
+    subset, loss = best_fixed_subset(history)
+    assert (subset.members, loss) == _reference_best_fixed(history)
+
+
+def test_best_fixed_restricted_scan_above_the_site_cap():
+    rng = np.random.default_rng(15)
+    history = [CostPair(rng.uniform(0, 1, 20), rng.uniform(0, 1, 20)) for _ in range(10)]
+    subset, loss = best_fixed_subset(history, max_card=2)
+    members, ref_loss = _reference_best_fixed(history, max_card=2)
+    assert subset.members == members and loss == ref_loss
 
 
 def test_best_fixed_cardinality_restrictions():

@@ -118,6 +118,24 @@ def test_tied_connection_costs():
     assert np.abs(grad - 3 * np.array([0.1, 0.2, 0.3])).max() <= 1e-15
 
 
+def test_value_and_gradient_do_not_depend_on_tie_order():
+    rng = np.random.default_rng(16)
+    for _ in range(60):
+        n = int(rng.integers(2, 40))
+        opening = rng.integers(0, 5, n) / 4.0
+        connection = rng.integers(0, 5, n) / 4.0  # grid costs: many ties
+        ups = int(rng.integers(1, 6))
+        w = rng.dirichlet(np.ones(n))
+        stable = np.argsort(-connection, kind="stable") + 1
+        reversed_ties = np.lexsort((-np.arange(n), -connection)) + 1
+        assert not np.array_equal(stable, reversed_ties) or len(set(connection)) == n
+        v1, g1 = value_and_gradient(SurrogateInstance(opening, connection, stable, ups), w)
+        v2, g2 = value_and_gradient(SurrogateInstance(opening, connection, reversed_ties, ups), w)
+        v3, g3 = value_and_gradient(SurrogateInstance.from_costs(CostPair(opening, connection), ups), w)
+        assert abs(v1 - v2) <= 1e-12 and abs(v1 - v3) <= 1e-12
+        assert np.abs(g1 - g2).max() <= 1e-12 and np.abs(g1 - g3).max() <= 1e-12
+
+
 def test_large_draw_count_stays_finite():
     inst = SurrogateInstance.from_costs(CostPair([0.5, 0.5], [1.0, 0.0]), 500)
     value, grad = value_and_gradient(inst, np.array([0.5, 0.5]))
