@@ -5,11 +5,20 @@ takes no cost argument, so trial-t costs cannot leak into the trial-t action;
 they are fetched only after the action is committed (for the adaptive killer
 source this is also where the adversary's order of moves is realized).
 
-Seeds drive the learner's own randomness. Non-adaptive scenarios materialize
-one cost sequence (from the scenario's own seed or a trace file) shared by
-every learner seed, so the in-hindsight comparator is common; the adaptive
-killer produces one realized sequence per seed and comparators are computed
-per seed.
+Seeds drive the learner's own randomness: each seed owns the generator
+`np.random.default_rng(seed)`. All seeds of an experiment run through one
+trial loop. The fl family runs them as the rows of one `LearnerBatch`;
+hedge-exact and ftl-greedy keep one scalar learner per seed behind the same
+interface. Non-adaptive scenarios materialize one cost sequence (from the
+scenario's own seed or a trace file) shared by every learner seed, so one
+sort per trial serves every row and the in-hindsight comparator is common;
+the adaptive killer keeps one source per seed, realizes one sequence per
+seed and computes comparators per seed.
+
+A seed's `per_trial_median_ms` is the median over trials of the loop's
+play + update time divided by the number of seeds, and its `wall_time_s` is
+the loop's wall time divided by the number of seeds, so the seeds' wall
+times sum to the loop's.
 """
 from __future__ import annotations
 
@@ -22,18 +31,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import stats
 
-from .adversaries import KillerSource, SequenceSource, generate_scenario, load_trace, save_trace
-from .errors import ConfigError, ProtocolError
+from .adversaries import KillerSource, generate_scenario, load_trace, save_trace
+from .errors import ConfigError
 from .game import CostPair, GameConfig, SiteSet, facility_loss
-from .learners import (
-    BoundedCardinalityLearner,
-    DoublingLearner,
-    FixedCardinalityLearner,
-    half_log_ceil,
-)
+from .learners import LearnerBatch, half_log_ceil
 from .oracles import (
     BRUTE_FORCE_SITE_CAP,
     ExactHedge,
+    FollowTheLeaderGreedy,
     best_fixed_subset,
     ftl_greedy_play,
 )
@@ -131,40 +136,34 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     return ExperimentConfig(game, algo, scenario, seeds)
 
 
-class FollowTheLeaderGreedy:
-    """Deterministic baseline: replays the greedy leader of the history."""
+class PerSeedLearners:
+    """One scalar learner per seed behind the batch interface of
+    `LearnerBatch`: play(rngs), update(costs), state()."""
 
-    def __init__(self, cfg: GameConfig):
-        self.cfg = cfg
-        self._history: list[CostPair] = []
-        self._awaiting_update = False
+    def __init__(self, learners: list):
+        self.learners = learners
 
-    def play(self, rng=None) -> SiteSet:
-        if self._awaiting_update:
-            raise ProtocolError("play called again before update")
-        self._awaiting_update = True
-        return ftl_greedy_play(self._history)
+    def play(self, rngs) -> list[SiteSet]:
+        return [lrn.play(rng) for lrn, rng in zip(self.learners, rngs)]
 
-    def update(self, costs: CostPair) -> None:
-        if not self._awaiting_update:
-            raise ProtocolError("update called before play")
-        self._awaiting_update = False
-        self._history.append(costs)
-        return None
+    def update(self, costs) -> list:
+        if isinstance(costs, CostPair):
+            costs = [costs] * len(self.learners)
+        return [lrn.update(cp) for lrn, cp in zip(self.learners, costs)]
+
+    def state(self) -> list[tuple]:
+        return [lrn.state() for lrn in self.learners]
 
 
 def build_learner(config: ExperimentConfig):
-    name, cfg = config.algo.name, config.game
-    if name == "fl":
-        return DoublingLearner(cfg)
-    if name == "fl-fixed":
-        return FixedCardinalityLearner(cfg, config.algo.cardinality)
-    if name == "fl-bounded":
-        return BoundedCardinalityLearner(cfg, config.algo.cardinality)
+    """The learners of every seed of the experiment, one row per seed."""
+    name, cfg, rows = config.algo.name, config.game, len(config.seeds)
+    if name in ("fl", "fl-fixed", "fl-bounded"):
+        return LearnerBatch(cfg, name, rows, config.algo.cardinality)
     if name == "hedge-exact":
-        return ExactHedge(cfg)
+        return PerSeedLearners([ExactHedge(cfg) for _ in range(rows)])
     if name == "ftl-greedy":
-        return FollowTheLeaderGreedy(cfg)
+        return PerSeedLearners([FollowTheLeaderGreedy(cfg) for _ in range(rows)])
     raise ConfigError(f"unknown algo {name!r}")
 
 
@@ -210,54 +209,58 @@ class RunResult:
     scenario_costs: list[CostPair] | None
 
 
-def _snapshot(learner) -> tuple[int | None, int | None, int | None]:
-    if isinstance(learner, DoublingLearner):
-        return learner.scale, learner.cardinality_budget, learner.segment
-    if isinstance(learner, FixedCardinalityLearner):
-        return None, learner.cardinality, None
-    if isinstance(learner, BoundedCardinalityLearner):
-        return None, learner.max_cardinality, None
-    return None, None, None
-
-
-def _run_seed(config: ExperimentConfig, seed: int, shared_costs: list[CostPair] | None) -> SeedRun:
-    cfg = config.game
+def _run_seeds(config: ExperimentConfig, shared_costs: list[CostPair] | None) -> list[SeedRun]:
+    """Every seed of the experiment through one trial loop."""
+    cfg, seeds = config.game, config.seeds
+    rows = len(seeds)
     learner = build_learner(config)
-    rng = np.random.default_rng(seed)
-    if shared_costs is not None:
-        source = SequenceSource(shared_costs)
-    else:
-        source = KillerSource(cfg.n_sites, config.algo.name in DETERMINISTIC_ALGOS)
-    records: list[TrialRecord] = []
-    realized: list[CostPair] = []
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    adaptive = shared_costs is None
+    if adaptive:
+        use_current = config.algo.name in DETERMINISTIC_ALGOS
+        sources = [KillerSource(cfg.n_sites, use_current) for _ in seeds]
+    records: list[list[TrialRecord]] = [[] for _ in seeds]
+    realized: list[list[CostPair]] = [[] for _ in seeds]
+    cumulative = [0.0] * rows
     per_trial = np.empty(cfg.horizon)
-    cumulative = 0.0
     wall_start = time.perf_counter()
     for t in range(1, cfg.horizon + 1):
-        scale, cardinality, segment = _snapshot(learner)
+        states = learner.state()
         t0 = time.perf_counter()
-        action = learner.play(rng)
+        actions = learner.play(rngs)
         t1 = time.perf_counter()
-        costs = source.costs_for(t, action)
-        loss = facility_loss(costs, action)
+        if adaptive:
+            costs = [src.costs_for(t, action) for src, action in zip(sources, actions)]
+            losses = [facility_loss(cp, action) for cp, action in zip(costs, actions)]
+        else:
+            costs = shared_costs[t - 1]
+            losses = [facility_loss(costs, action) for action in actions]
         t2 = time.perf_counter()
-        surrogate_loss = learner.update(costs)
+        surrogate_losses = learner.update(costs)
         t3 = time.perf_counter()
-        per_trial[t - 1] = (t1 - t0) + (t3 - t2)
-        cumulative += loss
-        records.append(TrialRecord(t, action, loss, surrogate_loss, scale, cardinality, segment))
-        if source.adaptive:
-            realized.append(costs)
-    wall = time.perf_counter() - wall_start
-    return SeedRun(
-        seed=seed,
-        records=records,
-        cumulative_loss=cumulative,
-        wall_time_s=wall,
-        per_trial_median_ms=float(np.median(per_trial) * 1e3),
-        segment_starts=list(learner.segment_starts) if isinstance(learner, DoublingLearner) else None,
-        realized_costs=realized if source.adaptive else None,
-    )
+        per_trial[t - 1] = ((t1 - t0) + (t3 - t2)) / rows
+        for r, (action, loss, surrogate_loss, state) in enumerate(
+            zip(actions, losses, surrogate_losses, states)
+        ):
+            cumulative[r] += loss
+            records[r].append(TrialRecord(t, action, loss, surrogate_loss, *state))
+            if adaptive:
+                realized[r].append(costs[r])
+    wall = (time.perf_counter() - wall_start) / rows
+    median_ms = float(np.median(per_trial) * 1e3)
+    starts = learner.segment_starts if config.algo.name == "fl" else [None] * rows
+    return [
+        SeedRun(
+            seed=seed,
+            records=records[r],
+            cumulative_loss=cumulative[r],
+            wall_time_s=wall,
+            per_trial_median_ms=median_ms,
+            segment_starts=starts[r],
+            realized_costs=realized[r] if adaptive else None,
+        )
+        for r, seed in enumerate(seeds)
+    ]
 
 
 def _comparator_restriction(config: ExperimentConfig) -> tuple[int | None, int | None, str]:
@@ -321,7 +324,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             config.scenario.kind, cfg, config.scenario.seed, config.scenario.drift_step
         )
 
-    seed_runs = [_run_seed(config, seed, shared_costs) for seed in config.seeds]
+    seed_runs = _run_seeds(config, shared_costs)
 
     cum_losses = np.array([sr.cumulative_loss for sr in seed_runs])
     mean_loss = float(cum_losses.mean())

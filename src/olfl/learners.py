@@ -1,25 +1,37 @@
-"""The facility-location learner family.
+"""The facility-location learners, as one seed-batched core.
 
-Three layers, each wrapping the previous:
+`LearnerBatch` runs S independent learners of one kind as one array
+program over an (S, n) weight array. Row r is one learner: its weights, its
+draw count, learning rate and gradient bound, and for `fl` its scale guess,
+accumulator and segment. Each trial makes one row-wise pass per stage: every
+row draws its sites from its own generator; the costs are sorted once when
+all rows share them, row-wise when each row has its own; the surrogate
+value and gradient and the exponentiated-gradient step run on all rows at
+once; and doubling restarts reset the rows that crossed their threshold
+through a mask. Rows never mix, so a row follows the same trajectory
+whichever rows share its batch.
 
-- FixedCardinalityLearner: competes with the best fixed K-subset. Per trial
-  it draws `num_draws = K * ceil(ln(T)/2)` sites with replacement from an
-  exponentiated-gradient weight vector and plays the distinct draws; the
-  update feeds the convex surrogate's value and gradient to the inner step.
-- BoundedCardinalityLearner: competes with every subset of size <= K by
-  running the fixed learner on an instance extended with N "dummy" sites
-  that are free to open but too expensive to connect (d = C + D). The
-  dummies share every cost, so they share every gradient and their weights
-  stay equal; the learner keeps them as one aggregate site N+1 of
-  multiplicity N, holding their total mass, and tunes for 2N experts. A
-  dummy draw is stripped from the played set, with {1} as a fallback when
-  nothing real was drawn.
-- DoublingLearner: guesses the comparator scale, running the bounded
-  learner and doubling the guess (with a fresh restart at the matching
-  cardinality budget) whenever the accumulated surrogate loss of the current
-  segment crosses 2 * (a + b) * scale * sqrt(ln(2N) * T).
+Kinds:
 
-All three enforce strict play/update alternation.
+- "fl-fixed": competes with the best fixed K-subset. Per trial a row draws
+  `num_draws = K * ceil(ln(T)/2)` sites with replacement from its weights
+  and plays the distinct draws; the update feeds the convex surrogate's
+  value and gradient to the step.
+- "fl-bounded": competes with every nonempty subset of at most K sites by
+  learning on an instance extended with N "dummy" sites that are free to
+  open but too expensive to connect (d = C + D). The dummies share every
+  cost, so they share every gradient and their weights stay equal; a row
+  keeps them as one aggregate site N+1 of multiplicity N, holding their
+  total mass, and tunes for 2N experts. A dummy draw is stripped from the
+  played set, with {1} as a fallback when nothing real was drawn.
+- "fl": the bounded learner under a doubling guess of the comparator scale.
+  A row doubles its guess, with a fresh restart at the matching cardinality
+  budget, whenever the accumulated surrogate loss of its current segment
+  crosses 2 * (a + b) * scale * sqrt(ln(2N) * T).
+
+FixedCardinalityLearner, BoundedCardinalityLearner and DoublingLearner are
+batches of one behind the scalar play(rng) / update(costs) interface. Every
+learner enforces strict play/update alternation.
 """
 from __future__ import annotations
 
@@ -27,11 +39,14 @@ import math
 
 import numpy as np
 
-from .eg import ExponentiatedGradient
+from .eg import eg_rows, starting_point
 from .errors import ConfigError, ProtocolError
 from .game import CostPair, GameConfig, SiteSet
-from .sampler import sample_site_multiset
-from .surrogate import SurrogateInstance, value_and_gradient
+from .sampler import draw_rows
+from .sampler import sample_site_multiset  # noqa: F401  the benchmark's tracer patches it here
+from .surrogate import surrogate_rows
+
+KINDS = ("fl-fixed", "fl-bounded", "fl")
 
 
 def half_log_ceil(horizon: int) -> int:
@@ -39,104 +54,209 @@ def half_log_ceil(horizon: int) -> int:
     return max(1, math.ceil(math.log(horizon) / 2.0))
 
 
-def restrict_to_real_sites(chosen: SiteSet, n_real: int) -> SiteSet:
-    """Drop dummy indices above n_real; fall back to {1} if none remain."""
-    real = tuple(i for i in chosen.members if i <= n_real)
-    return SiteSet(real) if real else SiteSet((1,))
+def _append_column(a: np.ndarray, value: float) -> np.ndarray:
+    """a with `value` appended to its last axis (to each row of a 2-D a)."""
+    return np.concatenate([a, np.full(a.shape[:-1] + (1,), value)], axis=-1)
 
 
-class FixedCardinalityLearner:
-    """Plays the distinct outcomes of num_draws weighted site draws per trial."""
+class LearnerBatch:
+    """`rows` independent facility learners of one kind, one per row.
 
-    def __init__(self, cfg: GameConfig, cardinality: int, multiplicity=None):
-        """`multiplicity` counts the identical sites each coordinate stands
-        for (see ExponentiatedGradient); all ones by default."""
-        if not isinstance(cardinality, int) or not 1 <= cardinality <= cfg.n_sites:
-            raise ConfigError(
-                f"cardinality must be an integer in 1..{cfg.n_sites}, got {cardinality!r}"
-            )
+    `cfg` is the real game. The rows learn on `self.cfg`: the real game for
+    fl-fixed, the game extended with the aggregate dummy site (opening 0,
+    connection C + D) otherwise. `cardinality` is K for fl-fixed and
+    fl-bounded; fl derives each row's budget from its scale guess.
+    """
+
+    def __init__(self, cfg: GameConfig, kind: str, rows: int, cardinality: int | None = None):
+        if kind not in KINDS:
+            raise ConfigError(f"unknown learner kind {kind!r}; known: {', '.join(KINDS)}")
+        if kind == "fl":
+            if cardinality is not None:
+                raise ConfigError("fl picks its own cardinality budget")
+        elif not isinstance(cardinality, int) or not 1 <= cardinality <= cfg.n_sites:
+            label = "cardinality" if kind == "fl-fixed" else "max_cardinality"
+            raise ConfigError(f"{label} must be an integer in 1..{cfg.n_sites}, got {cardinality!r}")
+        if not isinstance(rows, int) or rows < 1:
+            raise ConfigError(f"rows must be a positive integer, got {rows!r}")
+        n, c, d = cfg.n_sites, cfg.opening_max, cfg.connection_max
+        self.kind = kind
+        self.rows = rows
+        self.n_real = n
+        multiplicity = None
         self.cfg = cfg
-        self.cardinality = cardinality
-        self.num_draws = cardinality * half_log_ceil(cfg.horizon)
-        grad_bound = (cfg.opening_max + cfg.connection_max) * self.num_draws
-        self._inner = ExponentiatedGradient(cfg.n_sites, grad_bound, cfg.horizon, multiplicity)
+        if kind != "fl-fixed":
+            self.cfg = GameConfig(n + 1, cfg.horizon, c, c + d)
+            multiplicity = np.append(np.ones(n), n)
+        self._start, self._rate = starting_point(self.cfg.n_sites, cfg.horizon, multiplicity)
+        self._draws_per_site = half_log_ceil(cfg.horizon)
         self._awaiting_update = False
+        self.w = np.tile(self._start, (rows, 1))
+        self._scratch = np.empty((5,) + self.w.shape)  # the surrogate's work space
+        self.scale = None  # no doubling state outside fl
+        if kind == "fl":
+            self.slope = self._draws_per_site * (4.0 * c + 2.0 * d)  # a
+            self.base = c + d  # b
+            self.threshold_unit = 2.0 * (self.slope + self.base) * math.sqrt(math.log(2 * n) * cfg.horizon)
+            self.scale = np.ones(rows, dtype=np.int64)
+            self.segment = np.zeros(rows, dtype=np.int64)
+            self.accumulated = np.zeros(rows)
+            self.segment_starts = [[1] for _ in range(rows)]  # trial index opening each segment
+            self.trials_seen = 0
+            self.cardinality = self.budget_for(self.scale)
+        else:
+            self.cardinality = np.full(rows, cardinality, dtype=np.int64)
+        self._tune()
+
+    def _tune(self) -> None:
+        """Per-row draw count, gradient bound and learning rate from the
+        row's cardinality."""
+        self.num_draws = self.cardinality * self._draws_per_site
+        self.grad_bound = (self.cfg.opening_max + self.cfg.connection_max) * self.num_draws
+        self.lr = self._rate / self.grad_bound
+
+    def budget_for(self, scale: np.ndarray) -> np.ndarray:
+        """Cardinality budget K = ceil((scale*(a+b) - b)/a) per scale, written
+        cancellation-free so scale = 1 yields exactly 1; clamped to N."""
+        raw = np.ceil(scale + (scale - 1) * self.base / self.slope)
+        return np.minimum(raw, self.n_real).astype(np.int64)
 
     @property
     def weights(self) -> np.ndarray:
-        return self._inner.w
+        """Per-row weights over the N real sites, followed outside fl-fixed
+        by the N dummies' equal shares of the aggregate site's mass."""
+        if self.cfg.n_sites == self.n_real:
+            return self.w
+        n = self.n_real
+        return np.concatenate([self.w[:, :n], np.repeat(self.w[:, n:] / n, n, axis=1)], axis=1)
+
+    @property
+    def state_nbytes(self) -> int:
+        return self.w.nbytes
+
+    def state(self) -> list[tuple[int | None, int, int | None]]:
+        """(scale, cardinality, segment) per row; scale and segment are None
+        outside fl."""
+        if self.scale is None:
+            return [(None, k, None) for k in self.cardinality.tolist()]
+        return list(zip(self.scale.tolist(), self.cardinality.tolist(), self.segment.tolist()))
+
+    def play(self, rngs) -> list[SiteSet]:
+        """One action per row, row r drawing from generator rngs[r]."""
+        if self._awaiting_update:
+            raise ProtocolError("play called again before update")
+        if len(rngs) != self.rows:
+            raise ConfigError(f"{len(rngs)} generators for {self.rows} rows")
+        self._awaiting_update = True
+        draws = draw_rows(self.w, self.num_draws, rngs)
+        # one sorted pass keeps each row's distinct sites, in row order
+        stride = self.cfg.n_sites + 1
+        offsets = np.repeat(np.arange(0, self.rows * stride, stride), self.num_draws)
+        row, site = np.divmod(np.unique(np.concatenate(draws) + offsets), stride)
+        real = site <= self.n_real
+        ends = np.bincount(row[real], minlength=self.rows).cumsum().tolist()
+        sites = site[real].tolist()
+        return [SiteSet(tuple(sites[a:b]) or (1,)) for a, b in zip([0] + ends[:-1], ends)]
+
+    def update(self, costs) -> list[float]:
+        """Surrogate step on this trial's costs, one CostPair shared by every
+        row or a sequence of one per row; returns each row's surrogate loss
+        at its pre-update weights."""
+        if not self._awaiting_update:
+            raise ProtocolError("update called before play")
+        self._awaiting_update = False
+        shared = isinstance(costs, CostPair)
+        pairs = (costs,) if shared else costs
+        if not shared and len(pairs) != self.rows:
+            raise ConfigError(f"{len(pairs)} cost pairs for {self.rows} rows")
+        for cp in pairs:
+            if cp.n_sites != self.n_real:
+                raise ConfigError(f"costs for {cp.n_sites} sites, expected {self.n_real}")
+        opening = costs.opening if shared else np.stack([cp.opening for cp in pairs])
+        connection = costs.connection if shared else np.stack([cp.connection for cp in pairs])
+        if self.cfg.n_sites > self.n_real:
+            opening = _append_column(opening, 0.0)
+            connection = _append_column(connection, self.cfg.connection_max)
+        # the surrogate does not depend on how tied connection costs are
+        # ordered, so the faster unstable sort serves here
+        order = np.argsort(-connection, axis=-1)
+        values, grads = surrogate_rows(opening, connection, order, self.w, self.num_draws, self._scratch)
+        self.w = eg_rows(self.w, grads, self.lr, self.grad_bound)
+        if self.scale is not None:
+            self._advance_segments(values)
+        return values.tolist()
+
+    def _advance_segments(self, values: np.ndarray) -> None:
+        """Accumulate the surrogate losses; every row whose segment total
+        reaches its threshold doubles its scale and restarts from scratch
+        (starting weights, zero accumulator) at the new budget."""
+        self.trials_seen += 1
+        self.accumulated += values
+        crossed = self.accumulated >= self.scale * self.threshold_unit
+        if not crossed.any():
+            return
+        self.scale[crossed] *= 2
+        self.segment[crossed] += 1
+        self.accumulated[crossed] = 0.0
+        for r in np.flatnonzero(crossed).tolist():
+            self.segment_starts[r].append(self.trials_seen + 1)
+        self.cardinality = self.budget_for(self.scale)
+        self._tune()
+        self.w[crossed] = self._start
+
+
+class _BatchOfOne:
+    """One row of the core behind the scalar learner interface."""
+
+    _inner: LearnerBatch
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._inner.weights[0]
+
+    @property
+    def num_draws(self) -> int:
+        return int(self._inner.num_draws[0])
 
     @property
     def state_nbytes(self) -> int:
         return self._inner.state_nbytes
 
+    def state(self) -> tuple[int | None, int, int | None]:
+        """(scale, cardinality, segment); scale and segment are None outside fl."""
+        return self._inner.state()[0]
+
     def play(self, rng: np.random.Generator) -> SiteSet:
-        if self._awaiting_update:
-            raise ProtocolError("play called again before update")
-        self._awaiting_update = True
-        return sample_site_multiset(self._inner.play(), self.num_draws, rng)
+        return self._inner.play((rng,))[0]
 
     def update(self, costs: CostPair) -> float:
         """Surrogate step on this trial's costs; returns the surrogate loss
         at the pre-update weights."""
-        if not self._awaiting_update:
-            raise ProtocolError("update called before play")
-        self._awaiting_update = False
-        if costs.n_sites != self.cfg.n_sites:
-            raise ConfigError(f"costs for {costs.n_sites} sites, expected {self.cfg.n_sites}")
-        inst = SurrogateInstance.from_costs(costs, self.num_draws)
-        value, grad = value_and_gradient(inst, self._inner.w)
-        return self._inner.update(value, grad)
+        return self._inner.update(costs)[0]
 
 
-class BoundedCardinalityLearner:
+class FixedCardinalityLearner(_BatchOfOne):
+    """Plays the distinct outcomes of num_draws weighted site draws per trial."""
+
+    def __init__(self, cfg: GameConfig, cardinality: int):
+        self._inner = LearnerBatch(cfg, "fl-fixed", 1, cardinality)
+        self.cfg = cfg
+        self.cardinality = cardinality
+
+
+class BoundedCardinalityLearner(_BatchOfOne):
     """Fixed-cardinality learner on a dummy-extended instance; competes with
-    every nonempty subset of at most max_cardinality real sites."""
+    every nonempty subset of at most max_cardinality real sites. `weights`
+    covers the 2N-site extended instance: the N real sites, then N equal
+    dummies sharing the aggregate site's mass."""
 
     def __init__(self, cfg: GameConfig, max_cardinality: int):
-        if not isinstance(max_cardinality, int) or not 1 <= max_cardinality <= cfg.n_sites:
-            raise ConfigError(
-                f"max_cardinality must be an integer in 1..{cfg.n_sites}, got {max_cardinality!r}"
-            )
+        self._inner = LearnerBatch(cfg, "fl-bounded", 1, max_cardinality)
         self.cfg = cfg
         self.max_cardinality = max_cardinality
-        self._dummy_connection = cfg.opening_max + cfg.connection_max
-        n = cfg.n_sites
-        extended = GameConfig(n + 1, cfg.horizon, cfg.opening_max, self._dummy_connection)
-        self._inner = FixedCardinalityLearner(extended, max_cardinality, np.append(np.ones(n), n))
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Weights over the 2N-site extended instance: the N real sites, then
-        N equal dummies sharing the aggregate site's mass."""
-        n = self.cfg.n_sites
-        w = self._inner.weights
-        return np.concatenate([w[:n], np.full(n, w[n] / n)])
-
-    @property
-    def num_draws(self) -> int:
-        return self._inner.num_draws
-
-    @property
-    def state_nbytes(self) -> int:
-        return self._inner.state_nbytes
-
-    def play(self, rng: np.random.Generator) -> SiteSet:
-        return restrict_to_real_sites(self._inner.play(rng), self.cfg.n_sites)
-
-    def update(self, costs: CostPair) -> float:
-        """Returns the surrogate loss of the extended instance."""
-        if costs.n_sites != self.cfg.n_sites:
-            raise ConfigError(f"costs for {costs.n_sites} sites, expected {self.cfg.n_sites}")
-        return self._inner.update(
-            CostPair(
-                np.append(costs.opening, 0.0),
-                np.append(costs.connection, self._dummy_connection),
-            )
-        )
 
 
-class DoublingLearner:
+class DoublingLearner(_BatchOfOne):
     """Bounded-cardinality learner under a doubling guess of comparator scale.
 
     The affine map scale = (a * K + b) / (a + b) with a = ceil(ln(T)/2) *
@@ -148,55 +268,49 @@ class DoublingLearner:
     """
 
     def __init__(self, cfg: GameConfig):
+        self._inner = LearnerBatch(cfg, "fl", 1)
         self.cfg = cfg
-        h = half_log_ceil(cfg.horizon)
-        self._slope = h * (4.0 * cfg.opening_max + 2.0 * cfg.connection_max)  # a
-        self._base = cfg.opening_max + cfg.connection_max  # b
-        self._threshold_unit = (
-            2.0 * (self._slope + self._base) * math.sqrt(math.log(2 * cfg.n_sites) * cfg.horizon)
-        )
-        self.scale = 1
-        self.trials_seen = 0
-        self.segment = 0
-        self.segment_starts = [1]  # trial index opening each segment
-        self.accumulated = 0.0
-        self.cardinality_budget = self._budget_for_scale()
-        self._inner = BoundedCardinalityLearner(cfg, self.cardinality_budget)
+
+    @property
+    def _slope(self) -> float:  # a
+        return self._inner.slope
+
+    @property
+    def _base(self) -> float:  # b
+        return self._inner.base
+
+    @property
+    def scale(self) -> int:
+        return int(self._inner.scale[0])
+
+    @scale.setter
+    def scale(self, value: int) -> None:
+        self._inner.scale[0] = value
+
+    @property
+    def cardinality_budget(self) -> int:
+        return int(self._inner.cardinality[0])
+
+    @property
+    def segment(self) -> int:
+        return int(self._inner.segment[0])
+
+    @property
+    def segment_starts(self) -> list[int]:
+        """Trial index opening each segment."""
+        return self._inner.segment_starts[0]
+
+    @property
+    def accumulated(self) -> float:
+        return float(self._inner.accumulated[0])
+
+    @property
+    def trials_seen(self) -> int:
+        return self._inner.trials_seen
 
     def _budget_for_scale(self) -> int:
-        # ceil((scale*(a+b) - b)/a) written cancellation-free, so scale = 1
-        # yields exactly 1; clamped to the site count.
-        raw = math.ceil(self.scale + (self.scale - 1) * self._base / self._slope)
-        return min(raw, self.cfg.n_sites)
+        return int(self._inner.budget_for(self._inner.scale)[0])
 
     def threshold(self) -> float:
         """Segment budget: 2 * (a + b) * scale * sqrt(ln(2N) * T)."""
-        return self.scale * self._threshold_unit
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._inner.weights
-
-    @property
-    def num_draws(self) -> int:
-        return self._inner.num_draws
-
-    @property
-    def state_nbytes(self) -> int:
-        return self._inner.state_nbytes
-
-    def play(self, rng: np.random.Generator) -> SiteSet:
-        return self._inner.play(rng)
-
-    def update(self, costs: CostPair) -> float:
-        value = self._inner.update(costs)
-        self.trials_seen += 1
-        self.accumulated += value
-        if self.accumulated >= self.threshold():
-            self.scale *= 2
-            self.segment += 1
-            self.segment_starts.append(self.trials_seen + 1)
-            self.accumulated = 0.0
-            self.cardinality_budget = self._budget_for_scale()
-            self._inner = BoundedCardinalityLearner(self.cfg, self.cardinality_budget)
-        return value
+        return self.scale * self._inner.threshold_unit

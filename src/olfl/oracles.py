@@ -3,7 +3,8 @@ efficient learners, used to verify them at desk scale.
 
 - ExactHedge: exponential weights over all 2^N - 1 nonempty subsets.
 - ftl_greedy_play / cheapest_singleton_play: deterministic follow-the-leader
-  baselines (both provably beatable by an adaptive adversary).
+  baselines (both provably beatable by an adaptive adversary), and
+  FollowTheLeaderGreedy, which replays the greedy leader as a learner.
 - best_fixed_subset: the in-hindsight comparator. Up to the site cap it
   prices all 2^N bitmasks in one subset-lattice pass per distinct cost row;
   above the cap a cardinality-restricted scan enumerates combinations.
@@ -116,6 +117,10 @@ class ExactHedge:
         self.weights = w / w.sum()
         return expected
 
+    def state(self) -> tuple[None, None, None]:
+        """(scale, cardinality, segment): no doubling, no cardinality."""
+        return None, None, None
+
 
 def _history_arrays(history) -> tuple[np.ndarray, np.ndarray]:
     if not history:
@@ -150,6 +155,32 @@ def ftl_greedy_play(history) -> SiteSet:
         current_min = np.minimum(current_min, connection[:, k])
         current_obj = float(cand_obj[k])
     return SiteSet.of(i + 1 for i in members)
+
+
+class FollowTheLeaderGreedy:
+    """Deterministic baseline: replays the greedy leader of the history."""
+
+    def __init__(self, cfg: GameConfig):
+        self.cfg = cfg
+        self._history: list[CostPair] = []
+        self._awaiting_update = False
+
+    def play(self, rng=None) -> SiteSet:
+        if self._awaiting_update:
+            raise ProtocolError("play called again before update")
+        self._awaiting_update = True
+        return ftl_greedy_play(self._history)
+
+    def update(self, costs: CostPair) -> None:
+        if not self._awaiting_update:
+            raise ProtocolError("update called before play")
+        self._awaiting_update = False
+        self._history.append(costs)
+        return None
+
+    def state(self) -> tuple[None, None, None]:
+        """(scale, cardinality, segment): no doubling, no cardinality."""
+        return None, None, None
 
 
 def cheapest_singleton_play(history) -> SiteSet:

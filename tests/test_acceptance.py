@@ -19,13 +19,11 @@ from olfl import (
     ExperimentConfig,
     ExponentiatedGradient,
     GameConfig,
-    KillerSource,
     ScenarioSpec,
     SurrogateInstance,
     best_fixed_subset,
     draw_sites,
     exact_expected_loss,
-    facility_loss,
     ftl_greedy_play,
     generate_scenario,
     half_log_ceil,
@@ -228,18 +226,13 @@ def test_killer_sequence_separates_randomized_from_deterministic():
     assert avg_ftl >= 1.0
     _, singleton_loss = best_fixed_subset(history, max_card=1)
     assert singleton_loss <= 0.5 * 2000
-    per_seed = []
-    for seed in range(1, 101):
-        lrn = DoublingLearner(GameConfig(16, 2000, 1.0, 1.0))
-        source = KillerSource(16, use_current_action=False)
-        rng = np.random.default_rng(seed)
-        total = 0.0
-        for t in range(1, 2001):
-            action = lrn.play(rng)
-            costs = source.costs_for(t, action)
-            total += facility_loss(costs, action)
-            lrn.update(costs)
-        per_seed.append(total / 2000)
+    # the doubling learner plays seed s from np.random.default_rng(s) against
+    # its own KillerSource(16, use_current_action=False), all 100 seeds in
+    # one seed-batched run
+    config = ExperimentConfig(
+        GameConfig(16, 2000, 1.0, 1.0), AlgoSpec("fl"), ScenarioSpec("killer"), tuple(range(1, 101))
+    )
+    per_seed = [run.cumulative_loss / 2000 for run in run_experiment(config).seed_runs]
     assert float(np.mean(per_seed)) < 1.0
     assert _seed_ci_upper(per_seed) < 1.0
 

@@ -4,10 +4,16 @@ The pins hold the first 40 actions and surrogate losses of two seeded runs,
 recorded before the learners ran as one seed-batched core: the core must
 replay the actions exactly and the losses to 1e-12.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from olfl import AlgoSpec, ExperimentConfig, GameConfig, ScenarioSpec, run_experiment
+from olfl import AlgoSpec, CostPair, ExperimentConfig, GameConfig, ScenarioSpec, run_experiment
+from olfl.learners import KINDS, LearnerBatch
+from olfl.surrogate import surrogate_rows
 
 BOUNDED_ACTIONS = [
     (2, 3, 6), (2, 5, 6), (1, 4), (1, 2, 5, 6), (3, 4), (2, 6), (2, 4, 5, 6), (3, 6),
@@ -70,3 +76,86 @@ def test_seeded_runs_replay_their_pinned_actions_and_losses(name):
     records = run_experiment(config).seed_runs[0].records[:40]
     assert [rec.action.members for rec in records] == actions
     assert np.abs(np.array([rec.surrogate_loss for rec in records]) - lambdas).max() <= 1e-12
+
+
+BATCH_CASES = [
+    (algo, k, kind, n, horizon)
+    for kind, n, horizon in (("iid", 9, 400), ("killer", 9, 400))
+    for algo, k in (("fl-fixed", 2), ("fl-bounded", 2), ("fl", None))
+] + [("fl", None, "killer", 2, 3000)]  # the three seeds restart on different trials
+
+
+@pytest.mark.parametrize("algo, k, kind, n, horizon", BATCH_CASES)
+def test_batched_seeds_replay_each_seed_run_alone(algo, k, kind, n, horizon):
+    config = ExperimentConfig(
+        GameConfig(n, horizon, 1.0, 1.0), AlgoSpec(algo, k), ScenarioSpec(kind, seed=11), (3, 5, 8)
+    )
+    for run in run_experiment(config).seed_runs:
+        alone = run_experiment(replace(config, seeds=(run.seed,))).seed_runs[0]
+        assert [rec.action for rec in run.records] == [rec.action for rec in alone.records]
+        assert [rec.loss for rec in run.records] == [rec.loss for rec in alone.records]
+        assert run.cumulative_loss == alone.cumulative_loss
+        assert run.segment_starts == alone.segment_starts
+        states = [(rec.scale, rec.cardinality, rec.segment) for rec in run.records]
+        assert states == [(rec.scale, rec.cardinality, rec.segment) for rec in alone.records]
+        lam = np.array([rec.surrogate_loss for rec in run.records])
+        assert np.abs(lam - [rec.surrogate_loss for rec in alone.records]).max() <= 1e-12
+
+
+def _grid_rows(data, rows, n, top):
+    """rows x n values on the grid {0, top/2, top}: ties within and across rows."""
+    cells = st.lists(st.integers(0, 2), min_size=rows * n, max_size=rows * n)
+    return np.array(data.draw(cells), dtype=float).reshape(rows, n) * top / 2.0
+
+
+def _simplex_rows(data, rows, n):
+    """rows points of the n-simplex with some exact zeros."""
+    cells = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any)
+    w = np.array([data.draw(cells) for _ in range(rows)], dtype=float)
+    return w / w.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_surrogate_rows_equal_one_row_calls(data):
+    rows, n = data.draw(st.integers(2, 5)), data.draw(st.integers(1, 7))
+    ups = np.array(data.draw(st.lists(st.integers(1, 5), min_size=rows, max_size=rows)))
+    w = _simplex_rows(data, rows, n)
+    shared = data.draw(st.booleans())
+    opening = _grid_rows(data, 1 if shared else rows, n, 1.0)
+    connection = _grid_rows(data, 1 if shared else rows, n, 2.0)
+    if shared:
+        opening, connection = opening[0], connection[0]
+    order = np.argsort(-connection, axis=-1)
+    values, grads = surrogate_rows(opening, connection, order, w, ups)
+    for r in range(rows):
+        pick = (lambda a: a) if shared else (lambda a: a[r])
+        value, grad = surrogate_rows(pick(opening), pick(connection), pick(order), w[r : r + 1], ups[r : r + 1])
+        assert value[0] == values[r]
+        assert np.array_equal(grad[0], grads[r])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_row_of_a_batch_equals_a_batch_of_one(data):
+    kind = data.draw(st.sampled_from(KINDS))
+    n, rows = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 4))
+    c_max, d_max = data.draw(st.sampled_from([(1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (2.0, 0.5)]))
+    cfg = GameConfig(n, data.draw(st.sampled_from([2, 8, 60, 500])), c_max, d_max)
+    k = None if kind == "fl" else data.draw(st.integers(1, n))
+    batch = LearnerBatch(cfg, kind, rows, k)
+    singles = [LearnerBatch(cfg, kind, 1, k) for _ in range(rows)]
+    batch.w = _simplex_rows(data, rows, batch.cfg.n_sites)
+    for r, single in enumerate(singles):
+        single.w = batch.w[r : r + 1].copy()
+    shared = data.draw(st.booleans())
+    for trial in range(data.draw(st.integers(1, 4))):
+        seeds = [1000 * trial + r for r in range(rows)]
+        actions = batch.play([np.random.default_rng(seed) for seed in seeds])
+        assert actions == [s.play([np.random.default_rng(seed)])[0] for s, seed in zip(singles, seeds)]
+        opening, connection = _grid_rows(data, rows, n, c_max), _grid_rows(data, rows, n, d_max)
+        pairs = [CostPair(opening[0 if shared else r], connection[0 if shared else r]) for r in range(rows)]
+        values = batch.update(pairs[0] if shared else pairs)
+        assert values == [s.update(cp)[0] for s, cp in zip(singles, pairs)]
+        assert all(np.array_equal(batch.w[r], s.w[0]) for r, s in enumerate(singles))
+        assert batch.state() == [s.state()[0] for s in singles]

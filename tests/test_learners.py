@@ -13,7 +13,7 @@ from olfl import (
     ProtocolError,
     half_log_ceil,
 )
-from olfl.learners import restrict_to_real_sites
+from olfl.learners import LearnerBatch
 
 
 def test_half_log_ceil():
@@ -133,12 +133,27 @@ def test_play_update_alternation_enforced():
     lrn.play(rng)  # back in phase
 
 
-def test_restriction_rules():
-    from olfl import SiteSet
+class _Uniforms:
+    """Stub generator handing out the given uniforms in order."""
 
-    assert restrict_to_real_sites(SiteSet((3, 5)), 2).members == (1,)  # all dummies
-    assert restrict_to_real_sites(SiteSet((2, 3)), 2).members == (2,)
-    assert restrict_to_real_sites(SiteSet((1, 2)), 2).members == (1, 2)
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self, size):
+        out, self.values = np.array(self.values[:size]), self.values[size:]
+        return out
+
+
+def test_bounded_play_strips_dummy_draws():
+    # N=2 with two draws at K=1: the starting weights 1/4, 1/4 and 1/2 on the
+    # aggregate dummy put the cumulative masses at 0.25, 0.5 and 1
+    cfg = GameConfig(2, 8, 1.0, 1.0)
+    cases = (((0.9, 0.8), (1,)), ((0.3, 0.9), (2,)), ((0.1, 0.3), (1, 2)))  # all dummy, mixed, all real
+    for uniforms, members in cases:
+        assert BoundedCardinalityLearner(cfg, 1).play(_Uniforms(*uniforms)).members == members
+    batch = LearnerBatch(cfg, "fl-bounded", 3, 1)
+    actions = batch.play([_Uniforms(*uniforms) for uniforms, _ in cases])
+    assert [a.members for a in actions] == [members for _, members in cases]
 
 
 def test_bounded_learner_shape():

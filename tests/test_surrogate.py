@@ -34,6 +34,27 @@ def test_instance_validation():
         SurrogateInstance([0.1, 0.2], [0.3, 0.9], [1, 2], 2)  # order not descending
 
 
+def test_public_constructor_validates_the_order_at_scale():
+    # the learners sort and evaluate from their own arrays; the public
+    # constructor still checks the permutation and the descending order
+    rng = np.random.default_rng(13)
+    connection = rng.uniform(0.0, 1.0, 500)
+    opening = rng.uniform(0.0, 1.0, 500)
+    order = np.argsort(-connection) + 1
+    SurrogateInstance(opening, connection, order, 3)  # valid
+    for bad in (
+        np.where(order == order[7], order[8], order),  # a repeated index
+        np.where(order == 1, 0, order),  # index 0
+        np.where(order == 500, 501, order),  # index N + 1
+    ):
+        with pytest.raises(ConfigError, match="permutation"):
+            SurrogateInstance(opening, connection, bad, 3)
+    swapped = order.copy()
+    swapped[[10, 11]] = swapped[[11, 10]]
+    with pytest.raises(ConfigError, match="descending"):
+        SurrogateInstance(opening, connection, swapped, 3)
+
+
 def test_rejects_off_simplex_points():
     inst = SurrogateInstance.from_costs(CostPair([0.1, 0.2], [0.9, 0.3]), 2)
     with pytest.raises(ContractViolationError):
