@@ -42,6 +42,7 @@ from .learners import (
     BoundedCardinalityLearner,
     DoublingLearner,
     FixedCardinalityLearner,
+    LearnerBatch,
     half_log_ceil,
 )
 from .oracles import (
@@ -72,6 +73,7 @@ __all__ = [
     "InvalidActionError",
     "InvalidDistributionError",
     "KillerSource",
+    "LearnerBatch",
     "NumericError",
     "ProtocolError",
     "RunResult",

@@ -34,7 +34,7 @@ from scipy import stats
 from .adversaries import KillerSource, generate_scenario, load_trace, save_trace
 from .errors import ConfigError
 from .game import CostPair, GameConfig, SiteSet, facility_loss
-from .learners import LearnerBatch, half_log_ceil
+from .learners import KINDS, LearnerBatch, half_log_ceil
 from .oracles import (
     BRUTE_FORCE_SITE_CAP,
     ExactHedge,
@@ -158,7 +158,7 @@ class PerSeedLearners:
 def build_learner(config: ExperimentConfig):
     """The learners of every seed of the experiment, one row per seed."""
     name, cfg, rows = config.algo.name, config.game, len(config.seeds)
-    if name in ("fl", "fl-fixed", "fl-bounded"):
+    if name in KINDS:
         return LearnerBatch(cfg, name, rows, config.algo.cardinality)
     if name == "hedge-exact":
         return PerSeedLearners([ExactHedge(cfg) for _ in range(rows)])

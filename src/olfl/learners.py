@@ -205,18 +205,17 @@ class LearnerBatch:
         self.w[crossed] = self._start
 
 
+def _row0(name: str, cast=lambda value: value) -> property:
+    """Row 0 of the core's per-row attribute `name`, for the batches of one."""
+    return property(lambda self: cast(getattr(self._inner, name)[0]))
+
+
 class _BatchOfOne:
     """One row of the core behind the scalar learner interface."""
 
     _inner: LearnerBatch
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._inner.weights[0]
-
-    @property
-    def num_draws(self) -> int:
-        return int(self._inner.num_draws[0])
+    weights = _row0("weights")
+    num_draws = _row0("num_draws", int)
 
     @property
     def state_nbytes(self) -> int:
@@ -264,20 +263,20 @@ class DoublingLearner(_BatchOfOne):
     at the current scale guess sets the budget K = ceil((scale*(a+b) - b)/a),
     clamped to N. Crossing the segment threshold doubles the scale and
     restarts the inner learner from scratch (uniform weights, zero
-    accumulator).
+    accumulator). `segment_starts` lists the trial opening each segment.
     """
+
+    cardinality_budget = _row0("cardinality", int)
+    segment = _row0("segment", int)
+    segment_starts = _row0("segment_starts")
+    accumulated = _row0("accumulated", float)
+    _slope = property(lambda self: self._inner.slope)  # a
+    _base = property(lambda self: self._inner.base)  # b
+    trials_seen = property(lambda self: self._inner.trials_seen)
 
     def __init__(self, cfg: GameConfig):
         self._inner = LearnerBatch(cfg, "fl", 1)
         self.cfg = cfg
-
-    @property
-    def _slope(self) -> float:  # a
-        return self._inner.slope
-
-    @property
-    def _base(self) -> float:  # b
-        return self._inner.base
 
     @property
     def scale(self) -> int:
@@ -286,27 +285,6 @@ class DoublingLearner(_BatchOfOne):
     @scale.setter
     def scale(self, value: int) -> None:
         self._inner.scale[0] = value
-
-    @property
-    def cardinality_budget(self) -> int:
-        return int(self._inner.cardinality[0])
-
-    @property
-    def segment(self) -> int:
-        return int(self._inner.segment[0])
-
-    @property
-    def segment_starts(self) -> list[int]:
-        """Trial index opening each segment."""
-        return self._inner.segment_starts[0]
-
-    @property
-    def accumulated(self) -> float:
-        return float(self._inner.accumulated[0])
-
-    @property
-    def trials_seen(self) -> int:
-        return self._inner.trials_seen
 
     def _budget_for_scale(self) -> int:
         return int(self._inner.budget_for(self._inner.scale)[0])

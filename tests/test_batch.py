@@ -4,6 +4,7 @@ The pins hold the first 40 actions and surrogate losses of two seeded runs,
 recorded before the learners ran as one seed-batched core: the core must
 replay the actions exactly and the losses to 1e-12.
 """
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -159,3 +160,17 @@ def test_every_row_of_a_batch_equals_a_batch_of_one(data):
         assert values == [s.update(cp)[0] for s, cp in zip(singles, pairs)]
         assert all(np.array_equal(batch.w[r], s.w[0]) for r, s in enumerate(singles))
         assert batch.state() == [s.state()[0] for s in singles]
+
+
+def test_seeds_share_the_batch_timing_equally():
+    config = ExperimentConfig(
+        GameConfig(6, 200, 1.0, 1.0), AlgoSpec("fl-bounded", 2), ScenarioSpec("iid", seed=3), (1, 2, 3, 4)
+    )
+    start = time.perf_counter()
+    runs = run_experiment(config).seed_runs
+    elapsed = time.perf_counter() - start
+    assert len({run.wall_time_s for run in runs}) == 1
+    assert len({run.per_trial_median_ms for run in runs}) == 1
+    # the seeds' shares sum to the loop's wall time, inside the whole run's
+    assert 0.0 < sum(run.wall_time_s for run in runs) <= elapsed
+    assert runs[0].per_trial_median_ms * 1e-3 * config.game.horizon <= runs[0].wall_time_s

@@ -13,7 +13,7 @@ from olfl import (
     ProtocolError,
     half_log_ceil,
 )
-from olfl.learners import LearnerBatch
+from olfl import LearnerBatch
 
 
 def test_half_log_ceil():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from olfl import ConfigError, InvalidDistributionError, draw_sites, sample_site_multiset
+from olfl.sampler import draw_rows
 
 
 class _TopUniform:
@@ -99,3 +100,18 @@ def test_multiset_pair_probability():
     p = np.array([0.5, 0.5])
     hits = sum(1 for _ in range(100_000) if len(sample_site_multiset(p, 2, rng)) == 2)
     assert abs(hits / 1e5 - 0.5) <= 0.01
+
+
+def test_row_draws_check_every_row_and_match_single_draws():
+    p = np.array([[0.25, 0.25, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]])
+    rows = draw_rows(p, (4, 1, 6), [np.random.default_rng(seed) for seed in (1, 2, 3)])
+    for row, count, seed, drawn in zip(p, (4, 1, 6), (1, 2, 3), rows):
+        assert np.array_equal(drawn, draw_sites(row, count, np.random.default_rng(seed)))
+    rngs = [np.random.default_rng(0)] * 3
+    for bad, where in (([0.5, 0.6, 0.0], "total mass"), ([1.5, -0.5, 0.0], "negative"), ([np.nan, 1.0, 0.0], "finite")):
+        q = p.copy()
+        q[2] = bad
+        with pytest.raises(InvalidDistributionError, match=f"{where}.*row 3"):
+            draw_rows(q, (1, 1, 1), rngs)
+    with pytest.raises(ConfigError):
+        draw_rows(p, (1, 0, 1), rngs)
