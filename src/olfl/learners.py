@@ -80,7 +80,6 @@ class LearnerBatch:
         if not isinstance(rows, int) or rows < 1:
             raise ConfigError(f"rows must be a positive integer, got {rows!r}")
         n, c, d = cfg.n_sites, cfg.opening_max, cfg.connection_max
-        self.kind = kind
         self.rows = rows
         self.n_real = n
         multiplicity = None
@@ -89,13 +88,13 @@ class LearnerBatch:
             self.cfg = GameConfig(n + 1, cfg.horizon, c, c + d)
             multiplicity = np.append(np.ones(n), n)
         self._start, self._rate = starting_point(self.cfg.n_sites, cfg.horizon, multiplicity)
-        self._draws_per_site = half_log_ceil(cfg.horizon)
+        self._draws_per_unit = half_log_ceil(cfg.horizon)  # per unit of cardinality
         self._awaiting_update = False
         self.w = np.tile(self._start, (rows, 1))
-        self._scratch = np.empty((5,) + self.w.shape)  # the surrogate's work space
+        self._scratch = np.empty((4,) + self.w.shape)  # the surrogate's work space
         self.scale = None  # no doubling state outside fl
         if kind == "fl":
-            self.slope = self._draws_per_site * (4.0 * c + 2.0 * d)  # a
+            self.slope = self._draws_per_unit * (4.0 * c + 2.0 * d)  # a
             self.base = c + d  # b
             self.threshold_unit = 2.0 * (self.slope + self.base) * math.sqrt(math.log(2 * n) * cfg.horizon)
             self.scale = np.ones(rows, dtype=np.int64)
@@ -111,7 +110,7 @@ class LearnerBatch:
     def _tune(self) -> None:
         """Per-row draw count, gradient bound and learning rate from the
         row's cardinality."""
-        self.num_draws = self.cardinality * self._draws_per_site
+        self.num_draws = self.cardinality * self._draws_per_unit
         self.grad_bound = (self.cfg.opening_max + self.cfg.connection_max) * self.num_draws
         self.lr = self._rate / self.grad_bound
 

@@ -98,7 +98,7 @@ def surrogate_rows(opening, connection, order, w, ups, scratch=None) -> tuple[np
     connection descending) are (n,) when every row sees the same costs and
     (S, n) when each row has its own.
 
-    The work runs in `scratch`, a (5, S, n) float array allocated when not
+    The work runs in `scratch`, a (4, S, n) float array allocated when not
     given. A caller that passes the same one to every call allocates no
     S x n arrays per call; the gradients returned are then a view of it,
     valid until the next call.
@@ -107,8 +107,8 @@ def surrogate_rows(opening, connection, order, w, ups, scratch=None) -> tuple[np
     if np.any(np.abs(w.sum(axis=1) - 1.0) > SIMPLEX_TOL) or w.min() < -SIMPLEX_TOL:
         raise ContractViolationError("w must lie on the probability simplex (within 1e-9)")
     if scratch is None:
-        scratch = np.empty((5, s, n))
-    conn_sorted, open_sorted, w_sorted, work, grad = scratch
+        scratch = np.empty((4, s, n))
+    conn_sorted, w_sorted, work, grad = scratch
     # sorted coordinates; the permutations are valid indices, so "clip" never
     # acts, and unlike the default mode it writes straight into `out`
     if order.ndim == 1:  # one permutation serves every row
@@ -118,9 +118,7 @@ def surrogate_rows(opening, connection, order, w, ups, scratch=None) -> tuple[np
         lead = slice(None)
         order = order + np.arange(0, s * n, n)[:, None]
         np.take(w, order, out=w_sorted, mode="clip")
-    conn_sorted, open_sorted = conn_sorted[lead], open_sorted[lead]
-    np.take(connection, order, out=conn_sorted, mode="clip")
-    np.take(opening, order, out=open_sorted, mode="clip")
+    conn_sorted = np.take(connection, order, out=conn_sorted[lead], mode="clip")
     # row dots as products summed along the row: a row's bits then never
     # depend on where the row sits in memory, as a BLAS dot's can
     value = ups * np.multiply(opening, w, out=work).sum(axis=1) + conn_sorted[..., -1]
@@ -138,12 +136,13 @@ def surrogate_rows(opening, connection, order, w, ups, scratch=None) -> tuple[np
         prefix *= steps  # the tail terms (d_v(k) - d_v(k+1)) * s_k^(Ups-1)
         np.cumsum(prefix[:, ::-1], axis=1, out=suffix[:, -2::-1])
     suffix[:, -1] = 0.0
-    grad_sorted = np.add(open_sorted, suffix, out=suffix)
-    grad_sorted *= ups[:, None]
+    # back to site order: g = Ups * (c + s')
     if order.ndim == 1:
-        grad[:, order] = grad_sorted
+        grad[:, order] = suffix
     else:
-        np.put(grad, order, grad_sorted)
+        np.put(grad, order, suffix)
+    np.add(opening, grad, out=grad)
+    grad *= ups[:, None]
     return value, grad
 
 
