@@ -66,6 +66,10 @@ class LearnerBatch:
     fl-fixed, the game extended with the aggregate dummy site (opening 0,
     connection C + D) otherwise. `cardinality` is K for fl-fixed and
     fl-bounded; fl derives each row's budget from its scale guess.
+
+    Memory is the (S, n) weights plus a 4 x (S, n) work space that the
+    surrogate reuses every trial, so a trial allocates no other S x n
+    temporaries besides the new weights, the sort and the sampler's sums.
     """
 
     def __init__(self, cfg: GameConfig, kind: str, rows: int, cardinality: int | None = None):
