@@ -43,7 +43,7 @@ from .eg import eg_rows, starting_point
 from .errors import ConfigError, ProtocolError
 from .game import CostPair, GameConfig, SiteSet
 from .sampler import draw_rows
-from .sampler import sample_site_multiset  # noqa: F401  the benchmark's tracer patches it here
+from .sampler import sample_site_multiset  # noqa: F401  kept: the benchmark's span tracer looks it up here
 from .surrogate import surrogate_rows
 
 KINDS = ("fl-fixed", "fl-bounded", "fl")
