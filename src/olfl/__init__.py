@@ -37,7 +37,7 @@ from .experiment import (
     emit_results,
     run_experiment,
 )
-from .game import CostPair, GameConfig, SiteSet, facility_loss, sort_by_connection_desc
+from .game import CostPair, CostRows, GameConfig, SiteSet, facility_loss, row_losses, sort_by_connection_desc
 from .learners import (
     BoundedCardinalityLearner,
     DoublingLearner,
@@ -64,6 +64,7 @@ __all__ = [
     "ConfigError",
     "ContractViolationError",
     "CostPair",
+    "CostRows",
     "DoublingLearner",
     "ExactHedge",
     "ExperimentConfig",
@@ -96,6 +97,7 @@ __all__ = [
     "half_log_ceil",
     "killer_costs",
     "load_trace",
+    "row_losses",
     "run_experiment",
     "sample_site_multiset",
     "save_trace",

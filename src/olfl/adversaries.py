@@ -22,22 +22,32 @@ import re
 import numpy as np
 
 from .errors import ConfigError, TraceFormatError
-from .game import CostPair, GameConfig, SiteSet
+from .game import CostPair, CostRows, GameConfig, SiteSet
 
 SCENARIO_KINDS = ("killer", "iid", "drift", "replay")
 
 
-def killer_costs(n_sites: int, prev_action: SiteSet | None) -> CostPair:
-    """One adaptive trial against unit cost ranges (C = D = 1)."""
+def killer_rows(n_sites: int, known) -> CostRows:
+    """One adaptive trial per row against unit cost ranges (C = D = 1): row r
+    knows the action known[r], or None before any action is known."""
     if n_sites < 1:
         raise ConfigError(f"n_sites must be >= 1, got {n_sites!r}")
-    opening = np.full(n_sites, 1.0 / math.sqrt(n_sites))
-    connection = np.zeros(n_sites)
-    if prev_action is not None and len(prev_action) <= math.sqrt(n_sites):
-        if prev_action.members[-1] > n_sites:
-            raise ConfigError(f"action {prev_action.members} outside 1..{n_sites}")
-        connection[prev_action.index_array()] = 1.0
-    return CostPair(opening, connection)
+    opening = np.full((len(known), n_sites), 1.0 / math.sqrt(n_sites))
+    connection = np.zeros((len(known), n_sites))
+    ones = []  # flat indices of the connection entries set to 1
+    for r, action in enumerate(known):
+        if action is not None and len(action) <= math.sqrt(n_sites):
+            if action.members[-1] > n_sites:
+                raise ConfigError(f"action {action.members} outside 1..{n_sites}")
+            start = r * n_sites - 1
+            ones.extend([start + i for i in action.members])
+    connection.ravel()[ones] = 1.0
+    return CostRows(opening, connection)
+
+
+def killer_costs(n_sites: int, prev_action: SiteSet | None) -> CostPair:
+    """One adaptive trial against unit cost ranges (C = D = 1)."""
+    return killer_rows(n_sites, (prev_action,)).pair(0)
 
 
 class SequenceSource:
@@ -60,19 +70,31 @@ class SequenceSource:
 class KillerSource:
     """Adaptive source. With use_current_action=True (deterministic learners
     only) each trial's costs are built from the action just played, i.e. the
-    adversary moves second; otherwise from the realized previous action."""
+    adversary moves second; otherwise from the realized previous action.
+
+    One source serves a whole learner batch: given a sequence of actions,
+    one per row, it returns the trial's CostRows and keeps each row's
+    action for the next trial; given one SiteSet, a CostPair."""
 
     adaptive = True
 
     def __init__(self, n_sites: int, use_current_action: bool):
         self.n_sites = n_sites
         self.use_current_action = use_current_action
-        self._prev: SiteSet | None = None
+        self._prev = None  # the last call's actions
 
-    def costs_for(self, trial: int, action: SiteSet) -> CostPair:
-        basis = action if self.use_current_action else self._prev
-        self._prev = action
-        return killer_costs(self.n_sites, basis)
+    def costs_for(self, trial: int, actions) -> CostPair | CostRows:
+        one = isinstance(actions, SiteSet)
+        rows = (actions,) if one else tuple(actions)
+        if self.use_current_action:
+            known = rows
+        else:
+            known = self._prev if self._prev is not None else (None,) * len(rows)
+            if len(known) != len(rows):
+                raise ConfigError(f"{len(rows)} actions for a source of {len(known)} rows")
+        self._prev = rows
+        costs = killer_rows(self.n_sites, known)
+        return costs.pair(0) if one else costs
 
 
 def generate_scenario(

@@ -11,9 +11,12 @@ trial loop. The fl family runs them as the rows of one `LearnerBatch`;
 hedge-exact and ftl-greedy keep one scalar learner per seed behind the same
 interface. Non-adaptive scenarios materialize one cost sequence (from the
 scenario's own seed or a trace file) shared by every learner seed, so one
-sort per trial serves every row and the in-hindsight comparator is common;
-the adaptive killer keeps one source per seed, realizes one sequence per
-seed and computes comparators per seed.
+sort per trial serves every row and the in-hindsight comparator is common.
+On the adaptive killer one source prices every seed's action as one
+CostRows per trial; each seed's realized costs fill its own (T, N) history,
+and each seed gets its own comparator. Losses are priced row-wise
+(`row_losses`), bit for bit as `facility_loss` prices them. A comparator
+the oracles would refuse is refused before the first trial.
 
 A seed's `per_trial_median_ms` is the median over trials of the loop's
 play + update time divided by the number of seeds, and its `wall_time_s` is
@@ -33,13 +36,14 @@ from scipy import stats
 
 from .adversaries import KillerSource, generate_scenario, load_trace, save_trace
 from .errors import ConfigError
-from .game import CostPair, GameConfig, SiteSet, facility_loss
+from .game import CostPair, CostRows, GameConfig, SiteSet, row_losses
 from .learners import KINDS, LearnerBatch, half_log_ceil
 from .oracles import (
     BRUTE_FORCE_SITE_CAP,
     ExactHedge,
     FollowTheLeaderGreedy,
     best_fixed_subset,
+    comparator_cardinalities,
     ftl_greedy_play,
 )
 
@@ -146,10 +150,10 @@ class PerSeedLearners:
     def play(self, rngs) -> list[SiteSet]:
         return [lrn.play(rng) for lrn, rng in zip(self.learners, rngs)]
 
-    def update(self, costs) -> list:
+    def update(self, costs: CostPair | CostRows) -> list:
         if isinstance(costs, CostPair):
-            costs = [costs] * len(self.learners)
-        return [lrn.update(cp) for lrn, cp in zip(self.learners, costs)]
+            return [lrn.update(costs) for lrn in self.learners]
+        return [lrn.update(costs.pair(r)) for r, lrn in enumerate(self.learners)]
 
     def state(self) -> list[tuple]:
         return [lrn.state() for lrn in self.learners]
@@ -186,7 +190,7 @@ class SeedRun:
     wall_time_s: float
     per_trial_median_ms: float
     segment_starts: list[int] | None
-    realized_costs: list[CostPair] | None  # kept only when the source adapts
+    realized_costs: CostRows | None  # one row per trial, kept only when the source adapts
 
 
 @dataclass
@@ -217,10 +221,9 @@ def _run_seeds(config: ExperimentConfig, shared_costs: list[CostPair] | None) ->
     rngs = [np.random.default_rng(seed) for seed in seeds]
     adaptive = shared_costs is None
     if adaptive:
-        use_current = config.algo.name in DETERMINISTIC_ALGOS
-        sources = [KillerSource(cfg.n_sites, use_current) for _ in seeds]
+        source = KillerSource(cfg.n_sites, config.algo.name in DETERMINISTIC_ALGOS)
+        realized = np.empty((2, rows, cfg.horizon, cfg.n_sites))  # opening, connection
     records: list[list[TrialRecord]] = [[] for _ in seeds]
-    realized: list[list[CostPair]] = [[] for _ in seeds]
     cumulative = [0.0] * rows
     per_trial = np.empty(cfg.horizon)
     wall_start = time.perf_counter()
@@ -230,11 +233,12 @@ def _run_seeds(config: ExperimentConfig, shared_costs: list[CostPair] | None) ->
         actions = learner.play(rngs)
         t1 = time.perf_counter()
         if adaptive:
-            costs = [src.costs_for(t, action) for src, action in zip(sources, actions)]
-            losses = [facility_loss(cp, action) for cp, action in zip(costs, actions)]
+            costs = source.costs_for(t, actions)
+            realized[0, :, t - 1] = costs.opening
+            realized[1, :, t - 1] = costs.connection
         else:
             costs = shared_costs[t - 1]
-            losses = [facility_loss(costs, action) for action in actions]
+        losses = row_losses(costs, actions)
         t2 = time.perf_counter()
         surrogate_losses = learner.update(costs)
         t3 = time.perf_counter()
@@ -244,8 +248,6 @@ def _run_seeds(config: ExperimentConfig, shared_costs: list[CostPair] | None) ->
         ):
             cumulative[r] += loss
             records[r].append(TrialRecord(t, action, loss, surrogate_loss, *state))
-            if adaptive:
-                realized[r].append(costs[r])
     wall = (time.perf_counter() - wall_start) / rows
     median_ms = float(np.median(per_trial) * 1e3)
     starts = learner.segment_starts if config.algo.name == "fl" else [None] * rows
@@ -257,7 +259,7 @@ def _run_seeds(config: ExperimentConfig, shared_costs: list[CostPair] | None) ->
             wall_time_s=wall,
             per_trial_median_ms=median_ms,
             segment_starts=starts[r],
-            realized_costs=realized[r] if adaptive else None,
+            realized_costs=CostRows(realized[0, r], realized[1, r]) if adaptive else None,
         )
         for r, seed in enumerate(seeds)
     ]
@@ -272,16 +274,22 @@ def _comparator_restriction(config: ExperimentConfig) -> tuple[int | None, int |
     return None, None, "any nonempty subset"
 
 
-def _comparator_for(history: list[CostPair], config: ExperimentConfig):
+def _comparator_for(history: list[CostPair] | CostRows, config: ExperimentConfig):
     """Returns (members, loss, approximate)."""
     max_card, exact_card, _ = _comparator_restriction(config)
-    n = config.game.n_sites
-    if max_card is None and exact_card is None and n > BRUTE_FORCE_SITE_CAP:
+    if _comparator_is_greedy(config):
         greedy = ftl_greedy_play(history)
-        loss = sum(facility_loss(cp, greedy) for cp in history)
-        return greedy.members, float(loss), True
+        rows = history if isinstance(history, CostRows) else CostRows.stack(history)
+        return greedy.members, float(sum(row_losses(rows, [greedy] * len(rows)))), True
     subset, loss = best_fixed_subset(history, max_card=max_card, exact_card=exact_card)
     return subset.members, loss, False
+
+
+def _comparator_is_greedy(config: ExperimentConfig) -> bool:
+    """Unrestricted comparators above the brute-force cap are approximated
+    by the greedy leader."""
+    max_card, exact_card, _ = _comparator_restriction(config)
+    return max_card is None and exact_card is None and config.game.n_sites > BRUTE_FORCE_SITE_CAP
 
 
 def bound_terms(config: ExperimentConfig, comparator_loss: float) -> tuple[str | None, int, float | None]:
@@ -316,6 +324,10 @@ def bound_terms(config: ExperimentConfig, comparator_loss: float) -> tuple[str |
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
     cfg = config.game
+    if not _comparator_is_greedy(config):
+        # refuse an infeasible comparator before any trial runs
+        max_card, exact_card, _ = _comparator_restriction(config)
+        comparator_cardinalities(cfg.n_sites, max_card, exact_card)
     shared_costs: list[CostPair] | None = None
     if config.scenario.kind == "replay":
         shared_costs = load_trace(config.scenario.path, cfg)
@@ -434,7 +446,7 @@ def emit_results(result: RunResult, prefix: str) -> list[str]:
     comp_curve = None
     if result.comparator_members is not None and result.scenario_costs is not None:
         comp_set = SiteSet(result.comparator_members)
-        comp_losses = np.array([facility_loss(cp, comp_set) for cp in result.scenario_costs])
+        comp_losses = np.array(row_losses(CostRows.stack(result.scenario_costs), [comp_set] * t))
         comp_curve = result.scale_factor * comp_losses.cumsum()
     curve_path = f"{prefix}.regret_curve.csv"
     with open(curve_path, "w", encoding="utf-8", newline="\n") as fh:

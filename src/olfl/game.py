@@ -40,6 +40,26 @@ class GameConfig:
             raise ConfigError("opening_max + connection_max must be positive")
 
 
+def _checked_costs(opening, connection, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two cost arrays as floats, rejected unless both have `ndim` axes,
+    one shape with a positive site count, and finite entries >= 0."""
+    opening = np.asarray(opening, dtype=float)
+    connection = np.asarray(connection, dtype=float)
+    if opening.ndim != ndim or connection.ndim != ndim:
+        raise ConfigError("cost vectors must be 1-D" if ndim == 1 else "cost rows must be 2-D")
+    if opening.shape != connection.shape or opening.size == 0:
+        raise ConfigError(
+            f"cost vectors must share a positive length, got {opening.shape[-1]} and {connection.shape[-1]}"
+            if ndim == 1
+            else f"cost rows must share a nonempty shape, got {opening.shape} and {connection.shape}"
+        )
+    if not (np.isfinite(opening).all() and np.isfinite(connection).all()):
+        raise ConfigError("cost vectors must be finite")
+    if opening.min() < 0 or connection.min() < 0:
+        raise ConfigError("cost vectors must be componentwise >= 0")
+    return opening, connection
+
+
 @dataclass(frozen=True)
 class CostPair:
     """One trial's cost vectors (opening c, connection d), same length."""
@@ -48,18 +68,7 @@ class CostPair:
     connection: np.ndarray
 
     def __post_init__(self):
-        opening = np.asarray(self.opening, dtype=float)
-        connection = np.asarray(self.connection, dtype=float)
-        if opening.ndim != 1 or connection.ndim != 1:
-            raise ConfigError("cost vectors must be 1-D")
-        if opening.size != connection.size or opening.size == 0:
-            raise ConfigError(
-                f"cost vectors must share a positive length, got {opening.size} and {connection.size}"
-            )
-        if not (np.all(np.isfinite(opening)) and np.all(np.isfinite(connection))):
-            raise ConfigError("cost vectors must be finite")
-        if opening.min() < 0 or connection.min() < 0:
-            raise ConfigError("cost vectors must be componentwise >= 0")
+        opening, connection = _checked_costs(self.opening, self.connection, 1)
         object.__setattr__(self, "opening", opening)
         object.__setattr__(self, "connection", connection)
 
@@ -82,6 +91,43 @@ class CostPair:
                 f"connection cost d_{hi_d + 1} = {pair.connection[hi_d]} exceeds bound {connection_max}"
             )
         return pair
+
+
+@dataclass(frozen=True)
+class CostRows:
+    """Cost vectors as (rows, N) arrays, checked once for all rows like a
+    CostPair: one trial's costs for every row of a learner batch, or one
+    seed's realized history with a row per trial."""
+
+    opening: np.ndarray
+    connection: np.ndarray
+
+    def __post_init__(self):
+        opening, connection = _checked_costs(self.opening, self.connection, 2)
+        object.__setattr__(self, "opening", opening)
+        object.__setattr__(self, "connection", connection)
+
+    @property
+    def n_sites(self) -> int:
+        return self.opening.shape[1]
+
+    def __len__(self) -> int:
+        return self.opening.shape[0]
+
+    def pair(self, row: int) -> CostPair:
+        """Row `row` as a CostPair."""
+        return CostPair(self.opening[row], self.connection[row])
+
+    @classmethod
+    def stack(cls, pairs) -> "CostRows":
+        """One row per CostPair of a nonempty sequence; every pair must have
+        the same site count."""
+        if not pairs:
+            raise ConfigError("cost sequence must be nonempty")
+        try:
+            return cls(np.stack([cp.opening for cp in pairs]), np.stack([cp.connection for cp in pairs]))
+        except ValueError:  # np.stack refuses vectors of different lengths
+            raise ConfigError("cost pairs must share one site count") from None
 
 
 @dataclass(frozen=True)
@@ -133,6 +179,36 @@ def facility_loss(costs: CostPair, sites: SiteSet) -> float:
         )
     idx = sites.index_array()
     return float(costs.opening[idx].sum() + costs.connection[idx].min())
+
+
+def row_losses(costs: CostPair | CostRows, actions) -> list[float]:
+    """facility_loss of each action, bit for bit: actions[r] priced on row r
+    of CostRows, or every action on one shared CostPair.
+
+    Rows are grouped by member count, and each group is one (rows, m)
+    gather summed and minimized along its rows, which sums each row exactly
+    as the one-row sum does.
+    """
+    n = costs.n_sites
+    stride = 0 if isinstance(costs, CostPair) else n  # row r starts at r * stride
+    if stride and len(costs) != len(actions):
+        raise ConfigError(f"{len(costs)} cost rows for {len(actions)} actions")
+    groups: dict[int, tuple[list[int], list[int]]] = {}  # member count -> rows, flat indices
+    for r, sites in enumerate(actions):
+        members = sites.members
+        if members[-1] > n:
+            raise InvalidActionError(f"site {members[-1]} outside instance with {n} sites")
+        rows, flat = groups.setdefault(len(members), ([], []))
+        rows.append(r)
+        start = r * stride - 1
+        flat.extend([start + i for i in members])
+    opening, connection = costs.opening.ravel(), costs.connection.ravel()
+    losses = [0.0] * len(actions)
+    for rows, flat in groups.values():
+        idx = np.array(flat, dtype=np.intp).reshape(len(rows), -1)
+        for r, loss in zip(rows, (opening[idx].sum(axis=1) + connection[idx].min(axis=1)).tolist()):
+            losses[r] = loss
+    return losses
 
 
 def sort_by_connection_desc(connection) -> np.ndarray:

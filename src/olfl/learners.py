@@ -41,7 +41,7 @@ import numpy as np
 
 from .eg import eg_rows, starting_point
 from .errors import ConfigError, ProtocolError
-from .game import CostPair, GameConfig, SiteSet
+from .game import CostPair, CostRows, GameConfig, SiteSet
 from .sampler import draw_rows
 from .sampler import sample_site_multiset  # noqa: F401  kept: the benchmark's span tracer looks it up here
 from .surrogate import surrogate_rows
@@ -161,22 +161,20 @@ class LearnerBatch:
         sites = site[real].tolist()
         return [SiteSet(tuple(sites[a:b]) or (1,)) for a, b in zip([0] + ends[:-1], ends)]
 
-    def update(self, costs) -> list[float]:
+    def update(self, costs: CostPair | CostRows) -> list[float]:
         """Surrogate step on this trial's costs, one CostPair shared by every
-        row or a sequence of one per row; returns each row's surrogate loss
-        at its pre-update weights."""
+        row or CostRows with one row per learner row; returns each row's
+        surrogate loss at its pre-update weights."""
         if not self._awaiting_update:
             raise ProtocolError("update called before play")
         self._awaiting_update = False
-        shared = isinstance(costs, CostPair)
-        pairs = (costs,) if shared else costs
-        if not shared and len(pairs) != self.rows:
-            raise ConfigError(f"{len(pairs)} cost pairs for {self.rows} rows")
-        for cp in pairs:
-            if cp.n_sites != self.n_real:
-                raise ConfigError(f"costs for {cp.n_sites} sites, expected {self.n_real}")
-        opening = costs.opening if shared else np.stack([cp.opening for cp in pairs])
-        connection = costs.connection if shared else np.stack([cp.connection for cp in pairs])
+        if not isinstance(costs, (CostPair, CostRows)):
+            raise ConfigError(f"costs must be a CostPair or CostRows, got {type(costs).__name__}")
+        if isinstance(costs, CostRows) and len(costs) != self.rows:
+            raise ConfigError(f"{len(costs)} cost rows for {self.rows} rows")
+        if costs.n_sites != self.n_real:
+            raise ConfigError(f"costs for {costs.n_sites} sites, expected {self.n_real}")
+        opening, connection = costs.opening, costs.connection
         if self.cfg.n_sites > self.n_real:
             opening = _append_column(opening, 0.0)
             connection = _append_column(connection, self.cfg.connection_max)

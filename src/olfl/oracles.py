@@ -6,8 +6,8 @@ efficient learners, used to verify them at desk scale.
   baselines (both provably beatable by an adaptive adversary), and
   FollowTheLeaderGreedy, which replays the greedy leader as a learner.
 - best_fixed_subset: the in-hindsight comparator. Up to the site cap it
-  prices all 2^N bitmasks in one subset-lattice pass per distinct cost row;
-  above the cap a cardinality-restricted scan enumerates combinations.
+  prices all 2^N bitmasks in one superset-sum pass over the history; above
+  the cap a cardinality-restricted scan enumerates combinations.
 - exact_expected_loss: the true expectation of the draw-and-deduplicate
   action rule, by enumerating every ordered draw sequence.
 
@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import CapExceededError, ConfigError, ProtocolError
-from .game import CostPair, GameConfig, SiteSet, facility_loss
+from .game import CostPair, CostRows, GameConfig, SiteSet, facility_loss
 
 BRUTE_FORCE_SITE_CAP = 16
 ENUMERATION_CAP = 1_000_000
@@ -33,32 +33,43 @@ def _subset_members(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
-def _subset_lattice(opening_sums: np.ndarray, rows: np.ndarray, counts) -> np.ndarray:
-    """Loss of every bitmask 0..2^N - 1, indexed by mask (bit j is site j+1;
-    mask 0 is inf): sum_r counts[r] * min over the mask of rows[r], plus the
-    opening sums.
+def _doubling_table(values: np.ndarray, op, empty: float) -> np.ndarray:
+    """op folded over the sites of every bitmask 0..2^N - 1, indexed by mask
+    (bit j is site j+1), with `empty` at mask 0.
 
-    The masks with top bit j are the masks below 2^j plus site j, so each
-    table doubles one site at a time: min over S = min(min over S minus j,
-    d_j), and the opening sum gains c_j. Rows are priced one at a time in a
-    reused buffer, which keeps memory at two arrays of 2^N floats.
+    The masks with top bit j are the masks below 2^j plus site j, so the
+    table doubles one site at a time."""
+    table = np.empty(1 << values.size)
+    table[0] = empty
+    for j, value in enumerate(values.tolist()):
+        op(table[: 1 << j], value, out=table[1 << j : 2 << j])
+    return table
+
+
+def _connection_sums(connection: np.ndarray) -> np.ndarray:
+    """sum_t min over the mask of connection[t], for every bitmask 0..2^N - 1
+    (mask 0 is inf), in one superset-sum pass over the (T, N) history.
+
+    Sort row t so that d_v(1) >= ... >= d_v(N) and set d_v(N+1) = 0. Then
+    for every subset S, min over S = sum_k (d_v(k) - d_v(k+1)) [S within
+    {v(1), ..., v(k)}], and every step is >= 0. One bincount puts each step
+    on its top-k mask, and the fast zeta transform (one vectorised add per
+    site) sums every mask's table entries over the masks that contain it.
+    Cost O(T*N + N*2^N). Steps between tied costs are zero, so the order
+    the sort gives ties does not matter.
     """
-    size = 1 << opening_sums.size
-    total = np.zeros(size)
-    buf = np.empty(size)
-    halves = [(buf[: 1 << j], buf[1 << j : 2 << j]) for j in range(opening_sums.size)]
-    buf[0] = np.inf
-    for row, count in zip(rows.tolist(), counts):
-        for (low, high), d in zip(halves, row):
-            np.minimum(low, d, out=high)
-        if count != 1:
-            buf *= count
-        total += buf
-    buf[0] = 0.0
-    for (low, high), c in zip(halves, opening_sums):
-        np.add(low, c, out=high)
-    total += buf
-    return total
+    n = connection.shape[1]
+    order = np.argsort(-connection, axis=1)
+    ordered = np.take_along_axis(connection, order, axis=1)
+    steps = ordered.copy()
+    steps[:, :-1] -= ordered[:, 1:]
+    masks = np.cumsum(np.left_shift(1, order), axis=1)
+    sums = np.bincount(masks.ravel(), weights=steps.ravel(), minlength=1 << n)
+    for j in range(n):
+        pairs = sums.reshape(-1, 2, 1 << j)  # [:, 1] holds the masks with site j+1
+        pairs[:, 0] += pairs[:, 1]
+    sums[0] = np.inf
+    return sums
 
 
 def _cardinalities(n: int) -> np.ndarray:
@@ -92,8 +103,10 @@ class ExactHedge:
         self._awaiting_update = False
 
     def subset_losses(self, costs: CostPair) -> np.ndarray:
-        """Facility loss of every nonempty subset, in bitmask order."""
-        return _subset_lattice(costs.opening, costs.connection[None, :], (1,))[1:]
+        """Facility loss of every nonempty subset, in bitmask order: the
+        connection minimum plus the opening sum, each a doubling table."""
+        mins = _doubling_table(costs.connection, np.minimum, np.inf)
+        return (mins + _doubling_table(costs.opening, np.add, 0.0))[1:]
 
     def expected_loss(self, costs: CostPair) -> float:
         return float(self.weights @ self.subset_losses(costs))
@@ -123,11 +136,9 @@ class ExactHedge:
 
 
 def _history_arrays(history) -> tuple[np.ndarray, np.ndarray]:
-    if not history:
-        raise ConfigError("history must be nonempty")
-    opening = np.stack([cp.opening for cp in history])
-    connection = np.stack([cp.connection for cp in history])
-    return opening, connection
+    """(T, N) opening and connection arrays of a CostRows or a CostPair list."""
+    rows = history if isinstance(history, CostRows) else CostRows.stack(history)
+    return rows.opening, rows.connection
 
 
 def ftl_greedy_play(history) -> SiteSet:
@@ -191,6 +202,32 @@ def cheapest_singleton_play(history) -> SiteSet:
     return SiteSet((int(np.argmin(opening.sum(axis=0) + connection.sum(axis=0))) + 1,))
 
 
+def comparator_cardinalities(
+    n_sites: int,
+    max_card: int | None = None,
+    exact_card: int | None = None,
+    site_cap: int = BRUTE_FORCE_SITE_CAP,
+):
+    """The subset sizes best_fixed_subset scans at this site count and
+    restriction; raises, as it would, when it refuses the scan."""
+    if max_card is not None and exact_card is not None:
+        raise ConfigError("pass at most one of max_card and exact_card")
+    if max_card is None and exact_card is None:
+        if n_sites > site_cap:
+            raise CapExceededError(
+                f"{n_sites} sites exceeds brute-force cap {site_cap}; restrict the cardinality"
+            )
+        return range(1, n_sites + 1)
+    limit = exact_card if exact_card is not None else max_card
+    if not 1 <= limit <= n_sites:
+        raise ConfigError(f"cardinality restriction must be in 1..{n_sites}, got {limit!r}")
+    cards = (limit,) if exact_card is not None else range(1, limit + 1)
+    count = sum(math.comb(n_sites, k) for k in cards)
+    if count > COMBINATION_CAP:
+        raise CapExceededError(f"{count} candidate subsets exceeds cap {COMBINATION_CAP}")
+    return cards
+
+
 def best_fixed_subset(
     history,
     max_card: int | None = None,
@@ -199,39 +236,23 @@ def best_fixed_subset(
 ) -> tuple[SiteSet, float]:
     """In-hindsight comparator: the nonempty subset minimizing cumulative
     facility loss, ties broken by smaller cardinality then lexicographic
-    members.
+    members. `history` is a CostRows or a list of CostPair.
 
     `max_card` / `exact_card` restrict the candidate cardinalities. Up to
-    `site_cap` sites every bitmask is priced exactly by one subset-lattice
-    pass per distinct connection row (repeated rows are counted, not
-    rescanned), and the restriction masks out the other cardinalities.
-    Above the cap only a restricted scan is allowed: it enumerates the
-    candidate combinations while their count stays within bounds.
+    `site_cap` sites every bitmask is priced exactly by one superset-sum
+    pass over the history (`_connection_sums`), and the restriction masks
+    out the other cardinalities. Above the cap only a restricted scan is
+    allowed: it enumerates the candidate combinations while their count
+    stays within bounds.
     """
     opening, connection = _history_arrays(history)
     n = opening.shape[1]
     cum_open = opening.sum(axis=0)
-    if max_card is not None and exact_card is not None:
-        raise ConfigError("pass at most one of max_card and exact_card")
-
-    if max_card is None and exact_card is None:
-        if n > site_cap:
-            raise CapExceededError(
-                f"{n} sites exceeds brute-force cap {site_cap}; restrict the cardinality"
-            )
-        candidate_cards = range(1, n + 1)
-    else:
-        limit = exact_card if exact_card is not None else max_card
-        if not 1 <= limit <= n:
-            raise ConfigError(f"cardinality restriction must be in 1..{n}, got {limit!r}")
-        candidate_cards = (limit,) if exact_card is not None else range(1, limit + 1)
-        count = sum(math.comb(n, k) for k in candidate_cards)
-        if count > COMBINATION_CAP:
-            raise CapExceededError(f"{count} candidate subsets exceeds cap {COMBINATION_CAP}")
+    candidate_cards = comparator_cardinalities(n, max_card, exact_card, site_cap)
 
     if n <= site_cap:
-        rows, counts = np.unique(connection, axis=0, return_counts=True)
-        losses = _subset_lattice(cum_open, rows, counts)
+        losses = _connection_sums(connection)
+        losses += _doubling_table(cum_open, np.add, 0.0)
         cards = _cardinalities(n)
         losses[~np.isin(cards, candidate_cards)] = np.inf
         best_cost = losses.min()

@@ -4,11 +4,13 @@ Every check pits a fast code path against an independent reference: direct
 formula evaluation instead of the prefix/suffix passes, central finite
 differences instead of the analytic gradient, full enumeration instead of
 sampling, frequency counts instead of the inverse-CDF draw, hand arithmetic
-instead of the doubling bookkeeping. The suite runs at desk scale in seconds;
+instead of the doubling bookkeeping, a combinations scan instead of the
+superset-sum comparator. The suite runs at desk scale in seconds;
 the test suite reruns the same comparisons at full acceptance scale.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +19,7 @@ from scipy import stats as scipy_stats
 
 from .adversaries import KillerSource, generate_scenario
 from .eg import ExponentiatedGradient
-from .game import CostPair, GameConfig, SiteSet, facility_loss, sort_by_connection_desc
+from .game import CostPair, CostRows, GameConfig, SiteSet, facility_loss, sort_by_connection_desc
 from .learners import DoublingLearner, FixedCardinalityLearner, half_log_ceil
 from .oracles import (
     ExactHedge,
@@ -76,6 +78,25 @@ def random_surrogate_instance(rng: np.random.Generator, max_sites: int, max_draw
     costs = CostPair(rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n))
     w = rng.dirichlet(np.ones(n))
     return SurrogateInstance.from_costs(costs, ups), w
+
+
+def best_fixed_scan(history, max_card: int | None = None, exact_card: int | None = None):
+    """(members, loss) of the exhaustive comparator scan: every candidate
+    subset's cumulative loss from its columns of the history, ties to the
+    smaller set, then to the lexicographically first members."""
+    rows = history if isinstance(history, CostRows) else CostRows.stack(history)
+    n = rows.n_sites
+    cum_open = rows.opening.sum(axis=0)
+    cards = (exact_card,) if exact_card is not None else range(1, (max_card or n) + 1)
+    best_cost, best_members = math.inf, None
+    for card in cards:
+        for combo in itertools.combinations(range(n), card):
+            idx = list(combo)
+            cost = float(cum_open[idx].sum() + rows.connection[:, idx].min(axis=1).sum())
+            members = tuple(i + 1 for i in combo)
+            if cost < best_cost or (cost == best_cost and (card, members) < (len(best_members), best_members)):
+                best_cost, best_members = cost, members
+    return best_members, best_cost
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +353,36 @@ def check_killer_regression() -> CheckResult:
     )
 
 
+def check_comparator_scan(rng=None) -> CheckResult:
+    rng = rng or np.random.default_rng(41)
+    n, horizon = 10, 300
+    learner = DoublingLearner(GameConfig(n, horizon, 1.0, 1.0))
+    source = KillerSource(n, use_current_action=False)
+    killer = []
+    for t in range(1, horizon + 1):
+        killer.append(source.costs_for(t, learner.play(rng)))
+        learner.update(killer[-1])
+    iid = generate_scenario("iid", GameConfig(8, 200, 1.0, 1.0), seed=int(rng.integers(1 << 30)))
+    worst = 0.0
+    for name, history in (("killer", killer), ("iid", iid)):
+        for restriction in ({}, {"max_card": 3}, {"exact_card": 2}):
+            subset, loss = best_fixed_subset(history, **restriction)
+            members, scanned = best_fixed_scan(history, **restriction)
+            rel = abs(loss - scanned) / max(1.0, abs(scanned))
+            worst = max(worst, rel)
+            if subset.members != members or rel > 1e-12:
+                return CheckResult(
+                    "comparator against scan",
+                    False,
+                    f"{name} {restriction or 'unrestricted'}: {subset.members} {loss} vs {members} {scanned}",
+                )
+    return CheckResult(
+        "comparator against scan",
+        True,
+        f"killer N={n} T={horizon} and iid N=8 T=200, 3 restrictions each; worst rel err {worst:.1e}",
+    )
+
+
 def check_learner_dominance(rng=None) -> CheckResult:
     rng = rng or np.random.default_rng(31)
     cfg = GameConfig(3, 50, 1.0, 1.0)  # horizon gives num_draws = 2 per unit budget
@@ -379,6 +430,7 @@ ALL_CHECKS = (
     check_doubling_mechanics,
     check_hedge_bound,
     check_killer_regression,
+    check_comparator_scan,
 )
 
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from olfl import (
     ConfigError,
     CostPair,
+    CostRows,
     GameConfig,
     KillerSource,
     SequenceSource,
@@ -62,6 +65,41 @@ def test_killer_source_current_vs_previous():
     assert np.all(first.connection == 0.0)  # nothing realized yet
     second = delayed.costs_for(2, SiteSet((3,)))
     assert second.connection.tolist() == [0.0, 1.0, 0.0, 0.0]  # trial-1 action
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_killer_source_rows_equal_one_row_calls(data):
+    n, rows = data.draw(st.integers(1, 20)), data.draw(st.integers(1, 5))
+    use_current = data.draw(st.booleans())
+    batch = KillerSource(n, use_current)
+    singles = [KillerSource(n, use_current) for _ in range(rows)]
+    previous = [None] * rows
+    action = st.lists(st.integers(1, n), min_size=1, max_size=n).map(SiteSet.of)
+    for t in range(1, data.draw(st.integers(1, 4)) + 1):
+        actions = [data.draw(action) for _ in range(rows)]
+        costs = batch.costs_for(t, actions)
+        assert isinstance(costs, CostRows) and len(costs) == rows
+        for r, single in enumerate(singles):
+            one = single.costs_for(t, actions[r])
+            expected = killer_costs(n, actions[r] if use_current else previous[r])
+            for pair in (one, expected):
+                assert np.array_equal(costs.opening[r], pair.opening)
+                assert np.array_equal(costs.connection[r], pair.connection)
+        previous = actions
+
+
+def test_killer_source_rejects_what_killer_costs_rejects():
+    with pytest.raises(ConfigError):
+        killer_costs(4, SiteSet((5,)))
+    with pytest.raises(ConfigError):
+        KillerSource(4, use_current_action=True).costs_for(1, [SiteSet((1,)), SiteSet((5,))])
+    delayed = KillerSource(4, use_current_action=False)
+    delayed.costs_for(1, [SiteSet((1,)), SiteSet((5,))])  # nothing known yet
+    with pytest.raises(ConfigError):
+        delayed.costs_for(2, [SiteSet((1,)), SiteSet((2,))])
+    with pytest.raises(ConfigError):
+        delayed.costs_for(3, [SiteSet((1,))])  # a two-row source given one action
 
 
 def test_generate_scenario_deterministic():

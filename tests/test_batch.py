@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from olfl import AlgoSpec, CostPair, ExperimentConfig, GameConfig, ScenarioSpec, run_experiment
+from olfl import AlgoSpec, CostPair, CostRows, ExperimentConfig, GameConfig, ScenarioSpec, run_experiment
 from olfl.learners import KINDS, LearnerBatch
 from olfl.surrogate import surrogate_rows
 
@@ -156,7 +156,7 @@ def test_every_row_of_a_batch_equals_a_batch_of_one(data):
         assert actions == [s.play([np.random.default_rng(seed)])[0] for s, seed in zip(singles, seeds)]
         opening, connection = _grid_rows(data, rows, n, c_max), _grid_rows(data, rows, n, d_max)
         pairs = [CostPair(opening[0 if shared else r], connection[0 if shared else r]) for r in range(rows)]
-        values = batch.update(pairs[0] if shared else pairs)
+        values = batch.update(pairs[0] if shared else CostRows(opening, connection))
         assert values == [s.update(cp)[0] for s, cp in zip(singles, pairs)]
         assert all(np.array_equal(batch.w[r], s.w[0]) for r, s in enumerate(singles))
         assert batch.state() == [s.state()[0] for s in singles]

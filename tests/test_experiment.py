@@ -9,6 +9,7 @@ import pytest
 
 from olfl import (
     AlgoSpec,
+    CapExceededError,
     ConfigError,
     CostPair,
     ExperimentConfig,
@@ -112,6 +113,30 @@ def test_killer_runs_use_per_seed_comparators():
     assert result.scenario_costs is None
     for sr in result.seed_runs:
         assert len(sr.realized_costs) == 40
+
+
+def test_infeasible_comparator_is_refused_before_any_trial(monkeypatch, capsys):
+    # fl-bounded K=5 at N=50 needs 2369935 candidate subsets, past the cap
+    trials = []
+    monkeypatch.setattr("olfl.experiment._run_seeds", lambda *args: trials.append(args))
+    config = ExperimentConfig(
+        GameConfig(50, 500, 1.0, 2.0),
+        AlgoSpec("fl-bounded", 5),
+        ScenarioSpec("drift", drift_step=0.1),
+        (1, 2, 3, 4, 5),
+    )
+    with pytest.raises(CapExceededError, match="2369935 candidate subsets exceeds cap 2000000"):
+        run_experiment(config)
+    rc = main(
+        [
+            "run", "--algo", "fl-bounded", "--k", "5", "--n", "50", "--t", "500",
+            "--c-max", "1", "--d-max", "2", "--scenario", "drift", "--drift-step", "0.1",
+            "--seeds", "1,2,3,4,5", "--out", "unused",
+        ]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == "error: 2369935 candidate subsets exceeds cap 2000000\n"
+    assert trials == []
 
 
 def test_fl_fixed_comparator_and_bound_fields():

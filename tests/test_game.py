@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from olfl import (
     ConfigError,
     CostPair,
+    CostRows,
     GameConfig,
     InvalidActionError,
     SiteSet,
     facility_loss,
+    row_losses,
     sort_by_connection_desc,
 )
 
@@ -47,6 +51,59 @@ def test_cost_pair_checked_names_the_field():
         CostPair.checked([0.5, 0.2, 1.5], [0.3, 0.9, 0.1], 1.0, 1.0)
     with pytest.raises(ConfigError, match=r"d_1"):
         CostPair.checked([0.5, 0.2], [2.5, 0.9], 1.0, 1.0)
+
+
+def test_cost_rows_validation():
+    rows = CostRows([[0.5, 0.2], [0.1, 0.0]], [[0.3, 0.9], [0.0, 1.0]])
+    assert len(rows) == 2 and rows.n_sites == 2 and rows.opening.dtype == float
+    pair = rows.pair(1)
+    assert pair.opening.tolist() == [0.1, 0.0] and pair.connection.tolist() == [0.0, 1.0]
+    for opening, connection in (
+        ([0.5, 0.2], [0.3, 0.9]),  # 1-D
+        ([[0.5]], [[0.3, 0.9]]),  # shapes differ
+        (np.empty((0, 2)), np.empty((0, 2))),  # no rows
+        ([[0.5, -0.1]], [[0.3, 0.9]]),
+        ([[0.5, 0.1]], [[float("inf"), 0.9]]),
+        ([[0.5, float("nan")]], [[0.3, 0.9]]),
+    ):
+        with pytest.raises(ConfigError):
+            CostRows(opening, connection)
+    stacked = CostRows.stack([CostPair([0.5, 0.2], [0.3, 0.9]), CostPair([0.1, 0.0], [0.0, 1.0])])
+    assert np.array_equal(stacked.connection, rows.connection)
+    with pytest.raises(ConfigError):
+        CostRows.stack([])
+    with pytest.raises(ConfigError):
+        CostRows.stack([CostPair([0.5], [0.3]), CostPair([0.5, 0.2], [0.3, 0.9])])
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_row_losses_equal_facility_loss_bit_for_bit(data):
+    rows, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # magnitudes spread over six decades, so any change of summation order shows
+    scale = lambda: 10.0 ** rng.integers(-3, 4, (rows, n))  # noqa: E731
+    costs = CostRows(rng.uniform(0, 1, (rows, n)) * scale(), rng.uniform(0, 1, (rows, n)) * scale())
+    sizes = data.draw(st.lists(st.integers(1, n), min_size=rows, max_size=rows))
+    actions = [SiteSet.of(rng.choice(n, size=m, replace=False) + 1) for m in sizes]
+    expected = [facility_loss(costs.pair(r), action) for r, action in enumerate(actions)]
+    assert _bits(row_losses(costs, actions)) == _bits(expected)
+    shared = costs.pair(0)
+    assert _bits(row_losses(shared, actions)) == _bits([facility_loss(shared, a) for a in actions])
+
+
+def test_row_losses_reject_what_facility_loss_rejects():
+    costs = CostRows(np.ones((2, 3)), np.ones((2, 3)))
+    with pytest.raises(InvalidActionError):
+        row_losses(costs, [SiteSet((1,)), SiteSet((2, 4))])
+    with pytest.raises(InvalidActionError):
+        row_losses(costs.pair(0), [SiteSet((4,))])
+    with pytest.raises(ConfigError):
+        row_losses(costs, [SiteSet((1,))])  # two cost rows, one action
 
 
 def test_site_set_basics():

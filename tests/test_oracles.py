@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from olfl import (
     CapExceededError,
@@ -20,7 +22,7 @@ from olfl import (
     facility_loss,
     ftl_greedy_play,
 )
-from olfl.verify import run_deterministic_against_killer
+from olfl.verify import best_fixed_scan, run_deterministic_against_killer
 
 
 def test_hedge_init():
@@ -206,29 +208,6 @@ def test_best_fixed_matches_independent_scan():
         assert subset.members == best[2]
 
 
-def _reference_best_fixed(history, max_card=None, exact_card=None):
-    # the exhaustive scan: every candidate subset's block, row-wise min
-    opening = np.stack([cp.opening for cp in history])
-    connection = np.stack([cp.connection for cp in history])
-    n = opening.shape[1]
-    cum_open = opening.sum(axis=0)
-    if exact_card is not None:
-        cards = (exact_card,)
-    else:
-        cards = range(1, (max_card or n) + 1)
-    best_cost, best_members = math.inf, None
-    for card in cards:
-        for combo in itertools.combinations(range(n), card):
-            idx = list(combo)
-            cost = float(cum_open[idx].sum() + connection[:, idx].min(axis=1).sum())
-            members = tuple(i + 1 for i in combo)
-            if cost < best_cost or (
-                cost == best_cost and (card, members) < (len(best_members), best_members)
-            ):
-                best_cost, best_members = cost, members
-    return best_members, best_cost
-
-
 def _restrictions(rng, n):
     return [{}, {"max_card": int(rng.integers(1, n + 1))}, {"exact_card": int(rng.integers(1, n + 1))}]
 
@@ -246,7 +225,7 @@ def test_best_fixed_matches_reference_scan_exactly_on_grid_costs():
             history = _history_with_repeats(rng, n, grid)
             for restriction in _restrictions(rng, n):
                 subset, loss = best_fixed_subset(history, **restriction)
-                assert (subset.members, loss) == _reference_best_fixed(history, **restriction)
+                assert (subset.members, loss) == best_fixed_scan(history, **restriction)
 
 
 def test_best_fixed_matches_reference_scan_on_uniform_costs():
@@ -257,9 +236,46 @@ def test_best_fixed_matches_reference_scan_on_uniform_costs():
             history = _history_with_repeats(rng, n, uniform)
             for restriction in _restrictions(rng, n):
                 subset, loss = best_fixed_subset(history, **restriction)
-                members, ref_loss = _reference_best_fixed(history, **restriction)
+                members, ref_loss = best_fixed_scan(history, **restriction)
                 assert subset.members == members
                 assert loss == pytest.approx(ref_loss, rel=1e-12)
+
+
+def _history_rows(data, n, draw_row):
+    """A history of 1..30 trials drawn from a pool of up to 5 distinct rows,
+    so rows repeat; all-zero rows come from the draws themselves."""
+    pool = [CostPair(draw_row(), draw_row()) for _ in range(data.draw(st.integers(1, 5)))]
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+    return [pool[i] for i in picks]
+
+
+def _restriction(data, n):
+    kind = data.draw(st.sampled_from(["none", "max_card", "exact_card"]))
+    return {} if kind == "none" else {kind: data.draw(st.integers(1, n))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_superset_sum_comparator_equals_the_scan_on_grid_costs(data):
+    n = data.draw(st.integers(1, 10))
+    grid = st.lists(st.integers(0, 4), min_size=n, max_size=n)  # multiples of 1/4: ties and zero rows
+    history = _history_rows(data, n, lambda: np.array(data.draw(grid)) / 4.0)
+    restriction = _restriction(data, n)
+    subset, loss = best_fixed_subset(history, **restriction)
+    assert (subset.members, loss) == best_fixed_scan(history, **restriction)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_superset_sum_comparator_matches_the_scan_on_uniform_costs(data):
+    n = data.draw(st.integers(1, 10))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    history = _history_rows(data, n, lambda: rng.uniform(0, 1, n))
+    restriction = _restriction(data, n)
+    subset, loss = best_fixed_subset(history, **restriction)
+    members, scanned = best_fixed_scan(history, **restriction)
+    assert subset.members == members
+    assert loss == pytest.approx(scanned, rel=1e-12)
 
 
 def test_best_fixed_structural_tie_prefers_the_smaller_set():
@@ -269,7 +285,7 @@ def test_best_fixed_structural_tie_prefers_the_smaller_set():
     for restriction in ({}, {"max_card": 2}):
         subset, loss = best_fixed_subset(history, **restriction)
         assert subset.members == (1,) and loss == 3.75
-        assert (subset.members, loss) == _reference_best_fixed(history, **restriction)
+        assert (subset.members, loss) == best_fixed_scan(history, **restriction)
 
 
 def test_best_fixed_bit_identical_on_a_killer_history():
@@ -284,14 +300,14 @@ def test_best_fixed_bit_identical_on_a_killer_history():
         history.append(costs)
     assert len({cp.connection.tobytes() for cp in history}) < horizon  # repeated rows occur
     subset, loss = best_fixed_subset(history)
-    assert (subset.members, loss) == _reference_best_fixed(history)
+    assert (subset.members, loss) == best_fixed_scan(history)
 
 
 def test_best_fixed_restricted_scan_above_the_site_cap():
     rng = np.random.default_rng(15)
     history = [CostPair(rng.uniform(0, 1, 20), rng.uniform(0, 1, 20)) for _ in range(10)]
     subset, loss = best_fixed_subset(history, max_card=2)
-    members, ref_loss = _reference_best_fixed(history, max_card=2)
+    members, ref_loss = best_fixed_scan(history, max_card=2)
     assert subset.members == members and loss == ref_loss
 
 
