@@ -46,7 +46,8 @@ def killer_rows(n_sites: int, known) -> CostRows:
 
 
 def killer_costs(n_sites: int, prev_action: SiteSet | None) -> CostPair:
-    """One adaptive trial against unit cost ranges (C = D = 1)."""
+    """One adaptive trial against unit cost ranges (C = D = 1): the one-row
+    call of killer_rows."""
     return killer_rows(n_sites, (prev_action,)).pair(0)
 
 

@@ -46,13 +46,9 @@ def _checked_costs(opening, connection, ndim: int) -> tuple[np.ndarray, np.ndarr
     opening = np.asarray(opening, dtype=float)
     connection = np.asarray(connection, dtype=float)
     if opening.ndim != ndim or connection.ndim != ndim:
-        raise ConfigError("cost vectors must be 1-D" if ndim == 1 else "cost rows must be 2-D")
+        raise ConfigError(f"cost arrays must be {ndim}-D, got {opening.ndim}-D and {connection.ndim}-D")
     if opening.shape != connection.shape or opening.size == 0:
-        raise ConfigError(
-            f"cost vectors must share a positive length, got {opening.shape[-1]} and {connection.shape[-1]}"
-            if ndim == 1
-            else f"cost rows must share a nonempty shape, got {opening.shape} and {connection.shape}"
-        )
+        raise ConfigError(f"cost arrays must share a nonempty shape, got {opening.shape} and {connection.shape}")
     if not (np.isfinite(opening).all() and np.isfinite(connection).all()):
         raise ConfigError("cost vectors must be finite")
     if opening.min() < 0 or connection.min() < 0:
