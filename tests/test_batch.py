@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from olfl import AlgoSpec, CostPair, CostRows, ExperimentConfig, GameConfig, ScenarioSpec, run_experiment
+from olfl import AlgoSpec, ConfigError, CostPair, CostRows, ExperimentConfig, GameConfig, ScenarioSpec, run_experiment
 from olfl.learners import KINDS, LearnerBatch
 from olfl.surrogate import surrogate_rows
 
@@ -160,6 +160,22 @@ def test_every_row_of_a_batch_equals_a_batch_of_one(data):
         assert values == [s.update(cp)[0] for s, cp in zip(singles, pairs)]
         assert all(np.array_equal(batch.w[r], s.w[0]) for r, s in enumerate(singles))
         assert batch.state() == [s.state()[0] for s in singles]
+
+
+def test_update_takes_a_shared_pair_or_one_cost_row_per_learner_row():
+    batch = LearnerBatch(GameConfig(3, 10, 1.0, 1.0), "fl-fixed", 2, 1)
+    rngs = [np.random.default_rng(seed) for seed in (1, 2)]
+    for costs in (
+        CostRows(np.ones((3, 3)), np.ones((3, 3))),  # three rows for two learners
+        CostRows(np.ones((2, 4)), np.ones((2, 4))),  # four sites, not three
+        CostPair(np.ones(4), np.ones(4)),
+        [CostPair(np.ones(3), np.ones(3))] * 2,  # rows come as CostRows
+    ):
+        batch.play(rngs)
+        with pytest.raises(ConfigError):
+            batch.update(costs)
+    batch.play(rngs)
+    assert len(batch.update(CostRows(np.ones((2, 3)), np.ones((2, 3))))) == 2
 
 
 def test_seeds_share_the_batch_timing_equally():
