@@ -37,7 +37,17 @@ from .experiment import (
     emit_results,
     run_experiment,
 )
-from .game import CostPair, CostRows, GameConfig, SiteSet, facility_loss, row_losses, sort_by_connection_desc
+from .game import (
+    ActionRows,
+    CostPair,
+    CostRows,
+    GameConfig,
+    SiteSet,
+    action_losses,
+    facility_loss,
+    row_losses,
+    sort_by_connection_desc,
+)
 from .learners import (
     BoundedCardinalityLearner,
     DoublingLearner,
@@ -58,6 +68,7 @@ from .surrogate import SurrogateInstance, value_and_gradient
 __version__ = "0.1.0"
 
 __all__ = [
+    "ActionRows",
     "AlgoSpec",
     "BoundedCardinalityLearner",
     "CapExceededError",
@@ -84,6 +95,7 @@ __all__ = [
     "SurrogateInstance",
     "TraceFormatError",
     "TrialRecord",
+    "action_losses",
     "best_fixed_subset",
     "cheapest_singleton_play",
     "config_from_dict",

@@ -22,26 +22,31 @@ import re
 import numpy as np
 
 from .errors import ConfigError, TraceFormatError
-from .game import CostPair, CostRows, GameConfig, SiteSet
+from .game import ActionRows, CostPair, CostRows, GameConfig, SiteSet
 
 SCENARIO_KINDS = ("killer", "iid", "drift", "replay")
 
 
 def killer_rows(n_sites: int, known) -> CostRows:
     """One adaptive trial per row against unit cost ranges (C = D = 1): row r
-    knows the action known[r], or None before any action is known."""
+    knows the action known[r], or None before any action is known. `known`
+    is a sequence of SiteSets or an ActionRows, where an empty row is the
+    unknown action."""
     if n_sites < 1:
         raise ConfigError(f"n_sites must be >= 1, got {n_sites!r}")
-    opening = np.full((len(known), n_sites), 1.0 / math.sqrt(n_sites))
-    connection = np.zeros((len(known), n_sites))
-    ones = []  # flat indices of the connection entries set to 1
-    for r, action in enumerate(known):
-        if action is not None and len(action) <= math.sqrt(n_sites):
-            if action.members[-1] > n_sites:
-                raise ConfigError(f"action {action.members} outside 1..{n_sites}")
-            start = r * n_sites - 1
-            ones.extend([start + i for i in action.members])
-    connection.ravel()[ones] = 1.0
+    if not isinstance(known, ActionRows):
+        known = ActionRows.of([() if action is None else action for action in known])
+    ptr, rows = known.ptr, len(known)
+    opening = np.full((rows, n_sites), 1.0 / math.sqrt(n_sites))
+    connection = np.zeros((rows, n_sites))
+    lengths = ptr[1:] - ptr[:-1]
+    marked = np.repeat(lengths <= math.sqrt(n_sites), lengths)  # the sites of the small actions
+    sites = known.sites[marked]
+    if sites.size:
+        if sites.max() > n_sites:
+            raise ConfigError(f"action site {sites.max()} outside 1..{n_sites}")
+        flat = np.repeat(np.arange(-1, rows * n_sites - 1, n_sites), lengths)[marked] + sites
+        connection.ravel()[flat] = 1.0
     return CostRows(opening, connection)
 
 
@@ -73,9 +78,10 @@ class KillerSource:
     only) each trial's costs are built from the action just played, i.e. the
     adversary moves second; otherwise from the realized previous action.
 
-    One source serves a whole learner batch: given a sequence of actions,
-    one per row, it returns the trial's CostRows and keeps each row's
-    action for the next trial; given one SiteSet, a CostPair."""
+    One source serves a whole learner batch: given one action per row, as
+    a sequence of SiteSets or as ActionRows, it returns the trial's CostRows
+    and keeps each row's action for the next trial; given one SiteSet, a
+    CostPair."""
 
     adaptive = True
 
@@ -86,11 +92,13 @@ class KillerSource:
 
     def costs_for(self, trial: int, actions) -> CostPair | CostRows:
         one = isinstance(actions, SiteSet)
-        rows = (actions,) if one else tuple(actions)
+        rows = actions if isinstance(actions, ActionRows) else ActionRows.of((actions,) if one else actions)
         if self.use_current_action:
             known = rows
         else:
-            known = self._prev if self._prev is not None else (None,) * len(rows)
+            known = self._prev
+            if known is None:  # nothing realized yet: every row empty
+                known = ActionRows(np.zeros(len(rows) + 1, dtype=np.intp), np.empty(0, dtype=np.int64))
             if len(known) != len(rows):
                 raise ConfigError(f"{len(rows)} actions for a source of {len(known)} rows")
         self._prev = rows
@@ -205,18 +213,19 @@ def load_trace(path: str, cfg: GameConfig | None = None) -> list[CostPair]:
 
 
 def save_trace(path: str, costs: list[CostPair]) -> None:
-    """Write the trace CSV format load_trace reads (17 significant digits)."""
+    """Write the trace CSV format load_trace reads (17 significant digits),
+    one row template per trial."""
     if not costs:
         raise ConfigError("cost sequence must be nonempty")
-    n = costs[0].n_sites
+    rows = CostRows.stack(costs)
+    n = rows.n_sites
+    template = "{}" + ",{:.17g}" * (2 * n) + "\n"
+    header = ["t"] + [f"c_{i + 1}" for i in range(n)] + [f"d_{i + 1}" for i in range(n)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t"] + [f"c_{i + 1}" for i in range(n)] + [f"d_{i + 1}" for i in range(n)])
-        for t, cp in enumerate(costs, start=1):
-            if cp.n_sites != n:
-                raise ConfigError(f"trial {t} has {cp.n_sites} sites, expected {n}")
-            writer.writerow(
-                [str(t)]
-                + [format(v, ".17g") for v in cp.opening]
-                + [format(v, ".17g") for v in cp.connection]
+        fh.write(",".join(header) + "\n")
+        fh.writelines(
+            template.format(t, *opening, *connection)
+            for t, opening, connection in zip(
+                range(1, len(costs) + 1), rows.opening.tolist(), rows.connection.tolist()
             )
+        )

@@ -7,21 +7,34 @@ source this is also where the adversary's order of moves is realized).
 
 Seeds drive the learner's own randomness: each seed owns the generator
 `np.random.default_rng(seed)`. All seeds of an experiment run through one
-trial loop. The fl family runs them as the rows of one `LearnerBatch`;
-hedge-exact and ftl-greedy keep one scalar learner per seed behind the same
-interface. Non-adaptive scenarios materialize one cost sequence (from the
-scenario's own seed or a trace file) shared by every learner seed, so one
-sort per trial serves every row and the in-hindsight comparator is common.
-On the adaptive killer one source prices every seed's action as one
-CostRows per trial; each seed's realized costs fill its own (T, N) history,
-and each seed gets its own comparator. Losses are priced row-wise
-(`row_losses`), bit for bit as `facility_loss` prices them. A comparator
-the oracles would refuse is refused before the first trial.
+columnar trial loop, whose Python work per trial does not grow with the
+seed count. The fl family runs the seeds as the rows of one `LearnerBatch`,
+which reads its uniforms through a `UniformStreams`: the generators are
+private to the run, so each row's uniforms are prefetched for about 64
+trials at a time. hedge-exact and ftl-greedy keep one scalar learner per
+seed behind the same row interface and draw from their generators directly.
+A trial's actions are CSR rows (`ActionRows`); the loop records them, with
+each row's surrogate loss and learner state, as (T, S) columns, and keeps
+no per-trial objects.
+
+Non-adaptive scenarios materialize one cost sequence (from the scenario's
+own seed or a trace file) shared by every learner seed, so one sort per
+trial serves every row and the in-hindsight comparator is common. On the
+adaptive killer one source prices every seed's action as one CostRows per
+trial; each seed's realized costs fill its own (T, N) history, and each
+seed gets its own comparator. Losses do not feed back into play, so they
+are priced after the loop, one `action_losses` call per seed over its whole
+history, bit for bit as `facility_loss` prices them. A comparator the
+oracles would refuse is refused before the first trial.
+
+Each seed's run is a `SeedRun` of per-trial columns. Its `records` is a
+view that builds `TrialRecord`s only when read; `emit_results` writes the
+trial CSVs straight from the columns, one row template per line.
 
 A seed's `per_trial_median_ms` is the median over trials of the loop's
 play + update time divided by the number of seeds, and its `wall_time_s` is
-the loop's wall time divided by the number of seeds, so the seeds' wall
-times sum to the loop's.
+the wall time of the loop and the loss pricing divided by the number of
+seeds, so the seeds' wall times sum to the loop's.
 """
 from __future__ import annotations
 
@@ -29,14 +42,16 @@ import json
 import math
 import os
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import stats
 
 from .adversaries import KillerSource, generate_scenario, load_trace, save_trace
 from .errors import ConfigError
-from .game import CostPair, CostRows, GameConfig, SiteSet, row_losses
+from .game import ActionRows, CostPair, CostRows, GameConfig, SiteSet, action_losses
 from .learners import KINDS, LearnerBatch, half_log_ceil
 from .oracles import (
     BRUTE_FORCE_SITE_CAP,
@@ -46,6 +61,7 @@ from .oracles import (
     comparator_cardinalities,
     ftl_greedy_play,
 )
+from .sampler import UniformStreams
 
 ALGO_NAMES = ("fl", "fl-fixed", "fl-bounded", "hedge-exact", "ftl-greedy")
 DETERMINISTIC_ALGOS = frozenset({"ftl-greedy"})
@@ -142,21 +158,22 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 
 class PerSeedLearners:
     """One scalar learner per seed behind the batch interface of
-    `LearnerBatch`: play(rngs), update(costs), state()."""
+    `LearnerBatch`: play(rngs), update(costs), state_rows()."""
 
     def __init__(self, learners: list):
         self.learners = learners
 
-    def play(self, rngs) -> list[SiteSet]:
-        return [lrn.play(rng) for lrn, rng in zip(self.learners, rngs)]
+    def play(self, rngs) -> ActionRows:
+        return ActionRows.of([lrn.play(rng) for lrn, rng in zip(self.learners, rngs)])
 
     def update(self, costs: CostPair | CostRows) -> list:
         if isinstance(costs, CostPair):
             return [lrn.update(costs) for lrn in self.learners]
         return [lrn.update(costs.pair(r)) for r, lrn in enumerate(self.learners)]
 
-    def state(self) -> list[tuple]:
-        return [lrn.state() for lrn in self.learners]
+    def state_rows(self) -> tuple[None, None, None]:
+        """No doubling and no cardinality."""
+        return None, None, None
 
 
 def build_learner(config: ExperimentConfig):
@@ -176,7 +193,7 @@ class TrialRecord:
     trial: int
     action: SiteSet
     loss: float
-    surrogate_loss: float | None  # fl family only
+    surrogate_loss: float | None  # fl family; hedge-exact reports its expected loss
     scale: int | None  # doubling guess (fl only)
     cardinality: int | None  # budget in force (fl family)
     segment: int | None  # fl only
@@ -184,13 +201,48 @@ class TrialRecord:
 
 @dataclass
 class SeedRun:
+    """One seed's run as columns with one entry per trial. A column the algo
+    does not report is None: surrogate losses outside the fl family and
+    hedge-exact, the budget outside the fl family, scale and segment
+    outside fl."""
+
     seed: int
-    records: list[TrialRecord]
+    actions: ActionRows  # one row per trial
+    losses: np.ndarray
+    surrogate_losses: np.ndarray | None
+    scales: np.ndarray | None  # the state in force when the trial was played
+    cardinalities: np.ndarray | None
+    segments: np.ndarray | None
     cumulative_loss: float
     wall_time_s: float
     per_trial_median_ms: float
     segment_starts: list[int] | None
     realized_costs: CostRows | None  # one row per trial, kept only when the source adapts
+
+    @cached_property
+    def records(self) -> "TrialRecords":
+        """The trials as TrialRecords, built as they are read."""
+        return TrialRecords(self)
+
+
+class TrialRecords(Sequence):
+    """Read-only view of a SeedRun's columns as one TrialRecord per trial."""
+
+    def __init__(self, run: SeedRun):
+        self._actions = run.actions
+        self._columns = [
+            [None] * len(run.losses) if column is None else column.tolist()
+            for column in (run.losses, run.surrogate_losses, run.scales, run.cardinalities, run.segments)
+        ]
+
+    def __len__(self) -> int:
+        return len(self._actions)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        t = range(len(self))[index]
+        return TrialRecord(t + 1, self._actions[t], *(column[t] for column in self._columns))
 
 
 @dataclass
@@ -214,55 +266,99 @@ class RunResult:
 
 
 def _run_seeds(config: ExperimentConfig, shared_costs: list[CostPair] | None) -> list[SeedRun]:
-    """Every seed of the experiment through one trial loop."""
+    """Every seed of the experiment through one columnar trial loop. A
+    trial plays every row at once as CSR actions and records them with the
+    rows' surrogate losses and state as (T, S) columns, so the loop's Python
+    work per trial does not grow with the seed count. Losses depend on the
+    actions and costs alone, so they are priced once after the loop, one
+    call per seed over its whole history."""
     cfg, seeds = config.game, config.seeds
-    rows = len(seeds)
+    rows, horizon = len(seeds), cfg.horizon
     learner = build_learner(config)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    if isinstance(learner, LearnerBatch):
+        rngs = UniformStreams(seeds)  # the generators are private to this run
+    else:
+        rngs = [np.random.default_rng(seed) for seed in seeds]
     adaptive = shared_costs is None
     if adaptive:
         source = KillerSource(cfg.n_sites, config.algo.name in DETERMINISTIC_ALGOS)
-        realized = np.empty((2, rows, cfg.horizon, cfg.n_sites))  # opening, connection
-    records: list[list[TrialRecord]] = [[] for _ in seeds]
-    cumulative = [0.0] * rows
-    per_trial = np.empty(cfg.horizon)
+        realized = np.empty((2, rows, horizon, cfg.n_sites))  # opening, connection
+    values = np.empty((horizon, rows))
+    reported = False  # whether the learners return update values
+    states = [None if a is None else np.empty((horizon, rows), dtype=np.int64) for a in learner.state_rows()]
+    ptrs = np.empty((horizon, rows + 1), dtype=np.intp)
+    sites = []
+    per_trial = np.empty(horizon)
     wall_start = time.perf_counter()
-    for t in range(1, cfg.horizon + 1):
-        states = learner.state()
+    for t in range(horizon):
+        for column, state in zip(states, learner.state_rows()):
+            if column is not None:
+                column[t] = state
         t0 = time.perf_counter()
         actions = learner.play(rngs)
         t1 = time.perf_counter()
         if adaptive:
-            costs = source.costs_for(t, actions)
-            realized[0, :, t - 1] = costs.opening
-            realized[1, :, t - 1] = costs.connection
+            costs = source.costs_for(t + 1, actions)
+            realized[0, :, t] = costs.opening
+            realized[1, :, t] = costs.connection
         else:
-            costs = shared_costs[t - 1]
-        losses = row_losses(costs, actions)
+            costs = shared_costs[t]
         t2 = time.perf_counter()
-        surrogate_losses = learner.update(costs)
+        trial_values = learner.update(costs)
         t3 = time.perf_counter()
-        per_trial[t - 1] = ((t1 - t0) + (t3 - t2)) / rows
-        for r, (action, loss, surrogate_loss, state) in enumerate(
-            zip(actions, losses, surrogate_losses, states)
-        ):
-            cumulative[r] += loss
-            records[r].append(TrialRecord(t, action, loss, surrogate_loss, *state))
+        per_trial[t] = ((t1 - t0) + (t3 - t2)) / rows
+        if trial_values[0] is not None:  # ftl-greedy reports no values
+            values[t] = trial_values
+            reported = True
+        ptrs[t] = actions.ptr
+        sites.append(actions.sites)
+    by_seed = _actions_by_seed(np.diff(ptrs, axis=1), np.concatenate(sites))
+    if adaptive:
+        histories = [CostRows(realized[0, r], realized[1, r]) for r in range(rows)]
+    else:
+        histories = [CostRows.stack(shared_costs)] * rows
+    losses = np.array([action_losses(history, actions) for history, actions in zip(histories, by_seed)])
     wall = (time.perf_counter() - wall_start) / rows
     median_ms = float(np.median(per_trial) * 1e3)
     starts = learner.segment_starts if config.algo.name == "fl" else [None] * rows
+    # a sequential sum along each row, as adding trial by trial would give
+    cumulative = np.cumsum(losses, axis=1)[:, -1].tolist()
+    columns = [None if c is None else np.ascontiguousarray(c.T) for c in [values if reported else None, *states]]
     return [
         SeedRun(
             seed=seed,
-            records=records[r],
+            actions=by_seed[r],
+            losses=losses[r],
+            surrogate_losses=None if columns[0] is None else columns[0][r],
+            scales=None if columns[1] is None else columns[1][r],
+            cardinalities=None if columns[2] is None else columns[2][r],
+            segments=None if columns[3] is None else columns[3][r],
             cumulative_loss=cumulative[r],
             wall_time_s=wall,
             per_trial_median_ms=median_ms,
             segment_starts=starts[r],
-            realized_costs=CostRows(realized[0, r], realized[1, r]) if adaptive else None,
+            realized_costs=histories[r] if adaptive else None,
         )
         for r, seed in enumerate(seeds)
     ]
+
+
+def _actions_by_seed(lengths: np.ndarray, sites: np.ndarray) -> list[ActionRows]:
+    """Per-seed ActionRows, one row per trial, from the (T, S) action
+    lengths and the sites of every trial's rows in trial-major order."""
+    horizon, rows = lengths.shape
+    starts = (np.cumsum(lengths.ravel()) - lengths.ravel()).reshape(horizon, rows)
+    by_seed = lengths.T.ravel()  # seed-major lengths
+    first = np.cumsum(by_seed) - by_seed
+    order = np.repeat(starts.T.ravel() - first, by_seed) + np.arange(by_seed.sum())
+    seed_sites = sites[order]
+    seed_ptr = np.zeros(horizon * rows + 1, dtype=np.intp)
+    np.cumsum(by_seed, out=seed_ptr[1:])
+    out = []
+    for r in range(rows):
+        ptr = seed_ptr[r * horizon : (r + 1) * horizon + 1]
+        out.append(ActionRows(ptr - ptr[0], seed_sites[ptr[0] : ptr[-1]]))
+    return out
 
 
 def _comparator_restriction(config: ExperimentConfig) -> tuple[int | None, int | None, str]:
@@ -280,7 +376,8 @@ def _comparator_for(history: list[CostPair] | CostRows, config: ExperimentConfig
     if _comparator_is_greedy(config):
         greedy = ftl_greedy_play(history)
         rows = history if isinstance(history, CostRows) else CostRows.stack(history)
-        return greedy.members, float(sum(row_losses(rows, [greedy] * len(rows)))), True
+        losses = action_losses(rows, ActionRows.repeated(greedy, len(rows)))
+        return greedy.members, float(sum(losses.tolist())), True
     subset, loss = best_fixed_subset(history, max_card=max_card, exact_card=exact_card)
     return subset.members, loss, False
 
@@ -366,7 +463,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     eff_config = config
     if config.algo.name == "fl":
         # reference bound at the final segment's budget (max across seeds)
-        final_budget = max(sr.records[-1].cardinality for sr in seed_runs)
+        final_budget = max(int(sr.cardinalities[-1]) for sr in seed_runs)
         eff_config = replace(config, algo=AlgoSpec("fl-bounded", final_budget))
         bound_name, scale_factor, penalty = bound_terms(eff_config, comparator_loss)
         bound_name = "bounded-cardinality (reference)"
@@ -397,73 +494,82 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     )
 
 
-def _fmt(x) -> str:
-    """CSV cell: floats at 17 significant digits, None as empty."""
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
 TRIAL_CSV_HEADER = "seed,trial,action,loss,lambda,theta,k,segment"
 CURVE_CSV_HEADER = "trial,mean_cumulative_loss,comparator_scaled_cumulative,regret,bound"
 
 
+def _csv_lines(columns):
+    """CSV lines from per-row columns, one str.format template for every
+    line: each (values, spec) column is a cell formatted with spec (".17g"
+    for floats, "" for integers and text), and a None column is empty."""
+    template = ",".join("" if values is None else "{:%s}" % spec for values, spec in columns) + "\n"
+    return map(template.format, *(values for values, _ in columns if values is not None))
+
+
+def _listed(column: np.ndarray | None) -> list | None:
+    return None if column is None else column.tolist()
+
+
+def _action_strings(actions: ActionRows, cache: dict) -> list[str]:
+    """Each row's sites joined by ';', formatted once per distinct action."""
+    ptr, sites = actions.ptr.tolist(), actions.sites.tolist()
+    out = []
+    for a, b in zip(ptr, ptr[1:]):
+        members = tuple(sites[a:b])
+        text = cache.get(members)
+        if text is None:
+            text = cache[members] = ";".join(map(str, members))
+        out.append(text)
+    return out
+
+
 def emit_results(result: RunResult, prefix: str) -> list[str]:
     """Write per-seed trial CSVs, the aggregate JSON, the regret-curve CSV,
-    and (non-adaptive scenarios) the scenario trace. Returns written paths."""
+    and (non-adaptive scenarios) the scenario trace. Returns written paths.
+    The CSVs are written from the run's columns, one template per line."""
     directory = os.path.dirname(prefix)
     if directory:
         os.makedirs(directory, exist_ok=True)
     paths = []
 
+    t = result.config.game.horizon
+    cache: dict[tuple[int, ...], str] = {}
     for sr in result.seed_runs:
+        lines = _csv_lines(
+            [
+                ([sr.seed] * t, ""),
+                (range(1, t + 1), ""),
+                (_action_strings(sr.actions, cache), ""),
+                (sr.losses.tolist(), ".17g"),
+                (_listed(sr.surrogate_losses), ".17g"),
+                (_listed(sr.scales), ""),
+                (_listed(sr.cardinalities), ""),
+                (_listed(sr.segments), ""),
+            ]
+        )
         path = f"{prefix}.trials.seed{sr.seed}.csv"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(TRIAL_CSV_HEADER + "\n")
-            for rec in sr.records:
-                fh.write(
-                    ",".join(
-                        [
-                            str(sr.seed),
-                            str(rec.trial),
-                            ";".join(str(i) for i in rec.action.members),
-                            _fmt(rec.loss),
-                            _fmt(rec.surrogate_loss),
-                            _fmt(rec.scale),
-                            _fmt(rec.cardinality),
-                            _fmt(rec.segment),
-                        ]
-                    )
-                    + "\n"
-                )
+            fh.writelines(lines)
         paths.append(path)
 
-    t = result.config.game.horizon
-    loss_matrix = np.array([[rec.loss for rec in sr.records] for sr in result.seed_runs])
+    loss_matrix = np.array([sr.losses for sr in result.seed_runs])
     mean_curve = loss_matrix.cumsum(axis=1).mean(axis=0)
-    comp_curve = None
+    comp = regret = bound = None
     if result.comparator_members is not None and result.scenario_costs is not None:
         comp_set = SiteSet(result.comparator_members)
-        comp_losses = np.array(row_losses(CostRows.stack(result.scenario_costs), [comp_set] * t))
+        comp_losses = action_losses(CostRows.stack(result.scenario_costs), ActionRows.repeated(comp_set, t))
         comp_curve = result.scale_factor * comp_losses.cumsum()
+        comp, regret = comp_curve.tolist(), (mean_curve - comp_curve).tolist()
+        if result.penalty_term is not None:
+            bound = (comp_curve + result.penalty_term).tolist()
+    lines = _csv_lines(
+        [(range(1, t + 1), ""), (mean_curve.tolist(), ".17g"), (comp, ".17g"), (regret, ".17g"), (bound, ".17g")]
+    )
     curve_path = f"{prefix}.regret_curve.csv"
     with open(curve_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CURVE_CSV_HEADER + "\n")
-        for i in range(t):
-            cells = [str(i + 1), _fmt(float(mean_curve[i]))]
-            if comp_curve is not None:
-                regret = float(mean_curve[i] - comp_curve[i])
-                cells.append(_fmt(float(comp_curve[i])))
-                cells.append(_fmt(regret))
-                if result.penalty_term is not None:
-                    cells.append(_fmt(float(comp_curve[i] + result.penalty_term)))
-                else:
-                    cells.append("")
-            else:
-                cells.extend(["", "", ""])
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(lines)
     paths.append(curve_path)
 
     if result.scenario_costs is not None:

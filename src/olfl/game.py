@@ -177,34 +177,94 @@ def facility_loss(costs: CostPair, sites: SiteSet) -> float:
     return float(costs.opening[idx].sum() + costs.connection[idx].min())
 
 
-def row_losses(costs: CostPair | CostRows, actions) -> list[float]:
-    """facility_loss of each action, bit for bit: actions[r] priced on row r
-    of CostRows, or every action on one shared CostPair.
+@dataclass(frozen=True, eq=False)
+class ActionRows:
+    """One action per row as CSR arrays: row r plays the 1-based sites
+    `sites[ptr[r]:ptr[r + 1]]`, strictly increasing. A row may be empty only
+    where a consumer says so (the killer's "nothing known yet").
+
+    It reads as a sequence of SiteSets, built as they are read, and equals
+    any sequence of the same SiteSets. The learner batch plays its actions
+    in this form straight from the sorted pass that deduplicates its draws.
+    """
+
+    ptr: np.ndarray
+    sites: np.ndarray
+
+    def __len__(self) -> int:
+        return self.ptr.size - 1
+
+    def __getitem__(self, row: int) -> SiteSet:
+        row = range(len(self))[row]
+        return SiteSet(tuple(self.sites[self.ptr[row] : self.ptr[row + 1]].tolist()))
+
+    def __iter__(self) -> Iterator[SiteSet]:
+        ptr, sites = self.ptr.tolist(), self.sites.tolist()
+        return (SiteSet(tuple(sites[a:b])) for a, b in zip(ptr, ptr[1:]))
+
+    def __eq__(self, other) -> bool:
+        try:
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        except TypeError:
+            return NotImplemented
+
+    __hash__ = None
+
+    @classmethod
+    def of(cls, actions) -> "ActionRows":
+        """The rows of a sequence of SiteSets (or of sorted index tuples)."""
+        lengths = [len(a) for a in actions]
+        ptr = np.zeros(len(lengths) + 1, dtype=np.intp)
+        np.cumsum(lengths, out=ptr[1:])
+        return cls(ptr, np.fromiter((i for a in actions for i in a), dtype=np.int64, count=int(ptr[-1])))
+
+    @classmethod
+    def repeated(cls, action: SiteSet, rows: int) -> "ActionRows":
+        """`action` on each of `rows` rows."""
+        return cls(np.arange(rows + 1) * len(action), np.tile(np.asarray(action.members), rows))
+
+
+def action_losses(costs: CostPair | CostRows, actions: ActionRows) -> np.ndarray:
+    """facility_loss of each action, bit for bit: row r of `actions` priced
+    on row r of CostRows, or every row on one shared CostPair.
 
     Rows are grouped by member count, and each group is one (rows, m)
     gather summed and minimized along its rows, which sums each row exactly
     as the one-row sum does.
     """
     n = costs.n_sites
-    stride = 0 if isinstance(costs, CostPair) else n  # row r starts at r * stride
-    if stride and len(costs) != len(actions):
-        raise ConfigError(f"{len(costs)} cost rows for {len(actions)} actions")
-    groups: dict[int, tuple[list[int], list[int]]] = {}  # member count -> rows, flat indices
-    for r, sites in enumerate(actions):
-        members = sites.members
-        if members[-1] > n:
-            raise InvalidActionError(f"site {members[-1]} outside instance with {n} sites")
-        rows, flat = groups.setdefault(len(members), ([], []))
-        rows.append(r)
-        start = r * stride - 1
-        flat.extend([start + i for i in members])
+    ptr, sites = actions.ptr, actions.sites
+    rows = ptr.size - 1
+    shared = isinstance(costs, CostPair)
+    if not shared and len(costs) != rows:
+        raise ConfigError(f"{len(costs)} cost rows for {rows} actions")
+    if not rows:
+        return np.empty(0)
+    lengths = ptr[1:] - ptr[:-1]
+    by_length = np.bincount(lengths)
+    if by_length[0]:
+        raise InvalidActionError("site set must be nonempty")
+    if sites.max() > n:
+        raise InvalidActionError(f"site {sites.max()} outside instance with {n} sites")
+    flat = sites - 1
+    if not shared:  # index the raveled (rows, N) arrays
+        flat += np.repeat(np.arange(0, rows * n, n), lengths)
     opening, connection = costs.opening.ravel(), costs.connection.ravel()
-    losses = [0.0] * len(actions)
-    for rows, flat in groups.values():
-        idx = np.array(flat, dtype=np.intp).reshape(len(rows), -1)
-        for r, loss in zip(rows, (opening[idx].sum(axis=1) + connection[idx].min(axis=1)).tolist()):
-            losses[r] = loss
+    distinct = np.flatnonzero(by_length).tolist()
+    if len(distinct) == 1:
+        idx = flat.reshape(rows, distinct[0])
+        return opening[idx].sum(axis=1) + connection[idx].min(axis=1)
+    losses = np.empty(rows)
+    for m in distinct:
+        group = np.flatnonzero(lengths == m)
+        idx = flat[ptr[group, None] + np.arange(m)]
+        losses[group] = opening[idx].sum(axis=1) + connection[idx].min(axis=1)
     return losses
+
+
+def row_losses(costs: CostPair | CostRows, actions) -> list[float]:
+    """action_losses of a sequence of SiteSets, one per row, as floats."""
+    return action_losses(costs, ActionRows.of(actions)).tolist()
 
 
 def sort_by_connection_desc(connection) -> np.ndarray:

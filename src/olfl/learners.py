@@ -3,13 +3,17 @@
 `LearnerBatch` runs S independent learners of one kind as one array
 program over an (S, n) weight array. Row r is one learner: its weights, its
 draw count, learning rate and gradient bound, and for `fl` its scale guess,
-accumulator and segment. Each trial makes one row-wise pass per stage: every
-row draws its sites from its own generator; the costs are sorted once when
-all rows share them, row-wise when each row has its own; the surrogate
-value and gradient and the exponentiated-gradient step run on all rows at
-once; and doubling restarts reset the rows that crossed their threshold
-through a mask. Rows never mix, so a row follows the same trajectory
-whichever rows share its batch.
+accumulator and segment. Each trial makes one row-wise pass per stage,
+with a number of numpy calls that does not grow with S: every row draws its
+sites in one flat inverse-CDF search, reading its uniforms from its own
+generator (or from its row of a `UniformStreams`, which prefetches them;
+only generators private to one run may be read that way, since prefetching
+leaves them ahead); one sorted pass deduplicates the draws into CSR actions
+(`play` returns `ActionRows`, which reads as one SiteSet per row); the costs are sorted once when all rows share them, row-wise when
+each row has its own; the surrogate value and gradient and the
+exponentiated-gradient step run on all rows at once; and doubling restarts
+reset the rows that crossed their threshold through a mask. Rows never mix,
+so a row follows the same trajectory whichever rows share its batch.
 
 Kinds:
 
@@ -30,8 +34,9 @@ Kinds:
   crosses 2 * (a + b) * scale * sqrt(ln(2N) * T).
 
 FixedCardinalityLearner, BoundedCardinalityLearner and DoublingLearner are
-batches of one behind the scalar play(rng) / update(costs) interface. Every
-learner enforces strict play/update alternation.
+batches of one behind the scalar play(rng) / update(costs) interface. They
+draw from the caller's generator, which advances by exactly num_draws
+uniforms per play. Every learner enforces strict play/update alternation.
 """
 from __future__ import annotations
 
@@ -41,8 +46,8 @@ import numpy as np
 
 from .eg import eg_rows, starting_point
 from .errors import ConfigError, ProtocolError
-from .game import CostPair, CostRows, GameConfig, SiteSet
-from .sampler import draw_rows
+from .game import ActionRows, CostPair, CostRows, GameConfig, SiteSet
+from .sampler import draw_flat
 from .sampler import sample_site_multiset  # noqa: F401  kept: the benchmark's span tracer looks it up here
 from .surrogate import surrogate_rows
 
@@ -54,11 +59,6 @@ def half_log_ceil(horizon: int) -> int:
     return max(1, math.ceil(math.log(horizon) / 2.0))
 
 
-def _append_column(a: np.ndarray, value: float) -> np.ndarray:
-    """a with `value` appended to its last axis (to each row of a 2-D a)."""
-    return np.concatenate([a, np.full(a.shape[:-1] + (1,), value)], axis=-1)
-
-
 class LearnerBatch:
     """`rows` independent facility learners of one kind, one per row.
 
@@ -68,8 +68,10 @@ class LearnerBatch:
     fl-bounded; fl derives each row's budget from its scale guess.
 
     Memory is the (S, n) weights plus a 4 x (S, n) work space that the
-    surrogate reuses every trial, so a trial allocates no other S x n
-    temporaries besides the new weights, the sort and the sampler's sums.
+    surrogate reuses every trial, and outside fl-fixed a 2 x (S, n) cost
+    buffer whose aggregate-dummy column is written once, so a trial
+    allocates no other S x n temporaries besides the new weights, the sort
+    and the sampler's sums.
     """
 
     def __init__(self, cfg: GameConfig, kind: str, rows: int, cardinality: int | None = None):
@@ -96,6 +98,13 @@ class LearnerBatch:
         self._awaiting_update = False
         self.w = np.tile(self._start, (rows, 1))
         self._scratch = np.empty((4,) + self.w.shape)  # the surrogate's work space
+        self._pair_costs = self._row_costs = None  # opening, connection on the extended game
+        if kind != "fl-fixed":
+            # the aggregate dummy's opening 0 and connection C + D are written
+            # once; each trial copies the real columns in front of them
+            self._pair_costs = np.zeros((2, n + 1))
+            self._row_costs = np.zeros((2, rows, n + 1))
+            self._pair_costs[1, n] = self._row_costs[1, :, n] = c + d
         self.scale = None  # no doubling state outside fl
         if kind == "fl":
             self.slope = self._draws_per_unit * (4.0 * c + 2.0 * d)  # a
@@ -115,6 +124,12 @@ class LearnerBatch:
         """Per-row draw count, gradient bound and learning rate from the
         row's cardinality."""
         self.num_draws = self.cardinality * self._draws_per_unit
+        # the sampler's count: one int while every row draws alike
+        first = int(self.num_draws[0])
+        self._draws = first if (self.num_draws == first).all() else self.num_draws
+        stride = self.cfg.n_sites + 1  # row r's draw of site i is key r * stride + i
+        self._row_starts = np.arange(0, (self.rows + 1) * stride, stride)
+        self._draw_offsets = np.repeat(self._row_starts[:-1], self._draws)
         self.grad_bound = (self.cfg.opening_max + self.cfg.connection_max) * self.num_draws
         self.lr = self._rate / self.grad_bound
 
@@ -140,26 +155,37 @@ class LearnerBatch:
     def state(self) -> list[tuple[int | None, int, int | None]]:
         """(scale, cardinality, segment) per row; scale and segment are None
         outside fl."""
-        if self.scale is None:
-            return [(None, k, None) for k in self.cardinality.tolist()]
-        return list(zip(self.scale.tolist(), self.cardinality.tolist(), self.segment.tolist()))
+        scale, cardinality, segment = self.state_rows()
+        if scale is None:
+            return [(None, k, None) for k in cardinality.tolist()]
+        return list(zip(scale.tolist(), cardinality.tolist(), segment.tolist()))
 
-    def play(self, rngs) -> list[SiteSet]:
-        """One action per row, row r drawing from generator rngs[r]."""
+    def state_rows(self) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
+        """The per-row (scale, cardinality, segment) arrays, live; scale and
+        segment are None outside fl."""
+        if self.scale is None:
+            return None, self.cardinality, None
+        return self.scale, self.cardinality, self.segment
+
+    def play(self, rngs) -> ActionRows:
+        """One action per row, row r drawing from generator rngs[r], or from
+        row r of a `UniformStreams`."""
         if self._awaiting_update:
             raise ProtocolError("play called again before update")
         if len(rngs) != self.rows:
             raise ConfigError(f"{len(rngs)} generators for {self.rows} rows")
         self._awaiting_update = True
-        draws = draw_rows(self.w, self.num_draws, rngs)
         # one sorted pass keeps each row's distinct sites, in row order
+        keys = np.unique(draw_flat(self.w, self._draws, rngs) + self._draw_offsets)
         stride = self.cfg.n_sites + 1
-        offsets = np.repeat(np.arange(0, self.rows * stride, stride), self.num_draws)
-        row, site = np.divmod(np.unique(np.concatenate(draws) + offsets), stride)
-        real = site <= self.n_real
-        ends = np.bincount(row[real], minlength=self.rows).cumsum().tolist()
-        sites = site[real].tolist()
-        return [SiteSet(tuple(sites[a:b]) or (1,)) for a, b in zip([0] + ends[:-1], ends)]
+        real = keys[keys % stride <= self.n_real]  # a dummy draw is stripped
+        ptr = real.searchsorted(self._row_starts)
+        if real.size < keys.size:
+            empty = np.flatnonzero(ptr[1:] == ptr[:-1])
+            if empty.size:  # {1} where nothing real was drawn
+                real = np.sort(np.concatenate([real, self._row_starts[empty] + 1]))
+                ptr = real.searchsorted(self._row_starts)
+        return ActionRows(ptr, real % stride)
 
     def update(self, costs: CostPair | CostRows) -> list[float]:
         """Surrogate step on this trial's costs, one CostPair shared by every
@@ -175,9 +201,11 @@ class LearnerBatch:
         if costs.n_sites != self.n_real:
             raise ConfigError(f"costs for {costs.n_sites} sites, expected {self.n_real}")
         opening, connection = costs.opening, costs.connection
-        if self.cfg.n_sites > self.n_real:
-            opening = _append_column(opening, 0.0)
-            connection = _append_column(connection, self.cfg.connection_max)
+        if self._pair_costs is not None:
+            extended = self._pair_costs if isinstance(costs, CostPair) else self._row_costs
+            extended[0, ..., : self.n_real] = opening
+            extended[1, ..., : self.n_real] = connection
+            opening, connection = extended
         # the surrogate does not depend on how tied connection costs are
         # ordered, so the faster unstable sort serves here
         order = np.argsort(-connection, axis=-1)

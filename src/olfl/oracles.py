@@ -147,7 +147,11 @@ def ftl_greedy_play(history) -> SiteSet:
     strictly drops. {1} on an empty history."""
     if not history:
         return SiteSet((1,))
-    opening, connection = _history_arrays(history)
+    return _greedy_leader(*_history_arrays(history))
+
+
+def _greedy_leader(opening: np.ndarray, connection: np.ndarray) -> SiteSet:
+    """ftl_greedy_play on a nonempty (T, N) history."""
     cum_open = opening.sum(axis=0)
     totals = cum_open + connection.sum(axis=0)
     best = int(np.argmin(totals))
@@ -169,24 +173,34 @@ def ftl_greedy_play(history) -> SiteSet:
 
 
 class FollowTheLeaderGreedy:
-    """Deterministic baseline: replays the greedy leader of the history."""
+    """Deterministic baseline: replays the greedy leader of the history.
+
+    The history is a preallocated (2, T, N) array of opening and connection
+    costs, doubled if updates run past the horizon; each play reads its
+    first t trials in place."""
 
     def __init__(self, cfg: GameConfig):
         self.cfg = cfg
-        self._history: list[CostPair] = []
+        self._history = np.empty((2, cfg.horizon, cfg.n_sites))
+        self._trials = 0
         self._awaiting_update = False
 
     def play(self, rng=None) -> SiteSet:
         if self._awaiting_update:
             raise ProtocolError("play called again before update")
         self._awaiting_update = True
-        return ftl_greedy_play(self._history)
+        t = self._trials
+        return _greedy_leader(self._history[0, :t], self._history[1, :t]) if t else SiteSet((1,))
 
     def update(self, costs: CostPair) -> None:
         if not self._awaiting_update:
             raise ProtocolError("update called before play")
         self._awaiting_update = False
-        self._history.append(costs)
+        if self._trials == self._history.shape[1]:
+            self._history = np.concatenate([self._history, np.empty_like(self._history)], axis=1)
+        self._history[0, self._trials] = costs.opening
+        self._history[1, self._trials] = costs.connection
+        self._trials += 1
         return None
 
     def state(self) -> tuple[None, None, None]:

@@ -323,13 +323,15 @@ def run_deterministic_against_killer(play_fn, n_sites: int, horizon: int):
     adversary (which sees each action before pricing it). Returns
     (average loss, history, actions)."""
     source = KillerSource(n_sites, use_current_action=True)
+    seen = np.empty((2, horizon, n_sites))  # the history so far, read in place by play_fn
     history: list[CostPair] = []
     actions: list[SiteSet] = []
     total = 0.0
-    for t in range(1, horizon + 1):
-        action = play_fn(history)
-        costs = source.costs_for(t, action)
+    for t in range(horizon):
+        action = play_fn(CostRows(seen[0, :t], seen[1, :t]) if t else history)
+        costs = source.costs_for(t + 1, action)
         total += facility_loss(costs, action)
+        seen[0, t], seen[1, t] = costs.opening, costs.connection
         history.append(costs)
         actions.append(action)
     return total / horizon, history, actions

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olfl import AlgoSpec, ConfigError, CostPair, CostRows, ExperimentConfig, GameConfig, ScenarioSpec, run_experiment
-from olfl.learners import KINDS, LearnerBatch
+from olfl.learners import KINDS, BoundedCardinalityLearner, DoublingLearner, FixedCardinalityLearner, LearnerBatch
 from olfl.surrogate import surrogate_rows
 
 BOUNDED_ACTIONS = [
@@ -190,3 +190,20 @@ def test_seeds_share_the_batch_timing_equally():
     # the seeds' shares sum to the loop's wall time, inside the whole run's
     assert 0.0 < sum(run.wall_time_s for run in runs) <= elapsed
     assert runs[0].per_trial_median_ms * 1e-3 * config.game.horizon <= runs[0].wall_time_s
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_batch_of_one_reads_exactly_its_draws_from_the_callers_generator(data):
+    n = data.draw(st.integers(1, 6))
+    cfg = GameConfig(n, data.draw(st.sampled_from([2, 60, 500])), 1.0, 1.0)
+    kind = data.draw(st.sampled_from([FixedCardinalityLearner, BoundedCardinalityLearner, DoublingLearner]))
+    learner = kind(cfg) if kind is DoublingLearner else kind(cfg, data.draw(st.integers(1, n)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    top = CostPair(np.ones(n), np.ones(n))  # the costliest trial, which drives fl to restart
+    for _ in range(data.draw(st.integers(1, 6))):
+        twin.random(learner.num_draws)
+        learner.play(rng)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        learner.update(top)

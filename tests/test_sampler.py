@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from olfl import ConfigError, InvalidDistributionError, draw_sites, sample_site_multiset
-from olfl.sampler import draw_rows
+from olfl.sampler import PREFETCH_TRIALS, UniformStreams, draw_flat, draw_rows, search_rows
+
+TOP = np.nextafter(1.0, 0.0)  # the largest uniform a generator can return
 
 
 class _TopUniform:
@@ -115,3 +119,57 @@ def test_row_draws_check_every_row_and_match_single_draws():
             draw_rows(q, (1, 1, 1), rngs)
     with pytest.raises(ConfigError):
         draw_rows(p, (1, 0, 1), rngs)
+
+
+class _Given:
+    """Stub generator handing out the given uniforms in order."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, size):
+        out, self.values = self.values[:size], self.values[size:]
+        return out
+
+
+def _counts(data, rows, top):
+    """One count for every row, as an int, or one count per row."""
+    return data.draw(st.one_of(st.integers(1, top), st.lists(st.integers(1, top), min_size=rows, max_size=rows)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_flat_search_equals_the_per_row_search(data):
+    rows, n = data.draw(st.integers(2, 6)), data.draw(st.integers(1, 9))
+    # integer weights give exact zeros inside a row and trailing zero mass
+    weights = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any)
+    p = np.array([data.draw(weights) for _ in range(rows)], dtype=float)
+    p /= p.sum(axis=1, keepdims=True)
+    counts = _counts(data, rows, 6)
+    per_row = np.broadcast_to(counts, rows).tolist()
+    uniform = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.0, TOP]))
+    u = [np.array(data.draw(st.lists(uniform, min_size=c, max_size=c))) for c in per_row]
+    cdf = np.cumsum(p, axis=1)
+    expected = np.concatenate([cdf[r].searchsorted(u[r] * cdf[r, -1], side="right") + 1 for r in range(rows)])
+    flat = search_rows(cdf, counts, np.concatenate(u))
+    assert np.array_equal(flat, expected)
+    assert np.array_equal(draw_flat(p, counts, [_Given(ur) for ur in u]), expected)
+    assert (p[np.repeat(np.arange(rows), per_row), flat - 1] > 0).all()  # never a zero-mass site
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_prefetched_streams_equal_per_call_draws(data):
+    rows = data.draw(st.integers(1, 4))
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=rows, max_size=rows, unique=True))
+    streams = UniformStreams(seeds)
+    generators = [np.random.default_rng(seed) for seed in seeds]
+    # runs of calls at one draw pattern, long enough to cross refills, and
+    # pattern changes as doubling restarts make them
+    for _ in range(data.draw(st.integers(1, 4))):
+        counts = _counts(data, rows, 8)
+        if not isinstance(counts, int):
+            counts = np.array(counts)
+        for _ in range(data.draw(st.integers(1, 2 * PREFETCH_TRIALS))):
+            expected = [g.random(c) for g, c in zip(generators, np.broadcast_to(counts, rows).tolist())]
+            assert np.array_equal(streams.take(counts), np.concatenate(expected))
