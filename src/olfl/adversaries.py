@@ -217,15 +217,11 @@ def save_trace(path: str, costs: list[CostPair]) -> None:
     one row template per trial."""
     if not costs:
         raise ConfigError("cost sequence must be nonempty")
-    rows = CostRows.stack(costs)
-    n = rows.n_sites
+    n = costs[0].n_sites
     template = "{}" + ",{:.17g}" * (2 * n) + "\n"
-    header = ["t"] + [f"c_{i + 1}" for i in range(n)] + [f"d_{i + 1}" for i in range(n)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(
-            template.format(t, *opening, *connection)
-            for t, opening, connection in zip(
-                range(1, len(costs) + 1), rows.opening.tolist(), rows.connection.tolist()
-            )
-        )
+        fh.write(",".join(["t"] + [f"c_{i + 1}" for i in range(n)] + [f"d_{i + 1}" for i in range(n)]) + "\n")
+        for t, cp in enumerate(costs, start=1):
+            if cp.n_sites != n:
+                raise ConfigError(f"trial {t} has {cp.n_sites} sites, expected {n}")
+            fh.write(template.format(t, *cp.opening.tolist(), *cp.connection.tolist()))

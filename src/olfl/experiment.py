@@ -199,7 +199,7 @@ class TrialRecord:
     segment: int | None  # fl only
 
 
-@dataclass
+@dataclass(eq=False)
 class SeedRun:
     """One seed's run as columns with one entry per trial. A column the algo
     does not report is None: surrogate losses outside the fl family and
