@@ -326,13 +326,10 @@ def _run_seeds(config: ExperimentConfig, shared_costs: list[CostPair] | None) ->
     columns = [None if c is None else np.ascontiguousarray(c.T) for c in [values if reported else None, *states]]
     return [
         SeedRun(
-            seed=seed,
-            actions=by_seed[r],
-            losses=losses[r],
-            surrogate_losses=None if columns[0] is None else columns[0][r],
-            scales=None if columns[1] is None else columns[1][r],
-            cardinalities=None if columns[2] is None else columns[2][r],
-            segments=None if columns[3] is None else columns[3][r],
+            seed,
+            by_seed[r],
+            losses[r],
+            *(None if column is None else column[r] for column in columns),  # lambda, theta, k, segment
             cumulative_loss=cumulative[r],
             wall_time_s=wall,
             per_trial_median_ms=median_ms,
