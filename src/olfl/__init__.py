@@ -9,7 +9,6 @@ the claims with tests.
 """
 from .adversaries import (
     KillerSource,
-    SequenceSource,
     generate_scenario,
     killer_costs,
     load_trace,
@@ -90,7 +89,6 @@ __all__ = [
     "ProtocolError",
     "RunResult",
     "ScenarioSpec",
-    "SequenceSource",
     "SiteSet",
     "SurrogateInstance",
     "TraceFormatError",

@@ -56,23 +56,6 @@ def killer_costs(n_sites: int, prev_action: SiteSet | None) -> CostPair:
     return killer_rows(n_sites, (prev_action,)).pair(0)
 
 
-class SequenceSource:
-    """Fixed pre-materialized cost sequence; ignores the learner's actions."""
-
-    adaptive = False
-
-    def __init__(self, costs: list[CostPair]):
-        if not costs:
-            raise ConfigError("cost sequence must be nonempty")
-        self._costs = list(costs)
-
-    def __len__(self) -> int:
-        return len(self._costs)
-
-    def costs_for(self, trial: int, action: SiteSet) -> CostPair:
-        return self._costs[trial - 1]
-
-
 class KillerSource:
     """Adaptive source. With use_current_action=True (deterministic learners
     only) each trial's costs are built from the action just played, i.e. the

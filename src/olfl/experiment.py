@@ -19,13 +19,15 @@ no per-trial objects.
 
 Non-adaptive scenarios materialize one cost sequence (from the scenario's
 own seed or a trace file) shared by every learner seed, so one sort per
-trial serves every row and the in-hindsight comparator is common. On the
-adaptive killer one source prices every seed's action as one CostRows per
-trial; each seed's realized costs fill its own (T, N) history, and each
-seed gets its own comparator. Losses do not feed back into play, so they
-are priced after the loop, one `action_losses` call per seed over its whole
-history, bit for bit as `facility_loss` prices them. A comparator the
-oracles would refuse is refused before the first trial.
+trial serves every row and the in-hindsight comparator is common; it is
+stacked once into the (T, N) CostRows that prices every seed's losses, the
+comparator and the regret curve. On the adaptive killer one source prices
+every seed's action as one CostRows per trial; each seed's realized costs
+fill its own (T, N) history, and each seed gets its own comparator. Losses
+do not feed back into play, so they are priced after the loop, one
+`action_losses` call per seed over its whole history, bit for bit as
+`facility_loss` prices them. A comparator the oracles would refuse is
+refused before the first trial.
 
 Each seed's run is a `SeedRun` of per-trial columns. Its `records` is a
 view that builds `TrialRecord`s only when read; `emit_results` writes the
@@ -263,15 +265,19 @@ class RunResult:
     regret_raw: float
     regret_normalized: float | None
     scenario_costs: list[CostPair] | None
+    scenario_rows: CostRows | None  # scenario_costs stacked once, one row per trial
 
 
-def _run_seeds(config: ExperimentConfig, shared_costs: list[CostPair] | None) -> list[SeedRun]:
+def _run_seeds(
+    config: ExperimentConfig, shared_costs: list[CostPair] | None, shared_rows: CostRows | None
+) -> list[SeedRun]:
     """Every seed of the experiment through one columnar trial loop. A
     trial plays every row at once as CSR actions and records them with the
     rows' surrogate losses and state as (T, S) columns, so the loop's Python
     work per trial does not grow with the seed count. Losses depend on the
     actions and costs alone, so they are priced once after the loop, one
-    call per seed over its whole history."""
+    call per seed over its whole history (`shared_rows` when the scenario
+    is shared)."""
     cfg, seeds = config.game, config.seeds
     rows, horizon = len(seeds), cfg.horizon
     learner = build_learner(config)
@@ -316,7 +322,7 @@ def _run_seeds(config: ExperimentConfig, shared_costs: list[CostPair] | None) ->
     if adaptive:
         histories = [CostRows(realized[0, r], realized[1, r]) for r in range(rows)]
     else:
-        histories = [CostRows.stack(shared_costs)] * rows
+        histories = [shared_rows] * rows
     losses = np.array([action_losses(history, actions) for history, actions in zip(histories, by_seed)])
     wall = (time.perf_counter() - wall_start) / rows
     median_ms = float(np.median(per_trial) * 1e3)
@@ -367,13 +373,12 @@ def _comparator_restriction(config: ExperimentConfig) -> tuple[int | None, int |
     return None, None, "any nonempty subset"
 
 
-def _comparator_for(history: list[CostPair] | CostRows, config: ExperimentConfig):
+def _comparator_for(history: CostRows, config: ExperimentConfig):
     """Returns (members, loss, approximate)."""
     max_card, exact_card, _ = _comparator_restriction(config)
     if _comparator_is_greedy(config):
         greedy = ftl_greedy_play(history)
-        rows = history if isinstance(history, CostRows) else CostRows.stack(history)
-        losses = action_losses(rows, ActionRows.repeated(greedy, len(rows)))
+        losses = action_losses(history, ActionRows.repeated(greedy, len(history)))
         return greedy.members, float(sum(losses.tolist())), True
     subset, loss = best_fixed_subset(history, max_card=max_card, exact_card=exact_card)
     return subset.members, loss, False
@@ -430,7 +435,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             config.scenario.kind, cfg, config.scenario.seed, config.scenario.drift_step
         )
 
-    seed_runs = _run_seeds(config, shared_costs)
+    shared_rows = None if shared_costs is None else CostRows.stack(shared_costs)
+    seed_runs = _run_seeds(config, shared_costs, shared_rows)
 
     cum_losses = np.array([sr.cumulative_loss for sr in seed_runs])
     mean_loss = float(cum_losses.mean())
@@ -455,7 +461,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             approx = approx or a
         comparator_loss = float(np.mean(losses))
     else:
-        members, comparator_loss, approx = _comparator_for(shared_costs, config)
+        members, comparator_loss, approx = _comparator_for(shared_rows, config)
 
     eff_config = config
     if config.algo.name == "fl":
@@ -488,6 +494,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         regret_raw=regret_raw,
         regret_normalized=regret_normalized,
         scenario_costs=shared_costs,
+        scenario_rows=shared_rows,
     )
 
 
@@ -553,9 +560,9 @@ def emit_results(result: RunResult, prefix: str) -> list[str]:
     loss_matrix = np.array([sr.losses for sr in result.seed_runs])
     mean_curve = loss_matrix.cumsum(axis=1).mean(axis=0)
     comp = regret = bound = None
-    if result.comparator_members is not None and result.scenario_costs is not None:
+    if result.comparator_members is not None and result.scenario_rows is not None:
         comp_set = SiteSet(result.comparator_members)
-        comp_losses = action_losses(CostRows.stack(result.scenario_costs), ActionRows.repeated(comp_set, t))
+        comp_losses = action_losses(result.scenario_rows, ActionRows.repeated(comp_set, t))
         comp_curve = result.scale_factor * comp_losses.cumsum()
         comp, regret = comp_curve.tolist(), (mean_curve - comp_curve).tolist()
         if result.penalty_term is not None:

@@ -72,22 +72,6 @@ class CostPair:
     def n_sites(self) -> int:
         return self.opening.size
 
-    @classmethod
-    def checked(cls, opening, connection, opening_max: float, connection_max: float) -> "CostPair":
-        """Construct and reject (never clamp) any component above its bound."""
-        pair = cls(opening, connection)
-        hi_c = int(np.argmax(pair.opening))
-        if pair.opening[hi_c] > opening_max:
-            raise ConfigError(
-                f"opening cost c_{hi_c + 1} = {pair.opening[hi_c]} exceeds bound {opening_max}"
-            )
-        hi_d = int(np.argmax(pair.connection))
-        if pair.connection[hi_d] > connection_max:
-            raise ConfigError(
-                f"connection cost d_{hi_d + 1} = {pair.connection[hi_d]} exceeds bound {connection_max}"
-            )
-        return pair
-
 
 @dataclass(frozen=True)
 class CostRows:

@@ -7,7 +7,8 @@ efficient learners, used to verify them at desk scale.
   FollowTheLeaderGreedy, which replays the greedy leader as a learner.
 - best_fixed_subset: the in-hindsight comparator. Up to the site cap it
   prices all 2^N bitmasks in one superset-sum pass over the history; above
-  the cap a cardinality-restricted scan enumerates combinations.
+  the cap a cardinality-restricted scan, best_fixed_scan, enumerates
+  combinations.
 - exact_expected_loss: the true expectation of the draw-and-deduplicate
   action rule, by enumerating every ordered draw sequence.
 
@@ -256,41 +257,45 @@ def best_fixed_subset(
     `site_cap` sites every bitmask is priced exactly by one superset-sum
     pass over the history (`_connection_sums`), and the restriction masks
     out the other cardinalities. Above the cap only a restricted scan is
-    allowed: it enumerates the candidate combinations while their count
-    stays within bounds.
+    allowed: `best_fixed_scan` enumerates the candidate combinations while
+    their count stays within bounds.
     """
     opening, connection = _history_arrays(history)
     n = opening.shape[1]
-    cum_open = opening.sum(axis=0)
     candidate_cards = comparator_cardinalities(n, max_card, exact_card, site_cap)
+    if n > site_cap:
+        members, loss = best_fixed_scan(history, max_card, exact_card)
+        return SiteSet(members), loss
 
-    if n <= site_cap:
-        losses = _connection_sums(connection)
-        losses += _doubling_table(cum_open, np.add, 0.0)
-        cards = _cardinalities(n)
-        losses[~np.isin(cards, candidate_cards)] = np.inf
-        best_cost = losses.min()
-        ties = np.flatnonzero(losses == best_cost)
-        ties = ties[cards[ties] == cards[ties].min()]
-        mask = min((int(m) for m in ties), key=_subset_members)
-        return SiteSet(_subset_members(mask)), float(best_cost)
+    losses = _connection_sums(connection)
+    losses += _doubling_table(opening.sum(axis=0), np.add, 0.0)
+    cards = _cardinalities(n)
+    losses[~np.isin(cards, candidate_cards)] = np.inf
+    best_cost = losses.min()
+    ties = np.flatnonzero(losses == best_cost)
+    ties = ties[cards[ties] == cards[ties].min()]
+    mask = min((int(m) for m in ties), key=_subset_members)
+    return SiteSet(_subset_members(mask)), float(best_cost)
 
-    best_cost = math.inf
-    best_members: tuple[int, ...] | None = None
-    for card in candidate_cards:
+
+def best_fixed_scan(history, max_card: int | None = None, exact_card: int | None = None):
+    """(members, loss) of the exhaustive comparator scan: every candidate
+    combination's cumulative loss from its columns of the history, ties to
+    the smaller set, then to the lexicographically first members. It is
+    the comparator above the site cap, and below it the reference the
+    superset-sum pass is checked against."""
+    opening, connection = _history_arrays(history)
+    n = opening.shape[1]
+    cum_open = opening.sum(axis=0)
+    best_cost, best_members = math.inf, None
+    for card in comparator_cardinalities(n, max_card, exact_card, site_cap=n):
         for combo in itertools.combinations(range(n), card):
             idx = list(combo)
             cost = float(cum_open[idx].sum() + connection[:, idx].min(axis=1).sum())
             members = tuple(i + 1 for i in combo)
-            if cost < best_cost or (
-                cost == best_cost
-                and best_members is not None
-                and (card, members) < (len(best_members), best_members)
-            ):
-                best_cost = cost
-                best_members = members
-    assert best_members is not None
-    return SiteSet(best_members), best_cost
+            if cost < best_cost or (cost == best_cost and (card, members) < (len(best_members), best_members)):
+                best_cost, best_members = cost, members
+    return best_members, best_cost
 
 
 def exact_expected_loss(p, num_draws: int, costs: CostPair) -> float:

@@ -5,14 +5,20 @@ formula evaluation instead of the prefix/suffix passes, central finite
 differences instead of the analytic gradient, full enumeration instead of
 sampling, frequency counts instead of the inverse-CDF draw, hand arithmetic
 instead of the doubling bookkeeping, a combinations scan instead of the
-superset-sum comparator. The suite runs at desk scale in seconds;
-the test suite reruns the same comparisons at full acceptance scale.
+superset-sum comparator.
+
+Each check takes a `scale`, a row of constants: `DESK`, which `olfl verify`
+runs in about a second, or `FULL`, at which the test suite reruns the same
+checks as its acceptance tests. A row fixes each check's generator seed,
+instance count, sizes, cost range and horizon; bounds and tolerances are
+the same at both scales. The checks with no entry in a row (sort, EG
+arithmetic, learner-level dominance, comparator scan) run the same at both.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import stats as scipy_stats
@@ -23,6 +29,7 @@ from .game import CostPair, CostRows, GameConfig, SiteSet, facility_loss, sort_b
 from .learners import DoublingLearner, FixedCardinalityLearner, half_log_ceil
 from .oracles import (
     ExactHedge,
+    best_fixed_scan,
     best_fixed_subset,
     cheapest_singleton_play,
     exact_expected_loss,
@@ -30,6 +37,53 @@ from .oracles import (
 )
 from .sampler import draw_sites
 from .surrogate import SurrogateInstance, value_and_gradient
+
+
+class Plan(NamedTuple):
+    """One check's constants at one scale. `count` counts instances,
+    sequences or scenarios (for the doubling check, the fewest restarts it
+    must see); `sites` and `draws` bound an instance's sizes; costs lie in
+    [0, cost_max]. The sampler takes `draws` draws per size, positive masses
+    from `mass`, and each size as (sites, zero-mass sites, trailing or not)."""
+
+    seed: int = 0
+    count: int = 0
+    sites: int = 0
+    draws: int = 1
+    cost_max: float = 1.0
+    horizon: int = 0
+    mass: tuple[float, float] = (0.0, 1.0)
+    layout: tuple[tuple[int, int, bool], ...] = ()
+
+
+# a scale holds one Plan per check that has a full-scale twin
+Scale = dict[str, Plan]
+DESK: Scale = {
+    "surrogate": Plan(seed=7, count=60, sites=20, draws=50),
+    "single draw": Plan(seed=11, count=100, sites=30),
+    "sampler": Plan(
+        seed=13, draws=200_000, mass=(0.2, 1.0),
+        layout=((3, 1, False), (16, 3, False), (257, 51, False), (40, 8, True)),
+    ),
+    "dominance": Plan(seed=17, count=40, sites=4, draws=3),
+    "eg": Plan(seed=19, count=12, sites=6, horizon=500),
+    "doubling": Plan(seed=23, count=1, sites=2, horizon=1500),
+    "hedge": Plan(seed=0, count=8, sites=3, horizon=100),
+    "killer": Plan(sites=16, horizon=400),
+}
+FULL: Scale = {
+    "surrogate": Plan(seed=101, count=500, sites=50, draws=200),
+    "single draw": Plan(seed=202, count=1000, sites=100, cost_max=5.0),
+    "sampler": Plan(
+        seed=303, draws=1_000_000, mass=(0.5, 1.5),
+        layout=((3, 1, False), (16, 4, False), (1000, 100, False)),
+    ),
+    "dominance": Plan(seed=404, count=200, sites=4, draws=3, cost_max=3.0),
+    "eg": Plan(seed=505, count=50, sites=8, horizon=2000),
+    "doubling": Plan(seed=808, count=2, sites=2, horizon=14000),
+    "hedge": Plan(seed=0, count=50, sites=3, horizon=200),
+    "killer": Plan(sites=16, horizon=2000),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -71,32 +125,40 @@ def finite_difference_gradient(opening, connection, num_draws: int, w, step: flo
     return grad
 
 
-def random_surrogate_instance(rng: np.random.Generator, max_sites: int, max_draws: int):
-    """(instance, simplex point) with unit cost ranges."""
+def random_surrogate_instance(rng: np.random.Generator, max_sites: int, max_draws: int, cost_max=1.0):
+    """(instance, simplex point) with costs drawn from [0, cost_max]. With
+    max_draws = 1 the draw count takes nothing from the generator."""
     n = int(rng.integers(1, max_sites + 1))
     ups = int(rng.integers(1, max_draws + 1))
-    costs = CostPair(rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n))
+    costs = CostPair(rng.uniform(0.0, cost_max, n), rng.uniform(0.0, cost_max, n))
     w = rng.dirichlet(np.ones(n))
     return SurrogateInstance.from_costs(costs, ups), w
 
 
-def best_fixed_scan(history, max_card: int | None = None, exact_card: int | None = None):
-    """(members, loss) of the exhaustive comparator scan: every candidate
-    subset's cumulative loss from its columns of the history, ties to the
-    smaller set, then to the lexicographically first members."""
-    rows = history if isinstance(history, CostRows) else CostRows.stack(history)
-    n = rows.n_sites
-    cum_open = rows.opening.sum(axis=0)
-    cards = (exact_card,) if exact_card is not None else range(1, (max_card or n) + 1)
-    best_cost, best_members = math.inf, None
-    for card in cards:
-        for combo in itertools.combinations(range(n), card):
-            idx = list(combo)
-            cost = float(cum_open[idx].sum() + rows.connection[:, idx].min(axis=1).sum())
-            members = tuple(i + 1 for i in combo)
-            if cost < best_cost or (cost == best_cost and (card, members) < (len(best_members), best_members)):
-                best_cost, best_members = cost, members
-    return best_members, best_cost
+def eg_regret_slack(n: int, horizon: int, grad_bound: float, grad_fn) -> float:
+    """Average regret of exponentiated gradient against the best corner,
+    minus its closed-form bound, on the gradients grad_fn(t, weights)."""
+    learner = ExponentiatedGradient(n, grad_bound, horizon)
+    corner_totals = np.zeros(n)
+    learner_total = 0.0
+    for t in range(horizon):
+        w = learner.play()
+        g = grad_fn(t, w)
+        learner_total += learner.update(float(g @ w), g)
+        corner_totals += g
+    bound = grad_bound * math.sqrt(2.0 * math.log(n) / horizon)
+    return learner_total / horizon - (float(corner_totals.min()) / horizon + bound)
+
+
+# adversarial shapes: alternation, a dominated constant, a mid-run switch, a
+# gradient that chases the current favorite, and exact ties
+HANDMADE_EG_SEQUENCES = (
+    (2, 2000, 1.0, lambda t, w: np.array([1.0, 0.0]) if t % 2 == 0 else np.array([0.0, 1.0])),
+    (4, 1500, 2.0, lambda t, w: np.array([2.0, 0.0, 1.0, 1.0])),
+    (2, 2000, 1.0, lambda t, w: np.array([1.0, 0.0]) if t < 1000 else np.array([0.0, 1.0])),
+    (8, 2000, 1.0, lambda t, w: np.eye(8)[int(np.argmax(w))]),
+    (3, 500, 1.5, lambda t, w: np.full(3, 1.5)),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -110,133 +172,100 @@ class CheckResult:
     detail: str
 
 
-def check_surrogate_value_and_gradient(rng=None) -> CheckResult:
-    rng = rng or np.random.default_rng(7)
+def check_surrogate_value_and_gradient(scale: Scale = DESK) -> CheckResult:
+    plan = scale["surrogate"]
+    rng = np.random.default_rng(plan.seed)
+    name = "surrogate value+gradient"
     worst_rel = 0.0
-    worst_fd = 0.0
-    for _ in range(60):
-        inst, w = random_surrogate_instance(rng, max_sites=20, max_draws=50)
+    for _ in range(plan.count):
+        inst, w = random_surrogate_instance(rng, plan.sites, plan.draws, plan.cost_max)
         value, grad = value_and_gradient(inst, w)
+        hi = inst.num_draws * 2.0 * plan.cost_max * (1.0 + 1e-9)
+        if grad.min() < 0 or grad.max() > hi:
+            return CheckResult(name, False, f"gradient outside [0, {hi}]")
         direct = surrogate_value_direct(inst.opening, inst.connection, inst.num_draws, w)
-        rel = abs(value - direct) / max(1.0, abs(direct))
-        worst_rel = max(worst_rel, rel)
+        err = abs(value - direct)
         fd = finite_difference_gradient(inst.opening, inst.connection, inst.num_draws, w)
         gap = np.abs(grad - fd) - np.maximum(1e-6, 1e-4 * np.abs(grad))
-        worst_fd = max(worst_fd, float(gap.max()))
-        hi = inst.num_draws * (1.0 + 1.0) * (1.0 + 1e-9)
-        if grad.min() < 0 or grad.max() > hi:
-            return CheckResult(
-                "surrogate value+gradient", False, f"gradient outside [0, {hi}]"
-            )
-        if rel > 1e-10 or gap.max() > 0:
-            return CheckResult(
-                "surrogate value+gradient",
-                False,
-                f"value rel err {rel:.2e}, fd slack {gap.max():.2e}",
-            )
-    return CheckResult(
-        "surrogate value+gradient",
-        True,
-        f"60 instances; worst value rel err {worst_rel:.1e}, fd within tolerance",
-    )
+        if err > 1e-10 * abs(direct) or gap.max() > 0:
+            return CheckResult(name, False, f"value {value!r} vs direct {direct!r}, fd slack {gap.max():.2e}")
+        worst_rel = max(worst_rel, err / abs(direct) if err else 0.0)
+    detail = f"{plan.count} instances; worst value rel err {worst_rel:.1e}, fd within tolerance"
+    return CheckResult(name, True, detail)
 
 
-def check_single_draw_identity(rng=None) -> CheckResult:
-    rng = rng or np.random.default_rng(11)
+def check_single_draw_identity(scale: Scale = DESK) -> CheckResult:
+    plan = scale["single draw"]
+    rng = np.random.default_rng(plan.seed)
     worst = 0.0
-    for _ in range(100):
-        inst, w = random_surrogate_instance(rng, max_sites=30, max_draws=1)
+    for _ in range(plan.count):
+        inst, w = random_surrogate_instance(rng, plan.sites, 1, plan.cost_max)
         value, grad = value_and_gradient(inst, w)
         expected_value = float(w @ (inst.opening + inst.connection))
         # the parametrization shifts the gradient by the smallest connection
         # cost; the shift cancels in the multiplicative update
         expected_grad = inst.opening + inst.connection - inst.connection.min()
-        worst = max(
-            worst,
-            abs(value - expected_value),
-            float(np.abs(grad - expected_grad).max()),
-        )
-    ok = worst <= 1e-12
-    return CheckResult(
-        "single-draw linear identity", ok, f"worst deviation {worst:.2e} (tol 1e-12)"
-    )
+        worst = max(worst, abs(value - expected_value), float(np.abs(grad - expected_grad).max()))
+    detail = f"{plan.count} instances; worst deviation {worst:.2e} (tol 1e-12)"
+    return CheckResult("single-draw linear identity", worst <= 1e-12, detail)
 
 
-def check_sampler_distribution(rng=None, draws: int = 200_000) -> CheckResult:
-    rng = rng or np.random.default_rng(13)
-    # a fifth of the sites get zero mass: at random places, or as the last
-    # fifth, past the final positive-mass site
-    for n, trailing in ((3, False), (16, False), (257, False), (40, True)):
-        p = rng.uniform(0.2, 1.0, n)
-        k = max(1, n // 5)
-        zero = np.arange(n - k, n) if trailing else rng.choice(n, size=k, replace=False)
+def check_sampler_distribution(scale: Scale = DESK) -> CheckResult:
+    plan = scale["sampler"]
+    name = "sampler distribution"
+    rng = np.random.default_rng(plan.seed)
+    for n, zeros, trailing in plan.layout:
+        p = rng.uniform(*plan.mass, n)
+        zero = np.arange(n - zeros, n) if trailing else rng.choice(n, size=zeros, replace=False)
         p[zero] = 0.0
         p /= p.sum()
-        sample = draw_sites(p, draws, rng)
+        sample = draw_sites(p, plan.draws, rng)
         counts = np.bincount(sample - 1, minlength=n)
         if counts[zero].sum() != 0:
-            return CheckResult("sampler distribution", False, f"zero-mass site drawn (n={n})")
+            return CheckResult(name, False, f"zero-mass site drawn (n={n})")
         support = p > 0
-        _, pvalue = scipy_stats.chisquare(counts[support], draws * p[support])
+        _, pvalue = scipy_stats.chisquare(counts[support], plan.draws * p[support])
         if pvalue < 1e-3:
-            return CheckResult(
-                "sampler distribution", False, f"chi-square rejects at n={n} (p={pvalue:.2e})"
-            )
-    return CheckResult(
-        "sampler distribution",
-        True,
-        f"chi-square accepts at n=3,16,257 and at n=40 with a zero-mass tail ({draws} draws each)",
-    )
+            return CheckResult(name, False, f"chi-square rejects at n={n} (p={pvalue:.2e})")
+    sizes = ",".join(str(n) for n, _, _ in plan.layout)
+    return CheckResult(name, True, f"chi-square accepts at n={sizes}; zero mass never drawn ({plan.draws} each)")
 
 
-def check_dominance(rng=None) -> CheckResult:
-    rng = rng or np.random.default_rng(17)
+def check_dominance(scale: Scale = DESK) -> CheckResult:
+    plan = scale["dominance"]
+    name = "surrogate dominates expectation"
+    rng = np.random.default_rng(plan.seed)
     worst = -math.inf
-    for _ in range(40):
-        n = int(rng.integers(1, 5))
-        ups = int(rng.integers(1, 4))
-        costs = CostPair(rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n))
-        p = rng.dirichlet(np.ones(n))
-        inst = SurrogateInstance.from_costs(costs, ups)
+    for _ in range(plan.count):
+        inst, p = random_surrogate_instance(rng, plan.sites, plan.draws, plan.cost_max)
         value, _ = value_and_gradient(inst, p)
-        expected = exact_expected_loss(p, ups, costs)
+        expected = exact_expected_loss(p, inst.num_draws, CostPair(inst.opening, inst.connection))
         gap = expected - value
         worst = max(worst, gap)
         if gap > 1e-9:
-            return CheckResult("surrogate dominates expectation", False, f"E - f = {gap:.2e} > 1e-9")
-        if ups == 1 and abs(gap) > 1e-12:
-            return CheckResult(
-                "surrogate dominates expectation", False, f"single-draw gap {gap:.2e} > 1e-12"
-            )
-    return CheckResult(
-        "surrogate dominates expectation", True, f"40 instances; max E - f = {worst:.1e}"
-    )
+            return CheckResult(name, False, f"E - f = {gap:.2e} > 1e-9")
+        if inst.num_draws == 1 and abs(gap) > 1e-12:
+            return CheckResult(name, False, f"single-draw gap {gap:.2e} > 1e-12")
+    return CheckResult(name, True, f"{plan.count} instances; max E - f = {worst:.1e}")
 
 
-def check_eg_regret(rng=None) -> CheckResult:
-    rng = rng or np.random.default_rng(19)
+def check_eg_regret(scale: Scale = DESK) -> CheckResult:
+    plan = scale["eg"]
+    rng = np.random.default_rng(plan.seed)
     worst = -math.inf
-    for case in range(12):
-        n = int(rng.integers(2, 7))
-        t = int(rng.integers(50, 501))
-        bound_g = float(rng.uniform(0.5, 3.0))
-        learner = ExponentiatedGradient(n, bound_g, t)
-        total = np.zeros(n)
-        learner_loss = 0.0
-        for _ in range(t):
-            a = rng.uniform(0.0, bound_g, n)
-            w = learner.play()
-            learner_loss += float(a @ w)
-            learner.update(float(a @ w), a)
-            total += a
-        slack = (learner_loss - total.min()) / t - bound_g * math.sqrt(2.0 * math.log(n) / t)
-        worst = max(worst, slack)
-        if slack > 1e-9:
-            return CheckResult("eg average regret", False, f"bound violated by {slack:.2e}")
-    return CheckResult("eg average regret", True, f"12 sequences; worst slack {worst:.1e}")
+    for _ in range(plan.count):
+        n = int(rng.integers(2, plan.sites + 1))
+        horizon = int(rng.integers(50, plan.horizon + 1))
+        grad_bound = float(rng.uniform(0.5, 3.0))
+        seq = rng.uniform(0.0, grad_bound, size=(horizon, n))
+        worst = max(worst, eg_regret_slack(n, horizon, grad_bound, lambda t, w: seq[t]))
+    for case in HANDMADE_EG_SEQUENCES:
+        worst = max(worst, eg_regret_slack(*case))
+    detail = f"{plan.count} random, {len(HANDMADE_EG_SEQUENCES)} hand-made sequences; worst slack {worst:.1e}"
+    return CheckResult("eg average regret", worst <= 1e-9, detail)
 
 
-def check_eg_update_arithmetic() -> CheckResult:
+def check_eg_update_arithmetic(scale: Scale = DESK) -> CheckResult:
     learner = ExponentiatedGradient(2, 1.0, 100)
     learner.lr = 1.0
     learner.w = np.array([0.5, 0.5])
@@ -253,59 +282,52 @@ def check_eg_update_arithmetic() -> CheckResult:
     )
 
 
-def check_doubling_mechanics() -> CheckResult:
-    cfg = GameConfig(2, 1500, 1.0, 1.0)
+def check_doubling_mechanics(scale: Scale = DESK) -> CheckResult:
+    plan = scale["doubling"]
+    name, n = "doubling mechanics", plan.sites
+    cfg = GameConfig(n, plan.horizon, 1.0, 1.0)
     learner = DoublingLearner(cfg)
-    rng = np.random.default_rng(23)
-    costs = CostPair(np.ones(2), np.ones(2))  # worst-case costs force crossings
-    h = half_log_ceil(cfg.horizon)
-    slope = h * 6.0
-    base = 2.0
+    rng = np.random.default_rng(plan.seed)
+    costs = CostPair(np.ones(n), np.ones(n))  # worst-case costs force crossings
+    slope = half_log_ceil(cfg.horizon) * 6.0  # a = h (4C + 2D)
+    base = 2.0  # b = C + D
+    unit = 2.0 * (slope + base) * math.sqrt(math.log(2 * n) * cfg.horizon)
     observed = []
     accumulated = 0.0
-    scale = 1
+    scale_guess = 1
     for t in range(1, cfg.horizon + 1):
         learner.play(rng)
-        before = learner.scale
-        value = learner.update(costs)
-        accumulated += value
-        threshold = 2.0 * (slope + base) * scale * math.sqrt(math.log(4.0) * cfg.horizon)
-        should_double = accumulated >= threshold
-        did_double = learner.scale != before
-        if should_double != did_double:
-            return CheckResult(
-                "doubling mechanics", False, f"crossing mismatch at trial {t}"
-            )
+        accumulated += learner.update(costs)
+        did_double = learner.scale != scale_guess
+        if (accumulated >= scale_guess * unit) != did_double:
+            return CheckResult(name, False, f"crossing mismatch at trial {t}")
         if did_double:
             observed.append(t)
-            scale *= 2
+            scale_guess *= 2
             accumulated = 0.0
-            expected_budget = min(cfg.n_sites, math.ceil((scale * (slope + base) - base) / slope))
-            if learner.cardinality_budget != expected_budget:
-                return CheckResult(
-                    "doubling mechanics",
-                    False,
-                    f"budget {learner.cardinality_budget} != {expected_budget} at scale {scale}",
-                )
-            if float(np.abs(learner.weights - 0.25).max()) > 1e-15:
-                return CheckResult(
-                    "doubling mechanics", False, f"weights not uniform after restart at trial {t}"
-                )
-    if not observed:
-        return CheckResult("doubling mechanics", False, "no restart observed at this horizon")
-    return CheckResult(
-        "doubling mechanics", True, f"restarts at trials {observed}, budgets and resets verified"
-    )
+            expected_budget = min(n, math.ceil((scale_guess * (slope + base) - base) / slope))
+            if learner.scale != scale_guess or learner.cardinality_budget != expected_budget:
+                return CheckResult(name, False, f"scale or budget off at trial {t}")
+            w = learner.weights
+            uniform = w.size == 2 * n and float(np.abs(w - 1.0 / (2 * n)).max()) <= 1e-15
+            if not uniform or learner.accumulated != 0.0:
+                return CheckResult(name, False, f"weights or accumulator not reset at trial {t}")
+    if len(observed) < plan.count or learner.segment_starts != [1] + [t + 1 for t in observed]:
+        detail = f"restarts at {observed} (at least {plan.count} due), segments {learner.segment_starts}"
+        return CheckResult(name, False, detail)
+    return CheckResult(name, True, f"restarts at trials {observed}, budgets, resets and segments verified")
 
 
-def check_hedge_bound(rng=None) -> CheckResult:
-    rng = rng or np.random.default_rng(29)
-    cfg = GameConfig(3, 100, 1.0, 1.0)
-    bound_term = (cfg.n_sites + 1.0) * math.sqrt(cfg.horizon * math.log(7.0) / 2.0)
+def check_hedge_bound(scale: Scale = DESK) -> CheckResult:
+    plan = scale["hedge"]
+    n = plan.sites
+    cfg = GameConfig(n, plan.horizon, 1.0, 1.0)
+    bound_term = (n + 1.0) * math.sqrt(cfg.horizon * math.log(2**n - 1) / 2.0)
     worst = -math.inf
-    for case in range(8):
-        costs = generate_scenario("iid", cfg, seed=int(rng.integers(1 << 30)))
+    for scenario_seed in range(plan.seed, plan.seed + plan.count):  # its learner plays seed + 1
+        costs = generate_scenario("iid", cfg, seed=scenario_seed)
         hedge = ExactHedge(cfg)
+        rng = np.random.default_rng(scenario_seed + 1)
         expected_total = 0.0
         for cp in costs:
             hedge.play(rng)
@@ -315,7 +337,7 @@ def check_hedge_bound(rng=None) -> CheckResult:
         worst = max(worst, slack)
         if slack > 1e-6:
             return CheckResult("hedge exact bound", False, f"bound violated by {slack:.2e}")
-    return CheckResult("hedge exact bound", True, f"8 scenarios; worst slack {worst:.1f}")
+    return CheckResult("hedge exact bound", True, f"{plan.count} scenarios; worst slack {worst:.1f}")
 
 
 def run_deterministic_against_killer(play_fn, n_sites: int, horizon: int):
@@ -337,26 +359,22 @@ def run_deterministic_against_killer(play_fn, n_sites: int, horizon: int):
     return total / horizon, history, actions
 
 
-def check_killer_regression() -> CheckResult:
-    n, horizon = 16, 400
+def check_killer_regression(scale: Scale = DESK) -> CheckResult:
+    n, horizon = scale["killer"].sites, scale["killer"].horizon
     for name, play_fn in (("ftl-greedy", ftl_greedy_play), ("cheapest-singleton", cheapest_singleton_play)):
         avg, history, _ = run_deterministic_against_killer(play_fn, n, horizon)
         if avg < 1.0:
             return CheckResult("killer regression", False, f"{name} averaged {avg} < 1")
         _, best_single = best_fixed_subset(history, max_card=1)
-        if best_single / horizon > 2.0 / math.sqrt(n):
-            return CheckResult(
-                "killer regression",
-                False,
-                f"best singleton averages {best_single / horizon} > {2.0 / math.sqrt(n)} vs {name}",
-            )
-    return CheckResult(
-        "killer regression", True, "deterministic baselines average >= 1; best singleton <= 0.5"
-    )
+        if best_single > 2.0 * horizon / math.sqrt(n):
+            detail = f"best singleton averages {best_single / horizon} > {2.0 / math.sqrt(n)} vs {name}"
+            return CheckResult("killer regression", False, detail)
+    detail = f"N={n} T={horizon}: deterministic baselines average >= 1, best singleton <= {2.0 / math.sqrt(n)}"
+    return CheckResult("killer regression", True, detail)
 
 
-def check_comparator_scan(rng=None) -> CheckResult:
-    rng = rng or np.random.default_rng(41)
+def check_comparator_scan(scale: Scale = DESK) -> CheckResult:
+    rng = np.random.default_rng(41)
     n, horizon = 10, 300
     learner = DoublingLearner(GameConfig(n, horizon, 1.0, 1.0))
     source = KillerSource(n, use_current_action=False)
@@ -385,8 +403,8 @@ def check_comparator_scan(rng=None) -> CheckResult:
     )
 
 
-def check_learner_dominance(rng=None) -> CheckResult:
-    rng = rng or np.random.default_rng(31)
+def check_learner_dominance(scale: Scale = DESK) -> CheckResult:
+    rng = np.random.default_rng(31)
     cfg = GameConfig(3, 50, 1.0, 1.0)  # horizon gives num_draws = 2 per unit budget
     learner = FixedCardinalityLearner(cfg, 1)
     worst = -math.inf
@@ -403,8 +421,8 @@ def check_learner_dominance(rng=None) -> CheckResult:
     return CheckResult("learner-level dominance", True, f"25 trials; max E - lambda = {worst:.1e}")
 
 
-def check_sort_round_trip(rng=None) -> CheckResult:
-    rng = rng or np.random.default_rng(37)
+def check_sort_round_trip(scale: Scale = DESK) -> CheckResult:
+    rng = np.random.default_rng(37)
     for _ in range(50):
         n = int(rng.integers(1, 40))
         d = rng.choice(rng.uniform(0.0, 1.0, max(1, n // 2)), size=n)  # force ties

@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 
 from olfl import (
     ConfigError,
-    CostPair,
     CostRows,
     GameConfig,
     KillerSource,
-    SequenceSource,
     SiteSet,
     TraceFormatError,
     facility_loss,
@@ -42,16 +40,6 @@ def test_killer_singleton_always_pays_at_least_one():
     for i in range(1, 17):
         x = SiteSet((i,))
         assert facility_loss(killer_costs(16, x), x) >= 1.0
-
-
-def test_sequence_source_replays():
-    costs = [CostPair([0.1], [0.2]), CostPair([0.3], [0.4])]
-    src = SequenceSource(costs)
-    assert not src.adaptive
-    assert len(src) == 2
-    assert src.costs_for(2, SiteSet((1,))) is costs[1]
-    with pytest.raises(ConfigError):
-        SequenceSource([])
 
 
 def test_killer_source_current_vs_previous():

@@ -45,14 +45,6 @@ def test_cost_pair_validation():
         CostPair([0.5, float("nan")], [0.3, 0.9])
 
 
-def test_cost_pair_checked_names_the_field():
-    CostPair.checked([0.5, 1.0], [0.3, 0.9], 1.0, 1.0)
-    with pytest.raises(ConfigError, match=r"c_3 = 1\.5"):
-        CostPair.checked([0.5, 0.2, 1.5], [0.3, 0.9, 0.1], 1.0, 1.0)
-    with pytest.raises(ConfigError, match=r"d_1"):
-        CostPair.checked([0.5, 0.2], [2.5, 0.9], 1.0, 1.0)
-
-
 def test_cost_rows_validation():
     rows = CostRows([[0.5, 0.2], [0.1, 0.0]], [[0.3, 0.9], [0.0, 1.0]])
     assert len(rows) == 2 and rows.n_sites == 2 and rows.opening.dtype == float
