@@ -30,7 +30,6 @@ from .experiment import (
     ExperimentConfig,
     RunResult,
     ScenarioSpec,
-    TrialRecord,
     config_from_dict,
     config_to_dict,
     emit_results,
@@ -44,7 +43,6 @@ from .game import (
     SiteSet,
     action_losses,
     facility_loss,
-    row_losses,
     sort_by_connection_desc,
 )
 from .learners import (
@@ -92,7 +90,6 @@ __all__ = [
     "SiteSet",
     "SurrogateInstance",
     "TraceFormatError",
-    "TrialRecord",
     "action_losses",
     "best_fixed_subset",
     "cheapest_singleton_play",
@@ -107,7 +104,6 @@ __all__ = [
     "half_log_ceil",
     "killer_costs",
     "load_trace",
-    "row_losses",
     "run_experiment",
     "sample_site_multiset",
     "save_trace",

@@ -53,7 +53,7 @@ def killer_rows(n_sites: int, known) -> CostRows:
 def killer_costs(n_sites: int, prev_action: SiteSet | None) -> CostPair:
     """One adaptive trial against unit cost ranges (C = D = 1): the one-row
     call of killer_rows."""
-    return killer_rows(n_sites, (prev_action,)).pair(0)
+    return killer_rows(n_sites, (prev_action,))[0]
 
 
 class KillerSource:
@@ -86,36 +86,35 @@ class KillerSource:
                 raise ConfigError(f"{len(rows)} actions for a source of {len(known)} rows")
         self._prev = rows
         costs = killer_rows(self.n_sites, known)
-        return costs.pair(0) if one else costs
+        return costs[0] if one else costs
 
 
-def generate_scenario(
-    kind: str, cfg: GameConfig, seed: int, drift_step: float = 0.05
-) -> list[CostPair]:
-    """Materialize a full cost sequence for a non-adaptive scenario kind."""
+def generate_scenario(kind: str, cfg: GameConfig, seed: int, drift_step: float = 0.05) -> CostRows:
+    """Materialize a full cost sequence for a non-adaptive scenario kind,
+    one row per trial."""
     rng = np.random.default_rng(seed)
     n, t = cfg.n_sites, cfg.horizon
     if kind == "iid":
-        return [
-            CostPair(rng.uniform(0.0, cfg.opening_max, n), rng.uniform(0.0, cfg.connection_max, n))
-            for _ in range(t)
-        ]
+        # one draw of every trial's c then d, in the order per-trial draws take
+        draws = rng.uniform(0.0, np.repeat([cfg.opening_max, cfg.connection_max], n), (t, 2 * n))
+        # contiguous halves, which the loss pricing ravels without a copy
+        return CostRows(draws[:, :n].copy(), draws[:, n:].copy())
     if kind == "drift":
         if drift_step < 0:
             raise ConfigError(f"drift step must be >= 0, got {drift_step!r}")
         sites = rng.uniform(0.0, 1.0, (n, 2))
         user = rng.uniform(0.0, 1.0, 2)
         opening = rng.uniform(0.0, cfg.opening_max, n)
-        out = []
-        for _ in range(t):
+        openings, connections = np.empty((t, n)), np.empty((t, n))
+        for step in range(t):
             dist = np.hypot(sites[:, 0] - user[0], sites[:, 1] - user[1])
-            connection = np.clip(cfg.connection_max * dist / math.sqrt(2.0), 0.0, cfg.connection_max)
-            out.append(CostPair(opening.copy(), connection))
+            np.clip(cfg.connection_max * dist / math.sqrt(2.0), 0.0, cfg.connection_max, out=connections[step])
+            openings[step] = opening
             user = np.clip(user + rng.normal(0.0, drift_step, 2), 0.0, 1.0)
             opening = np.clip(
                 opening + rng.normal(0.0, drift_step * cfg.opening_max, n), 0.0, cfg.opening_max
             )
-        return out
+        return CostRows(openings, connections)
     if kind == "killer":
         raise ConfigError("killer is adaptive; build a KillerSource instead")
     raise ConfigError(f"unknown scenario kind {kind!r}; known: {', '.join(SCENARIO_KINDS)}")
@@ -137,8 +136,9 @@ def _parse_header(fields: list[str], path: str) -> int:
     return n
 
 
-def load_trace(path: str, cfg: GameConfig | None = None) -> list[CostPair]:
-    """Read a trace CSV; every complaint names its line (and field)."""
+def load_trace(path: str, cfg: GameConfig | None = None) -> CostRows:
+    """Read a trace CSV, one row per trial; every complaint names its line
+    (and field)."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh)]
     rows = [row for row in rows if row]  # ignore blank trailing lines
@@ -150,7 +150,7 @@ def load_trace(path: str, cfg: GameConfig | None = None) -> list[CostPair]:
     if len(rows) == 1:
         raise TraceFormatError(f"{path}: no trials")
     names = rows[0]
-    out = []
+    values = np.empty((len(rows) - 1, 2 * n))
     for line_no, row in enumerate(rows[1:], start=2):
         if len(row) != 2 * n + 1:
             raise TraceFormatError(
@@ -161,15 +161,15 @@ def load_trace(path: str, cfg: GameConfig | None = None) -> list[CostPair]:
             raise TraceFormatError(
                 f"{path}, line {line_no}: trial index {row[0]!r}, expected {expected_t}"
             )
-        values = np.empty(2 * n)
+        trial = values[line_no - 2]
         for j, cell in enumerate(row[1:]):
             try:
-                values[j] = float(cell)
+                trial[j] = float(cell)
             except ValueError:
                 raise TraceFormatError(
                     f"{path}, line {line_no}, field {names[1 + j]}: not a number: {cell!r}"
                 ) from None
-        opening, connection = values[:n], values[n:]
+        opening, connection = trial[:n], trial[n:]
         for vec, bound, prefix in (
             (opening, None if cfg is None else cfg.opening_max, "c"),
             (connection, None if cfg is None else cfg.connection_max, "d"),
@@ -189,22 +189,17 @@ def load_trace(path: str, cfg: GameConfig | None = None) -> list[CostPair]:
                 raise TraceFormatError(
                     f"{path}, line {line_no}, field {prefix}_{j + 1}: cost {vec[j]} exceeds bound {bound}"
                 )
-        out.append(CostPair(opening, connection))
-    if cfg is not None and len(out) != cfg.horizon:
-        raise TraceFormatError(f"{path}: trace has {len(out)} trials, config expects {cfg.horizon}")
-    return out
+    if cfg is not None and len(values) != cfg.horizon:
+        raise TraceFormatError(f"{path}: trace has {len(values)} trials, config expects {cfg.horizon}")
+    return CostRows(values[:, :n].copy(), values[:, n:].copy())
 
 
-def save_trace(path: str, costs: list[CostPair]) -> None:
+def save_trace(path: str, costs: CostRows) -> None:
     """Write the trace CSV format load_trace reads (17 significant digits),
     one row template per trial."""
-    if not costs:
-        raise ConfigError("cost sequence must be nonempty")
-    n = costs[0].n_sites
+    n = costs.n_sites
     template = "{}" + ",{:.17g}" * (2 * n) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(["t"] + [f"c_{i + 1}" for i in range(n)] + [f"d_{i + 1}" for i in range(n)]) + "\n")
-        for t, cp in enumerate(costs, start=1):
-            if cp.n_sites != n:
-                raise ConfigError(f"trial {t} has {cp.n_sites} sites, expected {n}")
-            fh.write(template.format(t, *cp.opening.tolist(), *cp.connection.tolist()))
+        for t, trial in enumerate(np.hstack([costs.opening, costs.connection]).tolist(), start=1):
+            fh.write(template.format(t, *trial))

@@ -19,19 +19,18 @@ no per-trial objects.
 
 Non-adaptive scenarios materialize one cost sequence (from the scenario's
 own seed or a trace file) shared by every learner seed, so one sort per
-trial serves every row and the in-hindsight comparator is common; it is
-stacked once into the (T, N) CostRows that prices every seed's losses, the
-comparator and the regret curve. On the adaptive killer one source prices
-every seed's action as one CostRows per trial; each seed's realized costs
-fill its own (T, N) history, and each seed gets its own comparator. Losses
-do not feed back into play, so they are priced after the loop, one
-`action_losses` call per seed over its whole history, bit for bit as
-`facility_loss` prices them. A comparator the oracles would refuse is
-refused before the first trial.
+trial serves every row and the in-hindsight comparator is common; the one
+(T, N) CostRows feeds each trial's row to the learners and prices every
+seed's losses, the comparator, the regret curve and the trace file. On the
+adaptive killer one source prices every seed's action as one CostRows per
+trial; each seed's realized costs fill its own (T, N) history, and each
+seed gets its own comparator. Losses do not feed back into play, so they
+are priced after the loop, one `action_losses` call per seed over its
+whole history, bit for bit as `facility_loss` prices them. A comparator
+the oracles would refuse is refused before the first trial.
 
-Each seed's run is a `SeedRun` of per-trial columns. Its `records` is a
-view that builds `TrialRecord`s only when read; `emit_results` writes the
-trial CSVs straight from the columns, one row template per line.
+Each seed's run is a `SeedRun` of per-trial columns; `emit_results` writes
+the trial CSVs straight from the columns, one row template per line.
 
 A seed's `per_trial_median_ms` is the median over trials of the loop's
 play + update time divided by the number of seeds, and its `wall_time_s` is
@@ -44,9 +43,7 @@ import json
 import math
 import os
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 from scipy import stats
@@ -171,7 +168,7 @@ class PerSeedLearners:
     def update(self, costs: CostPair | CostRows) -> list:
         if isinstance(costs, CostPair):
             return [lrn.update(costs) for lrn in self.learners]
-        return [lrn.update(costs.pair(r)) for r, lrn in enumerate(self.learners)]
+        return [lrn.update(row) for row, lrn in zip(costs, self.learners)]
 
     def state_rows(self) -> tuple[None, None, None]:
         """No doubling and no cardinality."""
@@ -190,23 +187,12 @@ def build_learner(config: ExperimentConfig):
     raise ConfigError(f"unknown algo {name!r}")
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    trial: int
-    action: SiteSet
-    loss: float
-    surrogate_loss: float | None  # fl family; hedge-exact reports its expected loss
-    scale: int | None  # doubling guess (fl only)
-    cardinality: int | None  # budget in force (fl family)
-    segment: int | None  # fl only
-
-
 @dataclass(eq=False)
 class SeedRun:
     """One seed's run as columns with one entry per trial. A column the algo
-    does not report is None: surrogate losses outside the fl family and
-    hedge-exact, the budget outside the fl family, scale and segment
-    outside fl."""
+    does not report is None: surrogate losses (lambda; hedge-exact reports
+    its expected loss) outside the fl family and hedge-exact, the budget
+    outside the fl family, scale and segment outside fl."""
 
     seed: int
     actions: ActionRows  # one row per trial
@@ -220,31 +206,6 @@ class SeedRun:
     per_trial_median_ms: float
     segment_starts: list[int] | None
     realized_costs: CostRows | None  # one row per trial, kept only when the source adapts
-
-    @cached_property
-    def records(self) -> "TrialRecords":
-        """The trials as TrialRecords, built as they are read."""
-        return TrialRecords(self)
-
-
-class TrialRecords(Sequence):
-    """Read-only view of a SeedRun's columns as one TrialRecord per trial."""
-
-    def __init__(self, run: SeedRun):
-        self._actions = run.actions
-        self._columns = [
-            [None] * len(run.losses) if column is None else column.tolist()
-            for column in (run.losses, run.surrogate_losses, run.scales, run.cardinalities, run.segments)
-        ]
-
-    def __len__(self) -> int:
-        return len(self._actions)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        t = range(len(self))[index]
-        return TrialRecord(t + 1, self._actions[t], *(column[t] for column in self._columns))
 
 
 @dataclass
@@ -264,19 +225,16 @@ class RunResult:
     bound_name: str | None
     regret_raw: float
     regret_normalized: float | None
-    scenario_costs: list[CostPair] | None
-    scenario_rows: CostRows | None  # scenario_costs stacked once, one row per trial
+    scenario_costs: CostRows | None  # the shared scenario, one row per trial
 
 
-def _run_seeds(
-    config: ExperimentConfig, shared_costs: list[CostPair] | None, shared_rows: CostRows | None
-) -> list[SeedRun]:
+def _run_seeds(config: ExperimentConfig, shared_costs: CostRows | None) -> list[SeedRun]:
     """Every seed of the experiment through one columnar trial loop. A
     trial plays every row at once as CSR actions and records them with the
     rows' surrogate losses and state as (T, S) columns, so the loop's Python
     work per trial does not grow with the seed count. Losses depend on the
     actions and costs alone, so they are priced once after the loop, one
-    call per seed over its whole history (`shared_rows` when the scenario
+    call per seed over its whole history (`shared_costs` when the scenario
     is shared)."""
     cfg, seeds = config.game, config.seeds
     rows, horizon = len(seeds), cfg.horizon
@@ -322,7 +280,7 @@ def _run_seeds(
     if adaptive:
         histories = [CostRows(realized[0, r], realized[1, r]) for r in range(rows)]
     else:
-        histories = [shared_rows] * rows
+        histories = [shared_costs] * rows
     losses = np.array([action_losses(history, actions) for history, actions in zip(histories, by_seed)])
     wall = (time.perf_counter() - wall_start) / rows
     median_ms = float(np.median(per_trial) * 1e3)
@@ -427,16 +385,14 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         # refuse an infeasible comparator before any trial runs
         max_card, exact_card, _ = _comparator_restriction(config)
         comparator_cardinalities(cfg.n_sites, max_card, exact_card)
-    shared_costs: list[CostPair] | None = None
+    shared_costs = None
     if config.scenario.kind == "replay":
         shared_costs = load_trace(config.scenario.path, cfg)
     elif config.scenario.kind != "killer":
         shared_costs = generate_scenario(
             config.scenario.kind, cfg, config.scenario.seed, config.scenario.drift_step
         )
-
-    shared_rows = None if shared_costs is None else CostRows.stack(shared_costs)
-    seed_runs = _run_seeds(config, shared_costs, shared_rows)
+    seed_runs = _run_seeds(config, shared_costs)
 
     cum_losses = np.array([sr.cumulative_loss for sr in seed_runs])
     mean_loss = float(cum_losses.mean())
@@ -461,7 +417,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             approx = approx or a
         comparator_loss = float(np.mean(losses))
     else:
-        members, comparator_loss, approx = _comparator_for(shared_rows, config)
+        members, comparator_loss, approx = _comparator_for(shared_costs, config)
 
     eff_config = config
     if config.algo.name == "fl":
@@ -494,7 +450,6 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         regret_raw=regret_raw,
         regret_normalized=regret_normalized,
         scenario_costs=shared_costs,
-        scenario_rows=shared_rows,
     )
 
 
@@ -560,9 +515,9 @@ def emit_results(result: RunResult, prefix: str) -> list[str]:
     loss_matrix = np.array([sr.losses for sr in result.seed_runs])
     mean_curve = loss_matrix.cumsum(axis=1).mean(axis=0)
     comp = regret = bound = None
-    if result.comparator_members is not None and result.scenario_rows is not None:
+    if result.comparator_members is not None and result.scenario_costs is not None:
         comp_set = SiteSet(result.comparator_members)
-        comp_losses = action_losses(result.scenario_rows, ActionRows.repeated(comp_set, t))
+        comp_losses = action_losses(result.scenario_costs, ActionRows.repeated(comp_set, t))
         comp_curve = result.scale_factor * comp_losses.cumsum()
         comp, regret = comp_curve.tolist(), (mean_curve - comp_curve).tolist()
         if result.penalty_term is not None:

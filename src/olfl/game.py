@@ -10,6 +10,7 @@ Everything downstream (surrogate, learners, oracles) speaks these types.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -73,11 +74,21 @@ class CostPair:
         return self.opening.size
 
 
+def _row_pair(opening: np.ndarray, connection: np.ndarray) -> CostPair:
+    """A CostPair of one row of a CostRows, which was checked whole."""
+    pair = object.__new__(CostPair)
+    vars(pair).update(opening=opening, connection=connection)
+    return pair
+
+
 @dataclass(frozen=True)
 class CostRows:
     """Cost vectors as (rows, N) arrays, checked once for all rows like a
-    CostPair: one trial's costs for every row of a learner batch, or one
-    seed's realized history with a row per trial."""
+    CostPair: a whole cost sequence with a row per trial, or one trial's
+    costs for every row of a learner batch.
+
+    It reads as a sequence of CostPairs: an int index gives row views as a
+    CostPair, not checked again, and a slice gives a CostRows."""
 
     opening: np.ndarray
     connection: np.ndarray
@@ -94,9 +105,14 @@ class CostRows:
     def __len__(self) -> int:
         return self.opening.shape[0]
 
-    def pair(self, row: int) -> CostPair:
-        """Row `row` as a CostPair."""
-        return CostPair(self.opening[row], self.connection[row])
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return CostRows(self.opening[index], self.connection[index])
+        index = operator.index(index)  # one row, never a fancy index
+        return _row_pair(self.opening[index], self.connection[index])
+
+    def __iter__(self) -> Iterator[CostPair]:
+        return map(_row_pair, self.opening, self.connection)
 
     @classmethod
     def stack(cls, pairs) -> "CostRows":
@@ -244,11 +260,6 @@ def action_losses(costs: CostPair | CostRows, actions: ActionRows) -> np.ndarray
         idx = flat[ptr[group, None] + np.arange(m)]
         losses[group] = opening[idx].sum(axis=1) + connection[idx].min(axis=1)
     return losses
-
-
-def row_losses(costs: CostPair | CostRows, actions) -> list[float]:
-    """action_losses of a sequence of SiteSets, one per row, as floats."""
-    return action_losses(costs, ActionRows.of(actions)).tolist()
 
 
 def sort_by_connection_desc(connection) -> np.ndarray:

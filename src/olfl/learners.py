@@ -299,9 +299,6 @@ class DoublingLearner(_BatchOfOne):
     segment = _row0("segment", int)
     segment_starts = _row0("segment_starts")
     accumulated = _row0("accumulated", float)
-    _slope = property(lambda self: self._inner.slope)  # a
-    _base = property(lambda self: self._inner.base)  # b
-    trials_seen = property(lambda self: self._inner.trials_seen)
 
     def __init__(self, cfg: GameConfig):
         self._inner = LearnerBatch(cfg, "fl", 1)
@@ -310,14 +307,3 @@ class DoublingLearner(_BatchOfOne):
     @property
     def scale(self) -> int:
         return int(self._inner.scale[0])
-
-    @scale.setter
-    def scale(self, value: int) -> None:
-        self._inner.scale[0] = value
-
-    def _budget_for_scale(self) -> int:
-        return int(self._inner.budget_for(self._inner.scale)[0])
-
-    def threshold(self) -> float:
-        """Segment budget: 2 * (a + b) * scale * sqrt(ln(2N) * T)."""
-        return self.scale * self._inner.threshold_unit

@@ -131,10 +131,6 @@ class ExactHedge:
         self.weights = w / w.sum()
         return expected
 
-    def state(self) -> tuple[None, None, None]:
-        """(scale, cardinality, segment): no doubling, no cardinality."""
-        return None, None, None
-
 
 def _history_arrays(history) -> tuple[np.ndarray, np.ndarray]:
     """(T, N) opening and connection arrays of a CostRows or a CostPair list."""
@@ -203,10 +199,6 @@ class FollowTheLeaderGreedy:
         self._history[1, self._trials] = costs.connection
         self._trials += 1
         return None
-
-    def state(self) -> tuple[None, None, None]:
-        """(scale, cardinality, segment): no doubling, no cardinality."""
-        return None, None, None
 
 
 def cheapest_singleton_play(history) -> SiteSet:

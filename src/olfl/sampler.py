@@ -14,8 +14,7 @@ every row. With S > 1 the search runs over complex keys r + i*cdf[r, j]:
 numpy orders complex numbers by real part, then imaginary part, so the row
 index and the cumulative mass are compared exactly and nothing is added to
 any cumulative sum. One row searches its own cumulative sums directly.
-`draw_rows` splits the flat draws by row, and `draw_sites` is its one-row
-case.
+`draw_sites` is the one-row case.
 
 Uniforms come from one generator per row, read in order: `rngs[r].random`
 gives row r its draws on every call. `UniformStreams` instead owns each
@@ -141,12 +140,6 @@ def draw_flat(p: np.ndarray, counts, rngs) -> np.ndarray:
         counts = np.broadcast_to(counts, len(p))
         u = np.concatenate([rng.random(count) for rng, count in zip(rngs, counts.tolist())])
     return search_rows(cdf, counts, u)
-
-
-def draw_rows(p: np.ndarray, counts, rngs) -> list[np.ndarray]:
-    """`counts[r]` independent draws from row r of the (S, n) array p with
-    generator `rngs[r]`, as 1-based site indices, one array per row."""
-    return np.split(draw_flat(p, counts, rngs), np.cumsum(np.broadcast_to(counts, len(p)))[:-1])
 
 
 def draw_sites(p, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -343,20 +343,18 @@ def check_hedge_bound(scale: Scale = DESK) -> CheckResult:
 def run_deterministic_against_killer(play_fn, n_sites: int, horizon: int):
     """Drive a deterministic history->action rule through the adaptive
     adversary (which sees each action before pricing it). Returns
-    (average loss, history, actions)."""
+    (average loss, history as CostRows, actions)."""
     source = KillerSource(n_sites, use_current_action=True)
     seen = np.empty((2, horizon, n_sites))  # the history so far, read in place by play_fn
-    history: list[CostPair] = []
     actions: list[SiteSet] = []
     total = 0.0
     for t in range(horizon):
-        action = play_fn(CostRows(seen[0, :t], seen[1, :t]) if t else history)
+        action = play_fn(CostRows(seen[0, :t], seen[1, :t]) if t else ())
         costs = source.costs_for(t + 1, action)
         total += facility_loss(costs, action)
         seen[0, t], seen[1, t] = costs.opening, costs.connection
-        history.append(costs)
         actions.append(action)
-    return total / horizon, history, actions
+    return total / horizon, CostRows(seen[0], seen[1]), actions
 
 
 def check_killer_regression(scale: Scale = DESK) -> CheckResult:
@@ -378,10 +376,12 @@ def check_comparator_scan(scale: Scale = DESK) -> CheckResult:
     n, horizon = 10, 300
     learner = DoublingLearner(GameConfig(n, horizon, 1.0, 1.0))
     source = KillerSource(n, use_current_action=False)
-    killer = []
-    for t in range(1, horizon + 1):
-        killer.append(source.costs_for(t, learner.play(rng)))
-        learner.update(killer[-1])
+    seen = np.empty((2, horizon, n))
+    for t in range(horizon):
+        costs = source.costs_for(t + 1, learner.play(rng))
+        learner.update(costs)
+        seen[0, t], seen[1, t] = costs.opening, costs.connection
+    killer = CostRows(seen[0], seen[1])
     iid = generate_scenario("iid", GameConfig(8, 200, 1.0, 1.0), seed=int(rng.integers(1 << 30)))
     worst = 0.0
     for name, history in (("killer", killer), ("iid", iid)):

@@ -101,6 +101,16 @@ def test_generate_scenario_deterministic():
             assert np.array_equal(x.connection, y.connection)
 
 
+@pytest.mark.parametrize("c_max, d_max", [(1.0, 1.0), (0.3, 0.7), (0.0, 1.0), (1.0, 2.0), (5.0, 1e-3)])
+def test_iid_rows_are_the_per_trial_draws(c_max, d_max):
+    costs = generate_scenario("iid", GameConfig(5, 30, c_max, d_max), seed=8)
+    assert isinstance(costs, CostRows) and len(costs) == 30
+    rng = np.random.default_rng(8)
+    for cp in costs:  # each trial draws its c, then its d
+        assert cp.opening.tobytes() == rng.uniform(0.0, c_max, 5).tobytes()
+        assert cp.connection.tobytes() == rng.uniform(0.0, d_max, 5).tobytes()
+
+
 def test_generate_scenario_respects_bounds():
     cfg = GameConfig(6, 50, 0.3, 0.7)
     for kind in ("iid", "drift"):

@@ -74,9 +74,9 @@ PINS = {
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_seeded_runs_replay_their_pinned_actions_and_losses(name):
     config, actions, lambdas = PINS[name]
-    records = run_experiment(config).seed_runs[0].records[:40]
-    assert [rec.action.members for rec in records] == actions
-    assert np.abs(np.array([rec.surrogate_loss for rec in records]) - lambdas).max() <= 1e-12
+    run = run_experiment(config).seed_runs[0]
+    assert [action.members for action in run.actions][:40] == actions
+    assert np.abs(run.surrogate_losses[:40] - lambdas).max() <= 1e-12
 
 
 BATCH_CASES = [
@@ -93,14 +93,15 @@ def test_batched_seeds_replay_each_seed_run_alone(algo, k, kind, n, horizon):
     )
     for run in run_experiment(config).seed_runs:
         alone = run_experiment(replace(config, seeds=(run.seed,))).seed_runs[0]
-        assert [rec.action for rec in run.records] == [rec.action for rec in alone.records]
-        assert [rec.loss for rec in run.records] == [rec.loss for rec in alone.records]
+        assert run.actions == alone.actions
+        assert run.losses.tolist() == alone.losses.tolist()
         assert run.cumulative_loss == alone.cumulative_loss
         assert run.segment_starts == alone.segment_starts
-        states = [(rec.scale, rec.cardinality, rec.segment) for rec in run.records]
-        assert states == [(rec.scale, rec.cardinality, rec.segment) for rec in alone.records]
-        lam = np.array([rec.surrogate_loss for rec in run.records])
-        assert np.abs(lam - [rec.surrogate_loss for rec in alone.records]).max() <= 1e-12
+        for state in ("scales", "cardinalities", "segments"):
+            column, alone_column = getattr(run, state), getattr(alone, state)
+            assert (column is None) == (alone_column is None)
+            assert column is None or column.tolist() == alone_column.tolist()
+        assert np.abs(run.surrogate_losses - alone.surrogate_losses).max() <= 1e-12
 
 
 def _grid_rows(data, rows, n, top):

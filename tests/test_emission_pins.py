@@ -2,8 +2,10 @@
 
 Each case runs the CLI into a fresh prefix and hashes every written file by
 its suffix. `aggregate.json` is hashed without its `timing` block, which
-holds wall times. The digests were recorded before the trial loop became
-columnar; the files must stay byte for byte the same.
+holds wall times, and a replay's without the trace path it echoes. The
+digests were recorded before the trial loop became columnar, and the
+uneven-range iid and replay cases before the scenario sources built their
+sequences as whole arrays; the files must stay byte for byte the same.
 """
 import hashlib
 import json
@@ -22,7 +24,12 @@ CASES = {
     "fl-bounded-iid": "--algo fl-bounded --k 2 --n 6 --t 500 --c-max 1 --d-max 1 --scenario iid --scenario-seed 97 --seeds 1,2,3,4,5",
     "hedge-exact-killer": "--algo hedge-exact --n 6 --t 200 --c-max 1 --d-max 1 --scenario killer --seeds 3,5",
     "ftl-greedy-killer": "--algo ftl-greedy --n 6 --t 200 --c-max 1 --d-max 1 --scenario killer --seeds 3,5",
+    # opening and connection ranges differ, so each trial's two draws do
+    "iid-uneven": "--algo fl-fixed --k 2 --n 8 --t 400 --c-max 0.5 --d-max 2 --scenario iid --scenario-seed 11 --seeds 1,2,3",
+    # replays the scenario trace that REPLAY_SOURCE writes
+    "replay": "--algo fl-bounded --k 2 --n 5 --t 300 --c-max 0.5 --d-max 2 --scenario replay:{trace} --seeds 4,6",
 }
+REPLAY_SOURCE = "--algo fl --n 5 --t 300 --c-max 0.5 --d-max 2 --scenario drift --scenario-seed 3 --drift-step 0.2 --seeds 1"
 
 
 def emitted_digests(args: str, prefix: str, capsys) -> dict[str, str]:
@@ -36,12 +43,15 @@ def emitted_digests(args: str, prefix: str, capsys) -> dict[str, str]:
         if path.endswith(".aggregate.json"):
             aggregate = json.loads(data)
             del aggregate["timing"]
+            if aggregate["config"]["scenario"]["kind"] == "replay":
+                del aggregate["config"]["scenario"]["path"]
             data = json.dumps(aggregate, indent=2).encode()
         digests[path[len(prefix) :]] = hashlib.sha256(data).hexdigest()
     return digests
 
 
-# recorded before the trial loop became columnar
+# recorded before the trial loop became columnar; iid-uneven and replay
+# before the sources built whole arrays
 PINS = {
     "fl-bounded-iid": {
         ".aggregate.json": "85e5aa9f6df8238ae766ba90e17fc884893b85236ed597209bdd1096352d1c22",
@@ -72,6 +82,14 @@ PINS = {
         ".trials.seed3.csv": "3d77e2770b0658ace7d40d0c44e079bb5e79f3faa0afb379d888ca7d8ae479cc",
         ".trials.seed5.csv": "9645ab6daa5a4198a4114fffef8f22a9f8bc9386975a00ffdbc1ffcf1ede5b5d",
     },
+    "iid-uneven": {
+        ".aggregate.json": "47129f6b4e99882106296b011eaf56d578599082765576a0fa9e43105be58674",
+        ".regret_curve.csv": "d01eedb5a465bce2319ada787b85352d747968cf101d1c12f40a3ab1278bdd8e",
+        ".scenario.csv": "fe376bb1b160e443f4f100a11fba170df5a1e41bfaf661e0cfd9a5ad87c316be",
+        ".trials.seed1.csv": "448bee03751227bc55bfbeaf4956497e3571a662468884d98694a38f56db764f",
+        ".trials.seed2.csv": "6f5f962af8cb5bdae0f87dab18572c480218c1167c4b3c17772d521146596c4d",
+        ".trials.seed3.csv": "9fc3f9bad1bc0c04c9d7bf110579b6a27adbec14b2dd9f8e0a1f36937b22c40f",
+    },
     "readme-drift": {
         ".aggregate.json": "b2e666150563e7ca4a641289b3068744c36a8486203e6c71f42c556ac0d1e4eb",
         ".regret_curve.csv": "e9c6c3b95553613bdabeb8f42356a0c89816427475761c2d73efb622dc40b6a8",
@@ -90,9 +108,21 @@ PINS = {
         ".trials.seed2.csv": "105ddad8d45e304860b25b6bcfffc5928dd3af77d25f5862a3e80d46f581de27",
         ".trials.seed3.csv": "e77846fe4e3aa72f5c8d8b1730a6e77eefa53b60a2aa95374dfce83ebf57cfe6",
     },
+    "replay": {
+        ".aggregate.json": "a52ddd3585576ae8d3f4ff7a665dacb1bcbdec60e84085efcee78fb14d792ed6",
+        ".regret_curve.csv": "2e6fc723a2105b9d79c53457d88edd2b6ac7d48d980d1b8b6ed10650e9eee96e",
+        ".scenario.csv": "bd3cab8d51adb38e56442954287a0553580982539548fc98cf24344c622ebf4b",
+        ".trials.seed4.csv": "29333b755b93d4508057290f0ce9ec0a2c9f3e62715928d8c938aa486fb2c27b",
+        ".trials.seed6.csv": "e784e15b765b1d5114e46cff8d643cfa40ff3fada75d839771bdc4a4eabb7adc",
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_emitted_files_match_their_pins(name, tmp_path, capsys):
-    assert emitted_digests(CASES[name], str(tmp_path / name), capsys) == PINS[name]
+    args = CASES[name]
+    if "{trace}" in args:
+        assert main(["run", *REPLAY_SOURCE.split(), "--out", str(tmp_path / "source")]) == 0
+        capsys.readouterr()  # only the replay's files are pinned
+        args = args.format(trace=tmp_path / "source.scenario.csv")
+    assert emitted_digests(args, str(tmp_path / name), capsys) == PINS[name]

@@ -11,7 +11,7 @@ from olfl import (
     AlgoSpec,
     CapExceededError,
     ConfigError,
-    CostPair,
+    CostRows,
     ExperimentConfig,
     GameConfig,
     ScenarioSpec,
@@ -76,7 +76,7 @@ def test_config_dict_round_trip():
 
 def test_zero_cost_replay_is_lossless(tmp_path):
     path = str(tmp_path / "zeros.csv")
-    save_trace(path, [CostPair(np.zeros(3), np.zeros(3)) for _ in range(25)])
+    save_trace(path, CostRows(np.zeros((25, 3)), np.zeros((25, 3))))
     config = ExperimentConfig(
         GameConfig(3, 25, 1.0, 1.0),
         AlgoSpec("fl"),
@@ -87,7 +87,7 @@ def test_zero_cost_replay_is_lossless(tmp_path):
     assert result.mean_cumulative_loss == 0.0
     for sr in result.seed_runs:
         assert sr.cumulative_loss == 0.0
-        assert all(rec.scale == 1 for rec in sr.records)
+        assert sr.scales.tolist() == [1] * 25
         assert sr.segment_starts == [1]
 
 
@@ -96,8 +96,8 @@ def test_hedge_run_is_deterministic():
     a = run_experiment(config)
     b = run_experiment(config)
     assert a.mean_cumulative_loss == b.mean_cumulative_loss
-    for ra, rb in zip(a.seed_runs[0].records, b.seed_runs[0].records):
-        assert ra.action.members == rb.action.members and ra.loss == rb.loss
+    ra, rb = a.seed_runs[0], b.seed_runs[0]
+    assert ra.actions == rb.actions and ra.losses.tolist() == rb.losses.tolist()
 
 
 def test_killer_runs_use_per_seed_comparators():

@@ -4,14 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olfl import (
+    ActionRows,
     ConfigError,
     CostPair,
     CostRows,
     GameConfig,
     InvalidActionError,
     SiteSet,
+    action_losses,
     facility_loss,
-    row_losses,
     sort_by_connection_desc,
 )
 
@@ -48,8 +49,6 @@ def test_cost_pair_validation():
 def test_cost_rows_validation():
     rows = CostRows([[0.5, 0.2], [0.1, 0.0]], [[0.3, 0.9], [0.0, 1.0]])
     assert len(rows) == 2 and rows.n_sites == 2 and rows.opening.dtype == float
-    pair = rows.pair(1)
-    assert pair.opening.tolist() == [0.1, 0.0] and pair.connection.tolist() == [0.0, 1.0]
     for opening, connection in (
         ([0.5, 0.2], [0.3, 0.9]),  # 1-D
         ([[0.5]], [[0.3, 0.9]]),  # shapes differ
@@ -68,13 +67,33 @@ def test_cost_rows_validation():
         CostRows.stack([CostPair([0.5], [0.3]), CostPair([0.5, 0.2], [0.3, 0.9])])
 
 
+def test_cost_rows_read_as_a_sequence_of_cost_pairs():
+    rows = CostRows([[0.5, 0.2], [0.1, 0.0], [0.7, 0.4]], [[0.3, 0.9], [0.0, 1.0], [0.6, 0.8]])
+    for index, row in ((1, 1), (-1, 2)):
+        pair = rows[index]
+        assert isinstance(pair, CostPair) and pair.n_sites == 2
+        # views of the checked rows, not copies
+        assert np.shares_memory(pair.opening, rows.opening) and np.shares_memory(pair.connection, rows.connection)
+        assert pair.opening.tolist() == rows.opening[row].tolist()
+        assert pair.connection.tolist() == rows.connection[row].tolist()
+    assert [pair.connection.tolist() for pair in rows] == rows.connection.tolist()
+    tail = rows[1:]
+    assert isinstance(tail, CostRows) and np.array_equal(tail.opening, rows.opening[1:])
+    with pytest.raises(IndexError):
+        rows[3]
+    with pytest.raises(TypeError):
+        rows[[0, 1]]  # one row or a slice, never a fancy index
+    with pytest.raises(ConfigError):
+        rows[2:2]  # a CostRows is never empty
+
+
 def _bits(values) -> bytes:
     return np.array(values, dtype=float).tobytes()
 
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
-def test_row_losses_equal_facility_loss_bit_for_bit(data):
+def test_action_losses_of_site_sets_equal_facility_loss_bit_for_bit(data):
     rows, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 40))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     # magnitudes spread over six decades, so any change of summation order shows
@@ -82,20 +101,21 @@ def test_row_losses_equal_facility_loss_bit_for_bit(data):
     costs = CostRows(rng.uniform(0, 1, (rows, n)) * scale(), rng.uniform(0, 1, (rows, n)) * scale())
     sizes = data.draw(st.lists(st.integers(1, n), min_size=rows, max_size=rows))
     actions = [SiteSet.of(rng.choice(n, size=m, replace=False) + 1) for m in sizes]
-    expected = [facility_loss(costs.pair(r), action) for r, action in enumerate(actions)]
-    assert _bits(row_losses(costs, actions)) == _bits(expected)
-    shared = costs.pair(0)
-    assert _bits(row_losses(shared, actions)) == _bits([facility_loss(shared, a) for a in actions])
+    expected = [facility_loss(costs[r], action) for r, action in enumerate(actions)]
+    assert _bits(action_losses(costs, ActionRows.of(actions))) == _bits(expected)
+    shared = costs[0]
+    expected = [facility_loss(shared, a) for a in actions]
+    assert _bits(action_losses(shared, ActionRows.of(actions))) == _bits(expected)
 
 
-def test_row_losses_reject_what_facility_loss_rejects():
+def test_action_losses_reject_what_facility_loss_rejects():
     costs = CostRows(np.ones((2, 3)), np.ones((2, 3)))
     with pytest.raises(InvalidActionError):
-        row_losses(costs, [SiteSet((1,)), SiteSet((2, 4))])
+        action_losses(costs, ActionRows.of([SiteSet((1,)), SiteSet((2, 4))]))
     with pytest.raises(InvalidActionError):
-        row_losses(costs.pair(0), [SiteSet((4,))])
+        action_losses(costs[0], ActionRows.of([SiteSet((4,))]))
     with pytest.raises(ConfigError):
-        row_losses(costs, [SiteSet((1,))])  # two cost rows, one action
+        action_losses(costs, ActionRows.of([SiteSet((1,))]))  # two cost rows, one action
 
 
 def test_site_set_basics():

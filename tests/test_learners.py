@@ -197,30 +197,27 @@ def test_bounded_update_returns_extended_surrogate_value():
 
 
 def test_doubling_init_examples():
-    lrn = DoublingLearner(GameConfig(4, 100, 1.0, 1.0))
-    assert lrn._slope == 18.0  # ceil(ln 100 / 2) * (4C + 2D)
-    assert lrn._base == 2.0
+    cfg = GameConfig(4, 100, 1.0, 1.0)
+    lrn, core = DoublingLearner(cfg), LearnerBatch(cfg, "fl", 1)
+    assert core.slope == 18.0  # ceil(ln 100 / 2) * (4C + 2D)
+    assert core.base == 2.0
     assert lrn.scale == 1
     assert lrn.cardinality_budget == 1
     assert lrn.segment_starts == [1]
-    assert lrn.threshold() == pytest.approx(
+    assert core.threshold_unit == pytest.approx(
         2.0 * 20.0 * math.sqrt(math.log(8) * 100), rel=1e-12
     )
 
-    frugal = DoublingLearner(GameConfig(2, 7, 0.0, 1.0))
-    assert frugal._slope == 2.0
-    assert frugal._base == 1.0
-    assert frugal.cardinality_budget == 1
+    frugal = LearnerBatch(GameConfig(2, 7, 0.0, 1.0), "fl", 1)
+    assert frugal.slope == 2.0
+    assert frugal.base == 1.0
+    assert frugal.cardinality.tolist() == [1]
 
 
 def test_doubling_budget_formula():
-    lrn = DoublingLearner(GameConfig(4, 100, 1.0, 1.0))
-    lrn.scale = 2
-    assert lrn._budget_for_scale() == 3  # ceil((2*20 - 2)/18)
-    lrn.scale = 1
-    assert lrn._budget_for_scale() == 1  # exactly 1, no float dust
-    lrn.scale = 64
-    assert lrn._budget_for_scale() == 4  # clamped to N
+    core = LearnerBatch(GameConfig(4, 100, 1.0, 1.0), "fl", 1)
+    # ceil((2*20 - 2)/18); exactly 1, no float dust; clamped to N
+    assert core.budget_for(np.array([2, 1, 64])).tolist() == [3, 1, 4]
 
 
 def test_doubling_zero_real_costs_accumulate_only_the_dummy_term():

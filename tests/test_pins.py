@@ -46,13 +46,16 @@ def fingerprint(config: ExperimentConfig) -> dict:
     restriction = {"fl-fixed": {"exact_card": algo.cardinality}, "fl-bounded": {"max_card": algo.cardinality}}
     seeds = {}
     for run in result.seed_runs:
-        actions = ";".join(",".join(map(str, rec.action.members)) for rec in run.records)
+        actions = ";".join(",".join(map(str, action.members)) for action in run.actions)
+        lambdas = run.surrogate_losses
         entry = {
             "actions": _digest(actions.encode()),
-            "losses": _digest(np.array([rec.loss for rec in run.records]).tobytes()),
+            "losses": _digest(run.losses.tobytes()),
             "cumulative": run.cumulative_loss.hex(),
             "segment_starts": run.segment_starts,
-            "lambdas": [rec.surrogate_loss for rec in run.records[LAMBDA_EVERY - 1 :: LAMBDA_EVERY]],
+            "lambdas": [None] * (len(run.losses) // LAMBDA_EVERY)
+            if lambdas is None
+            else lambdas[LAMBDA_EVERY - 1 :: LAMBDA_EVERY].tolist(),
         }
         if run.realized_costs is not None:
             subset, loss = best_fixed_subset(run.realized_costs, **restriction.get(algo.name, {}))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olfl import ConfigError, InvalidDistributionError, draw_sites, sample_site_multiset
-from olfl.sampler import PREFETCH_TRIALS, UniformStreams, draw_flat, draw_rows, search_rows
+from olfl.sampler import PREFETCH_TRIALS, UniformStreams, draw_flat, search_rows
 
 TOP = np.nextafter(1.0, 0.0)  # the largest uniform a generator can return
 
@@ -108,7 +108,8 @@ def test_multiset_pair_probability():
 
 def test_row_draws_check_every_row_and_match_single_draws():
     p = np.array([[0.25, 0.25, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]])
-    rows = draw_rows(p, (4, 1, 6), [np.random.default_rng(seed) for seed in (1, 2, 3)])
+    flat = draw_flat(p, (4, 1, 6), [np.random.default_rng(seed) for seed in (1, 2, 3)])
+    rows = np.split(flat, [4, 5])
     for row, count, seed, drawn in zip(p, (4, 1, 6), (1, 2, 3), rows):
         assert np.array_equal(drawn, draw_sites(row, count, np.random.default_rng(seed)))
     rngs = [np.random.default_rng(0)] * 3
@@ -116,9 +117,9 @@ def test_row_draws_check_every_row_and_match_single_draws():
         q = p.copy()
         q[2] = bad
         with pytest.raises(InvalidDistributionError, match=f"{where}.*row 3"):
-            draw_rows(q, (1, 1, 1), rngs)
+            draw_flat(q, (1, 1, 1), rngs)
     with pytest.raises(ConfigError):
-        draw_rows(p, (1, 0, 1), rngs)
+        draw_flat(p, (1, 0, 1), rngs)
 
 
 class _Given:

@@ -1,6 +1,8 @@
 """Surrogate value/gradient against the direct formula and finite differences."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from olfl import ConfigError, ContractViolationError, CostPair, SurrogateInstance, value_and_gradient
 from olfl.verify import (
@@ -75,6 +77,21 @@ def test_matches_direct_evaluation_and_finite_differences():
         fd = finite_difference_gradient(inst.opening, inst.connection, inst.num_draws, w)
         tol = np.maximum(1e-6, 1e-4 * np.abs(grad))
         assert np.all(np.abs(grad - fd) <= tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_an_all_zero_cost_vector_matches_direct_evaluation_and_finite_differences(data):
+    n, ups = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 200))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    cost_max = data.draw(st.sampled_from((0.5, 1.0, 5.0)))
+    costs = [rng.uniform(0.0, cost_max, n), rng.uniform(0.0, cost_max, n)]
+    costs[data.draw(st.integers(0, 1))][:] = 0.0  # C = 0 or D = 0
+    w = rng.dirichlet(np.ones(n))
+    value, grad = value_and_gradient(SurrogateInstance.from_costs(CostPair(*costs), ups), w)
+    assert value == pytest.approx(surrogate_value_direct(*costs, ups, w), rel=1e-10, abs=1e-12)
+    fd = finite_difference_gradient(*costs, ups, w)
+    assert np.all(np.abs(grad - fd) <= np.maximum(1e-6, 1e-4 * np.abs(grad)))
 
 
 def test_single_draw_telescopes_to_linear():
