@@ -37,27 +37,32 @@ GRAD_RANGE_SLACK = 1e-9
 
 def eg_rows(w: np.ndarray, g: np.ndarray, lr: np.ndarray, grad_bound: np.ndarray) -> np.ndarray:
     """One multiplicative step per row: the new (S, n) weights from weights
-    w and gradients g, row r stepping at rate lr[r] under bound grad_bound[r]."""
-    if not np.all(np.isfinite(g)):
-        raise ContractViolationError("gradient must be finite")
-    magnitude = np.maximum(g.max(axis=1), -g.min(axis=1))
-    over = magnitude > grad_bound * (1.0 + GRAD_RANGE_SLACK)
-    if over.any():
-        r = int(np.argmax(over))
-        raise ContractViolationError(
-            f"gradient magnitude {magnitude[r]} exceeds bound {grad_bound[r]}"
-        )
+    w and gradients g, row r stepping at rate lr[r] under bound grad_bound[r].
+
+    Each precondition is one comparison that NaN fails; only a failed one
+    looks for the complaint to raise."""
+    if not (np.abs(g).max(axis=1) <= grad_bound * (1.0 + GRAD_RANGE_SLACK)).all():
+        _refuse_gradient(g, grad_bound)
     # one new array, stepped in place into the new weights
     u = -lr[:, None] * g
     u -= u.max(axis=1, keepdims=True)  # shift largest exponent to 0; normalization cancels it
     np.exp(u, out=u)
     u *= w
     z = u.sum(axis=1)
-    degenerate = ~np.isfinite(z) | (z <= 0.0)
-    if degenerate.any():
+    if not (0.0 < z.min() and z.max() < np.inf):
+        degenerate = ~np.isfinite(z) | (z <= 0.0)
         raise NumericError(f"weight normalizer degenerate: {z[int(np.argmax(degenerate))]!r}")
     u /= z[:, None]
     return u
+
+
+def _refuse_gradient(g: np.ndarray, grad_bound: np.ndarray) -> None:
+    """Raise the complaint about the first thing wrong with the gradients."""
+    if not np.all(np.isfinite(g)):
+        raise ContractViolationError("gradient must be finite")
+    magnitude = np.maximum(g.max(axis=1), -g.min(axis=1))
+    r = int(np.argmax(magnitude > grad_bound * (1.0 + GRAD_RANGE_SLACK)))
+    raise ContractViolationError(f"gradient magnitude {magnitude[r]} exceeds bound {grad_bound[r]}")
 
 
 def starting_point(n: int, horizon: int, multiplicity=None) -> tuple[np.ndarray, float]:

@@ -8,14 +8,18 @@ source this is also where the adversary's order of moves is realized).
 Seeds drive the learner's own randomness: each seed owns the generator
 `np.random.default_rng(seed)`. All seeds of an experiment run through one
 columnar trial loop, whose Python work per trial does not grow with the
-seed count. The fl family runs the seeds as the rows of one `LearnerBatch`,
-which reads its uniforms through a `UniformStreams`: the generators are
-private to the run, so each row's uniforms are prefetched for about 64
-trials at a time. hedge-exact and ftl-greedy keep one scalar learner per
-seed behind the same row interface and draw from their generators directly.
-A trial's actions are CSR rows (`ActionRows`); the loop records them, with
-each row's surrogate loss and learner state, as (T, S) columns, and keeps
-no per-trial objects.
+seed count. The fl family runs as one `LearnerBatch`, which reads its
+uniforms through a `UniformStreams`: the generators are private to the run,
+so each seed's uniforms are prefetched for about 64 trials at a time. The
+fl learners' weights depend on the costs alone, so on a shared scenario
+every seed follows one weight trajectory: the batch holds one row, updates
+it once per trial and draws every seed's action from it. On the adaptive
+killer each seed has its own costs, and the batch one row per seed.
+hedge-exact and ftl-greedy keep one scalar learner per seed behind the same
+interface and draw from their generators directly. A trial's actions are
+CSR rows (`ActionRows`), one per seed; the loop records them, with the
+surrogate losses and learner state broadcast to every seed their row
+serves, as (T, S) columns, and keeps no per-trial objects.
 
 Non-adaptive scenarios materialize one cost sequence (from the scenario's
 own seed or a trace file) shared by every learner seed, so one sort per
@@ -176,10 +180,13 @@ class PerSeedLearners:
 
 
 def build_learner(config: ExperimentConfig):
-    """The learners of every seed of the experiment, one row per seed."""
+    """The learners of every seed of the experiment, drawing one action per
+    seed. On a shared scenario the fl family is one weight row, which every
+    seed draws from; on the killer it is one row per seed."""
     name, cfg, rows = config.algo.name, config.game, len(config.seeds)
     if name in KINDS:
-        return LearnerBatch(cfg, name, rows, config.algo.cardinality)
+        shared = config.scenario.kind != "killer"
+        return LearnerBatch(cfg, name, 1 if shared else rows, config.algo.cardinality)
     if name == "hedge-exact":
         return PerSeedLearners([ExactHedge(cfg) for _ in range(rows)])
     if name == "ftl-greedy":
@@ -230,12 +237,12 @@ class RunResult:
 
 def _run_seeds(config: ExperimentConfig, shared_costs: CostRows | None) -> list[SeedRun]:
     """Every seed of the experiment through one columnar trial loop. A
-    trial plays every row at once as CSR actions and records them with the
-    rows' surrogate losses and state as (T, S) columns, so the loop's Python
-    work per trial does not grow with the seed count. Losses depend on the
-    actions and costs alone, so they are priced once after the loop, one
-    call per seed over its whole history (`shared_costs` when the scenario
-    is shared)."""
+    trial plays every seed at once as CSR actions and records them with the
+    surrogate losses and learner state as (T, S) columns, a one-row
+    learner's broadcast to every seed, so the loop's Python work per trial
+    does not grow with the seed count. Losses depend on the actions and
+    costs alone, so they are priced once after the loop, one call per seed
+    over its whole history (`shared_costs` when the scenario is shared)."""
     cfg, seeds = config.game, config.seeds
     rows, horizon = len(seeds), cfg.horizon
     learner = build_learner(config)
@@ -284,7 +291,11 @@ def _run_seeds(config: ExperimentConfig, shared_costs: CostRows | None) -> list[
     losses = np.array([action_losses(history, actions) for history, actions in zip(histories, by_seed)])
     wall = (time.perf_counter() - wall_start) / rows
     median_ms = float(np.median(per_trial) * 1e3)
-    starts = learner.segment_starts if config.algo.name == "fl" else [None] * rows
+    if config.algo.name == "fl":
+        held = learner.segment_starts  # one list per weight row
+        starts = [list(held[0 if len(held) == 1 else r]) for r in range(rows)]
+    else:
+        starts = [None] * rows
     # a sequential sum along each row, as adding trial by trial would give
     cumulative = np.cumsum(losses, axis=1)[:, -1].tolist()
     columns = [None if c is None else np.ascontiguousarray(c.T) for c in [values if reported else None, *states]]

@@ -1,19 +1,28 @@
 """The facility-location learners, as one seed-batched core.
 
-`LearnerBatch` runs S independent learners of one kind as one array
-program over an (S, n) weight array. Row r is one learner: its weights, its
-draw count, learning rate and gradient bound, and for `fl` its scale guess,
-accumulator and segment. Each trial makes one row-wise pass per stage,
-with a number of numpy calls that does not grow with S: every row draws its
-sites in one flat inverse-CDF search, reading its uniforms from its own
-generator (or from its row of a `UniformStreams`, which prefetches them;
-only generators private to one run may be read that way, since prefetching
-leaves them ahead); one sorted pass deduplicates the draws into CSR actions
-(`play` returns `ActionRows`, which reads as one SiteSet per row); the costs are sorted once when all rows share them, row-wise when
-each row has its own; the surrogate value and gradient and the
+`LearnerBatch` runs independent learners of one kind as one array program
+over an (S, n) weight array. Row r is one weight trajectory: its weights,
+its draw count, learning rate and gradient bound, and for `fl` its scale
+guess, accumulator and segment. The weights move with the costs alone, not
+with the draws, so learners that see the same costs share one trajectory:
+a batch of one row draws an action for every generator it is handed, and S
+learners on one oblivious cost sequence are one row drawing S actions. A
+batch of S rows draws row r's action from generator r.
+
+Each trial makes one row-wise pass per stage, with a number of numpy calls
+that does not grow with the number of actions: every action's sites come
+from one flat inverse-CDF search, reading each action's uniforms from its
+own generator (or from its row of a `UniformStreams`, which prefetches
+them; only generators private to one run may be read that way, since
+prefetching leaves them ahead); one in-place sort deduplicates the draws
+into CSR actions (`play` returns `ActionRows`, which reads as one SiteSet
+per action); the costs are sorted once when all rows share them, row-wise
+when each row has its own; the surrogate value and gradient and the
 exponentiated-gradient step run on all rows at once; and doubling restarts
 reset the rows that crossed their threshold through a mask. Rows never mix,
-so a row follows the same trajectory whichever rows share its batch.
+so a row follows the same trajectory whichever rows share its batch, and
+an action is the same whether its generator draws from its own row or from
+the one row every generator shares.
 
 Kinds:
 
@@ -60,18 +69,20 @@ def half_log_ceil(horizon: int) -> int:
 
 
 class LearnerBatch:
-    """`rows` independent facility learners of one kind, one per row.
+    """`rows` independent weight trajectories of facility learners of one
+    kind; one row serves any number of generators.
 
     `cfg` is the real game. The rows learn on `self.cfg`: the real game for
     fl-fixed, the game extended with the aggregate dummy site (opening 0,
     connection C + D) otherwise. `cardinality` is K for fl-fixed and
     fl-bounded; fl derives each row's budget from its scale guess.
 
-    Memory is the (S, n) weights plus a 4 x (S, n) work space that the
-    surrogate reuses every trial, and outside fl-fixed a 2 x (S, n) cost
-    buffer whose aggregate-dummy column is written once, so a trial
+    Memory is the (S, n) weights of the S rows plus a 4 x (S, n) work space
+    that the surrogate reuses every trial, and outside fl-fixed a 2 x (S, n)
+    cost buffer whose aggregate-dummy column is written once, so a trial
     allocates no other S x n temporaries besides the new weights, the sort
-    and the sampler's sums.
+    and the sampler's sums. None of it grows with the number of generators
+    a one-row batch draws for.
     """
 
     def __init__(self, cfg: GameConfig, kind: str, rows: int, cardinality: int | None = None):
@@ -127,11 +138,16 @@ class LearnerBatch:
         # the sampler's count: one int while every row draws alike
         first = int(self.num_draws[0])
         self._draws = first if (self.num_draws == first).all() else self.num_draws
-        stride = self.cfg.n_sites + 1  # row r's draw of site i is key r * stride + i
-        self._row_starts = np.arange(0, (self.rows + 1) * stride, stride)
-        self._draw_offsets = np.repeat(self._row_starts[:-1], self._draws)
+        self._set_offsets(self.rows)
         self.grad_bound = (self.cfg.opening_max + self.cfg.connection_max) * self.num_draws
         self.lr = self._rate / self.grad_bound
+
+    def _set_offsets(self, actions: int) -> None:
+        """Action starts and per-draw key offsets for `actions` actions per
+        play: action a's draw of site i is key a * stride + i."""
+        stride = self.cfg.n_sites + 1
+        self._row_starts = np.arange(0, (actions + 1) * stride, stride)
+        self._draw_offsets = np.repeat(self._row_starts[:-1], self._draws)
 
     def budget_for(self, scale: np.ndarray) -> np.ndarray:
         """Cardinality budget K = ceil((scale*(a+b) - b)/a) per scale, written
@@ -152,14 +168,6 @@ class LearnerBatch:
     def state_nbytes(self) -> int:
         return self.w.nbytes
 
-    def state(self) -> list[tuple[int | None, int, int | None]]:
-        """(scale, cardinality, segment) per row; scale and segment are None
-        outside fl."""
-        scale, cardinality, segment = self.state_rows()
-        if scale is None:
-            return [(None, k, None) for k in cardinality.tolist()]
-        return list(zip(scale.tolist(), cardinality.tolist(), segment.tolist()))
-
     def state_rows(self) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
         """The per-row (scale, cardinality, segment) arrays, live; scale and
         segment are None outside fl."""
@@ -168,15 +176,25 @@ class LearnerBatch:
         return self.scale, self.cardinality, self.segment
 
     def play(self, rngs) -> ActionRows:
-        """One action per row, row r drawing from generator rngs[r], or from
-        row r of a `UniformStreams`."""
+        """One action per generator rngs[a], or per row a of a
+        `UniformStreams`, drawn from weight row a, or from the one row when
+        the batch has one row."""
         if self._awaiting_update:
             raise ProtocolError("play called again before update")
-        if len(rngs) != self.rows:
-            raise ConfigError(f"{len(rngs)} generators for {self.rows} rows")
+        actions = len(rngs)
+        if actions < 1 or (actions != self.rows and self.rows != 1):
+            raise ConfigError(f"{actions} generators for {self.rows} rows")
+        if self._row_starts.size != actions + 1:
+            self._set_offsets(actions)
         self._awaiting_update = True
-        # one sorted pass keeps each row's distinct sites, in row order
-        keys = np.unique(draw_flat(self.w, self._draws, rngs) + self._draw_offsets)
+        # one in-place sort keeps each action's distinct sites, in action order
+        keys = draw_flat(self.w, self._draws, rngs)
+        keys += self._draw_offsets
+        keys.sort()
+        distinct = np.empty(keys.size, dtype=bool)
+        distinct[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+        keys = keys[distinct]
         stride = self.cfg.n_sites + 1
         real = keys[keys % stride <= self.n_real]  # a dummy draw is stripped
         ptr = real.searchsorted(self._row_starts)
@@ -249,10 +267,6 @@ class _BatchOfOne:
     @property
     def state_nbytes(self) -> int:
         return self._inner.state_nbytes
-
-    def state(self) -> tuple[int | None, int, int | None]:
-        """(scale, cardinality, segment); scale and segment are None outside fl."""
-        return self._inner.state()[0]
 
     def play(self, rng: np.random.Generator) -> SiteSet:
         return self._inner.play((rng,))[0]

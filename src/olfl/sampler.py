@@ -13,8 +13,10 @@ the checks and the cumulative sums run row-wise, and one search serves
 every row. With S > 1 the search runs over complex keys r + i*cdf[r, j]:
 numpy orders complex numbers by real part, then imaginary part, so the row
 index and the cumulative mass are compared exactly and nothing is added to
-any cumulative sum. One row searches its own cumulative sums directly.
-`draw_sites` is the one-row case.
+any cumulative sum. One row searches its own cumulative sums directly, and
+serves any number of generators: every generator's draws search the one
+row, exactly as they would search a copy of it of their own. `draw_sites`
+is the one-row, one-generator case.
 
 Uniforms come from one generator per row, read in order: `rngs[r].random`
 gives row r its draws on every call. `UniformStreams` instead owns each
@@ -125,7 +127,9 @@ def search_rows(cdf: np.ndarray, counts, u: np.ndarray) -> np.ndarray:
 def draw_flat(p: np.ndarray, counts, rngs) -> np.ndarray:
     """`counts[r]` independent draws from row r of the (S, n) array p, flat
     in row order as 1-based site indices; an int count is every row's.
-    `rngs` is one generator per row or a `UniformStreams`."""
+    `rngs` is one generator per row or a `UniformStreams`; a one-row p is
+    every generator's row, and a sequence of counts then has one count per
+    generator."""
     cdf = np.cumsum(p, axis=1)
     if not (p.min() >= 0 and (np.abs(cdf[:, -1] - 1.0) <= MASS_TOL).all()):  # false on NaN too
         _refuse(p, cdf)
@@ -134,10 +138,10 @@ def draw_flat(p: np.ndarray, counts, rngs) -> np.ndarray:
         raise ConfigError(f"count must be >= 1, got {fewest!r}")
     if isinstance(rngs, UniformStreams):
         u = rngs.take(counts)
-    elif len(p) == 1:
+    elif len(rngs) == 1:
         u = rngs[0].random(counts if isinstance(counts, int) else counts[0])
     else:
-        counts = np.broadcast_to(counts, len(p))
+        counts = np.broadcast_to(counts, len(rngs))
         u = np.concatenate([rng.random(count) for rng, count in zip(rngs, counts.tolist())])
     return search_rows(cdf, counts, u)
 

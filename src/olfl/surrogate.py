@@ -80,13 +80,12 @@ def _powers(x: np.ndarray, ups: np.ndarray, full: np.ndarray, less: np.ndarray) 
     scalar 2 as x * x but goes through pow for an array of exponents, so this
     keeps a row's bits independent of the rows that share its batch.
     """
-    exps = np.unique(ups)
-    if exps.size == 1:
-        u = int(exps[0])
+    if ups.size == 1 or (ups == ups[0]).all():
+        u = int(ups[0])
         np.power(x, u, out=full)
         np.power(x, u - 1, out=less)
         return
-    for u in exps.tolist():
+    for u in np.unique(ups).tolist():
         rows = ups == u
         full[rows] = np.power(x[rows], u)
         less[rows] = np.power(x[rows], u - 1)

@@ -1,4 +1,5 @@
-"""Seeded regression pins and batch-versus-alone equivalence of the learners.
+"""Seeded regression pins, batch-versus-alone equivalence of the learners,
+and one weight row drawing for many generators against a row per generator.
 
 The pins hold the first 40 actions and surrogate losses of two seeded runs,
 recorded before the learners ran as one seed-batched core: the core must
@@ -13,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olfl import AlgoSpec, ConfigError, CostPair, CostRows, ExperimentConfig, GameConfig, ScenarioSpec, run_experiment
+from olfl.experiment import build_learner
 from olfl.learners import KINDS, BoundedCardinalityLearner, DoublingLearner, FixedCardinalityLearner, LearnerBatch
+from olfl.sampler import UniformStreams
 from olfl.surrogate import surrogate_rows
 
 BOUNDED_ACTIONS = [
@@ -160,7 +163,80 @@ def test_every_row_of_a_batch_equals_a_batch_of_one(data):
         values = batch.update(pairs[0] if shared else CostRows(opening, connection))
         assert values == [s.update(cp)[0] for s, cp in zip(singles, pairs)]
         assert all(np.array_equal(batch.w[r], s.w[0]) for r, s in enumerate(singles))
-        assert batch.state() == [s.state()[0] for s in singles]
+        for r, s in enumerate(singles):
+            for column, alone in zip(batch.state_rows(), s.state_rows()):
+                assert (column is None) == (alone is None)
+                assert column is None or column[r] == alone[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_one_weight_row_drawing_for_every_generator_equals_a_row_per_generator(data):
+    kind = data.draw(st.sampled_from(KINDS))
+    n, rows = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 4))
+    c_max, d_max = data.draw(st.sampled_from([(1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (2.0, 0.5)]))
+    cfg = GameConfig(n, data.draw(st.sampled_from([2, 8, 60, 500])), c_max, d_max)
+    k = None if kind == "fl" else data.draw(st.integers(1, n))
+    one, batch = LearnerBatch(cfg, kind, 1, k), LearnerBatch(cfg, kind, rows, k)
+    one.w = _simplex_rows(data, 1, one.cfg.n_sites)
+    if kind != "fl-fixed" and data.draw(st.booleans()):
+        one.w = np.eye(one.cfg.n_sites)[-1:]  # every draw is a dummy: every action is {1}
+    batch.w = np.repeat(one.w, rows, axis=0)
+    if kind == "fl":  # a low threshold makes the rows restart within a few trials
+        one.threshold_unit = batch.threshold_unit = one.threshold_unit * data.draw(st.sampled_from([1.0, 1e-3]))
+    for trial in range(data.draw(st.integers(1, 6))):
+        seeds = [1000 * trial + r for r in range(rows)]
+        drawn = one.play([np.random.default_rng(seed) for seed in seeds])
+        expected = batch.play([np.random.default_rng(seed) for seed in seeds])
+        assert np.array_equal(drawn.ptr, expected.ptr) and np.array_equal(drawn.sites, expected.sites)
+        costs = CostPair(*_grid_rows(data, 1, n, c_max), *_grid_rows(data, 1, n, d_max))
+        assert one.update(costs) * rows == batch.update(costs)
+        assert all(np.array_equal(one.w[0], row) for row in batch.w)
+        for column, expected_column in zip(one.state_rows(), batch.state_rows()):
+            assert (column is None) == (expected_column is None)
+            assert column is None or (expected_column == column[0]).all()
+        if kind == "fl":
+            assert one.segment_starts * rows == batch.segment_starts
+
+
+def test_an_all_dummy_row_plays_site_one_for_every_generator():
+    one = LearnerBatch(GameConfig(3, 50, 1.0, 1.0), "fl-bounded", 1, 2)
+    one.w = np.array([[0.0, 0.0, 0.0, 1.0]])
+    actions = one.play([np.random.default_rng(seed) for seed in range(5)])
+    assert [action.members for action in actions] == [(1,)] * 5
+
+
+@pytest.mark.parametrize("kind", ["iid", "drift", "replay", "killer"])
+@pytest.mark.parametrize("algo, k", [("fl-fixed", 2), ("fl-bounded", 2), ("fl", None)])
+def test_a_shared_scenario_holds_one_weight_row_and_the_killer_one_per_seed(kind, algo, k):
+    path = "trace.csv" if kind == "replay" else None  # the learner never reads it
+    config = ExperimentConfig(
+        GameConfig(6, 100, 1.0, 1.0), AlgoSpec(algo, k), ScenarioSpec(kind, path=path), (1, 2, 3, 4, 5)
+    )
+    learner = build_learner(config)
+    rows = 5 if kind == "killer" else 1
+    assert learner.w.shape == (rows, learner.cfg.n_sites)
+    assert learner.state_nbytes == rows * learner.cfg.n_sites * 8
+
+
+def test_seeds_sharing_a_weight_row_get_their_own_segment_lists():
+    config = ExperimentConfig(GameConfig(4, 100, 1.0, 1.0), AlgoSpec("fl"), ScenarioSpec("iid", seed=2), (1, 2, 3))
+    starts = [run.segment_starts for run in run_experiment(config).seed_runs]
+    assert starts == [[1]] * 3
+    starts[0].append(50)
+    assert starts[1:] == [[1]] * 2
+
+
+def test_a_batch_of_rows_takes_one_generator_per_row():
+    batch = LearnerBatch(GameConfig(3, 10, 1.0, 1.0), "fl", 3)
+    for seeds in ((1,), (1, 2), (1, 2, 3, 4), ()):
+        with pytest.raises(ConfigError, match=f"{len(seeds)} generators for 3 rows"):
+            batch.play([np.random.default_rng(seed) for seed in seeds])
+        with pytest.raises(ConfigError, match=f"{len(seeds)} generators for 3 rows"):
+            batch.play(UniformStreams(seeds))
+    assert len(batch.play(UniformStreams((1, 2, 3)))) == 3  # a refusal leaves play open
+    with pytest.raises(ConfigError, match="0 generators for 1 rows"):
+        LearnerBatch(GameConfig(3, 10, 1.0, 1.0), "fl", 1).play([])
 
 
 def test_update_takes_a_shared_pair_or_one_cost_row_per_learner_row():

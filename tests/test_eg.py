@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from olfl import ConfigError, ContractViolationError, ExponentiatedGradient
+from olfl import ConfigError, ContractViolationError, ExponentiatedGradient, NumericError
+from olfl.eg import eg_rows
 
 
 def test_init_examples():
@@ -109,3 +110,40 @@ def test_no_underflow_at_large_exponents():
 
 def test_state_nbytes_tracks_dimension():
     assert ExponentiatedGradient(64, 1.0, 10).state_nbytes == 64 * 8
+
+
+def _step(w, g, lr=0.1, bound=1.0):
+    rows = len(w)
+    return eg_rows(np.array(w, dtype=float), np.array(g, dtype=float), np.full(rows, lr), np.full(rows, bound))
+
+
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        ([[0.5, 0.0], [np.nan, 0.0]], "gradient must be finite"),
+        ([[0.5, np.inf], [0.0, 0.0]], "gradient must be finite"),
+        ([[0.5, 0.0], [0.0, -np.inf]], "gradient must be finite"),
+        # the finite check comes first, whichever row is over the bound
+        ([[0.0, -1.5], [np.nan, 0.0]], "gradient must be finite"),
+        ([[0.5, 0.0], [0.0, -1.5], [2.0, 0.0]], "gradient magnitude 1.5 exceeds bound 1.0"),
+    ],
+)
+def test_a_refused_gradient_names_its_first_fault(g, message):
+    with pytest.raises(ContractViolationError) as caught:
+        _step(np.full((len(g), 2), 0.5), g)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "w, lr, z",
+    [
+        # the only weighted coordinate steps exp(-1e4) below the shifted one: Z underflows to 0
+        ([[0.5, 0.5], [1.0, 0.0]], 1e4, 0.0),
+        ([[0.5, 0.5], [np.nan, 0.5]], 0.1, np.nan),
+        ([[0.5, 0.5], [np.inf, 0.5]], 0.1, np.inf),
+    ],
+)
+def test_a_degenerate_normalizer_is_a_numeric_error(w, lr, z):
+    with pytest.raises(NumericError) as caught:
+        _step(w, [[0.0, 0.0], [1.0, 0.0]], lr=lr)
+    assert str(caught.value) == f"weight normalizer degenerate: {np.float64(z)!r}"

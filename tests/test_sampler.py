@@ -174,3 +174,23 @@ def test_prefetched_streams_equal_per_call_draws(data):
         for _ in range(data.draw(st.integers(1, 2 * PREFETCH_TRIALS))):
             expected = [g.random(c) for g, c in zip(generators, np.broadcast_to(counts, rows).tolist())]
             assert np.array_equal(streams.take(counts), np.concatenate(expected))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_row_serves_every_generator_as_a_copy_of_its_own(data):
+    rows, n = data.draw(st.integers(2, 5)), data.draw(st.integers(1, 9))
+    weights = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any)
+    p = np.array([data.draw(weights)], dtype=float)
+    p /= p.sum()
+    counts = _counts(data, rows, 6)
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=rows, max_size=rows, unique=True))
+    generators = [np.random.default_rng(seed) for seed in seeds]
+    expected = draw_flat(np.repeat(p, rows, axis=0), counts, [np.random.default_rng(seed) for seed in seeds])
+    assert np.array_equal(draw_flat(p, counts, generators), expected)
+    assert np.array_equal(draw_flat(p, counts, UniformStreams(seeds)), expected)
+    # each generator advanced by exactly its own draws
+    for generator, seed, count in zip(generators, seeds, np.broadcast_to(counts, rows).tolist()):
+        twin = np.random.default_rng(seed)
+        twin.random(count)
+        assert generator.bit_generator.state == twin.bit_generator.state
