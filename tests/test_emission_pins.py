@@ -5,7 +5,9 @@ its suffix. `aggregate.json` is hashed without its `timing` block, which
 holds wall times, and a replay's without the trace path it echoes. The
 digests were recorded before the trial loop became columnar, and the
 uneven-range iid and replay cases before the scenario sources built their
-sequences as whole arrays; the files must stay byte for byte the same.
+sequences as whole arrays, and the shared-scenario hedge-exact and
+ftl-greedy cases while those learners ran one scalar learner per seed; the
+files must stay byte for byte the same.
 """
 import hashlib
 import json
@@ -24,6 +26,10 @@ CASES = {
     "fl-bounded-iid": "--algo fl-bounded --k 2 --n 6 --t 500 --c-max 1 --d-max 1 --scenario iid --scenario-seed 97 --seeds 1,2,3,4,5",
     "hedge-exact-killer": "--algo hedge-exact --n 6 --t 200 --c-max 1 --d-max 1 --scenario killer --seeds 3,5",
     "ftl-greedy-killer": "--algo ftl-greedy --n 6 --t 200 --c-max 1 --d-max 1 --scenario killer --seeds 3,5",
+    # hedge-exact and ftl-greedy on shared scenarios, several seeds each
+    "hedge-exact-iid": "--algo hedge-exact --n 6 --t 200 --c-max 0.5 --d-max 2 --scenario iid --scenario-seed 13 --seeds 1,2,3,4",
+    "hedge-exact-replay": "--algo hedge-exact --n 5 --t 300 --c-max 0.5 --d-max 2 --scenario replay:{trace} --seeds 4,6,9",
+    "ftl-greedy-drift": "--algo ftl-greedy --n 6 --t 200 --c-max 1 --d-max 1 --scenario drift --scenario-seed 5 --drift-step 0.1 --seeds 1,2,3",
     # opening and connection ranges differ, so each trial's two draws do
     "iid-uneven": "--algo fl-fixed --k 2 --n 8 --t 400 --c-max 0.5 --d-max 2 --scenario iid --scenario-seed 11 --seeds 1,2,3",
     # replays the scenario trace that REPLAY_SOURCE writes
@@ -51,7 +57,9 @@ def emitted_digests(args: str, prefix: str, capsys) -> dict[str, str]:
 
 
 # recorded before the trial loop became columnar; iid-uneven and replay
-# before the sources built whole arrays
+# before the sources built whole arrays; hedge-exact-iid, hedge-exact-replay
+# and ftl-greedy-drift while hedge-exact and ftl-greedy still ran one scalar
+# learner per seed
 PINS = {
     "fl-bounded-iid": {
         ".aggregate.json": "85e5aa9f6df8238ae766ba90e17fc884893b85236ed597209bdd1096352d1c22",
@@ -70,17 +78,42 @@ PINS = {
         ".trials.seed5.csv": "b4379c44175ad2b718eeccefcf3ecec8f3d1fc8dab814f7e4aef521838a7a5f6",
         ".trials.seed8.csv": "da6f1e476f608dda7e797739570b2887ac18f849f9e3b6f59d4ff445c7b99119",
     },
+    "ftl-greedy-drift": {
+        ".aggregate.json": "aa771f235e15fda0f7dff71d8f68ec667c9da4a685733d0ee6bdcb03ac103e6a",
+        ".regret_curve.csv": "76e425a8150e54560a8e2e015ede73416922e224bae6109923b252dab45edad4",
+        ".scenario.csv": "da60fb3749b8f744d404f90a56cf9229350022e09b11c0688bd4e592da949507",
+        ".trials.seed1.csv": "33cb53c139ab61db8b94924bf0d2ffb08106141cf14cc088d2e59ba295beb1f8",
+        ".trials.seed2.csv": "472fe37acf949aaf0b37f6ced473441e23f7cb2ba8c3b5d82fdff9b48daa827c",
+        ".trials.seed3.csv": "eab1e1bb20409b6ae666ee323cccac6a4638bc478e809f6db38f853c75e0d226",
+    },
     "ftl-greedy-killer": {
         ".aggregate.json": "a8572fef1ab74f6aed9e409c2ae680e327d5a21128027d7b2724b95c67aaedcc",
         ".regret_curve.csv": "f333509cb158992bb20170f5f05ed0f64dcef4b2f03d79fa02ee6366ee736890",
         ".trials.seed3.csv": "cb254088d4e7cc5f929c56e4400b041aa5f63045165098ce8a2dff92e3f04e4c",
         ".trials.seed5.csv": "a5c73b740a05db0f20123e8b1dcdc0e345648610b10f7810bbeb2e5f4c87d090",
     },
+    "hedge-exact-iid": {
+        ".aggregate.json": "b202532d9401b2064eb2af3fc146309ffca77f03ff64d8c9c42372e0ecb822b8",
+        ".regret_curve.csv": "19febc21c489191683249833c398da1948533ef5a4a1ddfd8abfdf3b62c4aad3",
+        ".scenario.csv": "3252eeb4720461c41b3fa84bd14590e641f852034be6cbe695ad71c1ef58950e",
+        ".trials.seed1.csv": "7bb2edef2991bbdca753c10f3b0c28954d417e74837c07c6ceed03a9c92122d1",
+        ".trials.seed2.csv": "d3e9a52e9efb079751a4b21910ae96f310e2785cba2d34eb8f8a255e511ffd89",
+        ".trials.seed3.csv": "b9cb1ed9fa49a985e61e12d32091e90b42706518e4a6d3a926df49f076edac5a",
+        ".trials.seed4.csv": "dc2ec9521a8f81df8e5eeb64e55416c363ed7d9b2534924b952c6c47cc2746a0",
+    },
     "hedge-exact-killer": {
         ".aggregate.json": "2c2ab63352cd5e698bf714f206c73d7036f7d20a3a6a71023e1620a9f7d8aeeb",
         ".regret_curve.csv": "765e0e09abbb5170c133a5e8716f247508ea1520407d48b02b3db080f6032fc5",
         ".trials.seed3.csv": "3d77e2770b0658ace7d40d0c44e079bb5e79f3faa0afb379d888ca7d8ae479cc",
         ".trials.seed5.csv": "9645ab6daa5a4198a4114fffef8f22a9f8bc9386975a00ffdbc1ffcf1ede5b5d",
+    },
+    "hedge-exact-replay": {
+        ".aggregate.json": "e864803404e0bac2822b3b46966439bdc8ef522e4a09956430ec77d86de6febf",
+        ".regret_curve.csv": "61207a9d404e4dc6f392e1975009be2e964a4282838e60e60ee60b39bfa97381",
+        ".scenario.csv": "bd3cab8d51adb38e56442954287a0553580982539548fc98cf24344c622ebf4b",
+        ".trials.seed4.csv": "50bc6ef5f3bd9fd82f2835df83e20d0762951ef90ca60db349182547e77cf696",
+        ".trials.seed6.csv": "2fc4c49e6e4a49c85d2c9fcce37d2955594b4a707440f973532286aa0efcf673",
+        ".trials.seed9.csv": "d4a6a6be14f5c042eee4a4f40ed836b2cccd90eb53ca34165fa11bba0a864d2c",
     },
     "iid-uneven": {
         ".aggregate.json": "47129f6b4e99882106296b011eaf56d578599082765576a0fa9e43105be58674",
