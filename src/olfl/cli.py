@@ -99,10 +99,10 @@ def _cmd_run(args) -> int:
         f"{comp} with cumulative loss {result.comparator_loss:.6g}"
     )
     if result.bound_rhs is not None:
+        share = result.regret_normalized  # None at one site, where the penalty term is 0
         print(
             f"bound [{result.bound_name}]: rhs {result.bound_rhs:.6g}; "
-            f"regret {result.regret_raw:.6g} "
-            f"({result.regret_normalized:.4f} of the penalty term)"
+            f"regret {result.regret_raw:.6g}" + ("" if share is None else f" ({share:.4f} of the penalty term)")
         )
     else:
         print(f"regret {result.regret_raw:.6g} (no closed-form bound for {args.algo})")

@@ -8,18 +8,18 @@ source this is also where the adversary's order of moves is realized).
 Seeds drive the learner's own randomness: each seed owns the generator
 `np.random.default_rng(seed)`. All seeds of an experiment run through one
 columnar trial loop, whose Python work per trial does not grow with the
-seed count. The fl family runs as one `LearnerBatch`, which reads its
+seed count. Every algo is a batch of learner rows behind one interface
+(`game.LearnerRows`): the fl family a `LearnerBatch`, hedge-exact an
+`ExactHedge` and ftl-greedy a `FollowTheLeaderGreedy`. They read their
 uniforms through a `UniformStreams`: the generators are private to the run,
-so each seed's uniforms are prefetched for about 64 trials at a time. The
-fl learners' weights depend on the costs alone, so on a shared scenario
-every seed follows one weight trajectory: the batch holds one row, updates
-it once per trial and draws every seed's action from it. On the adaptive
-killer each seed has its own costs, and the batch one row per seed.
-hedge-exact and ftl-greedy keep one scalar learner per seed behind the same
-interface and draw from their generators directly. A trial's actions are
-CSR rows (`ActionRows`), one per seed; the loop records them, with the
-surrogate losses and learner state broadcast to every seed their row
-serves, as (T, S) columns, and keeps no per-trial objects.
+so each seed's uniforms are prefetched for about 64 trials at a time. No
+learner's state depends on its own draws, so on a shared scenario every
+seed follows one trajectory: the batch holds one row, updates it once per
+trial and draws every seed's action from it. On the adaptive killer each
+seed has its own costs, and the batch one row per seed. A trial's actions
+are CSR rows (`ActionRows`), one per seed; the loop records them, with the
+update values and learner state broadcast to every seed their row serves,
+as (T, S) columns, and keeps no per-trial objects.
 
 Non-adaptive scenarios materialize one cost sequence (from the scenario's
 own seed or a trace file) shared by every learner seed, so one sort per
@@ -54,7 +54,7 @@ from scipy import stats
 
 from .adversaries import KillerSource, generate_scenario, load_trace, save_trace
 from .errors import ConfigError
-from .game import ActionRows, CostPair, CostRows, GameConfig, SiteSet, action_losses
+from .game import ActionRows, CostRows, GameConfig, SiteSet, action_losses
 from .learners import KINDS, LearnerBatch, half_log_ceil
 from .oracles import (
     BRUTE_FORCE_SITE_CAP,
@@ -67,7 +67,6 @@ from .oracles import (
 from .sampler import UniformStreams
 
 ALGO_NAMES = ("fl", "fl-fixed", "fl-bounded", "hedge-exact", "ftl-greedy")
-DETERMINISTIC_ALGOS = frozenset({"ftl-greedy"})
 CARDINALITY_ALGOS = frozenset({"fl-fixed", "fl-bounded"})
 
 
@@ -159,39 +158,15 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     return ExperimentConfig(game, algo, scenario, seeds)
 
 
-class PerSeedLearners:
-    """One scalar learner per seed behind the batch interface of
-    `LearnerBatch`: play(rngs), update(costs), state_rows()."""
-
-    def __init__(self, learners: list):
-        self.learners = learners
-
-    def play(self, rngs) -> ActionRows:
-        return ActionRows.of([lrn.play(rng) for lrn, rng in zip(self.learners, rngs)])
-
-    def update(self, costs: CostPair | CostRows) -> list:
-        if isinstance(costs, CostPair):
-            return [lrn.update(costs) for lrn in self.learners]
-        return [lrn.update(row) for row, lrn in zip(costs, self.learners)]
-
-    def state_rows(self) -> tuple[None, None, None]:
-        """No doubling and no cardinality."""
-        return None, None, None
-
-
 def build_learner(config: ExperimentConfig):
-    """The learners of every seed of the experiment, drawing one action per
-    seed. On a shared scenario the fl family is one weight row, which every
-    seed draws from; on the killer it is one row per seed."""
-    name, cfg, rows = config.algo.name, config.game, len(config.seeds)
+    """The learner rows of the experiment, drawing one action per seed: one
+    row on a shared scenario, which every seed draws from, and one row per
+    seed on the killer, where each seed has its own costs."""
+    name, cfg = config.algo.name, config.game
+    rows = len(config.seeds) if config.scenario.kind == "killer" else 1
     if name in KINDS:
-        shared = config.scenario.kind != "killer"
-        return LearnerBatch(cfg, name, 1 if shared else rows, config.algo.cardinality)
-    if name == "hedge-exact":
-        return PerSeedLearners([ExactHedge(cfg) for _ in range(rows)])
-    if name == "ftl-greedy":
-        return PerSeedLearners([FollowTheLeaderGreedy(cfg) for _ in range(rows)])
-    raise ConfigError(f"unknown algo {name!r}")
+        return LearnerBatch(cfg, name, rows, config.algo.cardinality)
+    return {"hedge-exact": ExactHedge, "ftl-greedy": FollowTheLeaderGreedy}[name](cfg, rows)
 
 
 @dataclass(eq=False)
@@ -246,16 +221,12 @@ def _run_seeds(config: ExperimentConfig, shared_costs: CostRows | None) -> list[
     cfg, seeds = config.game, config.seeds
     rows, horizon = len(seeds), cfg.horizon
     learner = build_learner(config)
-    if isinstance(learner, LearnerBatch):
-        rngs = UniformStreams(seeds)  # the generators are private to this run
-    else:
-        rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = UniformStreams(seeds)  # the generators are private to this run
     adaptive = shared_costs is None
     if adaptive:
-        source = KillerSource(cfg.n_sites, config.algo.name in DETERMINISTIC_ALGOS)
+        source = KillerSource(cfg.n_sites, config.algo.name == "ftl-greedy")
         realized = np.empty((2, rows, horizon, cfg.n_sites))  # opening, connection
     values = np.empty((horizon, rows))
-    reported = False  # whether the learners return update values
     states = [None if a is None else np.empty((horizon, rows), dtype=np.int64) for a in learner.state_rows()]
     ptrs = np.empty((horizon, rows + 1), dtype=np.intp)
     sites = []
@@ -278,9 +249,8 @@ def _run_seeds(config: ExperimentConfig, shared_costs: CostRows | None) -> list[
         trial_values = learner.update(costs)
         t3 = time.perf_counter()
         per_trial[t] = ((t1 - t0) + (t3 - t2)) / rows
-        if trial_values[0] is not None:  # ftl-greedy reports no values
+        if trial_values is not None:  # ftl-greedy reports no values
             values[t] = trial_values
-            reported = True
         ptrs[t] = actions.ptr
         sites.append(actions.sites)
     by_seed = _actions_by_seed(np.diff(ptrs, axis=1), np.concatenate(sites))
@@ -298,6 +268,7 @@ def _run_seeds(config: ExperimentConfig, shared_costs: CostRows | None) -> list[
         starts = [None] * rows
     # a sequential sum along each row, as adding trial by trial would give
     cumulative = np.cumsum(losses, axis=1)[:, -1].tolist()
+    reported = trial_values is not None  # a learner reports on every trial or on none
     columns = [None if c is None else np.ascontiguousarray(c.T) for c in [values if reported else None, *states]]
     return [
         SeedRun(

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ConfigError, InvalidActionError
+from .errors import ConfigError, InvalidActionError, ProtocolError
 
 
 @dataclass(frozen=True)
@@ -260,6 +260,47 @@ def action_losses(costs: CostPair | CostRows, actions: ActionRows) -> np.ndarray
         idx = flat[ptr[group, None] + np.arange(m)]
         losses[group] = opening[idx].sum(axis=1) + connection[idx].min(axis=1)
     return losses
+
+
+class LearnerRows:
+    """The protocol of every learner: `rows` independent trajectories with
+    strict play/update alternation. play(rngs) returns ActionRows, one action
+    per generator (or `UniformStreams` row); one row serves any number of
+    them, S rows take exactly S. update(costs) takes a CostPair shared by
+    every row or a CostRows with one row per learner row, and returns
+    per-row values, or None when the learner reports none."""
+
+    _awaiting_update = False
+
+    def __init__(self, rows: int, n_sites: int):
+        if not isinstance(rows, int) or rows < 1:
+            raise ConfigError(f"rows must be a positive integer, got {rows!r}")
+        self.rows = rows
+        self.n_real = n_sites  # the site count of the costs update takes
+
+    def _begin_play(self, rngs) -> int:
+        if self._awaiting_update:
+            raise ProtocolError("play called again before update")
+        actions = len(rngs)
+        if actions < 1 or (actions != self.rows and self.rows != 1):
+            raise ConfigError(f"{actions} generators for {self.rows} rows")
+        self._awaiting_update = True
+        return actions
+
+    def _begin_update(self, costs: CostPair | CostRows) -> None:
+        if not self._awaiting_update:
+            raise ProtocolError("update called before play")
+        self._awaiting_update = False
+        if not isinstance(costs, (CostPair, CostRows)):
+            raise ConfigError(f"costs must be a CostPair or CostRows, got {type(costs).__name__}")
+        if isinstance(costs, CostRows) and len(costs) != self.rows:
+            raise ConfigError(f"{len(costs)} cost rows for {self.rows} rows")
+        if costs.n_sites != self.n_real:
+            raise ConfigError(f"costs for {costs.n_sites} sites, expected {self.n_real}")
+
+    def state_rows(self) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+        """The per-row (scale, cardinality, segment) arrays, live, or None."""
+        return None, None, None
 
 
 def sort_by_connection_desc(connection) -> np.ndarray:

@@ -54,8 +54,8 @@ import math
 import numpy as np
 
 from .eg import eg_rows, starting_point
-from .errors import ConfigError, ProtocolError
-from .game import ActionRows, CostPair, CostRows, GameConfig, SiteSet
+from .errors import ConfigError
+from .game import ActionRows, CostPair, CostRows, GameConfig, LearnerRows, SiteSet
 from .sampler import draw_flat
 from .sampler import sample_site_multiset  # noqa: F401  kept: the benchmark's span tracer looks it up here
 from .surrogate import surrogate_rows
@@ -68,7 +68,7 @@ def half_log_ceil(horizon: int) -> int:
     return max(1, math.ceil(math.log(horizon) / 2.0))
 
 
-class LearnerBatch:
+class LearnerBatch(LearnerRows):
     """`rows` independent weight trajectories of facility learners of one
     kind; one row serves any number of generators.
 
@@ -94,11 +94,8 @@ class LearnerBatch:
         elif not isinstance(cardinality, int) or not 1 <= cardinality <= cfg.n_sites:
             label = "cardinality" if kind == "fl-fixed" else "max_cardinality"
             raise ConfigError(f"{label} must be an integer in 1..{cfg.n_sites}, got {cardinality!r}")
-        if not isinstance(rows, int) or rows < 1:
-            raise ConfigError(f"rows must be a positive integer, got {rows!r}")
+        super().__init__(rows, cfg.n_sites)
         n, c, d = cfg.n_sites, cfg.opening_max, cfg.connection_max
-        self.rows = rows
-        self.n_real = n
         multiplicity = None
         self.cfg = cfg
         if kind != "fl-fixed":
@@ -106,7 +103,6 @@ class LearnerBatch:
             multiplicity = np.append(np.ones(n), n)
         self._start, self._rate = starting_point(self.cfg.n_sites, cfg.horizon, multiplicity)
         self._draws_per_unit = half_log_ceil(cfg.horizon)  # per unit of cardinality
-        self._awaiting_update = False
         self.w = np.tile(self._start, (rows, 1))
         self._scratch = np.empty((4,) + self.w.shape)  # the surrogate's work space
         self._pair_costs = self._row_costs = None  # opening, connection on the extended game
@@ -116,7 +112,7 @@ class LearnerBatch:
             self._pair_costs = np.zeros((2, n + 1))
             self._row_costs = np.zeros((2, rows, n + 1))
             self._pair_costs[1, n] = self._row_costs[1, :, n] = c + d
-        self.scale = None  # no doubling state outside fl
+        self.scale = self.segment = None  # no doubling state outside fl
         if kind == "fl":
             self.slope = self._draws_per_unit * (4.0 * c + 2.0 * d)  # a
             self.base = c + d  # b
@@ -169,24 +165,15 @@ class LearnerBatch:
         return self.w.nbytes
 
     def state_rows(self) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
-        """The per-row (scale, cardinality, segment) arrays, live; scale and
-        segment are None outside fl."""
-        if self.scale is None:
-            return None, self.cardinality, None
         return self.scale, self.cardinality, self.segment
 
     def play(self, rngs) -> ActionRows:
         """One action per generator rngs[a], or per row a of a
         `UniformStreams`, drawn from weight row a, or from the one row when
         the batch has one row."""
-        if self._awaiting_update:
-            raise ProtocolError("play called again before update")
-        actions = len(rngs)
-        if actions < 1 or (actions != self.rows and self.rows != 1):
-            raise ConfigError(f"{actions} generators for {self.rows} rows")
+        actions = self._begin_play(rngs)
         if self._row_starts.size != actions + 1:
             self._set_offsets(actions)
-        self._awaiting_update = True
         # one in-place sort keeps each action's distinct sites, in action order
         keys = draw_flat(self.w, self._draws, rngs)
         keys += self._draw_offsets
@@ -209,15 +196,7 @@ class LearnerBatch:
         """Surrogate step on this trial's costs, one CostPair shared by every
         row or CostRows with one row per learner row; returns each row's
         surrogate loss at its pre-update weights."""
-        if not self._awaiting_update:
-            raise ProtocolError("update called before play")
-        self._awaiting_update = False
-        if not isinstance(costs, (CostPair, CostRows)):
-            raise ConfigError(f"costs must be a CostPair or CostRows, got {type(costs).__name__}")
-        if isinstance(costs, CostRows) and len(costs) != self.rows:
-            raise ConfigError(f"{len(costs)} cost rows for {self.rows} rows")
-        if costs.n_sites != self.n_real:
-            raise ConfigError(f"costs for {costs.n_sites} sites, expected {self.n_real}")
+        self._begin_update(costs)
         opening, connection = costs.opening, costs.connection
         if self._pair_costs is not None:
             extended = self._pair_costs if isinstance(costs, CostPair) else self._row_costs

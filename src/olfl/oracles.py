@@ -5,6 +5,8 @@ efficient learners, used to verify them at desk scale.
 - ftl_greedy_play / cheapest_singleton_play: deterministic follow-the-leader
   baselines (both provably beatable by an adaptive adversary), and
   FollowTheLeaderGreedy, which replays the greedy leader as a learner.
+  Both learners are batches of rows behind `game.LearnerRows`, the play /
+  update protocol of the fl learners.
 - best_fixed_subset: the in-hindsight comparator. Up to the site cap it
   prices all 2^N bitmasks in one superset-sum pass over the history; above
   the cap a cardinality-restricted scan, best_fixed_scan, enumerates
@@ -22,8 +24,9 @@ import math
 
 import numpy as np
 
-from .errors import CapExceededError, ConfigError, ProtocolError
-from .game import CostPair, CostRows, GameConfig, SiteSet, facility_loss
+from .errors import CapExceededError, ConfigError
+from .game import ActionRows, CostPair, CostRows, GameConfig, LearnerRows, SiteSet, facility_loss
+from .sampler import uniforms
 
 BRUTE_FORCE_SITE_CAP = 16
 ENUMERATION_CAP = 1_000_000
@@ -82,26 +85,29 @@ def _cardinalities(n: int) -> np.ndarray:
     return cards
 
 
-class ExactHedge:
-    """Exponential weights over every nonempty subset, with exact bookkeeping.
+class ExactHedge(LearnerRows):
+    """`rows` independent runs of exponential weights over every nonempty
+    subset, with exact bookkeeping; row r of `weights` is run r.
 
     Losses are scaled into [0, 1] by N*C + D before the exponential step;
     the learning rate sqrt(8 ln(2^N - 1) / T) then gives cumulative expected
-    regret at most (N*C + D) * sqrt(T * ln(2^N - 1) / 2).
+    regret at most (N*C + D) * sqrt(T * ln(2^N - 1) / 2). An action reads one
+    uniform, with `Generator.choice`'s arithmetic. Rows are played and
+    updated one at a time, so a trial's temporaries are a few 2^N vectors.
     """
 
-    def __init__(self, cfg: GameConfig, cap: int = BRUTE_FORCE_SITE_CAP):
+    def __init__(self, cfg: GameConfig, rows: int = 1, cap: int = BRUTE_FORCE_SITE_CAP):
         if cfg.n_sites > cap:
             raise CapExceededError(
                 f"{cfg.n_sites} sites needs {2 ** cfg.n_sites - 1} subset weights; cap is {cap} sites"
             )
+        super().__init__(rows, cfg.n_sites)
         self.cfg = cfg
         n = cfg.n_sites
         self.n_subsets = (1 << n) - 1
-        self.weights = np.full(self.n_subsets, 1.0 / self.n_subsets)
+        self.weights = np.full((rows, self.n_subsets), 1.0 / self.n_subsets)
         self.learning_rate = math.sqrt(8.0 * math.log(self.n_subsets) / cfg.horizon)
         self.loss_scale = n * cfg.opening_max + cfg.connection_max
-        self._awaiting_update = False
 
     def subset_losses(self, costs: CostPair) -> np.ndarray:
         """Facility loss of every nonempty subset, in bitmask order: the
@@ -109,26 +115,28 @@ class ExactHedge:
         mins = _doubling_table(costs.connection, np.minimum, np.inf)
         return (mins + _doubling_table(costs.opening, np.add, 0.0))[1:]
 
-    def expected_loss(self, costs: CostPair) -> float:
-        return float(self.weights @ self.subset_losses(costs))
+    def play(self, rngs) -> ActionRows:
+        self._begin_play(rngs)
+        u = uniforms(rngs, 1).reshape(self.rows, -1)  # each row's uniforms
+        masks = np.empty(u.shape, dtype=np.int64)
+        for w, row_u, row_masks in zip(self.weights, u, masks):
+            cdf = (w / w.sum()).cumsum()
+            cdf /= cdf[-1]
+            row_masks[:] = cdf.searchsorted(row_u, side="right") + 1
+        held = (masks.reshape(-1, 1) >> np.arange(self.cfg.n_sites)) & 1 == 1
+        return ActionRows(np.append(0, held.sum(axis=1).cumsum()), np.nonzero(held)[1] + 1)
 
-    def play(self, rng: np.random.Generator) -> SiteSet:
-        if self._awaiting_update:
-            raise ProtocolError("play called again before update")
-        self._awaiting_update = True
-        p = self.weights / self.weights.sum()
-        mask = int(rng.choice(self.n_subsets, p=p)) + 1
-        return SiteSet(_subset_members(mask))
-
-    def update(self, costs: CostPair) -> float:
-        """Exponential step; returns the pre-update expected loss."""
-        if not self._awaiting_update:
-            raise ProtocolError("update called before play")
-        self._awaiting_update = False
-        losses = self.subset_losses(costs)
-        expected = float(self.weights @ losses)
-        w = self.weights * np.exp(-self.learning_rate * losses / self.loss_scale)
-        self.weights = w / w.sum()
+    def update(self, costs: CostPair | CostRows) -> list[float]:
+        """Exponential step on each row; returns its pre-update expected loss."""
+        self._begin_update(costs)
+        expected = []
+        for r, w in enumerate(self.weights):
+            losses = self.subset_losses(costs if isinstance(costs, CostPair) else costs[r])
+            expected.append(float(w @ losses))
+            losses *= -self.learning_rate
+            losses /= self.loss_scale
+            w *= np.exp(losses, out=losses)
+            w /= w.sum()
         return expected
 
 
@@ -169,36 +177,33 @@ def _greedy_leader(opening: np.ndarray, connection: np.ndarray) -> SiteSet:
     return SiteSet.of(i + 1 for i in members)
 
 
-class FollowTheLeaderGreedy:
-    """Deterministic baseline: replays the greedy leader of the history.
+class FollowTheLeaderGreedy(LearnerRows):
+    """Deterministic baseline: each of `rows` histories replays its greedy
+    leader, for every generator it serves, and reads no uniforms.
 
-    The history is a preallocated (2, T, N) array of opening and connection
-    costs, doubled if updates run past the horizon; each play reads its
-    first t trials in place."""
+    The histories are a preallocated (rows, 2, T, N) array of opening and
+    connection costs, doubled along the trials if updates run past the
+    horizon; each play reads every row's first t trials in place."""
 
-    def __init__(self, cfg: GameConfig):
+    def __init__(self, cfg: GameConfig, rows: int = 1):
+        super().__init__(rows, cfg.n_sites)
         self.cfg = cfg
-        self._history = np.empty((2, cfg.horizon, cfg.n_sites))
+        self._history = np.empty((rows, 2, cfg.horizon, cfg.n_sites))
         self._trials = 0
-        self._awaiting_update = False
 
-    def play(self, rng=None) -> SiteSet:
-        if self._awaiting_update:
-            raise ProtocolError("play called again before update")
-        self._awaiting_update = True
+    def play(self, rngs) -> ActionRows:
+        actions = self._begin_play(rngs)
         t = self._trials
-        return _greedy_leader(self._history[0, :t], self._history[1, :t]) if t else SiteSet((1,))
+        leaders = [_greedy_leader(*history[:, :t]) if t else SiteSet((1,)) for history in self._history]
+        return ActionRows.repeated(leaders[0], actions) if self.rows == 1 else ActionRows.of(leaders)
 
-    def update(self, costs: CostPair) -> None:
-        if not self._awaiting_update:
-            raise ProtocolError("update called before play")
-        self._awaiting_update = False
-        if self._trials == self._history.shape[1]:
-            self._history = np.concatenate([self._history, np.empty_like(self._history)], axis=1)
-        self._history[0, self._trials] = costs.opening
-        self._history[1, self._trials] = costs.connection
+    def update(self, costs: CostPair | CostRows) -> None:
+        self._begin_update(costs)
+        if self._trials == self._history.shape[2]:
+            self._history = np.concatenate([self._history, np.empty_like(self._history)], axis=2)
+        self._history[:, 0, self._trials] = costs.opening
+        self._history[:, 1, self._trials] = costs.connection
         self._trials += 1
-        return None
 
 
 def cheapest_singleton_play(history) -> SiteSet:

@@ -136,14 +136,18 @@ def draw_flat(p: np.ndarray, counts, rngs) -> np.ndarray:
     fewest = counts if isinstance(counts, int) else np.min(counts)
     if fewest < 1:
         raise ConfigError(f"count must be >= 1, got {fewest!r}")
+    return search_rows(cdf, counts, uniforms(rngs, counts))
+
+
+def uniforms(rngs, counts) -> np.ndarray:
+    """The next counts[r] uniforms of generator rngs[r], or of row r of a
+    `UniformStreams`, flat in row order; an int count is every row's."""
     if isinstance(rngs, UniformStreams):
-        u = rngs.take(counts)
-    elif len(rngs) == 1:
-        u = rngs[0].random(counts if isinstance(counts, int) else counts[0])
-    else:
-        counts = np.broadcast_to(counts, len(rngs))
-        u = np.concatenate([rng.random(count) for rng, count in zip(rngs, counts.tolist())])
-    return search_rows(cdf, counts, u)
+        return rngs.take(counts)
+    if len(rngs) == 1:
+        return rngs[0].random(counts if isinstance(counts, int) else counts[0])
+    counts = np.broadcast_to(counts, len(rngs)).tolist()
+    return np.concatenate([rng.random(count) for rng, count in zip(rngs, counts)])
 
 
 def draw_sites(p, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -26,7 +26,7 @@ from olfl import (
 )
 from olfl.cli import main
 from olfl.errors import NumericError, ProtocolError
-from olfl.experiment import bound_terms, half_log_ceil
+from olfl.experiment import ALGO_NAMES, CARDINALITY_ALGOS, bound_terms, half_log_ceil
 
 
 def _cfg(**overrides):
@@ -280,6 +280,17 @@ def test_cli_run_and_exit_codes(tmp_path):
         ]
     )
     assert rc == 0
+
+
+@pytest.mark.parametrize("scenario", ["iid", "killer", "drift"])
+@pytest.mark.parametrize("horizon", [1, 3])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("algo", ALGO_NAMES)
+def test_cli_runs_every_algo_at_the_smallest_sizes(algo, n, horizon, scenario, tmp_path, capsys):
+    card = ["--k", "1"] if algo in CARDINALITY_ALGOS else []
+    args = ["run", "--algo", algo, *card, "--n", str(n), "--t", str(horizon), "--c-max", "1", "--d-max", "1"]
+    assert main([*args, "--scenario", scenario, "--seeds", "1,2", "--out", str(tmp_path / "run")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_validation_failures(tmp_path):

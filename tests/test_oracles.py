@@ -28,6 +28,7 @@ from olfl.verify import best_fixed_scan, run_deterministic_against_killer
 def test_hedge_init():
     hedge = ExactHedge(GameConfig(2, 50, 1.0, 1.0))
     assert hedge.n_subsets == 3
+    assert hedge.weights.shape == (1, 3)
     assert np.allclose(hedge.weights, 1.0 / 3.0)
     assert hedge.loss_scale == 3.0  # N*C + D
     assert hedge.learning_rate == pytest.approx(math.sqrt(8 * math.log(3) / 50), rel=1e-15)
@@ -59,7 +60,7 @@ def test_hedge_subset_losses_match_the_bit_matrix_formula():
 
 def test_hedge_play_single_site():
     hedge = ExactHedge(GameConfig(1, 10, 1.0, 1.0))
-    assert hedge.play(np.random.default_rng(0)).members == (1,)
+    assert hedge.play((np.random.default_rng(0),))[0].members == (1,)
 
 
 def test_hedge_fresh_distribution_uniform():
@@ -68,7 +69,7 @@ def test_hedge_fresh_distribution_uniform():
     counts = {(1,): 0, (2,): 0, (1, 2): 0}
     costs = CostPair([0.0, 0.0], [0.0, 0.0])  # zero losses keep weights flat
     for _ in range(30_000):
-        counts[hedge.play(rng).members] += 1
+        counts[hedge.play((rng,))[0].members] += 1
         hedge.update(costs)
     for c in counts.values():
         assert abs(c / 30_000 - 1 / 3) <= 0.01
@@ -76,20 +77,21 @@ def test_hedge_fresh_distribution_uniform():
 
 def test_hedge_update_monotone_toward_the_winner():
     hedge = ExactHedge(GameConfig(2, 10, 1.0, 1.0))
-    hedge.play(np.random.default_rng(2))
+    hedge.play((np.random.default_rng(2),))
     # {1} alone has zero loss
     hedge.update(CostPair([0.0, 0.5], [0.0, 0.5]))
-    assert hedge.weights[0] > hedge.weights[2] > hedge.weights[1]
+    w = hedge.weights[0]
+    assert w[0] > w[2] > w[1]
 
 
 def test_hedge_exact_exponents():
     hedge = ExactHedge(GameConfig(2, 10, 1.0, 1.0))
     hedge.learning_rate = hedge.loss_scale  # makes the exponent exactly -loss
-    hedge.play(np.random.default_rng(3))
+    hedge.play((np.random.default_rng(3),))
     hedge.update(CostPair([1.0, 0.0], [0.0, 0.0]))  # losses (1, 0, 1)
     expected = np.array([math.exp(-1.0), 1.0, math.exp(-1.0)])
     expected /= expected.sum()
-    assert np.abs(hedge.weights - expected).max() <= 1e-15
+    assert np.abs(hedge.weights[0] - expected).max() <= 1e-15
 
 
 def test_hedge_concentrates():
@@ -97,11 +99,11 @@ def test_hedge_concentrates():
     rng = np.random.default_rng(4)
     costs = CostPair([1.0, 0.0], [1.0, 0.0])  # {2} is free
     for _ in range(400):
-        hedge.play(rng)
+        hedge.play((rng,))
         hedge.update(costs)
     hits = 0
     for _ in range(10_000):
-        hits += hedge.play(rng).members == (2,)
+        hits += hedge.play((rng,))[0].members == (2,)
         hedge.update(costs)
     assert hits / 10_000 >= 0.99
 
@@ -109,18 +111,18 @@ def test_hedge_concentrates():
 def test_hedge_update_returns_pre_update_expectation():
     hedge = ExactHedge(GameConfig(2, 10, 1.0, 1.0))
     costs = CostPair([0.5, 0.2], [0.3, 0.9])
-    before = hedge.expected_loss(costs)
-    hedge.play(np.random.default_rng(5))
-    assert hedge.update(costs) == pytest.approx(before, rel=1e-15)
+    before = float(hedge.weights[0] @ hedge.subset_losses(costs))
+    hedge.play((np.random.default_rng(5),))
+    assert hedge.update(costs)[0] == before
 
 
 def test_hedge_alternation():
     hedge = ExactHedge(GameConfig(2, 10, 1.0, 1.0))
     with pytest.raises(ProtocolError):
         hedge.update(CostPair([0.1, 0.1], [0.1, 0.1]))
-    hedge.play(np.random.default_rng(6))
+    hedge.play((np.random.default_rng(6),))
     with pytest.raises(ProtocolError):
-        hedge.play(np.random.default_rng(6))
+        hedge.play((np.random.default_rng(6),))
 
 
 def test_ftl_greedy_conventions():
