@@ -15,23 +15,26 @@ uniforms through a `UniformStreams`: the generators are private to the run,
 so each seed's uniforms are prefetched for about 64 trials at a time. No
 learner's state depends on its own draws, so on a shared scenario every
 seed follows one trajectory: the batch holds one row, updates it once per
-trial and draws every seed's action from it. On the adaptive killer each
-seed has its own costs, and the batch one row per seed. A trial's actions
-are CSR rows (`ActionRows`), one per seed; the loop records them, with the
-update values and learner state broadcast to every seed their row serves,
-as (T, S) columns, and keeps no per-trial objects.
+trial and draws every seed's action from it. On the adaptive killer a
+randomized learner's seeds each have their own costs, and the batch one row
+per seed; ftl-greedy is deterministic, so the killer prices the one action
+it plays, and it holds one row on every scenario. A trial's actions are CSR
+rows (`ActionRows`), one per seed; the loop records them, with the update
+values and learner state broadcast to every seed their row serves, as
+(T, S) columns, and keeps no per-trial objects.
 
 Non-adaptive scenarios materialize one cost sequence (from the scenario's
 own seed or a trace file) shared by every learner seed, so one sort per
 trial serves every row and the in-hindsight comparator is common; the one
 (T, N) CostRows feeds each trial's row to the learners and prices every
 seed's losses, the comparator, the regret curve and the trace file. On the
-adaptive killer one source prices every seed's action as one CostRows per
-trial; each seed's realized costs fill its own (T, N) history, and each
-seed gets its own comparator. Losses do not feed back into play, so they
-are priced after the loop, one `action_losses` call per seed over its
-whole history, bit for bit as `facility_loss` prices them. A comparator
-the oracles would refuse is refused before the first trial.
+adaptive killer one source prices each learner row's action as one
+CostRows per trial; each row's realized costs fill its own (T, N) history,
+shared by every seed the row serves, and each distinct history is priced by
+one comparator, whose loss the seeds average. Losses do not feed back into
+play, so they are priced after the loop, one `action_losses` call per seed
+over its whole history, bit for bit as `facility_loss` prices them. A
+comparator the oracles would refuse is refused before the first trial.
 
 Each seed's run is a `SeedRun` of per-trial columns; `emit_results` writes
 the trial CSVs straight from the columns, one row template per line.
@@ -161,12 +164,15 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 def build_learner(config: ExperimentConfig):
     """The learner rows of the experiment, drawing one action per seed: one
     row on a shared scenario, which every seed draws from, and one row per
-    seed on the killer, where each seed has its own costs."""
+    seed on the killer, where each seed has its own costs. ftl-greedy is
+    always one row: it plays one action whatever its seed."""
     name, cfg = config.algo.name, config.game
+    if name == "ftl-greedy":
+        return FollowTheLeaderGreedy(cfg)
     rows = len(config.seeds) if config.scenario.kind == "killer" else 1
     if name in KINDS:
         return LearnerBatch(cfg, name, rows, config.algo.cardinality)
-    return {"hedge-exact": ExactHedge, "ftl-greedy": FollowTheLeaderGreedy}[name](cfg, rows)
+    return ExactHedge(cfg, rows)
 
 
 @dataclass(eq=False)
@@ -217,7 +223,8 @@ def _run_seeds(config: ExperimentConfig, shared_costs: CostRows | None) -> list[
     learner's broadcast to every seed, so the loop's Python work per trial
     does not grow with the seed count. Losses depend on the actions and
     costs alone, so they are priced once after the loop, one call per seed
-    over its whole history (`shared_costs` when the scenario is shared)."""
+    over its whole history: `shared_costs` when the scenario is shared, else
+    its learner row's realized history."""
     cfg, seeds = config.game, config.seeds
     rows, horizon = len(seeds), cfg.horizon
     learner = build_learner(config)
@@ -225,7 +232,7 @@ def _run_seeds(config: ExperimentConfig, shared_costs: CostRows | None) -> list[
     adaptive = shared_costs is None
     if adaptive:
         source = KillerSource(cfg.n_sites, config.algo.name == "ftl-greedy")
-        realized = np.empty((2, rows, horizon, cfg.n_sites))  # opening, connection
+        realized = np.empty((2, learner.rows, horizon, cfg.n_sites))  # opening, connection
     values = np.empty((horizon, rows))
     states = [None if a is None else np.empty((horizon, rows), dtype=np.int64) for a in learner.state_rows()]
     ptrs = np.empty((horizon, rows + 1), dtype=np.intp)
@@ -240,7 +247,8 @@ def _run_seeds(config: ExperimentConfig, shared_costs: CostRows | None) -> list[
         actions = learner.play(rngs)
         t1 = time.perf_counter()
         if adaptive:
-            costs = source.costs_for(t + 1, actions)
+            # a one-row learner plays one action for every seed, priced once
+            costs = source.costs_for(t + 1, actions if learner.rows == rows else actions[0])
             realized[0, :, t] = costs.opening
             realized[1, :, t] = costs.connection
         else:
@@ -255,9 +263,10 @@ def _run_seeds(config: ExperimentConfig, shared_costs: CostRows | None) -> list[
         sites.append(actions.sites)
     by_seed = _actions_by_seed(np.diff(ptrs, axis=1), np.concatenate(sites))
     if adaptive:
-        histories = [CostRows(realized[0, r], realized[1, r]) for r in range(rows)]
+        histories = [CostRows(realized[0, r], realized[1, r]) for r in range(learner.rows)]
     else:
-        histories = [shared_costs] * rows
+        histories = [shared_costs]
+    histories *= rows // len(histories)  # a one-row history serves every seed
     losses = np.array([action_losses(history, actions) for history, actions in zip(histories, by_seed)])
     wall = (time.perf_counter() - wall_start) / rows
     median_ms = float(np.median(per_trial) * 1e3)
@@ -331,7 +340,7 @@ def _comparator_is_greedy(config: ExperimentConfig) -> bool:
     return max_card is None and exact_card is None and config.game.n_sites > BRUTE_FORCE_SITE_CAP
 
 
-def bound_terms(config: ExperimentConfig, comparator_loss: float) -> tuple[str | None, int, float | None]:
+def bound_terms(config: ExperimentConfig) -> tuple[str | None, int, float | None]:
     """(bound name, comparator scale factor, penalty term) for the algo's
     closed-form guarantee; the RHS is scale * comparator + penalty.
 
@@ -390,26 +399,24 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 
     per_seed_comparators = config.scenario.kind == "killer"
     if per_seed_comparators:
-        members = None
-        approx = False
-        losses = []
+        # seeds served by one learner row share its history: price it once
+        priced = {}
         for sr in seed_runs:
-            _, loss, a = _comparator_for(sr.realized_costs, config)
-            losses.append(loss)
-            approx = approx or a
-        comparator_loss = float(np.mean(losses))
+            if id(sr.realized_costs) not in priced:
+                priced[id(sr.realized_costs)] = _comparator_for(sr.realized_costs, config)
+        members = None
+        approx = any(a for _, _, a in priced.values())
+        comparator_loss = float(np.mean([priced[id(sr.realized_costs)][1] for sr in seed_runs]))
     else:
         members, comparator_loss, approx = _comparator_for(shared_costs, config)
 
-    eff_config = config
     if config.algo.name == "fl":
         # reference bound at the final segment's budget (max across seeds)
         final_budget = max(int(sr.cardinalities[-1]) for sr in seed_runs)
-        eff_config = replace(config, algo=AlgoSpec("fl-bounded", final_budget))
-        bound_name, scale_factor, penalty = bound_terms(eff_config, comparator_loss)
+        _, scale_factor, penalty = bound_terms(replace(config, algo=AlgoSpec("fl-bounded", final_budget)))
         bound_name = "bounded-cardinality (reference)"
     else:
-        bound_name, scale_factor, penalty = bound_terms(config, comparator_loss)
+        bound_name, scale_factor, penalty = bound_terms(config)
 
     regret_raw = mean_loss - scale_factor * comparator_loss
     regret_normalized = regret_raw / penalty if penalty else None

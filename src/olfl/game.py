@@ -114,17 +114,6 @@ class CostRows:
     def __iter__(self) -> Iterator[CostPair]:
         return map(_row_pair, self.opening, self.connection)
 
-    @classmethod
-    def stack(cls, pairs) -> "CostRows":
-        """One row per CostPair of a nonempty sequence; every pair must have
-        the same site count."""
-        if not pairs:
-            raise ConfigError("cost sequence must be nonempty")
-        try:
-            return cls(np.stack([cp.opening for cp in pairs]), np.stack([cp.connection for cp in pairs]))
-        except ValueError:  # np.stack refuses vectors of different lengths
-            raise ConfigError("cost pairs must share one site count") from None
-
 
 @dataclass(frozen=True)
 class SiteSet:

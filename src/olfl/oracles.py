@@ -5,12 +5,15 @@ efficient learners, used to verify them at desk scale.
 - ftl_greedy_play / cheapest_singleton_play: deterministic follow-the-leader
   baselines (both provably beatable by an adaptive adversary), and
   FollowTheLeaderGreedy, which replays the greedy leader as a learner.
-  Both learners are batches of rows behind `game.LearnerRows`, the play /
-  update protocol of the fl learners.
+  Both learners stand behind `game.LearnerRows`, the play / update protocol
+  of the fl learners: ExactHedge as a batch of rows, FollowTheLeaderGreedy
+  as one row, since a deterministic learner has one trajectory.
 - best_fixed_subset: the in-hindsight comparator. Up to the site cap it
   prices all 2^N bitmasks in one superset-sum pass over the history; above
   the cap a cardinality-restricted scan, best_fixed_scan, enumerates
   combinations.
+
+Every history is a nonempty CostRows with one row per trial.
 - exact_expected_loss: the true expectation of the draw-and-deduplicate
   action rule, by enumerating every ordered draw sequence.
 
@@ -76,15 +79,6 @@ def _connection_sums(connection: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _cardinalities(n: int) -> np.ndarray:
-    """Popcount of every bitmask 0..2^N - 1."""
-    cards = np.empty(1 << n, dtype=np.int8)
-    cards[0] = 0
-    for j in range(n):
-        np.add(cards[: 1 << j], 1, out=cards[1 << j : 2 << j])
-    return cards
-
-
 class ExactHedge(LearnerRows):
     """`rows` independent runs of exponential weights over every nonempty
     subset, with exact bookkeeping; row r of `weights` is run r.
@@ -96,10 +90,11 @@ class ExactHedge(LearnerRows):
     updated one at a time, so a trial's temporaries are a few 2^N vectors.
     """
 
-    def __init__(self, cfg: GameConfig, rows: int = 1, cap: int = BRUTE_FORCE_SITE_CAP):
-        if cfg.n_sites > cap:
+    def __init__(self, cfg: GameConfig, rows: int = 1):
+        if cfg.n_sites > BRUTE_FORCE_SITE_CAP:
             raise CapExceededError(
-                f"{cfg.n_sites} sites needs {2 ** cfg.n_sites - 1} subset weights; cap is {cap} sites"
+                f"{cfg.n_sites} sites needs {2 ** cfg.n_sites - 1} subset weights;"
+                f" cap is {BRUTE_FORCE_SITE_CAP} sites"
             )
         super().__init__(rows, cfg.n_sites)
         self.cfg = cfg
@@ -140,23 +135,15 @@ class ExactHedge(LearnerRows):
         return expected
 
 
-def _history_arrays(history) -> tuple[np.ndarray, np.ndarray]:
-    """(T, N) opening and connection arrays of a CostRows or a CostPair list."""
-    rows = history if isinstance(history, CostRows) else CostRows.stack(history)
-    return rows.opening, rows.connection
-
-
-def ftl_greedy_play(history) -> SiteSet:
+def ftl_greedy_play(history: CostRows) -> SiteSet:
     """Follow the leader, with the leader approximated greedily: best
     singleton, then best-improvement additions while the cumulative loss
-    strictly drops. {1} on an empty history."""
-    if not history:
-        return SiteSet((1,))
-    return _greedy_leader(*_history_arrays(history))
+    strictly drops."""
+    return _greedy_leader(history.opening, history.connection)
 
 
 def _greedy_leader(opening: np.ndarray, connection: np.ndarray) -> SiteSet:
-    """ftl_greedy_play on a nonempty (T, N) history."""
+    """ftl_greedy_play on the (T, N) arrays of a nonempty history."""
     cum_open = opening.sum(axis=0)
     totals = cum_open + connection.sum(axis=0)
     best = int(np.argmin(totals))
@@ -178,40 +165,38 @@ def _greedy_leader(opening: np.ndarray, connection: np.ndarray) -> SiteSet:
 
 
 class FollowTheLeaderGreedy(LearnerRows):
-    """Deterministic baseline: each of `rows` histories replays its greedy
-    leader, for every generator it serves, and reads no uniforms.
+    """Deterministic baseline: one history, whose greedy leader ({1} before
+    the first trial) it plays for every generator it serves, reading no
+    uniforms. It follows one trajectory whatever the source, since even the
+    adaptive killer prices the one action it has just played.
 
-    The histories are a preallocated (rows, 2, T, N) array of opening and
-    connection costs, doubled along the trials if updates run past the
-    horizon; each play reads every row's first t trials in place."""
+    The history is a preallocated (2, T, N) array of opening and connection
+    costs, doubled along the trials if updates run past the horizon; each
+    play reads its first t trials in place."""
 
-    def __init__(self, cfg: GameConfig, rows: int = 1):
-        super().__init__(rows, cfg.n_sites)
+    def __init__(self, cfg: GameConfig):
+        super().__init__(1, cfg.n_sites)
         self.cfg = cfg
-        self._history = np.empty((rows, 2, cfg.horizon, cfg.n_sites))
+        self._history = np.empty((2, cfg.horizon, cfg.n_sites))
         self._trials = 0
 
     def play(self, rngs) -> ActionRows:
         actions = self._begin_play(rngs)
         t = self._trials
-        leaders = [_greedy_leader(*history[:, :t]) if t else SiteSet((1,)) for history in self._history]
-        return ActionRows.repeated(leaders[0], actions) if self.rows == 1 else ActionRows.of(leaders)
+        return ActionRows.repeated(_greedy_leader(*self._history[:, :t]) if t else SiteSet((1,)), actions)
 
     def update(self, costs: CostPair | CostRows) -> None:
         self._begin_update(costs)
-        if self._trials == self._history.shape[2]:
-            self._history = np.concatenate([self._history, np.empty_like(self._history)], axis=2)
-        self._history[:, 0, self._trials] = costs.opening
-        self._history[:, 1, self._trials] = costs.connection
+        if self._trials == self._history.shape[1]:
+            self._history = np.concatenate([self._history, np.empty_like(self._history)], axis=1)
+        self._history[0, self._trials] = costs.opening
+        self._history[1, self._trials] = costs.connection
         self._trials += 1
 
 
-def cheapest_singleton_play(history) -> SiteSet:
-    """The singleton with the least cumulative loss so far; {1} when empty."""
-    if not history:
-        return SiteSet((1,))
-    opening, connection = _history_arrays(history)
-    return SiteSet((int(np.argmin(opening.sum(axis=0) + connection.sum(axis=0))) + 1,))
+def cheapest_singleton_play(history: CostRows) -> SiteSet:
+    """The singleton with the least cumulative loss so far."""
+    return SiteSet((int(np.argmin(history.opening.sum(axis=0) + history.connection.sum(axis=0))) + 1,))
 
 
 def comparator_cardinalities(
@@ -241,32 +226,28 @@ def comparator_cardinalities(
 
 
 def best_fixed_subset(
-    history,
-    max_card: int | None = None,
-    exact_card: int | None = None,
-    site_cap: int = BRUTE_FORCE_SITE_CAP,
+    history: CostRows, max_card: int | None = None, exact_card: int | None = None
 ) -> tuple[SiteSet, float]:
     """In-hindsight comparator: the nonempty subset minimizing cumulative
     facility loss, ties broken by smaller cardinality then lexicographic
-    members. `history` is a CostRows or a list of CostPair.
+    members.
 
     `max_card` / `exact_card` restrict the candidate cardinalities. Up to
-    `site_cap` sites every bitmask is priced exactly by one superset-sum
-    pass over the history (`_connection_sums`), and the restriction masks
-    out the other cardinalities. Above the cap only a restricted scan is
-    allowed: `best_fixed_scan` enumerates the candidate combinations while
-    their count stays within bounds.
+    BRUTE_FORCE_SITE_CAP sites every bitmask is priced exactly by one
+    superset-sum pass over the history (`_connection_sums`), and the
+    restriction masks out the other cardinalities. Above the cap only a
+    restricted scan is allowed: `best_fixed_scan` enumerates the candidate
+    combinations while their count stays within bounds.
     """
-    opening, connection = _history_arrays(history)
-    n = opening.shape[1]
-    candidate_cards = comparator_cardinalities(n, max_card, exact_card, site_cap)
-    if n > site_cap:
+    n = history.n_sites
+    candidate_cards = comparator_cardinalities(n, max_card, exact_card)
+    if n > BRUTE_FORCE_SITE_CAP:
         members, loss = best_fixed_scan(history, max_card, exact_card)
         return SiteSet(members), loss
 
-    losses = _connection_sums(connection)
-    losses += _doubling_table(opening.sum(axis=0), np.add, 0.0)
-    cards = _cardinalities(n)
+    losses = _connection_sums(history.connection)
+    losses += _doubling_table(history.opening.sum(axis=0), np.add, 0.0)
+    cards = _doubling_table(np.ones(n), np.add, 0.0)  # popcounts
     losses[~np.isin(cards, candidate_cards)] = np.inf
     best_cost = losses.min()
     ties = np.flatnonzero(losses == best_cost)
@@ -275,15 +256,14 @@ def best_fixed_subset(
     return SiteSet(_subset_members(mask)), float(best_cost)
 
 
-def best_fixed_scan(history, max_card: int | None = None, exact_card: int | None = None):
+def best_fixed_scan(history: CostRows, max_card: int | None = None, exact_card: int | None = None):
     """(members, loss) of the exhaustive comparator scan: every candidate
     combination's cumulative loss from its columns of the history, ties to
     the smaller set, then to the lexicographically first members. It is
     the comparator above the site cap, and below it the reference the
     superset-sum pass is checked against."""
-    opening, connection = _history_arrays(history)
-    n = opening.shape[1]
-    cum_open = opening.sum(axis=0)
+    connection, n = history.connection, history.n_sites
+    cum_open = history.opening.sum(axis=0)
     best_cost, best_members = math.inf, None
     for card in comparator_cardinalities(n, max_card, exact_card, site_cap=n):
         for combo in itertools.combinations(range(n), card):

@@ -325,12 +325,15 @@ def check_hedge_bound(scale: Scale = DESK) -> CheckResult:
     bound_term = (n + 1.0) * math.sqrt(cfg.horizon * math.log(2**n - 1) / 2.0)
     seeds = range(plan.seed, plan.seed + plan.count)
     scenarios = [generate_scenario("iid", cfg, seed=seed) for seed in seeds]
+    # (T, scenarios, N): trial t's costs of every scenario, one row each
+    opening = np.stack([costs.opening for costs in scenarios], axis=1)
+    connection = np.stack([costs.connection for costs in scenarios], axis=1)
     hedge = ExactHedge(cfg, plan.count)  # row r learns scenario r and plays its seed + 1
     rngs = [np.random.default_rng(seed + 1) for seed in seeds]
     expected = np.zeros(plan.count)
     for t in range(cfg.horizon):
         hedge.play(rngs)
-        expected += hedge.update(CostRows.stack([costs[t] for costs in scenarios]))
+        expected += hedge.update(CostRows(opening[t], connection[t]))
     worst = float(max(expected - [best_fixed_subset(costs)[1] for costs in scenarios] - bound_term))
     if worst > 1e-6:
         return CheckResult("hedge exact bound", False, f"bound violated by {worst:.2e}")
@@ -339,14 +342,15 @@ def check_hedge_bound(scale: Scale = DESK) -> CheckResult:
 
 def run_deterministic_against_killer(play_fn, n_sites: int, horizon: int):
     """Drive a deterministic history->action rule through the adaptive
-    adversary (which sees each action before pricing it). Returns
-    (average loss, history as CostRows, actions)."""
+    adversary (which sees each action before pricing it); the rule plays
+    {1} at the first trial, when there is no history. Returns (average
+    loss, history as CostRows, actions)."""
     source = KillerSource(n_sites, use_current_action=True)
     seen = np.empty((2, horizon, n_sites))  # the history so far, read in place by play_fn
     actions: list[SiteSet] = []
     total = 0.0
     for t in range(horizon):
-        action = play_fn(CostRows(seen[0, :t], seen[1, :t]) if t else ())
+        action = play_fn(CostRows(seen[0, :t], seen[1, :t])) if t else SiteSet((1,))
         costs = source.costs_for(t + 1, action)
         total += facility_loss(costs, action)
         seen[0, t], seen[1, t] = costs.opening, costs.connection

@@ -216,7 +216,7 @@ def test_a_shared_scenario_holds_one_weight_row_and_the_killer_one_per_seed(kind
         GameConfig(6, 100, 1.0, 1.0), AlgoSpec(algo, k), ScenarioSpec(kind, path=path), (1, 2, 3, 4, 5)
     )
     learner = build_learner(config)
-    rows = 5 if kind == "killer" else 1
+    rows = 5 if kind == "killer" and algo != "ftl-greedy" else 1  # ftl-greedy plays one action for all
     assert learner.rows == rows
     if algo in KINDS:
         assert learner.w.shape == (rows, learner.cfg.n_sites)
@@ -238,8 +238,19 @@ LEARNERS = {
     "fl": lambda cfg, rows: LearnerBatch(cfg, "fl", rows),
     "fl-fixed": lambda cfg, rows: LearnerBatch(cfg, "fl-fixed", rows, 1),
     "hedge-exact": ExactHedge,
-    "ftl-greedy": FollowTheLeaderGreedy,
 }
+
+
+def test_ftl_greedy_is_one_row_that_plays_for_every_generator():
+    ftl = FollowTheLeaderGreedy(GameConfig(3, 10, 1.0, 1.0))
+    with pytest.raises(ConfigError, match="0 generators for 1 rows"):
+        ftl.play([])
+    assert [action.members for action in ftl.play(UniformStreams((1, 2, 3)))] == [(1,)] * 3
+    with pytest.raises(ConfigError, match="2 cost rows for 1 rows"):
+        ftl.update(CostRows(np.ones((2, 3)), np.ones((2, 3))))
+    ftl.play(UniformStreams((1, 2)))
+    assert ftl.update(CostRows([[0.0, 0.0, 0.0]], [[0.9, 0.1, 0.5]])) is None
+    assert [action.members for action in ftl.play(UniformStreams((1, 2)))] == [(2,)] * 2
 
 
 @pytest.mark.parametrize("name", sorted(LEARNERS))
@@ -269,8 +280,7 @@ def test_update_takes_a_shared_pair_or_one_cost_row_per_learner_row(name):
         with pytest.raises(ConfigError):
             batch.update(costs)
     batch.play(rngs)
-    values = batch.update(CostRows(np.ones((2, 3)), np.ones((2, 3))))
-    assert values is None if name == "ftl-greedy" else len(values) == 2
+    assert len(batch.update(CostRows(np.ones((2, 3)), np.ones((2, 3))))) == 2
 
 
 def test_seeds_share_the_batch_timing_equally():

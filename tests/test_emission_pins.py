@@ -26,6 +26,8 @@ CASES = {
     "fl-bounded-iid": "--algo fl-bounded --k 2 --n 6 --t 500 --c-max 1 --d-max 1 --scenario iid --scenario-seed 97 --seeds 1,2,3,4,5",
     "hedge-exact-killer": "--algo hedge-exact --n 6 --t 200 --c-max 1 --d-max 1 --scenario killer --seeds 3,5",
     "ftl-greedy-killer": "--algo ftl-greedy --n 6 --t 200 --c-max 1 --d-max 1 --scenario killer --seeds 3,5",
+    # three seeds, so the mean of their equal comparators is not exact
+    "ftl-greedy-killer-3": "--algo ftl-greedy --n 10 --t 300 --c-max 1 --d-max 1 --scenario killer --seeds 1,2,3",
     # hedge-exact and ftl-greedy on shared scenarios, several seeds each
     "hedge-exact-iid": "--algo hedge-exact --n 6 --t 200 --c-max 0.5 --d-max 2 --scenario iid --scenario-seed 13 --seeds 1,2,3,4",
     "hedge-exact-replay": "--algo hedge-exact --n 5 --t 300 --c-max 0.5 --d-max 2 --scenario replay:{trace} --seeds 4,6,9",
@@ -59,7 +61,8 @@ def emitted_digests(args: str, prefix: str, capsys) -> dict[str, str]:
 # recorded before the trial loop became columnar; iid-uneven and replay
 # before the sources built whole arrays; hedge-exact-iid, hedge-exact-replay
 # and ftl-greedy-drift while hedge-exact and ftl-greedy still ran one scalar
-# learner per seed
+# learner per seed; ftl-greedy-killer-3 while ftl-greedy held one row per
+# seed on the killer
 PINS = {
     "fl-bounded-iid": {
         ".aggregate.json": "85e5aa9f6df8238ae766ba90e17fc884893b85236ed597209bdd1096352d1c22",
@@ -91,6 +94,13 @@ PINS = {
         ".regret_curve.csv": "f333509cb158992bb20170f5f05ed0f64dcef4b2f03d79fa02ee6366ee736890",
         ".trials.seed3.csv": "cb254088d4e7cc5f929c56e4400b041aa5f63045165098ce8a2dff92e3f04e4c",
         ".trials.seed5.csv": "a5c73b740a05db0f20123e8b1dcdc0e345648610b10f7810bbeb2e5f4c87d090",
+    },
+    "ftl-greedy-killer-3": {
+        ".aggregate.json": "842977de5def3956df2c35a443165b2a870fbbec6414a716ddebf1c7642d5b4f",
+        ".regret_curve.csv": "a3727ba0c2ccfa897fb351428072b01e80ed491a353fa6a754aa5fd26523a79c",
+        ".trials.seed1.csv": "3ec025f52213c424c6826d78ee35f8732f1d790aef3757e5ff193b2436bc249b",
+        ".trials.seed2.csv": "9fe3e073f77cf2f51133f996de833d69acb5acde4fb15e3d07f1ddb017093cbf",
+        ".trials.seed3.csv": "d71fd104cb7786be999a4f1d86856b18fe974e5a04b705f28a0f98ee44a49fb5",
     },
     "hedge-exact-iid": {
         ".aggregate.json": "b202532d9401b2064eb2af3fc146309ffca77f03ff64d8c9c42372e0ecb822b8",

@@ -16,6 +16,7 @@ from olfl import (
     GameConfig,
     ScenarioSpec,
     SiteSet,
+    best_fixed_subset,
     config_from_dict,
     config_to_dict,
     emit_results,
@@ -115,6 +116,22 @@ def test_killer_runs_use_per_seed_comparators():
         assert len(sr.realized_costs) == 40
 
 
+def test_ftl_greedy_on_the_killer_holds_one_history_and_prices_it_once(monkeypatch):
+    priced = []
+    monkeypatch.setattr(
+        "olfl.experiment.best_fixed_subset",
+        lambda *args, **kwargs: priced.append(args) or best_fixed_subset(*args, **kwargs),
+    )
+    config = ExperimentConfig(
+        GameConfig(10, 300, 1.0, 1.0), AlgoSpec("ftl-greedy"), ScenarioSpec("killer"), tuple(range(1, 21))
+    )
+    result = run_experiment(config)
+    assert len(priced) == 1
+    history = result.seed_runs[0].realized_costs
+    assert len(history) == 300 and all(sr.realized_costs is history for sr in result.seed_runs)
+    assert len({sr.cumulative_loss for sr in result.seed_runs}) == 1
+
+
 def test_infeasible_comparator_is_refused_before_any_trial(monkeypatch, capsys):
     # fl-bounded K=5 at N=50 needs 2369935 candidate subsets, past the cap
     trials = []
@@ -157,12 +174,12 @@ def test_fl_fixed_comparator_and_bound_fields():
 
 
 def test_bound_terms_shapes():
-    name, scale, penalty = bound_terms(_cfg(), 0.0)
+    name, scale, penalty = bound_terms(_cfg())
     assert name == "fixed-cardinality" and scale == half_log_ceil(30) and penalty > 0
-    name, _, penalty = bound_terms(_cfg(algo=AlgoSpec("hedge-exact")), 0.0)
+    name, _, penalty = bound_terms(_cfg(algo=AlgoSpec("hedge-exact")))
     assert name == "hedge"
     assert penalty == pytest.approx(5.0 * math.sqrt(30 * math.log(15) / 2.0), rel=1e-12)
-    name, scale, penalty = bound_terms(_cfg(algo=AlgoSpec("ftl-greedy")), 0.0)
+    name, scale, penalty = bound_terms(_cfg(algo=AlgoSpec("ftl-greedy")))
     assert name is None and scale == 1 and penalty is None
 
 
@@ -282,6 +299,7 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert rc == 0
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scenario", ["iid", "killer", "drift"])
 @pytest.mark.parametrize("horizon", [1, 3])
 @pytest.mark.parametrize("n", [1, 2])

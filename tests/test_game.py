@@ -59,12 +59,6 @@ def test_cost_rows_validation():
     ):
         with pytest.raises(ConfigError):
             CostRows(opening, connection)
-    stacked = CostRows.stack([CostPair([0.5, 0.2], [0.3, 0.9]), CostPair([0.1, 0.0], [0.0, 1.0])])
-    assert np.array_equal(stacked.connection, rows.connection)
-    with pytest.raises(ConfigError):
-        CostRows.stack([])
-    with pytest.raises(ConfigError):
-        CostRows.stack([CostPair([0.5], [0.3]), CostPair([0.5, 0.2], [0.3, 0.9])])
 
 
 def test_cost_rows_read_as_a_sequence_of_cost_pairs():

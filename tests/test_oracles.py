@@ -10,6 +10,7 @@ from olfl import (
     CapExceededError,
     ConfigError,
     CostPair,
+    CostRows,
     DoublingLearner,
     ExactHedge,
     GameConfig,
@@ -126,8 +127,7 @@ def test_hedge_alternation():
 
 
 def test_ftl_greedy_conventions():
-    assert ftl_greedy_play([]).members == (1,)
-    history = [CostPair([0.0, 0.0], [0.9, 0.1])]
+    history = CostRows([[0.0, 0.0]], [[0.9, 0.1]])
     assert ftl_greedy_play(history).members == (2,)
 
 
@@ -164,11 +164,7 @@ def test_ftl_greedy_matches_slow_reimplementation_on_killer_history():
 
 
 def test_cheapest_singleton():
-    assert cheapest_singleton_play([]).members == (1,)
-    history = [
-        CostPair([0.5, 0.1, 0.3], [0.2, 0.6, 0.1]),
-        CostPair([0.4, 0.1, 0.5], [0.3, 0.2, 0.2]),
-    ]
+    history = CostRows([[0.5, 0.1, 0.3], [0.4, 0.1, 0.5]], [[0.2, 0.6, 0.1], [0.3, 0.2, 0.2]])
     totals = [0.5 + 0.2 + 0.4 + 0.3, 0.1 + 0.6 + 0.1 + 0.2, 0.3 + 0.1 + 0.5 + 0.2]
     assert totals[1] == min(totals)
     assert cheapest_singleton_play(history).members == (2,)
@@ -176,19 +172,19 @@ def test_cheapest_singleton():
 
 def test_best_fixed_tie_rules():
     # zero opening costs, tied connections: smallest index singleton wins
-    history = [CostPair([0.0, 0.0], [0.4, 0.4])]
+    history = CostRows([[0.0, 0.0]], [[0.4, 0.4]])
     subset, loss = best_fixed_subset(history)
     assert subset.members == (1,) and loss == pytest.approx(0.4)
 
     # equal cost at different cardinalities: smaller set wins
-    history = [CostPair([0.25, 0.25], [0.5, 0.25])]
+    history = CostRows([[0.25, 0.25]], [[0.5, 0.25]])
     # {1}: 0.75, {2}: 0.5, {1,2}: 0.75 -> {2}
     subset, loss = best_fixed_subset(history)
     assert subset.members == (2,) and loss == pytest.approx(0.5)
 
 
 def test_best_fixed_worked_example():
-    history = [CostPair([0.5, 0.01], [0.0, 1.0]) for _ in range(10)]
+    history = CostRows(np.tile([0.5, 0.01], (10, 1)), np.tile([0.0, 1.0], (10, 1)))
     subset, loss = best_fixed_subset(history)
     assert subset.members == (1,)
     assert loss == pytest.approx(5.0)
@@ -197,7 +193,8 @@ def test_best_fixed_worked_example():
 def test_best_fixed_matches_independent_scan():
     rng = np.random.default_rng(7)
     for _ in range(20):
-        history = [CostPair(rng.uniform(0, 1, 4), rng.uniform(0, 1, 4)) for _ in range(20)]
+        draws = rng.uniform(0, 1, (20, 2, 4))  # each trial's opening, then connection
+        history = CostRows(draws[:, 0], draws[:, 1])
         subset, loss = best_fixed_subset(history)
         best = None
         for r in range(1, 5):
@@ -215,8 +212,9 @@ def _restrictions(rng, n):
 
 
 def _history_with_repeats(rng, n, draw):
-    rows = [CostPair(draw(n), draw(n)) for _ in range(int(rng.integers(1, 6)))]
-    return [rows[int(i)] for i in rng.integers(0, len(rows), int(rng.integers(1, 25)))]
+    pool = np.array([(draw(n), draw(n)) for _ in range(int(rng.integers(1, 6)))])  # (rows, 2, n)
+    picks = pool[rng.integers(0, len(pool), int(rng.integers(1, 25)))]
+    return CostRows(picks[:, 0], picks[:, 1])
 
 
 def test_best_fixed_matches_reference_scan_exactly_on_grid_costs():
@@ -246,9 +244,9 @@ def test_best_fixed_matches_reference_scan_on_uniform_costs():
 def _history_rows(data, n, draw_row):
     """A history of 1..30 trials drawn from a pool of up to 5 distinct rows,
     so rows repeat; all-zero rows come from the draws themselves."""
-    pool = [CostPair(draw_row(), draw_row()) for _ in range(data.draw(st.integers(1, 5)))]
-    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
-    return [pool[i] for i in picks]
+    pool = np.array([(draw_row(), draw_row()) for _ in range(data.draw(st.integers(1, 5)))])  # (rows, 2, n)
+    picks = pool[data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))]
+    return CostRows(picks[:, 0], picks[:, 1])
 
 
 def _restriction(data, n):
@@ -283,7 +281,9 @@ def test_superset_sum_comparator_matches_the_scan_on_uniform_costs(data):
 def test_best_fixed_structural_tie_prefers_the_smaller_set():
     # site 2 opens for free but is never the cheapest connection, so {1} and
     # {1, 2} tie exactly at every history length
-    history = [CostPair([0.5, 0.0, 0.25], [0.25, 1.0, 1.0]), CostPair([0.5, 0.0, 0.25], [0.0, 0.75, 1.0])] * 3
+    history = CostRows(
+        np.tile([[0.5, 0.0, 0.25], [0.5, 0.0, 0.25]], (3, 1)), np.tile([[0.25, 1.0, 1.0], [0.0, 0.75, 1.0]], (3, 1))
+    )
     for restriction in ({}, {"max_card": 2}):
         subset, loss = best_fixed_subset(history, **restriction)
         assert subset.members == (1,) and loss == 3.75
@@ -295,19 +295,21 @@ def test_best_fixed_bit_identical_on_a_killer_history():
     learner = DoublingLearner(GameConfig(n, horizon, 1.0, 1.0))
     source = KillerSource(n, use_current_action=False)
     rng = np.random.default_rng(14)
-    history = []
-    for t in range(1, horizon + 1):
-        costs = source.costs_for(t, learner.play(rng))
+    seen = np.empty((2, horizon, n))
+    for t in range(horizon):
+        costs = source.costs_for(t + 1, learner.play(rng))
         learner.update(costs)
-        history.append(costs)
-    assert len({cp.connection.tobytes() for cp in history}) < horizon  # repeated rows occur
+        seen[0, t], seen[1, t] = costs.opening, costs.connection
+    history = CostRows(seen[0], seen[1])
+    assert len({row.tobytes() for row in history.connection}) < horizon  # repeated rows occur
     subset, loss = best_fixed_subset(history)
     assert (subset.members, loss) == best_fixed_scan(history)
 
 
 def test_best_fixed_restricted_scan_above_the_site_cap():
     rng = np.random.default_rng(15)
-    history = [CostPair(rng.uniform(0, 1, 20), rng.uniform(0, 1, 20)) for _ in range(10)]
+    draws = rng.uniform(0, 1, (10, 2, 20))
+    history = CostRows(draws[:, 0], draws[:, 1])
     subset, loss = best_fixed_subset(history, max_card=2)
     members, ref_loss = best_fixed_scan(history, max_card=2)
     assert subset.members == members and loss == ref_loss
@@ -315,7 +317,8 @@ def test_best_fixed_restricted_scan_above_the_site_cap():
 
 def test_best_fixed_cardinality_restrictions():
     rng = np.random.default_rng(8)
-    history = [CostPair(rng.uniform(0, 1, 5), rng.uniform(0, 1, 5)) for _ in range(15)]
+    draws = rng.uniform(0, 1, (15, 2, 5))
+    history = CostRows(draws[:, 0], draws[:, 1])
     s_max, l_max = best_fixed_subset(history, max_card=2)
     assert len(s_max) <= 2
     s_exact, l_exact = best_fixed_subset(history, exact_card=2)
@@ -330,7 +333,7 @@ def test_best_fixed_cardinality_restrictions():
 
 
 def test_best_fixed_site_cap():
-    history = [CostPair(np.full(17, 0.5), np.full(17, 0.5))]
+    history = CostRows(np.full((1, 17), 0.5), np.full((1, 17), 0.5))
     with pytest.raises(CapExceededError):
         best_fixed_subset(history)
     subset, _ = best_fixed_subset(history, max_card=1)  # restricted scan is fine
@@ -339,7 +342,8 @@ def test_best_fixed_site_cap():
 
 def test_best_fixed_never_beaten_by_random_subsets():
     rng = np.random.default_rng(9)
-    history = [CostPair(rng.uniform(0, 1, 6), rng.uniform(0, 1, 6)) for _ in range(30)]
+    draws = rng.uniform(0, 1, (30, 2, 6))
+    history = CostRows(draws[:, 0], draws[:, 1])
     _, best_loss = best_fixed_subset(history)
     for _ in range(1000):
         size = int(rng.integers(1, 7))
