@@ -64,7 +64,8 @@ class KillerSource:
     One source serves a whole learner batch: given one action per row, as
     a sequence of SiteSets or as ActionRows, it returns the trial's CostRows
     and keeps each row's action for the next trial; given one SiteSet, a
-    CostPair."""
+    CostPair. `realized` rebuilds a row's whole history from its actions,
+    so a caller need not keep the costs trial by trial."""
 
     adaptive = True
 
@@ -87,6 +88,16 @@ class KillerSource:
         self._prev = rows
         costs = killer_rows(self.n_sites, known)
         return costs[0] if one else costs
+
+    def realized(self, actions: ActionRows) -> CostRows:
+        """The costs this source priced for one row's actions, given as
+        ActionRows with one row per trial, rebuilt from the actions alone:
+        the actions themselves when the adversary moves second, else the
+        actions shifted by one trial, with nothing known at the first."""
+        if not self.use_current_action:
+            ptr = actions.ptr
+            actions = ActionRows(np.append(0, ptr[:-1]), actions.sites[: ptr[-2]])
+        return killer_rows(self.n_sites, actions)
 
 
 def generate_scenario(kind: str, cfg: GameConfig, seed: int, drift_step: float = 0.05) -> CostRows:

@@ -1,19 +1,21 @@
 """Per-trial cost measurement for the full learner stack.
 
-Runs the doubling learner against freshly drawn uniform costs and times only
-play() + update(); cost generation and loss bookkeeping happen off the
+Runs the doubling learner through `experiment.trial_loop`, the loop every
+experiment runs, against freshly drawn uniform costs; the loop times only
+play() + update(), so cost generation and loss bookkeeping happen off the
 clock. The per-trial work is O(N log N) (the connection sort dominates), so
 doubling N should raise the median per-trial time by a factor comfortably
 under 2.6, and persistent learner state is a few arrays of length O(N).
+Each trial's costs are drawn when the loop asks for them, so memory stays
+O(N) at any horizon.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
+from .experiment import trial_loop
 from .game import CostPair, GameConfig
-from .learners import DoublingLearner
+from .learners import LearnerBatch
 
 
 def bench_per_trial(n_values, horizon: int, seed: int = 0) -> list[dict]:
@@ -23,16 +25,13 @@ def bench_per_trial(n_values, horizon: int, seed: int = 0) -> list[dict]:
     for n in n_values:
         n = int(n)
         cfg = GameConfig(n, int(horizon), 1.0, 1.0)
-        learner = DoublingLearner(cfg)
-        rng = np.random.default_rng(seed)
+        learner = LearnerBatch(cfg, "fl", 1)
         cost_rng = np.random.default_rng(seed + 1)
-        per_trial = np.empty(cfg.horizon)
-        for t in range(cfg.horizon):
-            costs = CostPair(cost_rng.uniform(0.0, 1.0, n), cost_rng.uniform(0.0, 1.0, n))
-            t0 = time.perf_counter()
-            learner.play(rng)
-            learner.update(costs)
-            per_trial[t] = time.perf_counter() - t0
+
+        def costs_for(t, actions):
+            return CostPair(cost_rng.uniform(0.0, 1.0, n), cost_rng.uniform(0.0, 1.0, n))
+
+        per_trial = trial_loop(learner, (np.random.default_rng(seed),), cfg.horizon, costs_for)[0]
         rows.append(
             {
                 "n_sites": n,

@@ -7,8 +7,9 @@ source this is also where the adversary's order of moves is realized).
 
 Seeds drive the learner's own randomness: each seed owns the generator
 `np.random.default_rng(seed)`. All seeds of an experiment run through one
-columnar trial loop, whose Python work per trial does not grow with the
-seed count. Every algo is a batch of learner rows behind one interface
+columnar `trial_loop`, whose Python work per trial does not grow with the
+seed count; `olfl bench` and `olfl verify` drive their learners through
+the same loop. Every algo is a batch of learner rows behind one interface
 (`game.LearnerRows`): the fl family a `LearnerBatch`, hedge-exact an
 `ExactHedge` and ftl-greedy a `FollowTheLeaderGreedy`. They read their
 uniforms through a `UniformStreams`: the generators are private to the run,
@@ -29,12 +30,14 @@ trial serves every row and the in-hindsight comparator is common; the one
 (T, N) CostRows feeds each trial's row to the learners and prices every
 seed's losses, the comparator, the regret curve and the trace file. On the
 adaptive killer one source prices each learner row's action as one
-CostRows per trial; each row's realized costs fill its own (T, N) history,
-shared by every seed the row serves, and each distinct history is priced by
-one comparator, whose loss the seeds average. Losses do not feed back into
-play, so they are priced after the loop, one `action_losses` call per seed
-over its whole history, bit for bit as `facility_loss` prices them. A
-comparator the oracles would refuse is refused before the first trial.
+CostRows per trial; after the loop each row's (T, N) history is rebuilt
+from its actions (`KillerSource.realized`), shared by every seed the row
+serves, and each distinct history is priced by one comparator
+(`oracles.comparator`), whose loss the seeds average. Losses do not feed
+back into play, so they are priced after the loop, one `action_losses` call
+per seed over its whole history, bit for bit as `facility_loss` prices
+them. A comparator the oracles would refuse is refused before the first
+trial.
 
 Each seed's run is a `SeedRun` of per-trial columns; `emit_results` writes
 the trial CSVs straight from the columns, one row template per line.
@@ -50,23 +53,16 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy import stats
 
 from .adversaries import KillerSource, generate_scenario, load_trace, save_trace
 from .errors import ConfigError
-from .game import ActionRows, CostRows, GameConfig, SiteSet, action_losses
+from .game import ActionRows, CostRows, GameConfig, LearnerRows, SiteSet, action_losses
 from .learners import KINDS, LearnerBatch, half_log_ceil
-from .oracles import (
-    BRUTE_FORCE_SITE_CAP,
-    ExactHedge,
-    FollowTheLeaderGreedy,
-    best_fixed_subset,
-    comparator_cardinalities,
-    ftl_greedy_play,
-)
+from .oracles import ExactHedge, FollowTheLeaderGreedy, comparator, comparator_cardinalities
 from .sampler import UniformStreams
 
 ALGO_NAMES = ("fl", "fl-fixed", "fl-bounded", "hedge-exact", "ftl-greedy")
@@ -121,22 +117,7 @@ class ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "game": {
-            "n_sites": config.game.n_sites,
-            "horizon": config.game.horizon,
-            "opening_max": config.game.opening_max,
-            "connection_max": config.game.connection_max,
-        },
-        "algo": {"name": config.algo.name, "cardinality": config.algo.cardinality},
-        "scenario": {
-            "kind": config.scenario.kind,
-            "seed": config.scenario.seed,
-            "path": config.scenario.path,
-            "drift_step": config.scenario.drift_step,
-        },
-        "seeds": list(config.seeds),
-    }
+    return asdict(config)
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
@@ -216,29 +197,25 @@ class RunResult:
     scenario_costs: CostRows | None  # the shared scenario, one row per trial
 
 
-def _run_seeds(config: ExperimentConfig, shared_costs: CostRows | None) -> list[SeedRun]:
-    """Every seed of the experiment through one columnar trial loop. A
-    trial plays every seed at once as CSR actions and records them with the
-    surrogate losses and learner state as (T, S) columns, a one-row
-    learner's broadcast to every seed, so the loop's Python work per trial
-    does not grow with the seed count. Losses depend on the actions and
-    costs alone, so they are priced once after the loop, one call per seed
-    over its whole history: `shared_costs` when the scenario is shared, else
-    its learner row's realized history."""
-    cfg, seeds = config.game, config.seeds
-    rows, horizon = len(seeds), cfg.horizon
-    learner = build_learner(config)
-    rngs = UniformStreams(seeds)  # the generators are private to this run
-    adaptive = shared_costs is None
-    if adaptive:
-        source = KillerSource(cfg.n_sites, config.algo.name == "ftl-greedy")
-        realized = np.empty((2, learner.rows, horizon, cfg.n_sites))  # opening, connection
+def trial_loop(learner: LearnerRows, rngs, horizon: int, costs_for):
+    """`horizon` trials of `learner`, one action per generator in `rngs`:
+    play, then `costs_for(t, actions)` for trial t (0-based), fetched only
+    after the actions are committed, then update. The actions are recorded
+    with the update values and learner state, a one-row learner's broadcast
+    to every generator, as (T, S) columns, so the loop's Python work per
+    trial does not grow with the number of generators.
+
+    Returns (seconds, values, states, actions): the play + update seconds of
+    each trial, the (T, S) update values or None when the learner reports
+    none, the (scale, cardinality, segment) (T, S) columns, each None where
+    the learner keeps no such state, and each generator's ActionRows, one
+    row per trial."""
+    rows = len(rngs)
     values = np.empty((horizon, rows))
     states = [None if a is None else np.empty((horizon, rows), dtype=np.int64) for a in learner.state_rows()]
     ptrs = np.empty((horizon, rows + 1), dtype=np.intp)
     sites = []
-    per_trial = np.empty(horizon)
-    wall_start = time.perf_counter()
+    seconds = np.empty(horizon)
     for t in range(horizon):
         for column, state in zip(states, learner.state_rows()):
             if column is not None:
@@ -246,30 +223,50 @@ def _run_seeds(config: ExperimentConfig, shared_costs: CostRows | None) -> list[
         t0 = time.perf_counter()
         actions = learner.play(rngs)
         t1 = time.perf_counter()
-        if adaptive:
-            # a one-row learner plays one action for every seed, priced once
-            costs = source.costs_for(t + 1, actions if learner.rows == rows else actions[0])
-            realized[0, :, t] = costs.opening
-            realized[1, :, t] = costs.connection
-        else:
-            costs = shared_costs[t]
+        costs = costs_for(t, actions)
         t2 = time.perf_counter()
         trial_values = learner.update(costs)
         t3 = time.perf_counter()
-        per_trial[t] = ((t1 - t0) + (t3 - t2)) / rows
+        seconds[t] = (t1 - t0) + (t3 - t2)
         if trial_values is not None:  # ftl-greedy reports no values
             values[t] = trial_values
         ptrs[t] = actions.ptr
         sites.append(actions.sites)
-    by_seed = _actions_by_seed(np.diff(ptrs, axis=1), np.concatenate(sites))
-    if adaptive:
-        histories = [CostRows(realized[0, r], realized[1, r]) for r in range(learner.rows)]
+    if trial_values is None:  # a learner reports on every trial or on none
+        values = None
+    return seconds, values, states, _actions_by_seed(np.diff(ptrs, axis=1), np.concatenate(sites))
+
+
+def _run_seeds(config: ExperimentConfig, shared_costs: CostRows | None) -> list[SeedRun]:
+    """Every seed of the experiment through one `trial_loop`. Losses depend
+    on the actions and costs alone, so they are priced once after the loop,
+    one call per seed over its whole history: `shared_costs` when the
+    scenario is shared, else its learner row's realized history, rebuilt
+    from the row's actions."""
+    cfg, seeds = config.game, config.seeds
+    rows = len(seeds)
+    learner = build_learner(config)
+    rngs = UniformStreams(seeds)  # the generators are private to this run
+    wall_start = time.perf_counter()
+    if shared_costs is None:
+        source = KillerSource(cfg.n_sites, config.algo.name == "ftl-greedy")
+        one_row = learner.rows < rows  # a one-row learner plays one action for every seed, priced once
+
+        def costs_for(t, actions):
+            return source.costs_for(t + 1, actions[0] if one_row else actions)
+    else:
+        def costs_for(t, actions):
+            return shared_costs[t]
+
+    seconds, values, states, by_seed = trial_loop(learner, rngs, cfg.horizon, costs_for)
+    if shared_costs is None:
+        histories = [source.realized(by_seed[r]) for r in range(learner.rows)]
     else:
         histories = [shared_costs]
     histories *= rows // len(histories)  # a one-row history serves every seed
     losses = np.array([action_losses(history, actions) for history, actions in zip(histories, by_seed)])
     wall = (time.perf_counter() - wall_start) / rows
-    median_ms = float(np.median(per_trial) * 1e3)
+    median_ms = float(np.median(seconds / rows) * 1e3)
     if config.algo.name == "fl":
         held = learner.segment_starts  # one list per weight row
         starts = [list(held[0 if len(held) == 1 else r]) for r in range(rows)]
@@ -277,8 +274,7 @@ def _run_seeds(config: ExperimentConfig, shared_costs: CostRows | None) -> list[
         starts = [None] * rows
     # a sequential sum along each row, as adding trial by trial would give
     cumulative = np.cumsum(losses, axis=1)[:, -1].tolist()
-    reported = trial_values is not None  # a learner reports on every trial or on none
-    columns = [None if c is None else np.ascontiguousarray(c.T) for c in [values if reported else None, *states]]
+    columns = [None if c is None else np.ascontiguousarray(c.T) for c in [values, *states]]
     return [
         SeedRun(
             seed,
@@ -289,7 +285,7 @@ def _run_seeds(config: ExperimentConfig, shared_costs: CostRows | None) -> list[
             wall_time_s=wall,
             per_trial_median_ms=median_ms,
             segment_starts=starts[r],
-            realized_costs=histories[r] if adaptive else None,
+            realized_costs=histories[r] if shared_costs is None else None,
         )
         for r, seed in enumerate(seeds)
     ]
@@ -320,24 +316,6 @@ def _comparator_restriction(config: ExperimentConfig) -> tuple[int | None, int |
     if config.algo.name == "fl-bounded":
         return config.algo.cardinality, None, f"cardinality at most {config.algo.cardinality}"
     return None, None, "any nonempty subset"
-
-
-def _comparator_for(history: CostRows, config: ExperimentConfig):
-    """Returns (members, loss, approximate)."""
-    max_card, exact_card, _ = _comparator_restriction(config)
-    if _comparator_is_greedy(config):
-        greedy = ftl_greedy_play(history)
-        losses = action_losses(history, ActionRows.repeated(greedy, len(history)))
-        return greedy.members, float(sum(losses.tolist())), True
-    subset, loss = best_fixed_subset(history, max_card=max_card, exact_card=exact_card)
-    return subset.members, loss, False
-
-
-def _comparator_is_greedy(config: ExperimentConfig) -> bool:
-    """Unrestricted comparators above the brute-force cap are approximated
-    by the greedy leader."""
-    max_card, exact_card, _ = _comparator_restriction(config)
-    return max_card is None and exact_card is None and config.game.n_sites > BRUTE_FORCE_SITE_CAP
 
 
 def bound_terms(config: ExperimentConfig) -> tuple[str | None, int, float | None]:
@@ -372,9 +350,10 @@ def bound_terms(config: ExperimentConfig) -> tuple[str | None, int, float | None
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
     cfg = config.game
-    if not _comparator_is_greedy(config):
-        # refuse an infeasible comparator before any trial runs
-        max_card, exact_card, _ = _comparator_restriction(config)
+    max_card, exact_card, restriction = _comparator_restriction(config)
+    if max_card is not None or exact_card is not None:
+        # refuse an infeasible comparator before any trial runs; an
+        # unrestricted one is exact or greedy and never refused
         comparator_cardinalities(cfg.n_sites, max_card, exact_card)
     shared_costs = None
     if config.scenario.kind == "replay":
@@ -403,12 +382,13 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         priced = {}
         for sr in seed_runs:
             if id(sr.realized_costs) not in priced:
-                priced[id(sr.realized_costs)] = _comparator_for(sr.realized_costs, config)
+                priced[id(sr.realized_costs)] = comparator(sr.realized_costs, max_card, exact_card)
         members = None
         approx = any(a for _, _, a in priced.values())
         comparator_loss = float(np.mean([priced[id(sr.realized_costs)][1] for sr in seed_runs]))
     else:
-        members, comparator_loss, approx = _comparator_for(shared_costs, config)
+        subset, comparator_loss, approx = comparator(shared_costs, max_card, exact_card)
+        members = subset.members
 
     if config.algo.name == "fl":
         # reference bound at the final segment's budget (max across seeds)
@@ -431,7 +411,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         comparator_loss=comparator_loss,
         comparator_per_seed=per_seed_comparators,
         comparator_approximate=approx,
-        comparator_restriction=_comparator_restriction(config)[2],
+        comparator_restriction=restriction,
         scale_factor=scale_factor,
         penalty_term=penalty,
         bound_rhs=bound_rhs,

@@ -11,7 +11,8 @@ efficient learners, used to verify them at desk scale.
 - best_fixed_subset: the in-hindsight comparator. Up to the site cap it
   prices all 2^N bitmasks in one superset-sum pass over the history; above
   the cap a cardinality-restricted scan, best_fixed_scan, enumerates
-  combinations.
+  combinations. comparator is the policy an experiment reports: the
+  greedy leader stands in for an unrestricted comparator above the cap.
 
 Every history is a nonempty CostRows with one row per trial.
 - exact_expected_loss: the true expectation of the draw-and-deduplicate
@@ -28,7 +29,7 @@ import math
 import numpy as np
 
 from .errors import CapExceededError, ConfigError
-from .game import ActionRows, CostPair, CostRows, GameConfig, LearnerRows, SiteSet, facility_loss
+from .game import ActionRows, CostPair, CostRows, GameConfig, LearnerRows, SiteSet, action_losses, facility_loss
 from .sampler import uniforms
 
 BRUTE_FORCE_SITE_CAP = 16
@@ -199,20 +200,15 @@ def cheapest_singleton_play(history: CostRows) -> SiteSet:
     return SiteSet((int(np.argmin(history.opening.sum(axis=0) + history.connection.sum(axis=0))) + 1,))
 
 
-def comparator_cardinalities(
-    n_sites: int,
-    max_card: int | None = None,
-    exact_card: int | None = None,
-    site_cap: int = BRUTE_FORCE_SITE_CAP,
-):
+def comparator_cardinalities(n_sites: int, max_card: int | None = None, exact_card: int | None = None):
     """The subset sizes best_fixed_subset scans at this site count and
     restriction; raises, as it would, when it refuses the scan."""
     if max_card is not None and exact_card is not None:
         raise ConfigError("pass at most one of max_card and exact_card")
     if max_card is None and exact_card is None:
-        if n_sites > site_cap:
+        if n_sites > BRUTE_FORCE_SITE_CAP:
             raise CapExceededError(
-                f"{n_sites} sites exceeds brute-force cap {site_cap}; restrict the cardinality"
+                f"{n_sites} sites exceeds brute-force cap {BRUTE_FORCE_SITE_CAP}; restrict the cardinality"
             )
         return range(1, n_sites + 1)
     limit = exact_card if exact_card is not None else max_card
@@ -256,16 +252,31 @@ def best_fixed_subset(
     return SiteSet(_subset_members(mask)), float(best_cost)
 
 
+def comparator(
+    history: CostRows, max_card: int | None = None, exact_card: int | None = None
+) -> tuple[SiteSet, float, bool]:
+    """(subset, loss, approximate) of the in-hindsight comparator an
+    experiment reports: best_fixed_subset, except that an unrestricted
+    comparator above BRUTE_FORCE_SITE_CAP is approximated by the greedy
+    leader, priced trial by trial."""
+    if max_card is None and exact_card is None and history.n_sites > BRUTE_FORCE_SITE_CAP:
+        greedy = ftl_greedy_play(history)
+        losses = action_losses(history, ActionRows.repeated(greedy, len(history)))
+        return greedy, float(sum(losses.tolist())), True
+    return (*best_fixed_subset(history, max_card, exact_card), False)
+
+
 def best_fixed_scan(history: CostRows, max_card: int | None = None, exact_card: int | None = None):
     """(members, loss) of the exhaustive comparator scan: every candidate
     combination's cumulative loss from its columns of the history, ties to
     the smaller set, then to the lexicographically first members. It is
-    the comparator above the site cap, and below it the reference the
-    superset-sum pass is checked against."""
+    the restricted comparator above the site cap, and below it the
+    reference the superset-sum pass is checked against; it refuses what
+    best_fixed_subset refuses."""
     connection, n = history.connection, history.n_sites
     cum_open = history.opening.sum(axis=0)
     best_cost, best_members = math.inf, None
-    for card in comparator_cardinalities(n, max_card, exact_card, site_cap=n):
+    for card in comparator_cardinalities(n, max_card, exact_card):
         for combo in itertools.combinations(range(n), card):
             idx = list(combo)
             cost = float(cum_open[idx].sum() + connection[:, idx].min(axis=1).sum())

@@ -25,8 +25,9 @@ from scipy import stats as scipy_stats
 
 from .adversaries import KillerSource, generate_scenario
 from .eg import ExponentiatedGradient
+from .experiment import trial_loop
 from .game import CostPair, CostRows, GameConfig, SiteSet, facility_loss, sort_by_connection_desc
-from .learners import DoublingLearner, FixedCardinalityLearner, half_log_ceil
+from .learners import DoublingLearner, FixedCardinalityLearner, LearnerBatch, half_log_ceil
 from .oracles import (
     ExactHedge,
     best_fixed_scan,
@@ -330,10 +331,8 @@ def check_hedge_bound(scale: Scale = DESK) -> CheckResult:
     connection = np.stack([costs.connection for costs in scenarios], axis=1)
     hedge = ExactHedge(cfg, plan.count)  # row r learns scenario r and plays its seed + 1
     rngs = [np.random.default_rng(seed + 1) for seed in seeds]
-    expected = np.zeros(plan.count)
-    for t in range(cfg.horizon):
-        hedge.play(rngs)
-        expected += hedge.update(CostRows(opening[t], connection[t]))
+    values = trial_loop(hedge, rngs, cfg.horizon, lambda t, _: CostRows(opening[t], connection[t]))[1]
+    expected = values.sum(axis=0)
     worst = float(max(expected - [best_fixed_subset(costs)[1] for costs in scenarios] - bound_term))
     if worst > 1e-6:
         return CheckResult("hedge exact bound", False, f"bound violated by {worst:.2e}")
@@ -375,14 +374,10 @@ def check_killer_regression(scale: Scale = DESK) -> CheckResult:
 def check_comparator_scan(scale: Scale = DESK) -> CheckResult:
     rng = np.random.default_rng(41)
     n, horizon = 10, 300
-    learner = DoublingLearner(GameConfig(n, horizon, 1.0, 1.0))
+    learner = LearnerBatch(GameConfig(n, horizon, 1.0, 1.0), "fl", 1)
     source = KillerSource(n, use_current_action=False)
-    seen = np.empty((2, horizon, n))
-    for t in range(horizon):
-        costs = source.costs_for(t + 1, learner.play(rng))
-        learner.update(costs)
-        seen[0, t], seen[1, t] = costs.opening, costs.connection
-    killer = CostRows(seen[0], seen[1])
+    actions = trial_loop(learner, (rng,), horizon, lambda t, played: source.costs_for(t + 1, played))[3]
+    killer = source.realized(actions[0])
     iid = generate_scenario("iid", GameConfig(8, 200, 1.0, 1.0), seed=int(rng.integers(1 << 30)))
     worst = 0.0
     for name, history in (("killer", killer), ("iid", iid)):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olfl import (
+    ActionRows,
     ConfigError,
     CostRows,
     GameConfig,
@@ -64,9 +65,12 @@ def test_killer_source_rows_equal_one_row_calls(data):
     singles = [KillerSource(n, use_current) for _ in range(rows)]
     previous = [None] * rows
     action = st.lists(st.integers(1, n), min_size=1, max_size=n).map(SiteSet.of)
+    played, priced = [], []
     for t in range(1, data.draw(st.integers(1, 4)) + 1):
         actions = [data.draw(action) for _ in range(rows)]
         costs = batch.costs_for(t, actions)
+        played.append(actions)
+        priced.append(costs)
         assert isinstance(costs, CostRows) and len(costs) == rows
         for r, single in enumerate(singles):
             one = single.costs_for(t, actions[r])
@@ -75,6 +79,10 @@ def test_killer_source_rows_equal_one_row_calls(data):
                 assert np.array_equal(costs.opening[r], pair.opening)
                 assert np.array_equal(costs.connection[r], pair.connection)
         previous = actions
+    for r in range(rows):  # each row's history, rebuilt from its actions alone
+        realized = batch.realized(ActionRows.of([actions[r] for actions in played]))
+        assert np.array_equal(realized.opening, np.array([costs.opening[r] for costs in priced]))
+        assert np.array_equal(realized.connection, np.array([costs.connection[r] for costs in priced]))
 
 
 def test_killer_source_rejects_what_killer_costs_rejects():

@@ -119,7 +119,7 @@ def test_killer_runs_use_per_seed_comparators():
 def test_ftl_greedy_on_the_killer_holds_one_history_and_prices_it_once(monkeypatch):
     priced = []
     monkeypatch.setattr(
-        "olfl.experiment.best_fixed_subset",
+        "olfl.oracles.best_fixed_subset",
         lambda *args, **kwargs: priced.append(args) or best_fixed_subset(*args, **kwargs),
     )
     config = ExperimentConfig(

@@ -11,7 +11,6 @@ from olfl import (
     ConfigError,
     CostPair,
     CostRows,
-    DoublingLearner,
     ExactHedge,
     GameConfig,
     KillerSource,
@@ -23,6 +22,8 @@ from olfl import (
     facility_loss,
     ftl_greedy_play,
 )
+from olfl.experiment import trial_loop
+from olfl.learners import LearnerBatch
 from olfl.verify import best_fixed_scan, run_deterministic_against_killer
 
 
@@ -292,15 +293,11 @@ def test_best_fixed_structural_tie_prefers_the_smaller_set():
 
 def test_best_fixed_bit_identical_on_a_killer_history():
     n, horizon = 16, 400
-    learner = DoublingLearner(GameConfig(n, horizon, 1.0, 1.0))
+    learner = LearnerBatch(GameConfig(n, horizon, 1.0, 1.0), "fl", 1)
     source = KillerSource(n, use_current_action=False)
     rng = np.random.default_rng(14)
-    seen = np.empty((2, horizon, n))
-    for t in range(horizon):
-        costs = source.costs_for(t + 1, learner.play(rng))
-        learner.update(costs)
-        seen[0, t], seen[1, t] = costs.opening, costs.connection
-    history = CostRows(seen[0], seen[1])
+    actions = trial_loop(learner, (rng,), horizon, lambda t, played: source.costs_for(t + 1, played))[3]
+    history = source.realized(actions[0])
     assert len({row.tobytes() for row in history.connection}) < horizon  # repeated rows occur
     subset, loss = best_fixed_subset(history)
     assert (subset.members, loss) == best_fixed_scan(history)
@@ -334,8 +331,9 @@ def test_best_fixed_cardinality_restrictions():
 
 def test_best_fixed_site_cap():
     history = CostRows(np.full((1, 17), 0.5), np.full((1, 17), 0.5))
-    with pytest.raises(CapExceededError):
-        best_fixed_subset(history)
+    for comparator in (best_fixed_subset, best_fixed_scan):  # the scan refuses as the superset-sum pass does
+        with pytest.raises(CapExceededError, match="17 sites exceeds brute-force cap 16"):
+            comparator(history)
     subset, _ = best_fixed_subset(history, max_card=1)  # restricted scan is fine
     assert len(subset) == 1
 
