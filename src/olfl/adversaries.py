@@ -27,25 +27,31 @@ from .game import ActionRows, CostPair, CostRows, GameConfig, SiteSet
 SCENARIO_KINDS = ("killer", "iid", "drift", "replay")
 
 
-def killer_rows(n_sites: int, known) -> CostRows:
+def killer_rows(n_sites: int, known, opening: np.ndarray | None = None) -> CostRows:
     """One adaptive trial per row against unit cost ranges (C = D = 1): row r
     knows the action known[r], or None before any action is known. `known`
     is a sequence of SiteSets or an ActionRows, where an empty row is the
-    unknown action."""
+    unknown action. The opening costs 1/sqrt(N) are one read-only block,
+    which any number of trials' CostRows may share: `opening`, a block an
+    earlier call returned for as many rows, or a new one when not given."""
     if n_sites < 1:
         raise ConfigError(f"n_sites must be >= 1, got {n_sites!r}")
     if not isinstance(known, ActionRows):
         known = ActionRows.of([() if action is None else action for action in known])
-    ptr, rows = known.ptr, len(known)
-    opening = np.full((rows, n_sites), 1.0 / math.sqrt(n_sites))
+    ptr = known.ptr
+    rows = ptr.size - 1
+    if opening is None:
+        opening = np.full((rows, n_sites), 1.0 / math.sqrt(n_sites))
+        opening.flags.writeable = False
     connection = np.zeros((rows, n_sites))
     lengths = ptr[1:] - ptr[:-1]
-    marked = np.repeat(lengths <= math.sqrt(n_sites), lengths)  # the sites of the small actions
+    marked = (lengths <= math.sqrt(n_sites)).repeat(lengths)  # the sites of the small actions
     sites = known.sites[marked]
     if sites.size:
-        if sites.max() > n_sites:
-            raise ConfigError(f"action site {sites.max()} outside 1..{n_sites}")
-        flat = np.repeat(np.arange(-1, rows * n_sites - 1, n_sites), lengths)[marked] + sites
+        last = np.maximum.reduce(sites)
+        if last > n_sites:
+            raise ConfigError(f"action site {last} outside 1..{n_sites}")
+        flat = np.arange(-1, rows * n_sites - 1, n_sites).repeat(lengths)[marked] + sites
         connection.ravel()[flat] = 1.0
     return CostRows(opening, connection)
 
@@ -64,8 +70,9 @@ class KillerSource:
     One source serves a whole learner batch: given one action per row, as
     a sequence of SiteSets or as ActionRows, it returns the trial's CostRows
     and keeps each row's action for the next trial; given one SiteSet, a
-    CostPair. `realized` rebuilds a row's whole history from its actions,
-    so a caller need not keep the costs trial by trial."""
+    CostPair. Every trial of one row count shares one read-only opening
+    block. `realized` rebuilds a row's whole history from its actions, so a
+    caller need not keep the costs trial by trial."""
 
     adaptive = True
 
@@ -73,20 +80,26 @@ class KillerSource:
         self.n_sites = n_sites
         self.use_current_action = use_current_action
         self._prev = None  # the last call's actions
+        self._opening = None  # the opening block of the last call
 
     def costs_for(self, trial: int, actions) -> CostPair | CostRows:
         one = isinstance(actions, SiteSet)
         rows = actions if isinstance(actions, ActionRows) else ActionRows.of((actions,) if one else actions)
+        count = rows.ptr.size - 1
         if self.use_current_action:
             known = rows
         else:
             known = self._prev
             if known is None:  # nothing realized yet: every row empty
-                known = ActionRows(np.zeros(len(rows) + 1, dtype=np.intp), np.empty(0, dtype=np.int64))
-            if len(known) != len(rows):
-                raise ConfigError(f"{len(rows)} actions for a source of {len(known)} rows")
+                known = ActionRows(np.zeros(count + 1, dtype=np.intp), np.empty(0, dtype=np.int64))
+            if known.ptr.size != count + 1:
+                raise ConfigError(f"{count} actions for a source of {len(known)} rows")
         self._prev = rows
-        costs = killer_rows(self.n_sites, known)
+        opening = self._opening
+        if opening is not None and opening.shape[0] != count:
+            opening = None
+        costs = killer_rows(self.n_sites, known, opening)
+        self._opening = costs.opening
         return costs[0] if one else costs
 
     def realized(self, actions: ActionRows) -> CostRows:

@@ -40,16 +40,18 @@ def eg_rows(w: np.ndarray, g: np.ndarray, lr: np.ndarray, grad_bound: np.ndarray
     w and gradients g, row r stepping at rate lr[r] under bound grad_bound[r].
 
     Each precondition is one comparison that NaN fails; only a failed one
-    looks for the complaint to raise."""
-    if not (np.abs(g).max(axis=1) <= grad_bound * (1.0 + GRAD_RANGE_SLACK)).all():
+    looks for the complaint to raise. The reductions call their ufunc loops
+    directly, as the array methods would."""
+    maximum = np.maximum
+    if not np.logical_and.reduce(maximum.reduce(np.abs(g), axis=1) <= grad_bound * (1.0 + GRAD_RANGE_SLACK)):
         _refuse_gradient(g, grad_bound)
     # one new array, stepped in place into the new weights
     u = -lr[:, None] * g
-    u -= u.max(axis=1, keepdims=True)  # shift largest exponent to 0; normalization cancels it
+    u -= maximum.reduce(u, axis=1, keepdims=True)  # shift largest exponent to 0; normalization cancels it
     np.exp(u, out=u)
     u *= w
-    z = u.sum(axis=1)
-    if not (0.0 < z.min() and z.max() < np.inf):
+    z = np.add.reduce(u, axis=1)
+    if not (0.0 < np.minimum.reduce(z) and maximum.reduce(z) < np.inf):
         degenerate = ~np.isfinite(z) | (z <= 0.0)
         raise NumericError(f"weight normalizer degenerate: {z[int(np.argmax(degenerate))]!r}")
     u /= z[:, None]

@@ -56,7 +56,7 @@ import time
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .adversaries import KillerSource, generate_scenario, load_trace, save_trace
 from .errors import ConfigError
@@ -114,6 +114,40 @@ class ExperimentConfig:
             raise ConfigError("at least one seed required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
+        _refuse_cost_range(self.game, self.algo)
+
+
+def _refuse_cost_range(cfg: GameConfig, algo: AlgoSpec) -> None:
+    """Refuse cost bounds from which a run would derive a quantity that is
+    not finite and positive, before it warns of an overflow mid-run: a
+    seed's cumulative loss bound T (N C + D) for every algo, and for the fl
+    family the gradient bound and learning rate at the fewest and the most
+    draws a row makes, and fl's segment threshold, each as `LearnerBatch`
+    computes it. Python floats overflow to inf and underflow to 0 without a
+    warning. A learning rate of 0 is refused only where its numerator
+    sqrt(ln(experts) / T) is positive: one fl-fixed site has nothing to
+    learn."""
+    c, d, n, t = cfg.opening_max, cfg.connection_max, cfg.n_sites, cfg.horizon
+    derived = [("cumulative loss bound T (N C + D)", t * (n * c + d), True)]
+    if algo.name in KINDS:
+        h = half_log_ceil(t)
+        span, experts = (c + d, n) if algo.name == "fl-fixed" else (c + (c + d), 2 * n)
+        fewest, most = (1, n) if algo.name == "fl" else (algo.cardinality, algo.cardinality)
+        rate = math.sqrt(math.log(experts) / t)
+        derived += [
+            ("gradient bound", span * (fewest * h), True),
+            ("gradient bound", span * (most * h), True),
+            ("learning rate", rate / (span * (fewest * h)), rate > 0),
+            ("learning rate", rate / (span * (most * h)), rate > 0),
+        ]
+        if algo.name == "fl":
+            threshold = 2.0 * (h * (4.0 * c + 2.0 * d) + (c + d)) * math.sqrt(math.log(2 * n) * t)
+            derived.append(("segment threshold", threshold, True))
+    for what, value, positive in derived:
+        if not (math.isfinite(value) and (value > 0 or not positive)):
+            raise ConfigError(
+                f"cost bounds --c-max {c!r} --d-max {d!r} give a {what} of {value!r}; it must be finite and positive"
+            )
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -212,21 +246,23 @@ def trial_loop(learner: LearnerRows, rngs, horizon: int, costs_for):
     row per trial."""
     rows = len(rngs)
     values = np.empty((horizon, rows))
-    states = [None if a is None else np.empty((horizon, rows), dtype=np.int64) for a in learner.state_rows()]
+    live = learner.state_rows()  # changed in place, so one read serves every trial
+    states = [None if a is None else np.empty((horizon, rows), dtype=np.int64) for a in live]
+    tracked = [(column, state) for column, state in zip(states, live) if column is not None]
     ptrs = np.empty((horizon, rows + 1), dtype=np.intp)
     sites = []
     seconds = np.empty(horizon)
+    clock, play, update = time.perf_counter, learner.play, learner.update
     for t in range(horizon):
-        for column, state in zip(states, learner.state_rows()):
-            if column is not None:
-                column[t] = state
-        t0 = time.perf_counter()
-        actions = learner.play(rngs)
-        t1 = time.perf_counter()
+        for column, state in tracked:
+            column[t] = state
+        t0 = clock()
+        actions = play(rngs)
+        t1 = clock()
         costs = costs_for(t, actions)
-        t2 = time.perf_counter()
-        trial_values = learner.update(costs)
-        t3 = time.perf_counter()
+        t2 = clock()
+        trial_values = update(costs)
+        t3 = clock()
         seconds[t] = (t1 - t0) + (t3 - t2)
         if trial_values is not None:  # ftl-greedy reports no values
             values[t] = trial_values
@@ -368,7 +404,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     mean_loss = float(cum_losses.mean())
     if cum_losses.size >= 2:
         half = float(
-            stats.t.ppf(0.975, cum_losses.size - 1)
+            special.stdtrit(cum_losses.size - 1, 0.975)  # the t quantile, as stats.t.ppf(0.975, df) gives it
             * cum_losses.std(ddof=1)
             / math.sqrt(cum_losses.size)
         )

@@ -50,9 +50,10 @@ def _checked_costs(opening, connection, ndim: int) -> tuple[np.ndarray, np.ndarr
         raise ConfigError(f"cost arrays must be {ndim}-D, got {opening.ndim}-D and {connection.ndim}-D")
     if opening.shape != connection.shape or opening.size == 0:
         raise ConfigError(f"cost arrays must share a nonempty shape, got {opening.shape} and {connection.shape}")
-    if not (np.isfinite(opening).all() and np.isfinite(connection).all()):
+    every, least = np.logical_and.reduce, np.minimum.reduce  # the array methods' loops, called directly
+    if not (every(np.isfinite(opening), axis=None) and every(np.isfinite(connection), axis=None)):
         raise ConfigError("cost vectors must be finite")
-    if opening.min() < 0 or connection.min() < 0:
+    if least(opening, axis=None) < 0 or least(connection, axis=None) < 0:
         raise ConfigError("cost vectors must be componentwise >= 0")
     return opening, connection
 
@@ -282,13 +283,15 @@ class LearnerRows:
         self._awaiting_update = False
         if not isinstance(costs, (CostPair, CostRows)):
             raise ConfigError(f"costs must be a CostPair or CostRows, got {type(costs).__name__}")
-        if isinstance(costs, CostRows) and len(costs) != self.rows:
-            raise ConfigError(f"{len(costs)} cost rows for {self.rows} rows")
-        if costs.n_sites != self.n_real:
-            raise ConfigError(f"costs for {costs.n_sites} sites, expected {self.n_real}")
+        shape = costs.opening.shape  # (N,) or (rows, N)
+        if isinstance(costs, CostRows) and shape[0] != self.rows:
+            raise ConfigError(f"{shape[0]} cost rows for {self.rows} rows")
+        if shape[-1] != self.n_real:
+            raise ConfigError(f"costs for {shape[-1]} sites, expected {self.n_real}")
 
     def state_rows(self) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-        """The per-row (scale, cardinality, segment) arrays, live, or None."""
+        """The per-row (scale, cardinality, segment) arrays, or None: live
+        arrays that the learner changes in place, so one call serves a run."""
         return None, None, None
 
 

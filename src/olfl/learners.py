@@ -56,9 +56,9 @@ import numpy as np
 from .eg import eg_rows, starting_point
 from .errors import ConfigError
 from .game import ActionRows, CostPair, CostRows, GameConfig, LearnerRows, SiteSet
-from .sampler import draw_flat
+from .sampler import draw_flat, search_keys
 from .sampler import sample_site_multiset  # noqa: F401  kept: the benchmark's span tracer looks it up here
-from .surrogate import surrogate_rows
+from .surrogate import Workspace, surrogate_rows
 
 KINDS = ("fl-fixed", "fl-bounded", "fl")
 
@@ -77,12 +77,16 @@ class LearnerBatch(LearnerRows):
     connection C + D) otherwise. `cardinality` is K for fl-fixed and
     fl-bounded; fl derives each row's budget from its scale guess.
 
-    Memory is the (S, n) weights of the S rows plus a 4 x (S, n) work space
-    that the surrogate reuses every trial, and outside fl-fixed a 2 x (S, n)
+    Memory is the (S, n) weights of the S rows plus the surrogate's
+    `Workspace` (a 4 x (S, n) scratch that every trial reuses), the
+    sampler's (S, n) `search_keys` buffer, and outside fl-fixed a 2 x (S, n)
     cost buffer whose aggregate-dummy column is written once, so a trial
     allocates no other S x n temporaries besides the new weights, the sort
-    and the sampler's sums. None of it grows with the number of generators
-    a one-row batch draws for.
+    and the draws. This state depends only on the shape and the draw counts:
+    it is built in `__init__`, again in `_tune` when a restart changes the
+    draw counts, and the per-draw offsets when the number of generators
+    changes. None of it grows with the number of generators a one-row batch
+    draws for.
     """
 
     def __init__(self, cfg: GameConfig, kind: str, rows: int, cardinality: int | None = None):
@@ -103,15 +107,19 @@ class LearnerBatch(LearnerRows):
             multiplicity = np.append(np.ones(n), n)
         self._start, self._rate = starting_point(self.cfg.n_sites, cfg.horizon, multiplicity)
         self._draws_per_unit = half_log_ceil(cfg.horizon)  # per unit of cardinality
+        self._stride = self.cfg.n_sites + 1  # action a's draw of site i is key a * stride + i
         self.w = np.tile(self._start, (rows, 1))
-        self._scratch = np.empty((4,) + self.w.shape)  # the surrogate's work space
+        self._space = Workspace(*self.w.shape)
+        self._keys = search_keys(*self.w.shape)
         self._pair_costs = self._row_costs = None  # opening, connection on the extended game
         if kind != "fl-fixed":
             # the aggregate dummy's opening 0 and connection C + D are written
             # once; each trial copies the real columns in front of them
-            self._pair_costs = np.zeros((2, n + 1))
-            self._row_costs = np.zeros((2, rows, n + 1))
-            self._pair_costs[1, n] = self._row_costs[1, :, n] = c + d
+            pair, by_row = np.zeros((2, n + 1)), np.zeros((2, rows, n + 1))
+            pair[1, n] = by_row[1, :, n] = c + d
+            # (whole opening, whole connection, their real columns)
+            self._pair_costs = (*pair, *pair[:, :n])
+            self._row_costs = (*by_row, *by_row[:, :, :n])
         self.scale = self.segment = None  # no doubling state outside fl
         if kind == "fl":
             self.slope = self._draws_per_unit * (4.0 * c + 2.0 * d)  # a
@@ -120,6 +128,7 @@ class LearnerBatch(LearnerRows):
             self.scale = np.ones(rows, dtype=np.int64)
             self.segment = np.zeros(rows, dtype=np.int64)
             self.accumulated = np.zeros(rows)
+            self._threshold = self.scale * self.threshold_unit  # each row's current segment threshold
             self.segment_starts = [[1] for _ in range(rows)]  # trial index opening each segment
             self.trials_seen = 0
             self.cardinality = self.budget_for(self.scale)
@@ -131,19 +140,22 @@ class LearnerBatch(LearnerRows):
         """Per-row draw count, gradient bound and learning rate from the
         row's cardinality."""
         self.num_draws = self.cardinality * self._draws_per_unit
-        # the sampler's count: one int while every row draws alike
+        # the sampler's count and the surrogate's exponent: one int while
+        # every row draws alike
         first = int(self.num_draws[0])
-        self._draws = first if (self.num_draws == first).all() else self.num_draws
+        self._draws = first if np.logical_and.reduce(self.num_draws == first) else self.num_draws
         self._set_offsets(self.rows)
         self.grad_bound = (self.cfg.opening_max + self.cfg.connection_max) * self.num_draws
         self.lr = self._rate / self.grad_bound
 
     def _set_offsets(self, actions: int) -> None:
-        """Action starts and per-draw key offsets for `actions` actions per
-        play: action a's draw of site i is key a * stride + i."""
-        stride = self.cfg.n_sites + 1
+        """Action starts, per-draw key offsets and the dedup mask for
+        `actions` actions per play."""
+        stride = self._stride
         self._row_starts = np.arange(0, (actions + 1) * stride, stride)
-        self._draw_offsets = np.repeat(self._row_starts[:-1], self._draws)
+        self._draw_offsets = self._row_starts[:-1].repeat(self._draws)
+        self._distinct = np.empty(self._draw_offsets.size, dtype=bool)
+        self._distinct[0] = True  # the first key is always kept
 
     def budget_for(self, scale: np.ndarray) -> np.ndarray:
         """Cardinality budget K = ceil((scale*(a+b) - b)/a) per scale, written
@@ -175,20 +187,20 @@ class LearnerBatch(LearnerRows):
         if self._row_starts.size != actions + 1:
             self._set_offsets(actions)
         # one in-place sort keeps each action's distinct sites, in action order
-        keys = draw_flat(self.w, self._draws, rngs)
+        keys = draw_flat(self.w, self._draws, rngs, self._keys)
         keys += self._draw_offsets
         keys.sort()
-        distinct = np.empty(keys.size, dtype=bool)
-        distinct[0] = True
+        distinct = self._distinct
         np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
         keys = keys[distinct]
-        stride = self.cfg.n_sites + 1
+        stride = self._stride
         real = keys[keys % stride <= self.n_real]  # a dummy draw is stripped
         ptr = real.searchsorted(self._row_starts)
         if real.size < keys.size:
-            empty = np.flatnonzero(ptr[1:] == ptr[:-1])
+            empty = (ptr[1:] == ptr[:-1]).nonzero()[0]
             if empty.size:  # {1} where nothing real was drawn
-                real = np.sort(np.concatenate([real, self._row_starts[empty] + 1]))
+                real = np.concatenate([real, self._row_starts[empty] + 1])
+                real.sort()
                 ptr = real.searchsorted(self._row_starts)
         return ActionRows(ptr, real % stride)
 
@@ -200,13 +212,13 @@ class LearnerBatch(LearnerRows):
         opening, connection = costs.opening, costs.connection
         if self._pair_costs is not None:
             extended = self._pair_costs if isinstance(costs, CostPair) else self._row_costs
-            extended[0, ..., : self.n_real] = opening
-            extended[1, ..., : self.n_real] = connection
-            opening, connection = extended
+            extended[2][...] = opening
+            extended[3][...] = connection
+            opening, connection = extended[0], extended[1]
         # the surrogate does not depend on how tied connection costs are
         # ordered, so the faster unstable sort serves here
-        order = np.argsort(-connection, axis=-1)
-        values, grads = surrogate_rows(opening, connection, order, self.w, self.num_draws, self._scratch)
+        order = (-connection).argsort(axis=-1)
+        values, grads = surrogate_rows(opening, connection, order, self.w, self._draws, self._space)
         self.w = eg_rows(self.w, grads, self.lr, self.grad_bound)
         if self.scale is not None:
             self._advance_segments(values)
@@ -215,18 +227,20 @@ class LearnerBatch(LearnerRows):
     def _advance_segments(self, values: np.ndarray) -> None:
         """Accumulate the surrogate losses; every row whose segment total
         reaches its threshold doubles its scale and restarts from scratch
-        (starting weights, zero accumulator) at the new budget."""
+        (starting weights, zero accumulator) at the new budget. The state
+        rows change in place."""
         self.trials_seen += 1
         self.accumulated += values
-        crossed = self.accumulated >= self.scale * self.threshold_unit
-        if not crossed.any():
+        crossed = self.accumulated >= self._threshold
+        if not np.logical_or.reduce(crossed):
             return
         self.scale[crossed] *= 2
         self.segment[crossed] += 1
         self.accumulated[crossed] = 0.0
-        for r in np.flatnonzero(crossed).tolist():
+        self._threshold = self.scale * self.threshold_unit
+        for r in crossed.nonzero()[0].tolist():
             self.segment_starts[r].append(self.trials_seen + 1)
-        self.cardinality = self.budget_for(self.scale)
+        self.cardinality[:] = self.budget_for(self.scale)
         self._tune()
         self.w[crossed] = self._start
 

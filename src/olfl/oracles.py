@@ -140,13 +140,13 @@ def ftl_greedy_play(history: CostRows) -> SiteSet:
     """Follow the leader, with the leader approximated greedily: best
     singleton, then best-improvement additions while the cumulative loss
     strictly drops."""
-    return _greedy_leader(history.opening, history.connection)
+    return _greedy_leader(history.connection, history.opening.sum(axis=0), history.connection.sum(axis=0))
 
 
-def _greedy_leader(opening: np.ndarray, connection: np.ndarray) -> SiteSet:
-    """ftl_greedy_play on the (T, N) arrays of a nonempty history."""
-    cum_open = opening.sum(axis=0)
-    totals = cum_open + connection.sum(axis=0)
+def _greedy_leader(connection: np.ndarray, cum_open: np.ndarray, cum_conn: np.ndarray) -> SiteSet:
+    """ftl_greedy_play on the (T, N) connection costs of a nonempty history
+    and the (N,) column sums of its opening and connection costs."""
+    totals = cum_open + cum_conn
     best = int(np.argmin(totals))
     members = [best]
     current_min = connection[:, best].copy()
@@ -171,28 +171,40 @@ class FollowTheLeaderGreedy(LearnerRows):
     uniforms. It follows one trajectory whatever the source, since even the
     adaptive killer prices the one action it has just played.
 
-    The history is a preallocated (2, T, N) array of opening and connection
-    costs, doubled along the trials if updates run past the horizon; each
-    play reads its first t trials in place."""
+    The connection history is a preallocated (T, N) array, doubled along
+    the trials if updates run past the horizon; each play reads its first t
+    trials in place. The opening and connection column sums run alongside,
+    one row added per update: numpy sums axis 0 of a C-contiguous block row
+    by row, so they equal the history's column sums bit for bit, and a play
+    makes one pass over the history instead of three."""
 
     def __init__(self, cfg: GameConfig):
         super().__init__(1, cfg.n_sites)
         self.cfg = cfg
-        self._history = np.empty((2, cfg.horizon, cfg.n_sites))
+        self._connection = np.empty((cfg.horizon, cfg.n_sites))
+        self._sums = np.zeros((2, cfg.n_sites))  # opening, connection column sums
         self._trials = 0
 
     def play(self, rngs) -> ActionRows:
         actions = self._begin_play(rngs)
         t = self._trials
-        return ActionRows.repeated(_greedy_leader(*self._history[:, :t]) if t else SiteSet((1,)), actions)
+        leader = _greedy_leader(self._connection[:t], *self._sums) if t else SiteSet((1,))
+        return ActionRows.repeated(leader, actions)
 
     def update(self, costs: CostPair | CostRows) -> None:
         self._begin_update(costs)
-        if self._trials == self._history.shape[1]:
-            self._history = np.concatenate([self._history, np.empty_like(self._history)], axis=1)
-        self._history[0, self._trials] = costs.opening
-        self._history[1, self._trials] = costs.connection
-        self._trials += 1
+        t = self._trials
+        if t == len(self._connection):
+            self._connection = np.concatenate([self._connection, np.empty_like(self._connection)])
+        # a CostPair's rows, or the one row of a one-row CostRows
+        opening, connection = costs.opening.reshape(-1), costs.connection.reshape(-1)
+        self._connection[t] = connection
+        if t:
+            self._sums[0] += opening
+            self._sums[1] += connection
+        else:  # the first row itself, as the column sum of one row is
+            self._sums[:] = opening, connection
+        self._trials = t + 1
 
 
 def cheapest_singleton_play(history: CostRows) -> SiteSet:

@@ -13,10 +13,13 @@ the checks and the cumulative sums run row-wise, and one search serves
 every row. With S > 1 the search runs over complex keys r + i*cdf[r, j]:
 numpy orders complex numbers by real part, then imaginary part, so the row
 index and the cumulative mass are compared exactly and nothing is added to
-any cumulative sum. One row searches its own cumulative sums directly, and
-serves any number of generators: every generator's draws search the one
-row, exactly as they would search a copy of it of their own. `draw_sites`
-is the one-row, one-generator case.
+any cumulative sum. The keys live in a buffer from `search_keys`, whose real
+part is written once; each call accumulates the cumulative sums straight
+into its imaginary view, and a caller drawing from rows of one shape every
+trial passes the same buffer each time. One row searches its own cumulative
+sums directly, and serves any number of generators: every generator's draws
+search the one row, exactly as they would search a copy of it of their own.
+`draw_sites` is the one-row, one-generator case.
 
 Uniforms come from one generator per row, read in order: `rngs[r].random`
 gives row r its draws on every call. `UniformStreams` instead owns each
@@ -72,13 +75,13 @@ class UniformStreams:
         if self._shared is not None:
             self._cursor[:] = self._shared
         end = self._cursor + counts
-        if end.max() > width:
-            self._refill(int(counts.max()))
+        if np.maximum.reduce(end) > width:
+            self._refill(int(np.maximum.reduce(counts)))
             width, end = self._buffer.shape[1], counts.copy()
-        first = np.cumsum(counts) - counts  # where each row's reads start in the output
-        base = np.arange(0, len(counts) * width, width) + self._cursor - first
+        first = np.add.accumulate(counts) - counts  # where each row's reads start in the output
+        base = np.arange(0, counts.size * width, width) + self._cursor - first
         self._cursor, self._shared = end, None
-        return self._buffer.ravel()[np.repeat(base, counts) + np.arange(first[-1] + counts[-1])]
+        return self._buffer.ravel()[base.repeat(counts) + np.arange(first[-1] + counts[-1])]
 
     def _refill(self, count: int) -> None:
         """Every row's unread tail followed by fresh uniforms from its own
@@ -108,35 +111,55 @@ def _refuse(p: np.ndarray, cdf: np.ndarray) -> None:
     raise InvalidDistributionError(f"total mass {cdf[r, -1]} not 1 within {MASS_TOL}{_in_row(p, r)}")
 
 
+def search_keys(rows: int, n: int) -> np.ndarray:
+    """A buffer for the cumulative sums of (rows, n) distributions that
+    `draw_flat` fills and `search_rows` searches: (1, n) floats for one row,
+    else the (rows, n) complex keys r + i*cdf[r, j] with the row indices
+    written here, once."""
+    if rows == 1:
+        return np.empty((1, n))
+    keys = np.empty((rows, n), dtype=complex)
+    keys.real = np.arange(rows)[:, None]
+    return keys
+
+
 def search_rows(cdf: np.ndarray, counts, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draws for the flat uniforms u: counts[r] draws from row r
     of the (S, n) cumulative sums, in row order, as 1-based site indices;
-    an int count is every row's."""
+    an int count is every row's. With S > 1, `cdf` may be the `search_keys`
+    buffer that holds the sums."""
     rows, n = cdf.shape
     if rows == 1:
         return cdf[0].searchsorted(u * cdf[0, -1], side="right") + 1
-    row = np.repeat(np.arange(rows), counts)
-    keys = cdf * 1j  # exactly 0 + i*cdf
-    keys.real = np.arange(rows)[:, None]
+    keys = cdf
+    if cdf.dtype.kind != "c":
+        keys = search_keys(rows, n)
+        keys.imag = cdf
+    row = np.arange(rows).repeat(counts)
     needles = u * 1j
-    needles.imag *= np.repeat(cdf[:, -1], counts)  # the uniform scaled by its row's total
+    needles.imag *= keys[:, -1].imag.repeat(counts)  # the uniform scaled by its row's total
     needles.real = row
     return keys.ravel().searchsorted(needles, side="right") - row * n + 1
 
 
-def draw_flat(p: np.ndarray, counts, rngs) -> np.ndarray:
+def draw_flat(p: np.ndarray, counts, rngs, keys: np.ndarray | None = None) -> np.ndarray:
     """`counts[r]` independent draws from row r of the (S, n) array p, flat
     in row order as 1-based site indices; an int count is every row's.
     `rngs` is one generator per row or a `UniformStreams`; a one-row p is
     every generator's row, and a sequence of counts then has one count per
-    generator."""
-    cdf = np.cumsum(p, axis=1)
-    if not (p.min() >= 0 and (np.abs(cdf[:, -1] - 1.0) <= MASS_TOL).all()):  # false on NaN too
+    generator. `keys` is a `search_keys` buffer of p's shape, built when not
+    given."""
+    if keys is None:
+        keys = search_keys(*p.shape)
+    cdf = keys if keys.shape[0] == 1 else keys.imag
+    np.add.accumulate(p, axis=1, out=cdf)
+    # false on NaN too
+    if not (np.minimum.reduce(p, axis=None) >= 0 and np.logical_and.reduce(np.abs(cdf[:, -1] - 1.0) <= MASS_TOL)):
         _refuse(p, cdf)
-    fewest = counts if isinstance(counts, int) else np.min(counts)
+    fewest = counts if isinstance(counts, int) else np.minimum.reduce(counts)
     if fewest < 1:
         raise ConfigError(f"count must be >= 1, got {fewest!r}")
-    return search_rows(cdf, counts, uniforms(rngs, counts))
+    return search_rows(keys, counts, uniforms(rngs, counts))
 
 
 def uniforms(rngs, counts) -> np.ndarray:

@@ -72,18 +72,43 @@ class SurrogateInstance:
         return self.opening.size
 
 
-def _powers(x: np.ndarray, ups: np.ndarray, full: np.ndarray, less: np.ndarray) -> None:
+class Workspace:
+    """`surrogate_rows`' work space for (S, n) weight rows, built once per
+    shape: a (4, S, n) float scratch cut into the views each pass writes,
+    and the offsets that shift row-wise permutations into the flattened
+    rows. A call given one allocates no S x n float arrays while its rows
+    draw alike.
+
+    The last column of `work` holds s'_N = 0 for every row; no pass writes
+    it, so it is zeroed here once."""
+
+    def __init__(self, rows: int, n: int):
+        conn, w_sorted, work, self.grad = np.empty((4, rows, n))
+        self.offsets = np.arange(0, rows * n, n)[:, None]
+        self.w_sorted, self.work = w_sorted, work
+        self.w_head = w_sorted[:, :-1]
+        self.prefix, self.prefix_rev = self.grad[:, :-1], self.grad[:, -2::-1]
+        self.full, self.suffix_rev = work[:, :-1], work[:, -2::-1]
+        work[:, -1] = 0.0
+        # (sorted connection, its head, its tail, its last entry, the steps
+        # between neighbours), for one order that every row shares, and for
+        # an order per row
+        self.shared = (conn[0], conn[0, :-1], conn[0, 1:], conn[0, -1:], w_sorted[0, :-1])
+        self.by_row = (conn, conn[:, :-1], conn[:, 1:], conn[:, -1], w_sorted[:, :-1])
+
+
+def _powers(x: np.ndarray, ups, full: np.ndarray, less: np.ndarray) -> None:
     """Write x ** ups into `full`, then x ** (ups - 1) into `less` (which may
-    be x itself), row r raised by ups[r].
+    be x itself): ups is one int for every row, or (S,) with row r raised by
+    ups[r].
 
     Each distinct exponent is applied as one scalar power: numpy squares by a
     scalar 2 as x * x but goes through pow for an array of exponents, so this
     keeps a row's bits independent of the rows that share its batch.
     """
-    if ups.size == 1 or (ups == ups[0]).all():
-        u = int(ups[0])
-        np.power(x, u, out=full)
-        np.power(x, u - 1, out=less)
+    if isinstance(ups, int):
+        np.power(x, ups, out=full)
+        np.power(x, ups - 1, out=less)
         return
     for u in np.unique(ups).tolist():
         rows = ups == u
@@ -91,57 +116,59 @@ def _powers(x: np.ndarray, ups: np.ndarray, full: np.ndarray, less: np.ndarray) 
         less[rows] = np.power(x[rows], u - 1)
 
 
-def surrogate_rows(opening, connection, order, w, ups, scratch=None) -> tuple[np.ndarray, np.ndarray]:
+def surrogate_rows(opening, connection, order, w, ups, space=None) -> tuple[np.ndarray, np.ndarray]:
     """Surrogate values (S,) and gradients (S, n) at the rows of w (S, n),
-    row r with ups[r] draws. `opening`, `connection` and `order` (0-based,
-    connection descending) are (n,) when every row sees the same costs and
-    (S, n) when each row has its own.
+    with ups draws: one int for every row, or (S,) with ups[r] for row r.
+    `opening`, `connection` and `order` (0-based, connection descending) are
+    (n,) when every row sees the same costs and (S, n) when each row has its
+    own.
 
-    The work runs in `scratch`, a (4, S, n) float array allocated when not
-    given. A caller that passes the same one to every call allocates no
-    S x n arrays per call; the gradients returned are then a view of it,
-    valid until the next call.
+    The work runs in `space`, a `Workspace` of w's shape, built when not
+    given. The gradients returned are a view of it, valid until its next
+    use. Every numpy call goes straight to the ufunc loop or array method
+    that numpy's function wrappers would reach.
     """
     s, n = w.shape
-    if np.any(np.abs(w.sum(axis=1) - 1.0) > SIMPLEX_TOL) or w.min() < -SIMPLEX_TOL:
+    add, minimum = np.add, np.minimum
+    if (
+        np.logical_or.reduce(np.abs(add.reduce(w, axis=1) - 1.0) > SIMPLEX_TOL)
+        or minimum.reduce(w, axis=None) < -SIMPLEX_TOL
+    ):
         raise ContractViolationError("w must lie on the probability simplex (within 1e-9)")
-    if scratch is None:
-        scratch = np.empty((4, s, n))
-    conn_sorted, w_sorted, work, grad = scratch
+    if space is None:
+        space = Workspace(s, n)
+    grad = space.grad
     # sorted coordinates; the permutations are valid indices, so "clip" never
     # acts, and unlike the default mode it writes straight into `out`
     if order.ndim == 1:  # one permutation serves every row
-        lead = 0
-        np.take(w, order, axis=1, out=w_sorted, mode="clip")
+        conn, head, tail, last, steps = space.shared
+        w.take(order, axis=1, out=space.w_sorted, mode="clip")
     else:  # row r's permutation, shifted into the flattened rows
-        lead = slice(None)
-        order = order + np.arange(0, s * n, n)[:, None]
-        np.take(w, order, out=w_sorted, mode="clip")
-    conn_sorted = np.take(connection, order, out=conn_sorted[lead], mode="clip")
+        conn, head, tail, last, steps = space.by_row
+        order = order + space.offsets
+        w.take(order, out=space.w_sorted, mode="clip")
+    connection.take(order, out=conn, mode="clip")
     # row dots as products summed along the row: a row's bits then never
     # depend on where the row sits in memory, as a BLAS dot's can
-    value = ups * np.multiply(opening, w, out=work).sum(axis=1) + conn_sorted[..., -1]
-    suffix = work  # s'_i in sorted coordinates; s'_N = 0
+    value = ups * add.reduce(np.multiply(opening, w, out=grad), axis=1) + last
     if n > 1:
-        prefix = np.cumsum(w_sorted[:, :-1], axis=1, out=grad[:, :-1])  # s_1 .. s_{N-1}
-        # nonnegative by construction
-        steps = np.subtract(conn_sorted[..., :-1], conn_sorted[..., 1:], out=w_sorted[lead, :-1])
+        prefix = add.accumulate(space.w_head, axis=1, out=space.prefix)  # s_1 .. s_{N-1}
+        np.subtract(head, tail, out=steps)  # nonnegative by construction
         # np.power keeps the 0-mass conventions: 0^Ups = 0, and 0^(Ups-1)
         # is 0 for Ups >= 2 but 1 for Ups = 1 (0**0 == 1).
-        full = work[:, :-1]
+        full = space.full
         _powers(prefix, ups, full=full, less=prefix)
         full *= steps
-        value += full.sum(axis=1)
+        value += add.reduce(full, axis=1)
         prefix *= steps  # the tail terms (d_v(k) - d_v(k+1)) * s_k^(Ups-1)
-        np.cumsum(prefix[:, ::-1], axis=1, out=suffix[:, -2::-1])
-    suffix[:, -1] = 0.0
+        add.accumulate(space.prefix_rev, axis=1, out=space.suffix_rev)  # s'_i; s'_N = 0
     # back to site order: g = Ups * (c + s')
     if order.ndim == 1:
-        grad[:, order] = suffix
+        grad[:, order] = space.work
     else:
-        np.put(grad, order, suffix)
-    np.add(opening, grad, out=grad)
-    grad *= ups[:, None]
+        grad.put(order, space.work)
+    add(opening, grad, out=grad)
+    grad *= ups if isinstance(ups, int) else ups[:, None]
     return value, grad
 
 
@@ -152,6 +179,6 @@ def value_and_gradient(inst: SurrogateInstance, w) -> tuple[float, np.ndarray]:
     if w.shape != (n,):
         raise ContractViolationError(f"w shape {w.shape} != ({n},)")
     value, grad = surrogate_rows(
-        inst.opening, inst.connection, inst.order - 1, w[None, :], np.array([inst.num_draws])
+        inst.opening, inst.connection, inst.order - 1, w[None, :], inst.num_draws
     )
     return float(value[0]), grad[0]

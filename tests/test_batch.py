@@ -1,10 +1,13 @@
 """Seeded regression pins, batch-versus-alone equivalence of the learners,
-and one weight row drawing for many generators against a row per generator.
+one weight row drawing for many generators against a row per generator, and
+the number of Python-level calls one trial may make.
 
 The pins hold the first 40 actions and surrogate losses of two seeded runs,
 recorded before the learners ran as one seed-batched core: the core must
 replay the actions exactly and the losses to 1e-12.
 """
+import cProfile
+import pstats
 import time
 from dataclasses import replace
 
@@ -14,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olfl import AlgoSpec, ConfigError, CostPair, CostRows, ExperimentConfig, GameConfig, ScenarioSpec, run_experiment
-from olfl.experiment import build_learner
+from olfl.adversaries import KillerSource, generate_scenario
+from olfl.experiment import build_learner, trial_loop
 from olfl.learners import KINDS, BoundedCardinalityLearner, DoublingLearner, FixedCardinalityLearner, LearnerBatch
 from olfl.oracles import ExactHedge, FollowTheLeaderGreedy
 from olfl.sampler import UniformStreams
@@ -312,3 +316,41 @@ def test_a_batch_of_one_reads_exactly_its_draws_from_the_callers_generator(data)
         learner.play(rng)
         assert rng.bit_generator.state == twin.bit_generator.state
         learner.update(top)
+
+
+def _calls_per_trial(learner, rngs, costs_for, trials=200) -> float:
+    """Python-level calls per trial (cProfile's total, which counts Python
+    functions and the C functions and methods they call, not ufunc loops)."""
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        trial_loop(learner, rngs, trials, costs_for)
+    finally:
+        profile.disable()
+    return pstats.Stats(profile).total_calls / trials
+
+
+# Python-level calls per trial at the two shapes below, as measured when a
+# trial's numpy calls were made to go straight to their ufunc loops and
+# array methods (195.2 and 132.05 before); the budget is each plus 10%
+KILLER_CALLS, SEEDS_CALLS = 81.985, 64.52
+
+
+def test_a_trial_stays_within_its_call_budget():
+    """The killer workload's shape (fl, two rows at N=16, against the
+    killer) and the seeds workload's (fl-bounded K=2, one row at N=6, 20
+    prefetched generators), over 200 trials each."""
+    source = KillerSource(16, False)
+    killer = _calls_per_trial(
+        LearnerBatch(GameConfig(16, 2000, 1.0, 1.0), "fl", 2),
+        UniformStreams((1, 2)),
+        lambda t, actions: source.costs_for(t + 1, actions),
+    )
+    scenario = generate_scenario("iid", GameConfig(6, 500, 1.0, 1.0), 5)
+    seeds = _calls_per_trial(
+        LearnerBatch(GameConfig(6, 500, 1.0, 1.0), "fl-bounded", 1, 2),
+        UniformStreams(range(1, 21)),
+        lambda t, actions: scenario[t],
+    )
+    assert killer <= KILLER_CALLS * 1.1
+    assert seeds <= SEEDS_CALLS * 1.1

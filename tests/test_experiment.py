@@ -311,6 +311,20 @@ def test_cli_runs_every_algo_at_the_smallest_sizes(algo, n, horizon, scenario, t
     assert "Traceback" not in capsys.readouterr().err
 
 
+OVERFLOWING_RANGES = [(algo, "1", "1e308") for algo in ALGO_NAMES] + [(algo, "1e308", "1") for algo in ALGO_NAMES]
+OVERFLOWING_RANGES += [(algo, "1e-320", "1e-320") for algo in ("fl", "fl-fixed", "fl-bounded")]
+
+
+@pytest.mark.parametrize("algo,c_max,d_max", OVERFLOWING_RANGES)
+def test_cli_refuses_cost_ranges_that_overflow_before_any_trial(algo, c_max, d_max, tmp_path, capsys):
+    card = ["--k", "1"] if algo in CARDINALITY_ALGOS else []
+    args = ["run", "--algo", algo, *card, "--n", "4", "--t", "50", "--c-max", c_max, "--d-max", d_max]
+    assert main([*args, "--scenario", "iid", "--seeds", "1", "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cost bounds --c-max") and "must be finite and positive" in err
+    assert not list(tmp_path.iterdir())  # refused before anything ran or was written
+
+
 def test_cli_validation_failures(tmp_path):
     assert main(["run", "--algo", "warp"]) == 1  # bad choice, argparse error
     assert main(["sing"]) == 1

@@ -21,9 +21,12 @@ from olfl import (
     exact_expected_loss,
     facility_loss,
     ftl_greedy_play,
+    generate_scenario,
 )
 from olfl.experiment import trial_loop
 from olfl.learners import LearnerBatch
+from olfl.oracles import FollowTheLeaderGreedy
+from olfl.sampler import UniformStreams
 from olfl.verify import best_fixed_scan, run_deterministic_against_killer
 
 
@@ -162,6 +165,26 @@ def test_ftl_greedy_matches_slow_reimplementation_on_killer_history():
     for t, action in enumerate(actions):
         expected = (1,) if t == 0 else _slow_greedy(history[:t])
         assert action.members == expected
+
+
+@pytest.mark.parametrize("scenario", ["iid", "killer"])
+@pytest.mark.parametrize("n", [1, 2, 3, 16])
+def test_ftl_greedy_running_sums_play_the_leader_of_every_prefix(n, scenario):
+    horizon = 400
+    cfg = GameConfig(n, horizon, 1.0, 1.0)
+    ftl = FollowTheLeaderGreedy(cfg)
+    scenario_costs = generate_scenario("iid", cfg, 11) if scenario == "iid" else None
+    source = KillerSource(n, True)
+    opening, connection = np.empty((horizon, n)), np.empty((horizon, n))
+    for t in range(horizon):
+        action = ftl.play(UniformStreams((1, 2)))
+        expected = ftl_greedy_play(CostRows(opening[:t], connection[:t])) if t else SiteSet((1,))
+        assert list(action) == [expected] * 2
+        costs = source.costs_for(t + 1, action[0]) if scenario_costs is None else scenario_costs[t]
+        opening[t], connection[t] = costs.opening, costs.connection
+        ftl.update(costs)
+        if n > 1:  # one column is summed pairwise, but its leader is always {1}
+            assert np.array_equal(ftl._sums, [opening[: t + 1].sum(axis=0), connection[: t + 1].sum(axis=0)])
 
 
 def test_cheapest_singleton():

@@ -194,3 +194,14 @@ def test_one_row_serves_every_generator_as_a_copy_of_its_own(data):
         twin = np.random.default_rng(seed)
         twin.random(count)
         assert generator.bit_generator.state == twin.bit_generator.state
+
+
+def test_sampler_check_refuses_totals_that_disagree(monkeypatch):
+    # chi-square compares frequencies only when the observed and expected
+    # totals agree; a sample one draw short must fail the check, not pass it
+    import olfl.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "draw_sites", lambda p, count, rng: draw_sites(p, count - 1, rng))
+    result = verify_mod.check_sampler_distribution()
+    assert not result.passed
+    assert "expected total" in result.detail
