@@ -114,40 +114,22 @@ class ExperimentConfig:
             raise ConfigError("at least one seed required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
-        _refuse_cost_range(self.game, self.algo)
+        _refuse_cost_range(self.game)
 
 
-def _refuse_cost_range(cfg: GameConfig, algo: AlgoSpec) -> None:
-    """Refuse cost bounds from which a run would derive a quantity that is
-    not finite and positive, before it warns of an overflow mid-run: a
-    seed's cumulative loss bound T (N C + D) for every algo, and for the fl
-    family the gradient bound and learning rate at the fewest and the most
-    draws a row makes, and fl's segment threshold, each as `LearnerBatch`
-    computes it. Python floats overflow to inf and underflow to 0 without a
-    warning. A learning rate of 0 is refused only where its numerator
-    sqrt(ln(experts) / T) is positive: one fl-fixed site has nothing to
-    learn."""
-    c, d, n, t = cfg.opening_max, cfg.connection_max, cfg.n_sites, cfg.horizon
-    derived = [("cumulative loss bound T (N C + D)", t * (n * c + d), True)]
-    if algo.name in KINDS:
-        h = half_log_ceil(t)
-        span, experts = (c + d, n) if algo.name == "fl-fixed" else (c + (c + d), 2 * n)
-        fewest, most = (1, n) if algo.name == "fl" else (algo.cardinality, algo.cardinality)
-        rate = math.sqrt(math.log(experts) / t)
-        derived += [
-            ("gradient bound", span * (fewest * h), True),
-            ("gradient bound", span * (most * h), True),
-            ("learning rate", rate / (span * (fewest * h)), rate > 0),
-            ("learning rate", rate / (span * (most * h)), rate > 0),
-        ]
-        if algo.name == "fl":
-            threshold = 2.0 * (h * (4.0 * c + 2.0 * d) + (c + d)) * math.sqrt(math.log(2 * n) * t)
-            derived.append(("segment threshold", threshold, True))
-    for what, value, positive in derived:
-        if not (math.isfinite(value) and (value > 0 or not positive)):
-            raise ConfigError(
-                f"cost bounds --c-max {c!r} --d-max {d!r} give a {what} of {value!r}; it must be finite and positive"
-            )
+def _refuse_cost_range(cfg: GameConfig) -> None:
+    """Refuse cost bounds whose cumulative loss bound T (N C + D) for a seed
+    is not finite and positive, before any trial runs; Python floats
+    overflow to inf without a warning. The fl family's `LearnerBatch`
+    refuses the bounds from which it would derive a gradient bound,
+    learning rate or segment threshold that is not, when it is built."""
+    c, d = cfg.opening_max, cfg.connection_max
+    bound = cfg.horizon * (cfg.n_sites * c + d)
+    if not (math.isfinite(bound) and bound > 0):
+        raise ConfigError(
+            f"cost bounds --c-max {c!r} --d-max {d!r} give a cumulative loss bound T (N C + D) "
+            f"of {bound!r}; it must be finite and positive"
+        )
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

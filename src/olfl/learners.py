@@ -107,6 +107,11 @@ class LearnerBatch(LearnerRows):
             multiplicity = np.append(np.ones(n), n)
         self._start, self._rate = starting_point(self.cfg.n_sites, cfg.horizon, multiplicity)
         self._draws_per_unit = half_log_ceil(cfg.horizon)  # per unit of cardinality
+        if kind == "fl":
+            self.slope = self._draws_per_unit * (4.0 * c + 2.0 * d)  # a
+            self.base = c + d  # b
+            self.threshold_unit = 2.0 * (self.slope + self.base) * math.sqrt(math.log(2 * n) * cfg.horizon)
+        self._refuse_cost_range(cfg, kind, (1, n) if kind == "fl" else (cardinality,))
         self._stride = self.cfg.n_sites + 1  # action a's draw of site i is key a * stride + i
         self.w = np.tile(self._start, (rows, 1))
         self._space = Workspace(*self.w.shape)
@@ -122,13 +127,9 @@ class LearnerBatch(LearnerRows):
             self._row_costs = (*by_row, *by_row[:, :, :n])
         self.scale = self.segment = None  # no doubling state outside fl
         if kind == "fl":
-            self.slope = self._draws_per_unit * (4.0 * c + 2.0 * d)  # a
-            self.base = c + d  # b
-            self.threshold_unit = 2.0 * (self.slope + self.base) * math.sqrt(math.log(2 * n) * cfg.horizon)
             self.scale = np.ones(rows, dtype=np.int64)
             self.segment = np.zeros(rows, dtype=np.int64)
             self.accumulated = np.zeros(rows)
-            self._threshold = self.scale * self.threshold_unit  # each row's current segment threshold
             self.segment_starts = [[1] for _ in range(rows)]  # trial index opening each segment
             self.trials_seen = 0
             self.cardinality = self.budget_for(self.scale)
@@ -136,17 +137,41 @@ class LearnerBatch(LearnerRows):
             self.cardinality = np.full(rows, cardinality, dtype=np.int64)
         self._tune()
 
+    def _tuning(self, cardinality):
+        """Draw count, gradient bound and learning rate at `cardinality`, an
+        int or one per row."""
+        num_draws = cardinality * self._draws_per_unit
+        grad_bound = (self.cfg.opening_max + self.cfg.connection_max) * num_draws
+        return num_draws, grad_bound, self._rate / grad_bound
+
+    def _refuse_cost_range(self, cfg: GameConfig, kind: str, cardinalities: tuple[int, ...]) -> None:
+        """Refuse the real game's cost bounds if a row would derive from them
+        a gradient bound or learning rate, at the extremes of the
+        cardinalities it can reach, or an fl segment threshold that is not
+        finite and positive, before numpy warns of it mid-run. Python floats
+        overflow to inf and underflow to 0 without a warning. A learning
+        rate of 0 is refused only where sqrt(ln(experts) / T) is positive:
+        one fl-fixed site has nothing to learn."""
+        derived = [("segment threshold", self.threshold_unit, True)] if kind == "fl" else []
+        for k in cardinalities:
+            _, grad_bound, lr = self._tuning(k)
+            derived += [("gradient bound", grad_bound, True), ("learning rate", lr, self._rate > 0)]
+        for what, value, positive in derived:
+            if not (math.isfinite(value) and (value > 0 or not positive)):
+                raise ConfigError(
+                    f"cost bounds --c-max {cfg.opening_max!r} --d-max {cfg.connection_max!r} give a {what} "
+                    f"of {value!r}; it must be finite and positive"
+                )
+
     def _tune(self) -> None:
         """Per-row draw count, gradient bound and learning rate from the
         row's cardinality."""
-        self.num_draws = self.cardinality * self._draws_per_unit
+        self.num_draws, self.grad_bound, self.lr = self._tuning(self.cardinality)
         # the sampler's count and the surrogate's exponent: one int while
         # every row draws alike
         first = int(self.num_draws[0])
         self._draws = first if np.logical_and.reduce(self.num_draws == first) else self.num_draws
         self._set_offsets(self.rows)
-        self.grad_bound = (self.cfg.opening_max + self.cfg.connection_max) * self.num_draws
-        self.lr = self._rate / self.grad_bound
 
     def _set_offsets(self, actions: int) -> None:
         """Action starts, per-draw key offsets and the dedup mask for
@@ -231,13 +256,12 @@ class LearnerBatch(LearnerRows):
         rows change in place."""
         self.trials_seen += 1
         self.accumulated += values
-        crossed = self.accumulated >= self._threshold
+        crossed = self.accumulated >= self.scale * self.threshold_unit
         if not np.logical_or.reduce(crossed):
             return
         self.scale[crossed] *= 2
         self.segment[crossed] += 1
         self.accumulated[crossed] = 0.0
-        self._threshold = self.scale * self.threshold_unit
         for r in crossed.nonzero()[0].tolist():
             self.segment_starts[r].append(self.trials_seen + 1)
         self.cardinality[:] = self.budget_for(self.scale)

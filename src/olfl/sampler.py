@@ -123,18 +123,14 @@ def search_keys(rows: int, n: int) -> np.ndarray:
     return keys
 
 
-def search_rows(cdf: np.ndarray, counts, u: np.ndarray) -> np.ndarray:
+def search_rows(keys: np.ndarray, counts, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draws for the flat uniforms u: counts[r] draws from row r
-    of the (S, n) cumulative sums, in row order, as 1-based site indices;
-    an int count is every row's. With S > 1, `cdf` may be the `search_keys`
-    buffer that holds the sums."""
-    rows, n = cdf.shape
+    of the (S, n) cumulative sums that the `search_keys` buffer `keys`
+    holds, in row order, as 1-based site indices; an int count is every
+    row's."""
+    rows, n = keys.shape
     if rows == 1:
-        return cdf[0].searchsorted(u * cdf[0, -1], side="right") + 1
-    keys = cdf
-    if cdf.dtype.kind != "c":
-        keys = search_keys(rows, n)
-        keys.imag = cdf
+        return keys[0].searchsorted(u * keys[0, -1], side="right") + 1
     row = np.arange(rows).repeat(counts)
     needles = u * 1j
     needles.imag *= keys[:, -1].imag.repeat(counts)  # the uniform scaled by its row's total

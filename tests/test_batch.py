@@ -196,13 +196,33 @@ def test_one_weight_row_drawing_for_every_generator_equals_a_row_per_generator(d
         expected = batch.play([np.random.default_rng(seed) for seed in seeds])
         assert np.array_equal(drawn.ptr, expected.ptr) and np.array_equal(drawn.sites, expected.sites)
         costs = CostPair(*_grid_rows(data, 1, n, c_max), *_grid_rows(data, 1, n, d_max))
-        assert one.update(costs) * rows == batch.update(costs)
+        if kind == "fl":
+            accumulated, scale, segments = one.accumulated[0], one.scale[0], len(one.segment_starts[0])
+        values = one.update(costs)
+        assert values * rows == batch.update(costs)
         assert all(np.array_equal(one.w[0], row) for row in batch.w)
         for column, expected_column in zip(one.state_rows(), batch.state_rows()):
             assert (column is None) == (expected_column is None)
             assert column is None or (expected_column == column[0]).all()
         if kind == "fl":
+            # the row restarts exactly when its segment total reaches the threshold as set now
+            crossed = accumulated + values[0] >= scale * one.threshold_unit
+            assert len(one.segment_starts[0]) == segments + crossed
             assert one.segment_starts * rows == batch.segment_starts
+
+
+def test_a_threshold_lowered_after_construction_restarts_the_rows_within_a_few_trials():
+    # the replay above lowers threshold_unit on a built learner to cross restarts
+    cfg = GameConfig(4, 500, 1.0, 1.0)
+    lowered, kept = LearnerBatch(cfg, "fl", 2), LearnerBatch(cfg, "fl", 2)
+    lowered.threshold_unit *= 1e-3
+    costs = CostPair(np.ones(4), np.ones(4))
+    for trial in range(5):
+        for learner in (lowered, kept):
+            learner.play([np.random.default_rng(trial), np.random.default_rng(trial + 100)])
+            learner.update(costs)
+    assert all(len(starts) > 1 for starts in lowered.segment_starts)
+    assert kept.segment_starts == [[1], [1]]
 
 
 def test_an_all_dummy_row_plays_site_one_for_every_generator():
