@@ -27,17 +27,15 @@ from .game import ActionRows, CostPair, CostRows, GameConfig, SiteSet
 SCENARIO_KINDS = ("killer", "iid", "drift", "replay")
 
 
-def killer_rows(n_sites: int, known, opening: np.ndarray | None = None) -> CostRows:
+def killer_rows(n_sites: int, known: ActionRows, opening: np.ndarray | None = None) -> CostRows:
     """One adaptive trial per row against unit cost ranges (C = D = 1): row r
-    knows the action known[r], or None before any action is known. `known`
-    is a sequence of SiteSets or an ActionRows, where an empty row is the
-    unknown action. The opening costs 1/sqrt(N) are one read-only block,
-    which any number of trials' CostRows may share: `opening`, a block an
-    earlier call returned for as many rows, or a new one when not given."""
+    knows the action known[r], where an empty row is the unknown action
+    (before any action is known). The opening costs 1/sqrt(N) are one
+    read-only block, which any number of trials' CostRows may share:
+    `opening`, a block an earlier call returned for as many rows, or a new
+    one when not given."""
     if n_sites < 1:
         raise ConfigError(f"n_sites must be >= 1, got {n_sites!r}")
-    if not isinstance(known, ActionRows):
-        known = ActionRows.of([() if action is None else action for action in known])
     ptr = known.ptr
     rows = ptr.size - 1
     if opening is None:
@@ -56,10 +54,11 @@ def killer_rows(n_sites: int, known, opening: np.ndarray | None = None) -> CostR
     return CostRows(opening, connection)
 
 
-def killer_costs(n_sites: int, prev_action: SiteSet | None) -> CostPair:
-    """One adaptive trial against unit cost ranges (C = D = 1): the one-row
-    call of killer_rows."""
-    return killer_rows(n_sites, (prev_action,))[0]
+def killer_costs(n_sites: int, action: SiteSet | None) -> CostPair:
+    """One adaptive trial against unit cost ranges (C = D = 1), knowing
+    `action`, or None before any action is known: the one-action call of
+    killer_rows."""
+    return killer_rows(n_sites, ActionRows.of([() if action is None else action]))[0]
 
 
 class KillerSource:
@@ -67,14 +66,11 @@ class KillerSource:
     only) each trial's costs are built from the action just played, i.e. the
     adversary moves second; otherwise from the realized previous action.
 
-    One source serves a whole learner batch: given one action per row, as
-    a sequence of SiteSets or as ActionRows, it returns the trial's CostRows
-    and keeps each row's action for the next trial; given one SiteSet, a
-    CostPair. Every trial of one row count shares one read-only opening
-    block. `realized` rebuilds a row's whole history from its actions, so a
-    caller need not keep the costs trial by trial."""
-
-    adaptive = True
+    One source serves a whole learner batch: given one action per learner
+    row as ActionRows, it returns the trial's CostRows and keeps each row's
+    action for the next trial. Every trial of one row count shares one
+    read-only opening block. `realized` rebuilds a row's whole history from
+    its actions, so a caller need not keep the costs trial by trial."""
 
     def __init__(self, n_sites: int, use_current_action: bool):
         self.n_sites = n_sites
@@ -82,25 +78,23 @@ class KillerSource:
         self._prev = None  # the last call's actions
         self._opening = None  # the opening block of the last call
 
-    def costs_for(self, trial: int, actions) -> CostPair | CostRows:
-        one = isinstance(actions, SiteSet)
-        rows = actions if isinstance(actions, ActionRows) else ActionRows.of((actions,) if one else actions)
-        count = rows.ptr.size - 1
+    def costs_for(self, trial: int, actions: ActionRows) -> CostRows:
+        count = actions.ptr.size - 1
         if self.use_current_action:
-            known = rows
+            known = actions
         else:
             known = self._prev
             if known is None:  # nothing realized yet: every row empty
                 known = ActionRows(np.zeros(count + 1, dtype=np.intp), np.empty(0, dtype=np.int64))
             if known.ptr.size != count + 1:
                 raise ConfigError(f"{count} actions for a source of {len(known)} rows")
-        self._prev = rows
+        self._prev = actions
         opening = self._opening
         if opening is not None and opening.shape[0] != count:
             opening = None
         costs = killer_rows(self.n_sites, known, opening)
         self._opening = costs.opening
-        return costs[0] if one else costs
+        return costs
 
     def realized(self, actions: ActionRows) -> CostRows:
         """The costs this source priced for one row's actions, given as

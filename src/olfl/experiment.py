@@ -20,24 +20,24 @@ trial and draws every seed's action from it. On the adaptive killer a
 randomized learner's seeds each have their own costs, and the batch one row
 per seed; ftl-greedy is deterministic, so the killer prices the one action
 it plays, and it holds one row on every scenario. A trial's actions are CSR
-rows (`ActionRows`), one per seed; the loop records them, with the update
-values and learner state broadcast to every seed their row serves, as
-(T, S) columns, and keeps no per-trial objects.
+rows (`ActionRows`), one per seed; the loop records them with one column
+per seed, the update values and learner state as (T, R) columns, one per
+learner row, and keeps no per-trial objects. Seed r reads row r % R, and
+seeds that share a row share its columns.
 
 Non-adaptive scenarios materialize one cost sequence (from the scenario's
-own seed or a trace file) shared by every learner seed, so one sort per
-trial serves every row and the in-hindsight comparator is common; the one
-(T, N) CostRows feeds each trial's row to the learners and prices every
-seed's losses, the comparator, the regret curve and the trace file. On the
-adaptive killer one source prices each learner row's action as one
-CostRows per trial; after the loop each row's (T, N) history is rebuilt
-from its actions (`KillerSource.realized`), shared by every seed the row
-serves, and each distinct history is priced by one comparator
-(`oracles.comparator`), whose loss the seeds average. Losses do not feed
-back into play, so they are priced after the loop, one `action_losses` call
-per seed over its whole history, bit for bit as `facility_loss` prices
-them. A comparator the oracles would refuse is refused before the first
-trial.
+own seed or a trace file) shared by every learner seed, so the in-hindsight
+comparator is common; the one (T, N) CostRows feeds each trial's row to the
+learners and prices every seed's losses, the comparator, the regret curve
+and the trace file. On the adaptive killer one source prices each learner
+row's action as one CostRows per trial; after the loop each row's (T, N)
+history is rebuilt from its actions (`KillerSource.realized`), shared by
+every seed the row serves, and each distinct history is priced by one
+comparator (`oracles.comparator`), whose loss the seeds average. Losses do
+not feed back into play, so they are priced after the loop, one
+`action_losses` call per seed over its whole history, bit for bit as
+`facility_loss` prices them. A comparator the oracles would refuse is
+refused before the first trial.
 
 Each seed's run is a `SeedRun` of per-trial columns; `emit_results` writes
 the trial CSVs straight from the columns, one row template per line.
@@ -217,21 +217,20 @@ def trial_loop(learner: LearnerRows, rngs, horizon: int, costs_for):
     """`horizon` trials of `learner`, one action per generator in `rngs`:
     play, then `costs_for(t, actions)` for trial t (0-based), fetched only
     after the actions are committed, then update. The actions are recorded
-    with the update values and learner state, a one-row learner's broadcast
-    to every generator, as (T, S) columns, so the loop's Python work per
+    with one column per generator, and the update values and learner state
+    as (T, R) columns, one per learner row, so the loop's Python work per
     trial does not grow with the number of generators.
 
     Returns (seconds, values, states, actions): the play + update seconds of
-    each trial, the (T, S) update values or None when the learner reports
-    none, the (scale, cardinality, segment) (T, S) columns, each None where
+    each trial, the (T, R) update values or None when the learner reports
+    none, the (scale, cardinality, segment) (T, R) columns, each None where
     the learner keeps no such state, and each generator's ActionRows, one
     row per trial."""
-    rows = len(rngs)
-    values = np.empty((horizon, rows))
+    values = np.empty((horizon, learner.rows))
     live = learner.state_rows()  # changed in place, so one read serves every trial
-    states = [None if a is None else np.empty((horizon, rows), dtype=np.int64) for a in live]
+    states = [None if a is None else np.empty((horizon, learner.rows), dtype=np.int64) for a in live]
     tracked = [(column, state) for column, state in zip(states, live) if column is not None]
-    ptrs = np.empty((horizon, rows + 1), dtype=np.intp)
+    ptrs = np.empty((horizon, len(rngs) + 1), dtype=np.intp)
     sites = []
     seconds = np.empty(horizon)
     clock, play, update = time.perf_counter, learner.play, learner.update
@@ -256,40 +255,39 @@ def trial_loop(learner: LearnerRows, rngs, horizon: int, costs_for):
 
 
 def _run_seeds(config: ExperimentConfig, shared_costs: CostRows | None) -> list[SeedRun]:
-    """Every seed of the experiment through one `trial_loop`. Losses depend
-    on the actions and costs alone, so they are priced once after the loop,
-    one call per seed over its whole history: `shared_costs` when the
-    scenario is shared, else its learner row's realized history, rebuilt
-    from the row's actions."""
+    """Every seed of the experiment through one `trial_loop`. Seed r reads
+    learner row r % R of the loop's R rows: its update values, its state
+    columns and, on the killer, the history the row was priced on. Losses
+    depend on the actions and costs alone, so they are priced once after
+    the loop, one call per seed over its whole history: `shared_costs` when
+    the scenario is shared, else its learner row's realized history,
+    rebuilt from the row's actions."""
     cfg, seeds = config.game, config.seeds
-    rows = len(seeds)
     learner = build_learner(config)
     rngs = UniformStreams(seeds)  # the generators are private to this run
     wall_start = time.perf_counter()
     if shared_costs is None:
         source = KillerSource(cfg.n_sites, config.algo.name == "ftl-greedy")
-        one_row = learner.rows < rows  # a one-row learner plays one action for every seed, priced once
+        first = learner.rows < len(seeds)  # ftl-greedy: one action for every seed, priced once
 
         def costs_for(t, actions):
-            return source.costs_for(t + 1, actions[0] if one_row else actions)
+            if first:  # the first generator's action, as one row
+                actions = ActionRows(actions.ptr[:2], actions.sites[: actions.ptr[1]])
+            return source.costs_for(t + 1, actions)
     else:
         def costs_for(t, actions):
             return shared_costs[t]
 
     seconds, values, states, by_seed = trial_loop(learner, rngs, cfg.horizon, costs_for)
+    row_of = [r % learner.rows for r in range(len(seeds))]
     if shared_costs is None:
-        histories = [source.realized(by_seed[r]) for r in range(learner.rows)]
+        histories = [source.realized(by_seed[row]) for row in range(learner.rows)]
     else:
-        histories = [shared_costs]
-    histories *= rows // len(histories)  # a one-row history serves every seed
-    losses = np.array([action_losses(history, actions) for history, actions in zip(histories, by_seed)])
-    wall = (time.perf_counter() - wall_start) / rows
-    median_ms = float(np.median(seconds / rows) * 1e3)
-    if config.algo.name == "fl":
-        held = learner.segment_starts  # one list per weight row
-        starts = [list(held[0 if len(held) == 1 else r]) for r in range(rows)]
-    else:
-        starts = [None] * rows
+        histories = [shared_costs] * learner.rows
+    losses = np.array([action_losses(histories[row], actions) for row, actions in zip(row_of, by_seed)])
+    wall = (time.perf_counter() - wall_start) / len(seeds)
+    median_ms = float(np.median(seconds / len(seeds)) * 1e3)
+    held = learner.segment_starts if config.algo.name == "fl" else None  # one list per learner row
     # a sequential sum along each row, as adding trial by trial would give
     cumulative = np.cumsum(losses, axis=1)[:, -1].tolist()
     columns = [None if c is None else np.ascontiguousarray(c.T) for c in [values, *states]]
@@ -298,14 +296,14 @@ def _run_seeds(config: ExperimentConfig, shared_costs: CostRows | None) -> list[
             seed,
             by_seed[r],
             losses[r],
-            *(None if column is None else column[r] for column in columns),  # lambda, theta, k, segment
+            *(None if column is None else column[row] for column in columns),  # lambda, theta, k, segment
             cumulative_loss=cumulative[r],
             wall_time_s=wall,
             per_trial_median_ms=median_ms,
-            segment_starts=starts[r],
-            realized_costs=histories[r] if shared_costs is None else None,
+            segment_starts=None if held is None else list(held[row]),
+            realized_costs=histories[row] if shared_costs is None else None,
         )
-        for r, seed in enumerate(seeds)
+        for r, (seed, row) in enumerate(zip(seeds, row_of))
     ]
 
 
@@ -385,9 +383,13 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     cum_losses = np.array([sr.cumulative_loss for sr in seed_runs])
     mean_loss = float(cum_losses.mean())
     if cum_losses.size >= 2:
+        # the deviation of the losses scaled by a power of two, which is
+        # exact, so that the largest is in [1, 2) and no square overflows;
+        # a nonzero deviation is at least an ulp of it, so none underflows
+        unit = math.ldexp(1.0, math.frexp(float(np.abs(cum_losses).max()))[1] - 1)
         half = float(
             special.stdtrit(cum_losses.size - 1, 0.975)  # the t quantile, as stats.t.ppf(0.975, df) gives it
-            * cum_losses.std(ddof=1)
+            * ((cum_losses / unit).std(ddof=1) * unit)
             / math.sqrt(cum_losses.size)
         )
     else:

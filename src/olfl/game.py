@@ -214,31 +214,27 @@ class ActionRows:
         return cls(np.arange(rows + 1) * len(action), np.tile(np.asarray(action.members), rows))
 
 
-def action_losses(costs: CostPair | CostRows, actions: ActionRows) -> np.ndarray:
+def action_losses(costs: CostRows, actions: ActionRows) -> np.ndarray:
     """facility_loss of each action, bit for bit: row r of `actions` priced
-    on row r of CostRows, or every row on one shared CostPair.
+    on row r of `costs`, a CostRows with one row per action.
 
     Rows are grouped by member count, and each group is one (rows, m)
-    gather summed and minimized along its rows, which sums each row exactly
-    as the one-row sum does.
+    gather of the raveled costs summed and minimized along its rows, which
+    sums each row exactly as the one-row sum does.
     """
-    n = costs.n_sites
     ptr, sites = actions.ptr, actions.sites
     rows = ptr.size - 1
-    shared = isinstance(costs, CostPair)
-    if not shared and len(costs) != rows:
-        raise ConfigError(f"{len(costs)} cost rows for {rows} actions")
-    if not rows:
-        return np.empty(0)
+    shape = costs.opening.shape
+    if shape[:-1] != (rows,):
+        raise ConfigError(f"{rows} actions need a CostRows with one row each, got costs of shape {shape}")
+    n = shape[1]
     lengths = ptr[1:] - ptr[:-1]
     by_length = np.bincount(lengths)
     if by_length[0]:
         raise InvalidActionError("site set must be nonempty")
     if sites.max() > n:
         raise InvalidActionError(f"site {sites.max()} outside instance with {n} sites")
-    flat = sites - 1
-    if not shared:  # index the raveled (rows, N) arrays
-        flat += np.repeat(np.arange(0, rows * n, n), lengths)
+    flat = sites - 1 + np.repeat(np.arange(0, rows * n, n), lengths)
     opening, connection = costs.opening.ravel(), costs.connection.ravel()
     distinct = np.flatnonzero(by_length).tolist()
     if len(distinct) == 1:
@@ -256,9 +252,9 @@ class LearnerRows:
     """The protocol of every learner: `rows` independent trajectories with
     strict play/update alternation. play(rngs) returns ActionRows, one action
     per generator (or `UniformStreams` row); one row serves any number of
-    them, S rows take exactly S. update(costs) takes a CostPair shared by
-    every row or a CostRows with one row per learner row, and returns
-    per-row values, or None when the learner reports none."""
+    them, S rows take exactly S. update(costs) takes a CostRows with one row
+    per learner row, or a CostPair as the one row of a one-row learner, and
+    returns per-row values, or None when the learner reports none."""
 
     _awaiting_update = False
 
@@ -277,17 +273,23 @@ class LearnerRows:
         self._awaiting_update = True
         return actions
 
-    def _begin_update(self, costs: CostPair | CostRows) -> None:
+    def _begin_update(self, costs: CostPair | CostRows) -> tuple[np.ndarray, np.ndarray]:
+        """The trial's (rows, N) opening and connection arrays: the one place
+        that reads a CostPair, as the one row of a one-row learner."""
         if not self._awaiting_update:
             raise ProtocolError("update called before play")
         self._awaiting_update = False
         if not isinstance(costs, (CostPair, CostRows)):
             raise ConfigError(f"costs must be a CostPair or CostRows, got {type(costs).__name__}")
-        shape = costs.opening.shape  # (N,) or (rows, N)
-        if isinstance(costs, CostRows) and shape[0] != self.rows:
-            raise ConfigError(f"{shape[0]} cost rows for {self.rows} rows")
-        if shape[-1] != self.n_real:
-            raise ConfigError(f"costs for {shape[-1]} sites, expected {self.n_real}")
+        opening, connection = costs.opening, costs.connection
+        if isinstance(costs, CostPair):
+            opening, connection = opening[None], connection[None]
+        rows, n = opening.shape
+        if rows != self.rows:
+            raise ConfigError(f"{rows} cost rows for {self.rows} rows")
+        if n != self.n_real:
+            raise ConfigError(f"costs for {n} sites, expected {self.n_real}")
+        return opening, connection
 
     def state_rows(self) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
         """The per-row (scale, cardinality, segment) arrays, or None: live

@@ -16,10 +16,10 @@ own generator (or from its row of a `UniformStreams`, which prefetches
 them; only generators private to one run may be read that way, since
 prefetching leaves them ahead); one in-place sort deduplicates the draws
 into CSR actions (`play` returns `ActionRows`, which reads as one SiteSet
-per action); the costs are sorted once when all rows share them, row-wise
-when each row has its own; the surrogate value and gradient and the
-exponentiated-gradient step run on all rows at once; and doubling restarts
-reset the rows that crossed their threshold through a mask. Rows never mix,
+per action); each row's costs are sorted along the row; the surrogate
+value and gradient and the exponentiated-gradient step run on all rows at
+once; and doubling restarts reset the rows that crossed their threshold
+through a mask. Rows never mix,
 so a row follows the same trajectory whichever rows share its batch, and
 an action is the same whether its generator draws from its own row or from
 the one row every generator shares.
@@ -77,12 +77,13 @@ class LearnerBatch(LearnerRows):
     connection C + D) otherwise. `cardinality` is K for fl-fixed and
     fl-bounded; fl derives each row's budget from its scale guess.
 
-    Memory is the (S, n) weights of the S rows plus the surrogate's
-    `Workspace` (a 4 x (S, n) scratch that every trial reuses), the
-    sampler's (S, n) `search_keys` buffer, and outside fl-fixed a 2 x (S, n)
-    cost buffer whose aggregate-dummy column is written once, so a trial
-    allocates no other S x n temporaries besides the new weights, the sort
-    and the draws. This state depends only on the shape and the draw counts:
+    Memory is the (S, n) weights of the S rows and the (n,) starting
+    weights, plus the surrogate's `Workspace` (a 4 x (S, n) scratch that
+    every trial reuses), the sampler's (S, n) `search_keys` buffer, and
+    outside fl-fixed a 2 x (S, n) cost buffer whose aggregate-dummy column
+    is written once (`state_nbytes` counts them all), so a trial allocates
+    no other S x n temporaries besides the new weights, the sort and the
+    draws. This state depends only on the shape and the draw counts:
     it is built in `__init__`, again in `_tune` when a restart changes the
     draw counts, and the per-draw offsets when the number of generators
     changes. None of it grows with the number of generators a one-row batch
@@ -116,15 +117,14 @@ class LearnerBatch(LearnerRows):
         self.w = np.tile(self._start, (rows, 1))
         self._space = Workspace(*self.w.shape)
         self._keys = search_keys(*self.w.shape)
-        self._pair_costs = self._row_costs = None  # opening, connection on the extended game
+        self._costs = None  # opening, connection on the extended game
         if kind != "fl-fixed":
             # the aggregate dummy's opening 0 and connection C + D are written
             # once; each trial copies the real columns in front of them
-            pair, by_row = np.zeros((2, n + 1)), np.zeros((2, rows, n + 1))
-            pair[1, n] = by_row[1, :, n] = c + d
+            extended = np.zeros((2, rows, n + 1))
+            extended[1, :, n] = c + d
             # (whole opening, whole connection, their real columns)
-            self._pair_costs = (*pair, *pair[:, :n])
-            self._row_costs = (*by_row, *by_row[:, :, :n])
+            self._costs = (*extended, *extended[:, :, :n])
         self.scale = self.segment = None  # no doubling state outside fl
         if kind == "fl":
             self.scale = np.ones(rows, dtype=np.int64)
@@ -199,7 +199,11 @@ class LearnerBatch(LearnerRows):
 
     @property
     def state_nbytes(self) -> int:
-        return self.w.nbytes
+        """Bytes of the (S, n) and (n,) arrays kept between trials, each base
+        array once; the per-draw offsets, sized by the draws, are left out."""
+        kept = (self.w, self._start, self._space.grad, self._keys, *(self._costs or ()))
+        bases = {id(base): base for base in (a if a.base is None else a.base for a in kept)}
+        return sum(base.nbytes for base in bases.values())
 
     def state_rows(self) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
         return self.scale, self.cardinality, self.segment
@@ -230,19 +234,18 @@ class LearnerBatch(LearnerRows):
         return ActionRows(ptr, real % stride)
 
     def update(self, costs: CostPair | CostRows) -> list[float]:
-        """Surrogate step on this trial's costs, one CostPair shared by every
-        row or CostRows with one row per learner row; returns each row's
+        """Surrogate step on this trial's costs, a CostRows with one row per
+        learner row (or a CostPair for a one-row batch); returns each row's
         surrogate loss at its pre-update weights."""
-        self._begin_update(costs)
-        opening, connection = costs.opening, costs.connection
-        if self._pair_costs is not None:
-            extended = self._pair_costs if isinstance(costs, CostPair) else self._row_costs
+        opening, connection = self._begin_update(costs)
+        extended = self._costs
+        if extended is not None:
             extended[2][...] = opening
             extended[3][...] = connection
             opening, connection = extended[0], extended[1]
         # the surrogate does not depend on how tied connection costs are
         # ordered, so the faster unstable sort serves here
-        order = (-connection).argsort(axis=-1)
+        order = (-connection).argsort(axis=1)
         values, grads = surrogate_rows(opening, connection, order, self.w, self._draws, self._space)
         self.w = eg_rows(self.w, grads, self.lr, self.grad_bound)
         if self.scale is not None:

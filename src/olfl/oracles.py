@@ -105,11 +105,13 @@ class ExactHedge(LearnerRows):
         self.learning_rate = math.sqrt(8.0 * math.log(self.n_subsets) / cfg.horizon)
         self.loss_scale = n * cfg.opening_max + cfg.connection_max
 
-    def subset_losses(self, costs: CostPair) -> np.ndarray:
-        """Facility loss of every nonempty subset, in bitmask order: the
-        connection minimum plus the opening sum, each a doubling table."""
-        mins = _doubling_table(costs.connection, np.minimum, np.inf)
-        return (mins + _doubling_table(costs.opening, np.add, 0.0))[1:]
+    @staticmethod
+    def subset_losses(opening: np.ndarray, connection: np.ndarray) -> np.ndarray:
+        """Facility loss of every nonempty subset of one trial's sites, in
+        bitmask order: the connection minimum plus the opening sum, each a
+        doubling table."""
+        mins = _doubling_table(connection, np.minimum, np.inf)
+        return (mins + _doubling_table(opening, np.add, 0.0))[1:]
 
     def play(self, rngs) -> ActionRows:
         self._begin_play(rngs)
@@ -124,10 +126,10 @@ class ExactHedge(LearnerRows):
 
     def update(self, costs: CostPair | CostRows) -> list[float]:
         """Exponential step on each row; returns its pre-update expected loss."""
-        self._begin_update(costs)
+        openings, connections = self._begin_update(costs)
         expected = []
-        for r, w in enumerate(self.weights):
-            losses = self.subset_losses(costs if isinstance(costs, CostPair) else costs[r])
+        for w, opening, connection in zip(self.weights, openings, connections):
+            losses = self.subset_losses(opening, connection)
             expected.append(float(w @ losses))
             losses *= -self.learning_rate
             losses /= self.loss_scale
@@ -192,12 +194,10 @@ class FollowTheLeaderGreedy(LearnerRows):
         return ActionRows.repeated(leader, actions)
 
     def update(self, costs: CostPair | CostRows) -> None:
-        self._begin_update(costs)
+        (opening,), (connection,) = self._begin_update(costs)
         t = self._trials
         if t == len(self._connection):
             self._connection = np.concatenate([self._connection, np.empty_like(self._connection)])
-        # a CostPair's rows, or the one row of a one-row CostRows
-        opening, connection = costs.opening.reshape(-1), costs.connection.reshape(-1)
         self._connection[t] = connection
         if t:
             self._sums[0] += opening

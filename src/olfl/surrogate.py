@@ -17,8 +17,8 @@ gradient:
 with s'_N = 0. Gradients live in [0, Ups * (C + D)].
 
 `surrogate_rows` is that computation for S weight vectors at once, one per
-row, each with its own Ups, on costs that all rows share or that differ by
-row; the learners call it directly on their own sorted arrays. The public
+row, each with its own Ups and its own cost row; the learners call it
+directly on their own sorted arrays. The public
 `SurrogateInstance` validates one trial's costs and sort order, and
 `value_and_gradient` is the one-row call of the same kernel.
 """
@@ -83,18 +83,15 @@ class Workspace:
     it, so it is zeroed here once."""
 
     def __init__(self, rows: int, n: int):
-        conn, w_sorted, work, self.grad = np.empty((4, rows, n))
+        self.conn, self.w_sorted, self.work, self.grad = np.empty((4, rows, n))
         self.offsets = np.arange(0, rows * n, n)[:, None]
-        self.w_sorted, self.work = w_sorted, work
-        self.w_head = w_sorted[:, :-1]
+        # the sorted connection's head, tail and last entry, and the steps
+        # between neighbours, written over the sorted weights' head
+        self.head, self.tail, self.last = self.conn[:, :-1], self.conn[:, 1:], self.conn[:, -1]
+        self.w_head = self.steps = self.w_sorted[:, :-1]
         self.prefix, self.prefix_rev = self.grad[:, :-1], self.grad[:, -2::-1]
-        self.full, self.suffix_rev = work[:, :-1], work[:, -2::-1]
-        work[:, -1] = 0.0
-        # (sorted connection, its head, its tail, its last entry, the steps
-        # between neighbours), for one order that every row shares, and for
-        # an order per row
-        self.shared = (conn[0], conn[0, :-1], conn[0, 1:], conn[0, -1:], w_sorted[0, :-1])
-        self.by_row = (conn, conn[:, :-1], conn[:, 1:], conn[:, -1], w_sorted[:, :-1])
+        self.full, self.suffix_rev = self.work[:, :-1], self.work[:, -2::-1]
+        self.work[:, -1] = 0.0
 
 
 def _powers(x: np.ndarray, ups, full: np.ndarray, less: np.ndarray) -> None:
@@ -120,8 +117,7 @@ def surrogate_rows(opening, connection, order, w, ups, space=None) -> tuple[np.n
     """Surrogate values (S,) and gradients (S, n) at the rows of w (S, n),
     with ups draws: one int for every row, or (S,) with ups[r] for row r.
     `opening`, `connection` and `order` (0-based, connection descending) are
-    (n,) when every row sees the same costs and (S, n) when each row has its
-    own.
+    (S, n), row r's costs and permutation.
 
     The work runs in `space`, a `Workspace` of w's shape, built when not
     given. The gradients returned are a view of it, valid until its next
@@ -140,20 +136,20 @@ def surrogate_rows(opening, connection, order, w, ups, space=None) -> tuple[np.n
     grad = space.grad
     # sorted coordinates; the permutations are valid indices, so "clip" never
     # acts, and unlike the default mode it writes straight into `out`
-    if order.ndim == 1:  # one permutation serves every row
-        conn, head, tail, last, steps = space.shared
+    if s == 1:  # along the row's own permutation
+        order = order[0]
         w.take(order, axis=1, out=space.w_sorted, mode="clip")
+        connection.take(order, axis=1, out=space.conn, mode="clip")
     else:  # row r's permutation, shifted into the flattened rows
-        conn, head, tail, last, steps = space.by_row
         order = order + space.offsets
         w.take(order, out=space.w_sorted, mode="clip")
-    connection.take(order, out=conn, mode="clip")
+        connection.take(order, out=space.conn, mode="clip")
     # row dots as products summed along the row: a row's bits then never
     # depend on where the row sits in memory, as a BLAS dot's can
-    value = ups * add.reduce(np.multiply(opening, w, out=grad), axis=1) + last
+    value = ups * add.reduce(np.multiply(opening, w, out=grad), axis=1) + space.last
     if n > 1:
         prefix = add.accumulate(space.w_head, axis=1, out=space.prefix)  # s_1 .. s_{N-1}
-        np.subtract(head, tail, out=steps)  # nonnegative by construction
+        steps = np.subtract(space.head, space.tail, out=space.steps)  # nonnegative by construction
         # np.power keeps the 0-mass conventions: 0^Ups = 0, and 0^(Ups-1)
         # is 0 for Ups >= 2 but 1 for Ups = 1 (0**0 == 1).
         full = space.full
@@ -163,7 +159,7 @@ def surrogate_rows(opening, connection, order, w, ups, space=None) -> tuple[np.n
         prefix *= steps  # the tail terms (d_v(k) - d_v(k+1)) * s_k^(Ups-1)
         add.accumulate(space.prefix_rev, axis=1, out=space.suffix_rev)  # s'_i; s'_N = 0
     # back to site order: g = Ups * (c + s')
-    if order.ndim == 1:
+    if s == 1:
         grad[:, order] = space.work
     else:
         grad.put(order, space.work)
@@ -179,6 +175,6 @@ def value_and_gradient(inst: SurrogateInstance, w) -> tuple[float, np.ndarray]:
     if w.shape != (n,):
         raise ContractViolationError(f"w shape {w.shape} != ({n},)")
     value, grad = surrogate_rows(
-        inst.opening, inst.connection, inst.order - 1, w[None, :], inst.num_draws
+        inst.opening[None], inst.connection[None], (inst.order - 1)[None], w[None], inst.num_draws
     )
     return float(value[0]), grad[0]

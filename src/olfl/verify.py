@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .adversaries import KillerSource, generate_scenario
+from .adversaries import KillerSource, generate_scenario, killer_costs
 from .eg import ExponentiatedGradient
 from .experiment import trial_loop
 from .game import CostPair, CostRows, GameConfig, SiteSet, facility_loss, sort_by_connection_desc
@@ -352,13 +352,12 @@ def run_deterministic_against_killer(play_fn, n_sites: int, horizon: int):
     adversary (which sees each action before pricing it); the rule plays
     {1} at the first trial, when there is no history. Returns (average
     loss, history as CostRows, actions)."""
-    source = KillerSource(n_sites, use_current_action=True)
     seen = np.empty((2, horizon, n_sites))  # the history so far, read in place by play_fn
     actions: list[SiteSet] = []
     total = 0.0
     for t in range(horizon):
         action = play_fn(CostRows(seen[0, :t], seen[1, :t])) if t else SiteSet((1,))
-        costs = source.costs_for(t + 1, action)
+        costs = killer_costs(n_sites, action)
         total += facility_loss(costs, action)
         seen[0, t], seen[1, t] = costs.opening, costs.connection
         actions.append(action)

@@ -45,15 +45,15 @@ def test_killer_singleton_always_pays_at_least_one():
 
 def test_killer_source_current_vs_previous():
     current = KillerSource(4, use_current_action=True)
-    assert current.adaptive
-    cp = current.costs_for(1, SiteSet((2,)))
-    assert cp.connection.tolist() == [0.0, 1.0, 0.0, 0.0]
+    costs = current.costs_for(1, ActionRows.of([SiteSet((2,))]))
+    assert isinstance(costs, CostRows)
+    assert costs.connection.tolist() == [[0.0, 1.0, 0.0, 0.0]]
 
     delayed = KillerSource(4, use_current_action=False)
-    first = delayed.costs_for(1, SiteSet((2,)))
+    first = delayed.costs_for(1, ActionRows.of([SiteSet((2,))]))
     assert np.all(first.connection == 0.0)  # nothing realized yet
-    second = delayed.costs_for(2, SiteSet((3,)))
-    assert second.connection.tolist() == [0.0, 1.0, 0.0, 0.0]  # trial-1 action
+    second = delayed.costs_for(2, ActionRows.of([SiteSet((3,))]))
+    assert second.connection.tolist() == [[0.0, 1.0, 0.0, 0.0]]  # trial-1 action
 
 
 @settings(max_examples=60, deadline=None)
@@ -68,12 +68,12 @@ def test_killer_source_rows_equal_one_row_calls(data):
     played, priced = [], []
     for t in range(1, data.draw(st.integers(1, 4)) + 1):
         actions = [data.draw(action) for _ in range(rows)]
-        costs = batch.costs_for(t, actions)
+        costs = batch.costs_for(t, ActionRows.of(actions))
         played.append(actions)
         priced.append(costs)
         assert isinstance(costs, CostRows) and len(costs) == rows
         for r, single in enumerate(singles):
-            one = single.costs_for(t, actions[r])
+            one = single.costs_for(t, ActionRows.of([actions[r]]))[0]
             expected = killer_costs(n, actions[r] if use_current else previous[r])
             for pair in (one, expected):
                 assert np.array_equal(costs.opening[r], pair.opening)
@@ -89,13 +89,13 @@ def test_killer_source_rejects_what_killer_costs_rejects():
     with pytest.raises(ConfigError):
         killer_costs(4, SiteSet((5,)))
     with pytest.raises(ConfigError):
-        KillerSource(4, use_current_action=True).costs_for(1, [SiteSet((1,)), SiteSet((5,))])
+        KillerSource(4, use_current_action=True).costs_for(1, ActionRows.of([SiteSet((1,)), SiteSet((5,))]))
     delayed = KillerSource(4, use_current_action=False)
-    delayed.costs_for(1, [SiteSet((1,)), SiteSet((5,))])  # nothing known yet
+    delayed.costs_for(1, ActionRows.of([SiteSet((1,)), SiteSet((5,))]))  # nothing known yet
     with pytest.raises(ConfigError):
-        delayed.costs_for(2, [SiteSet((1,)), SiteSet((2,))])
+        delayed.costs_for(2, ActionRows.of([SiteSet((1,)), SiteSet((2,))]))
     with pytest.raises(ConfigError):
-        delayed.costs_for(3, [SiteSet((1,))])  # a two-row source given one action
+        delayed.costs_for(3, ActionRows.of([SiteSet((1,))]))  # a two-row source given one action
 
 
 def test_generate_scenario_deterministic():

@@ -16,7 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from olfl import AlgoSpec, ConfigError, CostPair, CostRows, ExperimentConfig, GameConfig, ScenarioSpec, run_experiment
+from olfl import (
+    AlgoSpec,
+    ConfigError,
+    CostPair,
+    CostRows,
+    ExperimentConfig,
+    GameConfig,
+    ScenarioSpec,
+    action_losses,
+    run_experiment,
+)
 from olfl.adversaries import KillerSource, generate_scenario
 from olfl.experiment import build_learner, trial_loop
 from olfl.learners import KINDS, BoundedCardinalityLearner, DoublingLearner, FixedCardinalityLearner, LearnerBatch
@@ -132,16 +142,16 @@ def test_surrogate_rows_equal_one_row_calls(data):
     rows, n = data.draw(st.integers(2, 5)), data.draw(st.integers(1, 7))
     ups = np.array(data.draw(st.lists(st.integers(1, 5), min_size=rows, max_size=rows)))
     w = _simplex_rows(data, rows, n)
-    shared = data.draw(st.booleans())
-    opening = _grid_rows(data, 1 if shared else rows, n, 1.0)
-    connection = _grid_rows(data, 1 if shared else rows, n, 2.0)
-    if shared:
-        opening, connection = opening[0], connection[0]
-    order = np.argsort(-connection, axis=-1)
+    repeated = data.draw(st.booleans())  # every row on the same costs
+    opening = _grid_rows(data, 1 if repeated else rows, n, 1.0)
+    connection = _grid_rows(data, 1 if repeated else rows, n, 2.0)
+    if repeated:
+        opening, connection = opening.repeat(rows, axis=0), connection.repeat(rows, axis=0)
+    order = np.argsort(-connection, axis=1)
     values, grads = surrogate_rows(opening, connection, order, w, ups)
     for r in range(rows):
-        pick = (lambda a: a) if shared else (lambda a: a[r])
-        value, grad = surrogate_rows(pick(opening), pick(connection), pick(order), w[r : r + 1], ups[r : r + 1])
+        one = slice(r, r + 1)
+        value, grad = surrogate_rows(opening[one], connection[one], order[one], w[one], ups[one])
         assert value[0] == values[r]
         assert np.array_equal(grad[0], grads[r])
 
@@ -159,14 +169,16 @@ def test_every_row_of_a_batch_equals_a_batch_of_one(data):
     batch.w = _simplex_rows(data, rows, batch.cfg.n_sites)
     for r, single in enumerate(singles):
         single.w = batch.w[r : r + 1].copy()
-    shared = data.draw(st.booleans())
+    repeated = data.draw(st.booleans())  # every row on the same costs
     for trial in range(data.draw(st.integers(1, 4))):
         seeds = [1000 * trial + r for r in range(rows)]
         actions = batch.play([np.random.default_rng(seed) for seed in seeds])
         assert actions == [s.play([np.random.default_rng(seed)])[0] for s, seed in zip(singles, seeds)]
         opening, connection = _grid_rows(data, rows, n, c_max), _grid_rows(data, rows, n, d_max)
-        pairs = [CostPair(opening[0 if shared else r], connection[0 if shared else r]) for r in range(rows)]
-        values = batch.update(pairs[0] if shared else CostRows(opening, connection))
+        if repeated:
+            opening, connection = opening[[0] * rows], connection[[0] * rows]
+        pairs = [CostPair(opening[r], connection[r]) for r in range(rows)]
+        values = batch.update(CostRows(opening, connection))
         assert values == [s.update(cp)[0] for s, cp in zip(singles, pairs)]
         assert all(np.array_equal(batch.w[r], s.w[0]) for r, s in enumerate(singles))
         for r, s in enumerate(singles):
@@ -199,7 +211,8 @@ def test_one_weight_row_drawing_for_every_generator_equals_a_row_per_generator(d
         if kind == "fl":
             accumulated, scale, segments = one.accumulated[0], one.scale[0], len(one.segment_starts[0])
         values = one.update(costs)
-        assert values * rows == batch.update(costs)
+        repeated = CostRows(np.tile(costs.opening, (rows, 1)), np.tile(costs.connection, (rows, 1)))
+        assert values * rows == batch.update(repeated)
         assert all(np.array_equal(one.w[0], row) for row in batch.w)
         for column, expected_column in zip(one.state_rows(), batch.state_rows()):
             assert (column is None) == (expected_column is None)
@@ -216,7 +229,7 @@ def test_a_threshold_lowered_after_construction_restarts_the_rows_within_a_few_t
     cfg = GameConfig(4, 500, 1.0, 1.0)
     lowered, kept = LearnerBatch(cfg, "fl", 2), LearnerBatch(cfg, "fl", 2)
     lowered.threshold_unit *= 1e-3
-    costs = CostPair(np.ones(4), np.ones(4))
+    costs = CostRows(np.ones((2, 4)), np.ones((2, 4)))
     for trial in range(5):
         for learner in (lowered, kept):
             learner.play([np.random.default_rng(trial), np.random.default_rng(trial + 100)])
@@ -243,8 +256,13 @@ def test_a_shared_scenario_holds_one_weight_row_and_the_killer_one_per_seed(kind
     rows = 5 if kind == "killer" and algo != "ftl-greedy" else 1  # ftl-greedy plays one action for all
     assert learner.rows == rows
     if algo in KINDS:
-        assert learner.w.shape == (rows, learner.cfg.n_sites)
-        assert learner.state_nbytes == rows * learner.cfg.n_sites * 8
+        n = learner.cfg.n_sites
+        assert learner.w.shape == (rows, n)
+        # per row: weights, the surrogate's 4-array workspace, the search keys
+        # (complex for several rows) and outside fl-fixed the 2-array
+        # extended costs; once: the starting weights
+        per_row = 1 + 4 + (2 if rows > 1 else 1) + (0 if algo == "fl-fixed" else 2)
+        assert learner.state_nbytes == (per_row * rows + 1) * n * 8
     elif algo == "hedge-exact":
         assert learner.weights.shape == (rows, 63)
     assert len(learner.play(UniformStreams(config.seeds))) == 5
@@ -291,20 +309,28 @@ def test_a_batch_of_rows_takes_one_generator_per_row(name):
 
 
 @pytest.mark.parametrize("name", sorted(LEARNERS))
-def test_update_takes_a_shared_pair_or_one_cost_row_per_learner_row(name):
-    batch = LEARNERS[name](GameConfig(3, 10, 1.0, 1.0), 2)
+def test_update_takes_one_cost_row_per_learner_row(name):
+    cfg = GameConfig(3, 10, 1.0, 1.0)
+    batch = LEARNERS[name](cfg, 2)
     rngs = [np.random.default_rng(seed) for seed in (1, 2)]
+    pair = CostPair(np.ones(3), np.ones(3))
     for costs in (
         CostRows(np.ones((3, 3)), np.ones((3, 3))),  # three rows for two learners
         CostRows(np.ones((2, 4)), np.ones((2, 4))),  # four sites, not three
         CostPair(np.ones(4), np.ones(4)),
-        [CostPair(np.ones(3), np.ones(3))] * 2,  # rows come as CostRows
+        pair,  # one pair for two rows
+        [pair] * 2,  # rows come as CostRows
     ):
         batch.play(rngs)
         with pytest.raises(ConfigError):
             batch.update(costs)
-    batch.play(rngs)
+    actions = batch.play(rngs)
+    with pytest.raises(ConfigError, match="2 actions need a CostRows with one row each"):
+        action_losses(pair, actions)  # nor are two actions priced on one pair
     assert len(batch.update(CostRows(np.ones((2, 3)), np.ones((2, 3))))) == 2
+    one = LEARNERS[name](cfg, 1)  # a one-row learner reads a pair as its one row
+    one.play(rngs[:1])
+    assert len(one.update(pair)) == 1
 
 
 def test_seeds_share_the_batch_timing_equally():
@@ -350,10 +376,12 @@ def _calls_per_trial(learner, rngs, costs_for, trials=200) -> float:
     return pstats.Stats(profile).total_calls / trials
 
 
-# Python-level calls per trial at the two shapes below, as measured when a
-# trial's numpy calls were made to go straight to their ufunc loops and
-# array methods (195.2 and 132.05 before); the budget is each plus 10%
-KILLER_CALLS, SEEDS_CALLS = 81.985, 64.52
+# Python-level calls per trial at the two shapes below, as measured when
+# every learner, the surrogate and the killer source came to take learner
+# rows only (81.985 and 64.52 before; 195.2 and 132.05 before a trial's
+# numpy calls went straight to their ufunc loops and array methods); the
+# budget is each plus 10%
+KILLER_CALLS, SEEDS_CALLS = 77.985, 63.52
 
 
 def test_a_trial_stays_within_its_call_budget():

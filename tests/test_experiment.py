@@ -325,6 +325,32 @@ def test_cli_refuses_cost_ranges_that_overflow_before_any_trial(algo, c_max, d_m
     assert not list(tmp_path.iterdir())  # refused before anything ran or was written
 
 
+@pytest.mark.parametrize("algo", ALGO_NAMES)
+def test_cli_runs_cost_ranges_whose_squared_deviations_would_overflow(algo, tmp_path, capsys):
+    # cumulative losses of order 1e301 are in range, but their deviations'
+    # squares are not: the interval is computed on losses scaled by a power of two
+    card = ["--k", "1"] if algo in CARDINALITY_ALGOS else []
+    args = ["run", "--algo", algo, *card, "--n", "4", "--t", "50", "--c-max", "1e300", "--d-max", "1"]
+    assert main([*args, "--scenario", "iid", "--seeds", "1,2", "--out", str(tmp_path / "run")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    loss = json.loads((tmp_path / "run.aggregate.json").read_text())["loss"]
+    assert all(math.isfinite(bound) for bound in loss["ci95"])
+    assert loss["ci95"][0] <= loss["mean_cumulative"] <= loss["ci95"][1]
+
+
+def test_a_killer_seed_emits_the_same_bytes_alone_and_beside_another(tmp_path):
+    # alone, seed 3 is one learner row; beside seed 5 it is row 0 of two,
+    # whose surrogate gathers through the flattened rows
+    args = ["run", "--algo", "fl", "--n", "16", "--t", "300", "--c-max", "1", "--d-max", "1"]
+    trials, cumulative = [], []
+    for seeds in ("3", "3,5"):
+        assert main([*args, "--scenario", "killer", "--seeds", seeds, "--out", str(tmp_path / seeds)]) == 0
+        trials.append((tmp_path / f"{seeds}.trials.seed3.csv").read_bytes())
+        cumulative.append(json.loads((tmp_path / f"{seeds}.aggregate.json").read_text())["loss"]["per_seed"][0])
+    assert trials[0] == trials[1]
+    assert cumulative[0] == cumulative[1] and cumulative[0]["seed"] == 3
+
+
 def test_cli_validation_failures(tmp_path):
     assert main(["run", "--algo", "warp"]) == 1  # bad choice, argparse error
     assert main(["sing"]) == 1

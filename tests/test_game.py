@@ -97,9 +97,9 @@ def test_action_losses_of_site_sets_equal_facility_loss_bit_for_bit(data):
     actions = [SiteSet.of(rng.choice(n, size=m, replace=False) + 1) for m in sizes]
     expected = [facility_loss(costs[r], action) for r, action in enumerate(actions)]
     assert _bits(action_losses(costs, ActionRows.of(actions))) == _bits(expected)
-    shared = costs[0]
-    expected = [facility_loss(shared, a) for a in actions]
-    assert _bits(action_losses(shared, ActionRows.of(actions))) == _bits(expected)
+    repeated = CostRows(costs.opening[[0] * rows], costs.connection[[0] * rows])  # every action on row 0
+    expected = [facility_loss(costs[0], a) for a in actions]
+    assert _bits(action_losses(repeated, ActionRows.of(actions))) == _bits(expected)
 
 
 def test_action_losses_reject_what_facility_loss_rejects():
@@ -107,7 +107,7 @@ def test_action_losses_reject_what_facility_loss_rejects():
     with pytest.raises(InvalidActionError):
         action_losses(costs, ActionRows.of([SiteSet((1,)), SiteSet((2, 4))]))
     with pytest.raises(InvalidActionError):
-        action_losses(costs[0], ActionRows.of([SiteSet((4,))]))
+        action_losses(costs[:1], ActionRows.of([SiteSet((4,))]))
     with pytest.raises(ConfigError):
         action_losses(costs, ActionRows.of([SiteSet((1,))]))  # two cost rows, one action
 

@@ -160,7 +160,10 @@ def test_bounded_learner_shape():
     cfg = GameConfig(3, 100, 1.0, 0.5)
     lrn = BoundedCardinalityLearner(cfg, 2)
     assert lrn.weights.size == 6  # real sites, then the N dummies' equal shares
-    assert lrn.state_nbytes == 4 * 8  # the dummies are held as one aggregate site
+    # the dummies are held as one aggregate site: 4 columns each in the
+    # weights, the starting weights, the surrogate's 4-array workspace, the
+    # search keys and the 2-array extended costs
+    assert lrn.state_nbytes == (1 + 1 + 4 + 1 + 2) * 4 * 8
     assert lrn.num_draws == 2 * half_log_ceil(100)
     # inner connection bound is C + D
     assert lrn._inner.cfg.connection_max == 1.5

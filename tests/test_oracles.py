@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olfl import (
+    ActionRows,
     CapExceededError,
     ConfigError,
     CostPair,
@@ -46,7 +47,7 @@ def test_hedge_refuses_large_instances():
 
 def test_hedge_subset_losses_in_bitmask_order():
     hedge = ExactHedge(GameConfig(2, 10, 1.0, 1.0))
-    losses = hedge.subset_losses(CostPair([0.5, 0.2], [0.3, 0.9]))
+    losses = hedge.subset_losses(np.array([0.5, 0.2]), np.array([0.3, 0.9]))
     # masks 1,2,3 are {1}, {2}, {1,2}
     assert np.allclose(losses, [0.8, 1.1, 1.0])
 
@@ -60,7 +61,7 @@ def test_hedge_subset_losses_match_the_bit_matrix_formula():
         for _ in range(3):
             costs = CostPair(rng.uniform(0, 1, n), rng.uniform(0, 1, n))
             expected = bits @ costs.opening + np.where(bits > 0, costs.connection, np.inf).min(axis=1)
-            assert np.abs(hedge.subset_losses(costs) - expected).max() <= 1e-12
+            assert np.abs(hedge.subset_losses(costs.opening, costs.connection) - expected).max() <= 1e-12
 
 
 def test_hedge_play_single_site():
@@ -116,7 +117,7 @@ def test_hedge_concentrates():
 def test_hedge_update_returns_pre_update_expectation():
     hedge = ExactHedge(GameConfig(2, 10, 1.0, 1.0))
     costs = CostPair([0.5, 0.2], [0.3, 0.9])
-    before = float(hedge.weights[0] @ hedge.subset_losses(costs))
+    before = float(hedge.weights[0] @ hedge.subset_losses(costs.opening, costs.connection))
     hedge.play((np.random.default_rng(5),))
     assert hedge.update(costs)[0] == before
 
@@ -180,7 +181,10 @@ def test_ftl_greedy_running_sums_play_the_leader_of_every_prefix(n, scenario):
         action = ftl.play(UniformStreams((1, 2)))
         expected = ftl_greedy_play(CostRows(opening[:t], connection[:t])) if t else SiteSet((1,))
         assert list(action) == [expected] * 2
-        costs = source.costs_for(t + 1, action[0]) if scenario_costs is None else scenario_costs[t]
+        if scenario_costs is None:  # the killer prices the one action played
+            costs = source.costs_for(t + 1, ActionRows.of([action[0]]))[0]
+        else:
+            costs = scenario_costs[t]
         opening[t], connection[t] = costs.opening, costs.connection
         ftl.update(costs)
         if n > 1:  # one column is summed pairwise, but its leader is always {1}
