@@ -22,25 +22,27 @@ import re
 import numpy as np
 
 from .errors import ConfigError, TraceFormatError
-from .game import ActionRows, CostPair, CostRows, GameConfig, SiteSet
+from .game import ActionRows, CostPair, CostRows, GameConfig, SiteSet, _unchecked
 
 SCENARIO_KINDS = ("killer", "iid", "drift", "replay")
 
 
-def killer_rows(n_sites: int, known: ActionRows, opening: np.ndarray | None = None) -> CostRows:
-    """One adaptive trial per row against unit cost ranges (C = D = 1): row r
-    knows the action known[r], where an empty row is the unknown action
-    (before any action is known). The opening costs 1/sqrt(N) are one
-    read-only block, which any number of trials' CostRows may share:
-    `opening`, a block an earlier call returned for as many rows, or a new
-    one when not given."""
+def _opening_block(rows: int, n_sites: int) -> np.ndarray:
+    """The killer's opening costs 1/sqrt(N) for `rows` rows, as one
+    read-only block that any number of trials' CostRows may share."""
     if n_sites < 1:
         raise ConfigError(f"n_sites must be >= 1, got {n_sites!r}")
+    opening = np.full((rows, n_sites), 1.0 / math.sqrt(n_sites))
+    opening.flags.writeable = False
+    return opening
+
+
+def _connection_rows(n_sites: int, known: ActionRows) -> np.ndarray:
+    """The killer's (rows, N) connection costs: row r is 1 exactly on the
+    sites of known[r] when that action is small (|X| <= sqrt(N)), else 0.
+    The one check here is that every such site lies in 1..N."""
     ptr = known.ptr
     rows = ptr.size - 1
-    if opening is None:
-        opening = np.full((rows, n_sites), 1.0 / math.sqrt(n_sites))
-        opening.flags.writeable = False
     connection = np.zeros((rows, n_sites))
     lengths = ptr[1:] - ptr[:-1]
     marked = (lengths <= math.sqrt(n_sites)).repeat(lengths)  # the sites of the small actions
@@ -51,7 +53,17 @@ def killer_rows(n_sites: int, known: ActionRows, opening: np.ndarray | None = No
             raise ConfigError(f"action site {last} outside 1..{n_sites}")
         flat = np.arange(-1, rows * n_sites - 1, n_sites).repeat(lengths)[marked] + sites
         connection.ravel()[flat] = 1.0
-    return CostRows(opening, connection)
+    return connection
+
+
+def killer_rows(n_sites: int, known: ActionRows) -> CostRows:
+    """One adaptive trial per row against unit cost ranges (C = D = 1): row r
+    knows the action known[r], where an empty row is the unknown action
+    (before any action is known). The opening costs are one new read-only
+    block. The costs are made here from the construction's own constants,
+    finite and >= 0 by construction, so the CostRows is not checked again."""
+    opening = _opening_block(known.ptr.size - 1, n_sites)
+    return _unchecked(CostRows, opening, _connection_rows(n_sites, known))
 
 
 def killer_costs(n_sites: int, action: SiteSet | None) -> CostPair:
@@ -69,14 +81,19 @@ class KillerSource:
     One source serves a whole learner batch: given one action per learner
     row as ActionRows, it returns the trial's CostRows and keeps each row's
     action for the next trial. Every trial of one row count shares one
-    read-only opening block. `realized` rebuilds a row's whole history from
-    its actions, so a caller need not keep the costs trial by trial."""
+    read-only opening block, which the source keeps. Like killer_rows, it
+    makes its costs from its own constants and does not check them again;
+    what it checks is what comes in: the site count, once, and each trial's
+    action count and action sites. `realized` rebuilds a row's whole
+    history from its actions, so a caller need not keep the costs trial by
+    trial."""
 
     def __init__(self, n_sites: int, use_current_action: bool):
+        # the opening block of the last call; built empty here, which checks the site count
+        self._opening = _opening_block(0, n_sites)
         self.n_sites = n_sites
         self.use_current_action = use_current_action
         self._prev = None  # the last call's actions
-        self._opening = None  # the opening block of the last call
 
     def costs_for(self, trial: int, actions: ActionRows) -> CostRows:
         count = actions.ptr.size - 1
@@ -89,12 +106,9 @@ class KillerSource:
             if known.ptr.size != count + 1:
                 raise ConfigError(f"{count} actions for a source of {len(known)} rows")
         self._prev = actions
-        opening = self._opening
-        if opening is not None and opening.shape[0] != count:
-            opening = None
-        costs = killer_rows(self.n_sites, known, opening)
-        self._opening = costs.opening
-        return costs
+        if self._opening.shape[0] != count:
+            self._opening = _opening_block(count, self.n_sites)
+        return _unchecked(CostRows, self._opening, _connection_rows(self.n_sites, known))
 
     def realized(self, actions: ActionRows) -> CostRows:
         """The costs this source priced for one row's actions, given as

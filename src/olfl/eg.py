@@ -19,9 +19,11 @@ the expanded expert list with each group's weights summed.
 This class never evaluates a loss function itself; callers hand it the loss
 value at the current weights (echoed back, for bookkeeping) and the gradient.
 
-`eg_rows` is the step for S independent weight vectors at once, one per row,
-each with its own learning rate and gradient bound; the learners call it
-directly, and `ExponentiatedGradient.update` is its one-row call.
+`Step` is the step for S independent weight vectors at once, one per row,
+each with its own learning rate and gradient bound, with the constants those
+give built once; the learners build one per tuning and call it every trial.
+`eg_rows` is one step at given rates, and `ExponentiatedGradient.update`
+its one-row call.
 """
 from __future__ import annotations
 
@@ -38,33 +40,54 @@ GRAD_RANGE_SLACK = 1e-9
 def eg_rows(w: np.ndarray, g: np.ndarray, lr: np.ndarray, grad_bound: np.ndarray) -> np.ndarray:
     """One multiplicative step per row: the new (S, n) weights from weights
     w and gradients g, row r stepping at rate lr[r] under bound grad_bound[r].
-
-    Each precondition is one comparison that NaN fails; only a failed one
-    looks for the complaint to raise. The reductions call their ufunc loops
-    directly, as the array methods would."""
-    maximum = np.maximum
-    if not np.logical_and.reduce(maximum.reduce(np.abs(g), axis=1) <= grad_bound * (1.0 + GRAD_RANGE_SLACK)):
-        _refuse_gradient(g, grad_bound)
-    # one new array, stepped in place into the new weights
-    u = -lr[:, None] * g
-    u -= maximum.reduce(u, axis=1, keepdims=True)  # shift largest exponent to 0; normalization cancels it
-    np.exp(u, out=u)
-    u *= w
-    z = np.add.reduce(u, axis=1)
-    if not (0.0 < np.minimum.reduce(z) and maximum.reduce(z) < np.inf):
-        degenerate = ~np.isfinite(z) | (z <= 0.0)
-        raise NumericError(f"weight normalizer degenerate: {z[int(np.argmax(degenerate))]!r}")
-    u /= z[:, None]
-    return u
+    A `Step` of those rates, built for this one call."""
+    return Step(lr, grad_bound)(w, g)
 
 
-def _refuse_gradient(g: np.ndarray, grad_bound: np.ndarray) -> None:
-    """Raise the complaint about the first thing wrong with the gradients."""
-    if not np.all(np.isfinite(g)):
-        raise ContractViolationError("gradient must be finite")
-    magnitude = np.maximum(g.max(axis=1), -g.min(axis=1))
-    r = int(np.argmax(magnitude > grad_bound * (1.0 + GRAD_RANGE_SLACK)))
-    raise ContractViolationError(f"gradient magnitude {magnitude[r]} exceeds bound {grad_bound[r]}")
+class Step:
+    """The multiplicative step at per-row rates lr and gradient bounds
+    grad_bound, with its constants built once: the (S, 1) negated rates and
+    the gate grad_bound * (1 + GRAD_RANGE_SLACK) that every row's largest
+    gradient magnitude must not pass. A learner builds one whenever its
+    rates change and calls it every trial.
+
+    The step checks the gradients it is given against the gate, and the
+    normalizer it makes; it does not check w, which a learner's draw
+    checked earlier in the same trial."""
+
+    def __init__(self, lr: np.ndarray, grad_bound: np.ndarray):
+        self.grad_bound = grad_bound
+        self.neg_lr = -lr[:, None]
+        self.gate = grad_bound * (1.0 + GRAD_RANGE_SLACK)
+
+    def __call__(self, w: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The new (S, n) weights from weights w and gradients g.
+
+        Each precondition is one comparison that NaN fails; only a failed
+        one looks for the complaint to raise. The reductions call their
+        ufunc loops directly, as the array methods would."""
+        maximum = np.maximum
+        if not np.logical_and.reduce(maximum.reduce(np.abs(g), axis=1) <= self.gate):
+            self._refuse_gradient(g)
+        # one new array, stepped in place into the new weights
+        u = self.neg_lr * g
+        u -= maximum.reduce(u, axis=1, keepdims=True)  # shift largest exponent to 0; normalization cancels it
+        np.exp(u, out=u)
+        u *= w
+        z = np.add.reduce(u, axis=1)
+        if not (0.0 < np.minimum.reduce(z) and maximum.reduce(z) < np.inf):
+            degenerate = ~np.isfinite(z) | (z <= 0.0)
+            raise NumericError(f"weight normalizer degenerate: {z[int(np.argmax(degenerate))]!r}")
+        u /= z[:, None]
+        return u
+
+    def _refuse_gradient(self, g: np.ndarray) -> None:
+        """Raise the complaint about the first thing wrong with the gradients."""
+        if not np.all(np.isfinite(g)):
+            raise ContractViolationError("gradient must be finite")
+        magnitude = np.maximum(g.max(axis=1), -g.min(axis=1))
+        r = int(np.argmax(magnitude > self.gate))
+        raise ContractViolationError(f"gradient magnitude {magnitude[r]} exceeds bound {self.grad_bound[r]}")
 
 
 def starting_point(n: int, horizon: int, multiplicity=None) -> tuple[np.ndarray, float]:

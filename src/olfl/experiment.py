@@ -364,6 +364,12 @@ def bound_terms(config: ExperimentConfig) -> tuple[str | None, int, float | None
     return None, 1, None
 
 
+def _power_of_two_below(values: np.ndarray) -> float:
+    """The power of two at or below the largest |value| (1/2 when all are
+    0): dividing by it is exact and puts the largest in [1, 2)."""
+    return math.ldexp(1.0, math.frexp(float(np.abs(values).max()))[1] - 1)
+
+
 def run_experiment(config: ExperimentConfig) -> RunResult:
     cfg = config.game
     max_card, exact_card, restriction = _comparator_restriction(config)
@@ -381,12 +387,13 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     seed_runs = _run_seeds(config, shared_costs)
 
     cum_losses = np.array([sr.cumulative_loss for sr in seed_runs])
-    mean_loss = float(cum_losses.mean())
+    # the mean and deviation of the losses scaled by a power of two, which is
+    # exact, so that the largest is in [1, 2) and neither the seeds' sum nor
+    # a square overflows; a nonzero deviation is at least an ulp of it, so
+    # none underflows
+    unit = _power_of_two_below(cum_losses)
+    mean_loss = float((cum_losses / unit).mean() * unit)
     if cum_losses.size >= 2:
-        # the deviation of the losses scaled by a power of two, which is
-        # exact, so that the largest is in [1, 2) and no square overflows;
-        # a nonzero deviation is at least an ulp of it, so none underflows
-        unit = math.ldexp(1.0, math.frexp(float(np.abs(cum_losses).max()))[1] - 1)
         half = float(
             special.stdtrit(cum_losses.size - 1, 0.975)  # the t quantile, as stats.t.ppf(0.975, df) gives it
             * ((cum_losses / unit).std(ddof=1) * unit)
@@ -501,8 +508,9 @@ def emit_results(result: RunResult, prefix: str) -> list[str]:
             fh.writelines(lines)
         paths.append(path)
 
-    loss_matrix = np.array([sr.losses for sr in result.seed_runs])
-    mean_curve = loss_matrix.cumsum(axis=1).mean(axis=0)
+    curves = np.array([sr.losses for sr in result.seed_runs]).cumsum(axis=1)
+    unit = _power_of_two_below(curves)  # as for the mean loss: the seeds' sum stays finite
+    mean_curve = (curves / unit).mean(axis=0) * unit
     comp = regret = bound = None
     if result.comparator_members is not None and result.scenario_costs is not None:
         comp_set = SiteSet(result.comparator_members)

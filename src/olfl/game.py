@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -75,11 +76,14 @@ class CostPair:
         return self.opening.size
 
 
-def _row_pair(opening: np.ndarray, connection: np.ndarray) -> CostPair:
-    """A CostPair of one row of a CostRows, which was checked whole."""
-    pair = object.__new__(CostPair)
-    vars(pair).update(opening=opening, connection=connection)
-    return pair
+def _unchecked(cls, opening: np.ndarray, connection: np.ndarray):
+    """A CostPair or CostRows (`cls`) of float arrays that already hold
+    what its constructor checks, not checked again: the rows of a CostRows
+    that was checked whole, or arrays their maker filled with finite costs
+    >= 0 itself."""
+    costs = object.__new__(cls)
+    vars(costs).update(opening=opening, connection=connection)
+    return costs
 
 
 @dataclass(frozen=True)
@@ -110,10 +114,10 @@ class CostRows:
         if isinstance(index, slice):
             return CostRows(self.opening[index], self.connection[index])
         index = operator.index(index)  # one row, never a fancy index
-        return _row_pair(self.opening[index], self.connection[index])
+        return _unchecked(CostPair, self.opening[index], self.connection[index])
 
     def __iter__(self) -> Iterator[CostPair]:
-        return map(_row_pair, self.opening, self.connection)
+        return map(partial(_unchecked, CostPair), self.opening, self.connection)
 
 
 @dataclass(frozen=True)

@@ -53,10 +53,10 @@ import math
 
 import numpy as np
 
-from .eg import eg_rows, starting_point
+from .eg import Step, starting_point
 from .errors import ConfigError
 from .game import ActionRows, CostPair, CostRows, GameConfig, LearnerRows, SiteSet
-from .sampler import draw_flat, search_keys
+from .sampler import DrawPlan
 from .sampler import sample_site_multiset  # noqa: F401  kept: the benchmark's span tracer looks it up here
 from .surrogate import Workspace, surrogate_rows
 
@@ -79,15 +79,23 @@ class LearnerBatch(LearnerRows):
 
     Memory is the (S, n) weights of the S rows and the (n,) starting
     weights, plus the surrogate's `Workspace` (a 4 x (S, n) scratch that
-    every trial reuses), the sampler's (S, n) `search_keys` buffer, and
-    outside fl-fixed a 2 x (S, n) cost buffer whose aggregate-dummy column
-    is written once (`state_nbytes` counts them all), so a trial allocates
-    no other S x n temporaries besides the new weights, the sort and the
-    draws. This state depends only on the shape and the draw counts:
-    it is built in `__init__`, again in `_tune` when a restart changes the
-    draw counts, and the per-draw offsets when the number of generators
-    changes. None of it grows with the number of generators a one-row batch
-    draws for.
+    every trial reuses), the (S, n) search keys of the sampler's
+    `DrawPlan`, and outside fl-fixed a 2 x (S, n) cost buffer whose
+    aggregate-dummy column is written once (`state_nbytes` counts them
+    all), so a trial allocates no other S x n temporaries besides the new
+    weights, the sort and the draws. This state depends only on the shape
+    and the draw counts: it is built in `__init__`, again in `_tune` when a
+    restart changes the draw counts (with the draw plan's per-draw arrays
+    and the step's constants), and the per-draw offsets when the number of
+    generators changes. None of it grows with the number of generators a
+    one-row batch draws for.
+
+    The weights are checked once per trial, where they are first read: the
+    draw in `play` refuses a negative or non-finite entry or a row whose
+    total is not 1, on the cumulative sums it needs anyway. Only `update`
+    replaces them, and only after that `play`, so the surrogate and the
+    step take them unchecked; the step still checks the gradients it is
+    given and the normalizer it makes.
     """
 
     def __init__(self, cfg: GameConfig, kind: str, rows: int, cardinality: int | None = None):
@@ -116,7 +124,6 @@ class LearnerBatch(LearnerRows):
         self._stride = self.cfg.n_sites + 1  # action a's draw of site i is key a * stride + i
         self.w = np.tile(self._start, (rows, 1))
         self._space = Workspace(*self.w.shape)
-        self._keys = search_keys(*self.w.shape)
         self._costs = None  # opening, connection on the extended game
         if kind != "fl-fixed":
             # the aggregate dummy's opening 0 and connection C + D are written
@@ -167,6 +174,7 @@ class LearnerBatch(LearnerRows):
         """Per-row draw count, gradient bound and learning rate from the
         row's cardinality."""
         self.num_draws, self.grad_bound, self.lr = self._tuning(self.cardinality)
+        self._step = Step(self.lr, self.grad_bound)
         # the sampler's count and the surrogate's exponent: one int while
         # every row draws alike
         first = int(self.num_draws[0])
@@ -174,8 +182,9 @@ class LearnerBatch(LearnerRows):
         self._set_offsets(self.rows)
 
     def _set_offsets(self, actions: int) -> None:
-        """Action starts, per-draw key offsets and the dedup mask for
-        `actions` actions per play."""
+        """The draw plan, action starts, per-draw key offsets and the dedup
+        mask for `actions` actions per play."""
+        self._plan = DrawPlan(*self.w.shape, self._draws)
         stride = self._stride
         self._row_starts = np.arange(0, (actions + 1) * stride, stride)
         self._draw_offsets = self._row_starts[:-1].repeat(self._draws)
@@ -201,7 +210,7 @@ class LearnerBatch(LearnerRows):
     def state_nbytes(self) -> int:
         """Bytes of the (S, n) and (n,) arrays kept between trials, each base
         array once; the per-draw offsets, sized by the draws, are left out."""
-        kept = (self.w, self._start, self._space.grad, self._keys, *(self._costs or ()))
+        kept = (self.w, self._start, self._space.grad, self._plan.keys, *(self._costs or ()))
         bases = {id(base): base for base in (a if a.base is None else a.base for a in kept)}
         return sum(base.nbytes for base in bases.values())
 
@@ -216,7 +225,7 @@ class LearnerBatch(LearnerRows):
         if self._row_starts.size != actions + 1:
             self._set_offsets(actions)
         # one in-place sort keeps each action's distinct sites, in action order
-        keys = draw_flat(self.w, self._draws, rngs, self._keys)
+        keys = self._plan.draw(self.w, rngs)  # the one check of the weights this trial
         keys += self._draw_offsets
         keys.sort()
         distinct = self._distinct
@@ -247,7 +256,7 @@ class LearnerBatch(LearnerRows):
         # ordered, so the faster unstable sort serves here
         order = (-connection).argsort(axis=1)
         values, grads = surrogate_rows(opening, connection, order, self.w, self._draws, self._space)
-        self.w = eg_rows(self.w, grads, self.lr, self.grad_bound)
+        self.w = self._step(self.w, grads)
         if self.scale is not None:
             self._advance_segments(values)
         return values.tolist()

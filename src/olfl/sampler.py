@@ -13,13 +13,17 @@ the checks and the cumulative sums run row-wise, and one search serves
 every row. With S > 1 the search runs over complex keys r + i*cdf[r, j]:
 numpy orders complex numbers by real part, then imaginary part, so the row
 index and the cumulative mass are compared exactly and nothing is added to
-any cumulative sum. The keys live in a buffer from `search_keys`, whose real
-part is written once; each call accumulates the cumulative sums straight
-into its imaginary view, and a caller drawing from rows of one shape every
-trial passes the same buffer each time. One row searches its own cumulative
-sums directly, and serves any number of generators: every generator's draws
-search the one row, exactly as they would search a copy of it of their own.
-`draw_sites` is the one-row, one-generator case.
+any cumulative sum. The keys, and every other array that depends only on
+the shape and the draw counts, live in a `DrawPlan`: the keys' real part
+and each draw's row index are written once, and each draw accumulates the
+cumulative sums straight into the keys' imaginary view. `draw_flat` builds
+a plan per call; a learner drawing at one shape and counts every trial
+builds one when its counts change and draws through it. Either way the
+distributions are checked on every draw, and the counts when the plan is
+built. One row searches its own cumulative sums directly, and serves any
+number of generators: every generator's draws search the one row, exactly
+as they would search a copy of it of their own. `draw_sites` is the
+one-row, one-generator case.
 
 Uniforms come from one generator per row, read in order: `rngs[r].random`
 gives row r its draws on every call. `UniformStreams` instead owns each
@@ -111,51 +115,76 @@ def _refuse(p: np.ndarray, cdf: np.ndarray) -> None:
     raise InvalidDistributionError(f"total mass {cdf[r, -1]} not 1 within {MASS_TOL}{_in_row(p, r)}")
 
 
-def search_keys(rows: int, n: int) -> np.ndarray:
-    """A buffer for the cumulative sums of (rows, n) distributions that
-    `draw_flat` fills and `search_rows` searches: (1, n) floats for one row,
-    else the (rows, n) complex keys r + i*cdf[r, j] with the row indices
-    written here, once."""
-    if rows == 1:
-        return np.empty((1, n))
-    keys = np.empty((rows, n), dtype=complex)
-    keys.real = np.arange(rows)[:, None]
-    return keys
+class DrawPlan:
+    """What draws from (rows, n) distributions at fixed draw counts need
+    beyond the distributions, built once per shape and counts: counts[r]
+    draws from row r, an int count being every row's (a one-row plan
+    serves any number of generators, and a sequence of counts then has one
+    count per generator).
+
+    `cdf` is the buffer `draw` accumulates each row's cumulative sums into:
+    (1, n) floats for one row, else the imaginary part of the (rows, n)
+    complex keys r + i*cdf[r, j], whose real part is written here. Rows > 1
+    also keep, per draw, its row index, a needle buffer whose real part
+    holds that index, and the shift row * n - 1 that turns a position in
+    the flattened keys into a 1-based site.
+
+    The counts are checked here, once; `draw` checks the distributions it
+    is given on every call."""
+
+    def __init__(self, rows: int, n: int, counts):
+        fewest = counts if isinstance(counts, int) else np.minimum.reduce(counts)
+        if fewest < 1:
+            raise ConfigError(f"count must be >= 1, got {fewest!r}")
+        self.counts = counts
+        if rows == 1:
+            self.keys = self.cdf = np.empty((1, n))
+            self._flat, self._shift = self.keys[0], None
+        else:
+            self.keys = np.empty((rows, n), dtype=complex)
+            self.keys.real = np.arange(rows)[:, None]
+            self.cdf, self._flat = self.keys.imag, self.keys.ravel()
+            self._row = np.arange(rows).repeat(counts)
+            self._needles = np.empty(self._row.size, dtype=complex)
+            self._needles.real = self._row
+            self._shift = self._row * n - 1
+        self._totals = self.cdf[:, -1]
+
+    def draw(self, p: np.ndarray, rngs) -> np.ndarray:
+        """The plan's draws from the rows of p, of the plan's shape, flat in
+        row order as 1-based site indices. `rngs` is one generator per row
+        or a `UniformStreams`, and for one row any number of them.
+
+        p is refused unless every entry is >= 0 and every row's total mass
+        is 1 within MASS_TOL: the check reads the cumulative sums the search
+        needs anyway."""
+        np.add.accumulate(p, axis=1, out=self.cdf)
+        # false on NaN too
+        if not (
+            np.minimum.reduce(p, axis=None) >= 0
+            and np.logical_and.reduce(np.abs(self._totals - 1.0) <= MASS_TOL)
+        ):
+            _refuse(p, self.cdf)
+        return self.search(uniforms(rngs, self.counts))
+
+    def search(self, u: np.ndarray) -> np.ndarray:
+        """Inverse-CDF draws for the flat uniforms u from the cumulative
+        sums in `cdf`: counts[r] draws from row r, in row order, as 1-based
+        site indices."""
+        if self._shift is None:
+            return self._flat.searchsorted(u * self._flat[-1], side="right") + 1
+        # each uniform scaled by its row's total, as the needle's imaginary part
+        np.multiply(u, self._totals.take(self._row), out=self._needles.imag)
+        return self._flat.searchsorted(self._needles, side="right") - self._shift
 
 
-def search_rows(keys: np.ndarray, counts, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws for the flat uniforms u: counts[r] draws from row r
-    of the (S, n) cumulative sums that the `search_keys` buffer `keys`
-    holds, in row order, as 1-based site indices; an int count is every
-    row's."""
-    rows, n = keys.shape
-    if rows == 1:
-        return keys[0].searchsorted(u * keys[0, -1], side="right") + 1
-    row = np.arange(rows).repeat(counts)
-    needles = u * 1j
-    needles.imag *= keys[:, -1].imag.repeat(counts)  # the uniform scaled by its row's total
-    needles.real = row
-    return keys.ravel().searchsorted(needles, side="right") - row * n + 1
-
-
-def draw_flat(p: np.ndarray, counts, rngs, keys: np.ndarray | None = None) -> np.ndarray:
+def draw_flat(p: np.ndarray, counts, rngs) -> np.ndarray:
     """`counts[r]` independent draws from row r of the (S, n) array p, flat
     in row order as 1-based site indices; an int count is every row's.
     `rngs` is one generator per row or a `UniformStreams`; a one-row p is
     every generator's row, and a sequence of counts then has one count per
-    generator. `keys` is a `search_keys` buffer of p's shape, built when not
-    given."""
-    if keys is None:
-        keys = search_keys(*p.shape)
-    cdf = keys if keys.shape[0] == 1 else keys.imag
-    np.add.accumulate(p, axis=1, out=cdf)
-    # false on NaN too
-    if not (np.minimum.reduce(p, axis=None) >= 0 and np.logical_and.reduce(np.abs(cdf[:, -1] - 1.0) <= MASS_TOL)):
-        _refuse(p, cdf)
-    fewest = counts if isinstance(counts, int) else np.minimum.reduce(counts)
-    if fewest < 1:
-        raise ConfigError(f"count must be >= 1, got {fewest!r}")
-    return search_rows(keys, counts, uniforms(rngs, counts))
+    generator. The one-call use of a `DrawPlan`."""
+    return DrawPlan(*p.shape, counts).draw(p, rngs)
 
 
 def uniforms(rngs, counts) -> np.ndarray:

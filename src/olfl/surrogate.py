@@ -18,9 +18,10 @@ with s'_N = 0. Gradients live in [0, Ups * (C + D)].
 
 `surrogate_rows` is that computation for S weight vectors at once, one per
 row, each with its own Ups and its own cost row; the learners call it
-directly on their own sorted arrays. The public
-`SurrogateInstance` validates one trial's costs and sort order, and
-`value_and_gradient` is the one-row call of the same kernel.
+directly on their own sorted arrays and weights, and it checks nothing. The
+public `SurrogateInstance` validates one trial's costs and sort order, and
+`value_and_gradient`, the one-row call of the same kernel, checks that w is
+a point of the simplex.
 """
 from __future__ import annotations
 
@@ -123,14 +124,14 @@ def surrogate_rows(opening, connection, order, w, ups, space=None) -> tuple[np.n
     given. The gradients returned are a view of it, valid until its next
     use. Every numpy call goes straight to the ufunc loop or array method
     that numpy's function wrappers would reach.
+
+    Nothing here is checked: the rows of w are the caller's own simplex
+    points (a learner's weights, which its draw checked this trial), and
+    the costs and permutations are what the caller built from a checked
+    CostRows. `value_and_gradient` is the checked entry.
     """
     s, n = w.shape
-    add, minimum = np.add, np.minimum
-    if (
-        np.logical_or.reduce(np.abs(add.reduce(w, axis=1) - 1.0) > SIMPLEX_TOL)
-        or minimum.reduce(w, axis=None) < -SIMPLEX_TOL
-    ):
-        raise ContractViolationError("w must lie on the probability simplex (within 1e-9)")
+    add = np.add
     if space is None:
         space = Workspace(s, n)
     grad = space.grad
@@ -174,6 +175,8 @@ def value_and_gradient(inst: SurrogateInstance, w) -> tuple[float, np.ndarray]:
     n = inst.n_sites
     if w.shape != (n,):
         raise ContractViolationError(f"w shape {w.shape} != ({n},)")
+    if abs(w.sum() - 1.0) > SIMPLEX_TOL or w.min() < -SIMPLEX_TOL:
+        raise ContractViolationError("w must lie on the probability simplex (within 1e-9)")
     value, grad = surrogate_rows(
         inst.opening[None], inst.connection[None], (inst.order - 1)[None], w[None], inst.num_draws
     )

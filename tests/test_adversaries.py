@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from olfl import (
     load_trace,
     save_trace,
 )
+from olfl.adversaries import killer_rows
 
 
 def test_killer_costs_examples():
@@ -79,10 +82,21 @@ def test_killer_source_rows_equal_one_row_calls(data):
                 assert np.array_equal(costs.opening[r], pair.opening)
                 assert np.array_equal(costs.connection[r], pair.connection)
         previous = actions
+    histories = []
     for r in range(rows):  # each row's history, rebuilt from its actions alone
         realized = batch.realized(ActionRows.of([actions[r] for actions in played]))
+        histories.append(realized)
         assert np.array_equal(realized.opening, np.array([costs.opening[r] for costs in priced]))
         assert np.array_equal(realized.connection, np.array([costs.connection[r] for costs in priced]))
+    # the source builds its CostRows unchecked from its own constants: each
+    # is what the checked constructor makes of copies of its arrays, and
+    # its opening block, which trials share, cannot be written
+    for costs in priced + histories:
+        checked = CostRows(costs.opening.copy(), costs.connection.copy())
+        for mine, theirs in ((costs.opening, checked.opening), (costs.connection, checked.connection)):
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+        assert not costs.opening.flags.writeable
+    assert "opening" not in inspect.signature(killer_rows).parameters  # the source keeps its block itself
 
 
 def test_killer_source_rejects_what_killer_costs_rejects():

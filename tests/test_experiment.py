@@ -328,14 +328,19 @@ def test_cli_refuses_cost_ranges_that_overflow_before_any_trial(algo, c_max, d_m
 @pytest.mark.parametrize("algo", ALGO_NAMES)
 def test_cli_runs_cost_ranges_whose_squared_deviations_would_overflow(algo, tmp_path, capsys):
     # cumulative losses of order 1e301 are in range, but their deviations'
-    # squares are not: the interval is computed on losses scaled by a power of two
+    # squares are not; of order 1e307, one seed's is in range but the sum
+    # over 30 seeds is not: the mean, the interval and the mean curve are
+    # computed on losses scaled by a power of two
     card = ["--k", "1"] if algo in CARDINALITY_ALGOS else []
-    args = ["run", "--algo", algo, *card, "--n", "4", "--t", "50", "--c-max", "1e300", "--d-max", "1"]
-    assert main([*args, "--scenario", "iid", "--seeds", "1,2", "--out", str(tmp_path / "run")]) == 0
-    assert "Traceback" not in capsys.readouterr().err
-    loss = json.loads((tmp_path / "run.aggregate.json").read_text())["loss"]
-    assert all(math.isfinite(bound) for bound in loss["ci95"])
-    assert loss["ci95"][0] <= loss["mean_cumulative"] <= loss["ci95"][1]
+    for c_max, seeds in (("1e300", "1,2"), ("4e305", ",".join(map(str, range(1, 31))))):
+        args = ["run", "--algo", algo, *card, "--n", "4", "--t", "50", "--c-max", c_max, "--d-max", "1"]
+        assert main([*args, "--scenario", "iid", "--seeds", seeds, "--out", str(tmp_path / c_max)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        aggregate = (tmp_path / f"{c_max}.aggregate.json").read_text()
+        assert "Infinity" not in aggregate and "inf" not in (tmp_path / f"{c_max}.regret_curve.csv").read_text()
+        loss = json.loads(aggregate)["loss"]
+        assert all(math.isfinite(bound) for bound in loss["ci95"])
+        assert loss["ci95"][0] <= loss["mean_cumulative"] <= loss["ci95"][1]
 
 
 def test_a_killer_seed_emits_the_same_bytes_alone_and_beside_another(tmp_path):

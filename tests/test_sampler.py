@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olfl import ConfigError, InvalidDistributionError, draw_sites, sample_site_multiset
-from olfl.sampler import PREFETCH_TRIALS, UniformStreams, draw_flat, search_keys, search_rows
+from olfl.sampler import PREFETCH_TRIALS, DrawPlan, UniformStreams, draw_flat
 
 TOP = np.nextafter(1.0, 0.0)  # the largest uniform a generator can return
 
@@ -152,9 +152,9 @@ def test_flat_search_equals_the_per_row_search(data):
     u = [np.array(data.draw(st.lists(uniform, min_size=c, max_size=c))) for c in per_row]
     cdf = np.cumsum(p, axis=1)
     expected = np.concatenate([cdf[r].searchsorted(u[r] * cdf[r, -1], side="right") + 1 for r in range(rows)])
-    keys = search_keys(rows, n)
-    keys.imag = cdf
-    flat = search_rows(keys, counts, np.concatenate(u))
+    plan = DrawPlan(rows, n, counts)
+    plan.cdf[...] = cdf
+    flat = plan.search(np.concatenate(u))
     assert np.array_equal(flat, expected)
     assert np.array_equal(draw_flat(p, counts, [_Given(ur) for ur in u]), expected)
     assert (p[np.repeat(np.arange(rows), per_row), flat - 1] > 0).all()  # never a zero-mass site
