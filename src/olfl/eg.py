@@ -16,14 +16,16 @@ default). The weights then start proportional to it and n in the learning
 rate is the total expert count, so the run equals exponentiated gradient over
 the expanded expert list with each group's weights summed.
 
-This class never evaluates a loss function itself; callers hand it the loss
-value at the current weights (echoed back, for bookkeeping) and the gradient.
+Nothing here evaluates a loss function: callers hand over the gradient,
+and `ExponentiatedGradient.update` also the loss value at the current
+weights, which it echoes back for bookkeeping.
 
-`Step` is the step for S independent weight vectors at once, one per row,
-each with its own learning rate and gradient bound, with the constants those
-give built once; the learners build one per tuning and call it every trial.
-`eg_rows` is one step at given rates, and `ExponentiatedGradient.update`
-its one-row call.
+`Step` is the one entry for the step: S independent weight vectors at
+once, one per row, each with its own learning rate and gradient bound, with
+the constants those give built once. The learners build one per tuning and
+call it every trial, `olfl verify`'s EG checks step through one from
+`starting_point`, and `ExponentiatedGradient.update` is a one-row `Step`
+built from the rate it holds at that call.
 """
 from __future__ import annotations
 
@@ -35,13 +37,6 @@ from .errors import ConfigError, ContractViolationError, NumericError
 
 # relative slack on the gradient-range precondition, for float-dust overshoot
 GRAD_RANGE_SLACK = 1e-9
-
-
-def eg_rows(w: np.ndarray, g: np.ndarray, lr: np.ndarray, grad_bound: np.ndarray) -> np.ndarray:
-    """One multiplicative step per row: the new (S, n) weights from weights
-    w and gradients g, row r stepping at rate lr[r] under bound grad_bound[r].
-    A `Step` of those rates, built for this one call."""
-    return Step(lr, grad_bound)(w, g)
 
 
 class Step:
@@ -129,7 +124,7 @@ class ExponentiatedGradient:
         g = np.asarray(grad, dtype=float)
         if g.shape != (self.n,):
             raise ContractViolationError(f"gradient shape {g.shape} != ({self.n},)")
-        self.w = eg_rows(self.w[None, :], g[None, :], np.array([self.lr]), np.array([self.grad_bound]))[0]
+        self.w = Step(np.array([self.lr]), np.array([self.grad_bound]))(self.w[None, :], g[None, :])[0]
         return value
 
     @property

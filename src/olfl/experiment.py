@@ -58,9 +58,9 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 from scipy import special
 
-from .adversaries import KillerSource, generate_scenario, load_trace, save_trace
+from .adversaries import SCENARIO_KINDS, KillerSource, generate_scenario, load_trace, save_trace
 from .errors import ConfigError
-from .game import ActionRows, CostRows, GameConfig, LearnerRows, SiteSet, action_losses
+from .game import ActionRows, CostRows, GameConfig, LearnerRows, SiteSet, action_losses, refuse_cost_bounds
 from .learners import KINDS, LearnerBatch, half_log_ceil
 from .oracles import ExactHedge, FollowTheLeaderGreedy, comparator, comparator_cardinalities
 from .sampler import UniformStreams
@@ -102,7 +102,7 @@ class ExperimentConfig:
         elif self.algo.cardinality is not None:
             raise ConfigError(f"algo {self.algo.name} takes no cardinality")
         kind = self.scenario.kind
-        if kind not in ("killer", "iid", "drift", "replay"):
+        if kind not in SCENARIO_KINDS:
             raise ConfigError(f"unknown scenario kind {kind!r}")
         if kind == "replay" and not self.scenario.path:
             raise ConfigError("replay scenario needs a trace path")
@@ -114,22 +114,9 @@ class ExperimentConfig:
             raise ConfigError("at least one seed required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
-        _refuse_cost_range(self.game)
-
-
-def _refuse_cost_range(cfg: GameConfig) -> None:
-    """Refuse cost bounds whose cumulative loss bound T (N C + D) for a seed
-    is not finite and positive, before any trial runs; Python floats
-    overflow to inf without a warning. The fl family's `LearnerBatch`
-    refuses the bounds from which it would derive a gradient bound,
-    learning rate or segment threshold that is not, when it is built."""
-    c, d = cfg.opening_max, cfg.connection_max
-    bound = cfg.horizon * (cfg.n_sites * c + d)
-    if not (math.isfinite(bound) and bound > 0):
-        raise ConfigError(
-            f"cost bounds --c-max {c!r} --d-max {d!r} give a cumulative loss bound T (N C + D) "
-            f"of {bound!r}; it must be finite and positive"
-        )
+        game = self.game  # the fl family's `LearnerBatch` refuses what it derives itself
+        bound = game.horizon * (game.n_sites * game.opening_max + game.connection_max)
+        refuse_cost_bounds(game, [("cumulative loss bound T (N C + D)", bound, True)])
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

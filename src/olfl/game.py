@@ -10,6 +10,7 @@ Everything downstream (surrogate, learners, oracles) speaks these types.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import partial
@@ -40,6 +41,19 @@ class GameConfig:
                 raise ConfigError(f"{name} must be finite and >= 0, got {v!r}")
         if self.opening_max + self.connection_max <= 0:
             raise ConfigError("opening_max + connection_max must be positive")
+
+
+def refuse_cost_bounds(cfg: GameConfig, derived) -> None:
+    """Refuse cfg's cost bounds at the first (what, value, positive) in
+    `derived` whose value, derived from them, is not finite, or not > 0
+    where `positive` is set: before any trial runs, because Python floats
+    overflow to inf and underflow to 0 without a warning."""
+    for what, value, positive in derived:
+        if not (math.isfinite(value) and (value > 0 or not positive)):
+            raise ConfigError(
+                f"cost bounds --c-max {cfg.opening_max!r} --d-max {cfg.connection_max!r} give a {what} "
+                f"of {value!r}; it must be finite and positive"
+            )
 
 
 def _checked_costs(opening, connection, ndim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -299,6 +313,15 @@ class LearnerRows:
         """The per-row (scale, cardinality, segment) arrays, or None: live
         arrays that the learner changes in place, so one call serves a run."""
         return None, None, None
+
+
+def connection_order(connection: np.ndarray) -> np.ndarray:
+    """0-based permutations that sort `connection` in descending order along
+    its last axis, as every learner, surrogate and comparator sorts. The
+    sort is numpy's unstable default: the surrogate and the comparator do
+    not depend on how tied connection costs are ordered, because the step
+    between two tied costs is zero."""
+    return (-connection).argsort(axis=-1)
 
 
 def sort_by_connection_desc(connection) -> np.ndarray:

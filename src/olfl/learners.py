@@ -55,7 +55,8 @@ import numpy as np
 
 from .eg import Step, starting_point
 from .errors import ConfigError
-from .game import ActionRows, CostPair, CostRows, GameConfig, LearnerRows, SiteSet
+from .game import ActionRows, CostPair, CostRows, GameConfig, LearnerRows, SiteSet, connection_order
+from .game import refuse_cost_bounds
 from .sampler import DrawPlan
 from .sampler import sample_site_multiset  # noqa: F401  kept: the benchmark's span tracer looks it up here
 from .surrogate import Workspace, surrogate_rows
@@ -163,12 +164,7 @@ class LearnerBatch(LearnerRows):
         for k in cardinalities:
             _, grad_bound, lr = self._tuning(k)
             derived += [("gradient bound", grad_bound, True), ("learning rate", lr, self._rate > 0)]
-        for what, value, positive in derived:
-            if not (math.isfinite(value) and (value > 0 or not positive)):
-                raise ConfigError(
-                    f"cost bounds --c-max {cfg.opening_max!r} --d-max {cfg.connection_max!r} give a {what} "
-                    f"of {value!r}; it must be finite and positive"
-                )
+        refuse_cost_bounds(cfg, derived)
 
     def _tune(self) -> None:
         """Per-row draw count, gradient bound and learning rate from the
@@ -252,9 +248,7 @@ class LearnerBatch(LearnerRows):
             extended[2][...] = opening
             extended[3][...] = connection
             opening, connection = extended[0], extended[1]
-        # the surrogate does not depend on how tied connection costs are
-        # ordered, so the faster unstable sort serves here
-        order = (-connection).argsort(axis=1)
+        order = connection_order(connection)
         values, grads = surrogate_rows(opening, connection, order, self.w, self._draws, self._space)
         self.w = self._step(self.w, grads)
         if self.scale is not None:

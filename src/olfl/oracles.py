@@ -29,7 +29,8 @@ import math
 import numpy as np
 
 from .errors import CapExceededError, ConfigError
-from .game import ActionRows, CostPair, CostRows, GameConfig, LearnerRows, SiteSet, action_losses, facility_loss
+from .game import ActionRows, CostPair, CostRows, GameConfig, LearnerRows, SiteSet, action_losses, connection_order
+from .game import facility_loss
 from .sampler import uniforms
 
 BRUTE_FORCE_SITE_CAP = 16
@@ -63,11 +64,10 @@ def _connection_sums(connection: np.ndarray) -> np.ndarray:
     {v(1), ..., v(k)}], and every step is >= 0. One bincount puts each step
     on its top-k mask, and the fast zeta transform (one vectorised add per
     site) sums every mask's table entries over the masks that contain it.
-    Cost O(T*N + N*2^N). Steps between tied costs are zero, so the order
-    the sort gives ties does not matter.
+    Cost O(T*N + N*2^N).
     """
     n = connection.shape[1]
-    order = np.argsort(-connection, axis=1)
+    order = connection_order(connection)
     ordered = np.take_along_axis(connection, order, axis=1)
     steps = ordered.copy()
     steps[:, :-1] -= ordered[:, 1:]

@@ -8,22 +8,22 @@ to the cumulative sum, so no draw lands on one. A call costs one O(n)
 cumulative sum plus a binary search per draw, and each draw consumes exactly
 one uniform.
 
-`draw_flat` samples every row of an (S, n) array of distributions at once:
-the checks and the cumulative sums run row-wise, and one search serves
-every row. With S > 1 the search runs over complex keys r + i*cdf[r, j]:
-numpy orders complex numbers by real part, then imaginary part, so the row
-index and the cumulative mass are compared exactly and nothing is added to
-any cumulative sum. The keys, and every other array that depends only on
-the shape and the draw counts, live in a `DrawPlan`: the keys' real part
-and each draw's row index are written once, and each draw accumulates the
-cumulative sums straight into the keys' imaginary view. `draw_flat` builds
-a plan per call; a learner drawing at one shape and counts every trial
-builds one when its counts change and draws through it. Either way the
-distributions are checked on every draw, and the counts when the plan is
-built. One row searches its own cumulative sums directly, and serves any
-number of generators: every generator's draws search the one row, exactly
-as they would search a copy of it of their own. `draw_sites` is the
-one-row, one-generator case.
+`DrawPlan` is the one entry for drawing: it samples every row of an
+(S, n) array of distributions at once. The checks and the cumulative sums
+run row-wise, and one search serves every row. With S > 1 the search runs
+over complex keys r + i*cdf[r, j]: numpy orders complex numbers by real
+part, then imaginary part, so the row index and the cumulative mass are
+compared exactly and nothing is added to any cumulative sum. The plan holds
+the keys and every other array that depends only on the shape and the draw
+counts: the keys' real part and each draw's row index are written once, and
+each draw accumulates the cumulative sums straight into the keys' imaginary
+view. A learner drawing at one shape and counts every trial builds one when
+its counts change and draws through it. The distributions are checked on
+every draw, and the counts when the plan is built. One row searches its own
+cumulative sums directly, and serves any number of generators: every
+generator's draws search the one row, exactly as they would search a copy
+of it of their own. `draw_sites` builds a one-row, one-generator plan per
+call.
 
 Uniforms come from one generator per row, read in order: `rngs[r].random`
 gives row r its draws on every call. `UniformStreams` instead owns each
@@ -178,15 +178,6 @@ class DrawPlan:
         return self._flat.searchsorted(self._needles, side="right") - self._shift
 
 
-def draw_flat(p: np.ndarray, counts, rngs) -> np.ndarray:
-    """`counts[r]` independent draws from row r of the (S, n) array p, flat
-    in row order as 1-based site indices; an int count is every row's.
-    `rngs` is one generator per row or a `UniformStreams`; a one-row p is
-    every generator's row, and a sequence of counts then has one count per
-    generator. The one-call use of a `DrawPlan`."""
-    return DrawPlan(*p.shape, counts).draw(p, rngs)
-
-
 def uniforms(rngs, counts) -> np.ndarray:
     """The next counts[r] uniforms of generator rngs[r], or of row r of a
     `UniformStreams`, flat in row order; an int count is every row's."""
@@ -203,7 +194,7 @@ def draw_sites(p, count: int, rng: np.random.Generator) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise InvalidDistributionError("p must be a nonempty 1-D vector")
-    return draw_flat(p[None, :], (count,), (rng,))
+    return DrawPlan(1, p.size, (count,)).draw(p[None, :], (rng,))
 
 
 def sample_site_multiset(p, count: int, rng: np.random.Generator) -> SiteSet:

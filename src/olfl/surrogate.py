@@ -16,12 +16,13 @@ gradient:
 
 with s'_N = 0. Gradients live in [0, Ups * (C + D)].
 
-`surrogate_rows` is that computation for S weight vectors at once, one per
-row, each with its own Ups and its own cost row; the learners call it
-directly on their own sorted arrays and weights, and it checks nothing. The
-public `SurrogateInstance` validates one trial's costs and sort order, and
-`value_and_gradient`, the one-row call of the same kernel, checks that w is
-a point of the simplex.
+`surrogate_rows` is the one entry for that computation: S weight vectors
+at once, one per row, each with its own Ups and its own cost row, in a
+`Workspace` the caller keeps. It checks nothing, and every caller sorts
+with `game.connection_order`. The learners call it on their own arrays and
+weights; the public `SurrogateInstance` validates one trial's costs and
+sort order, and `value_and_gradient`, the one-row call, checks that w is a
+point of the simplex.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractViolationError
-from .game import CostPair
+from .game import CostPair, connection_order
 
 SIMPLEX_TOL = 1e-9
 
@@ -64,9 +65,7 @@ class SurrogateInstance:
 
     @classmethod
     def from_costs(cls, costs: CostPair, num_draws: int) -> "SurrogateInstance":
-        # f does not depend on how tied connection costs are ordered, so the
-        # faster unstable sort serves here.
-        return cls(costs.opening, costs.connection, np.argsort(-costs.connection) + 1, num_draws)
+        return cls(costs.opening, costs.connection, connection_order(costs.connection) + 1, num_draws)
 
     @property
     def n_sites(self) -> int:
@@ -114,16 +113,16 @@ def _powers(x: np.ndarray, ups, full: np.ndarray, less: np.ndarray) -> None:
         less[rows] = np.power(x[rows], u - 1)
 
 
-def surrogate_rows(opening, connection, order, w, ups, space=None) -> tuple[np.ndarray, np.ndarray]:
+def surrogate_rows(opening, connection, order, w, ups, space: Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Surrogate values (S,) and gradients (S, n) at the rows of w (S, n),
     with ups draws: one int for every row, or (S,) with ups[r] for row r.
     `opening`, `connection` and `order` (0-based, connection descending) are
     (S, n), row r's costs and permutation.
 
-    The work runs in `space`, a `Workspace` of w's shape, built when not
-    given. The gradients returned are a view of it, valid until its next
-    use. Every numpy call goes straight to the ufunc loop or array method
-    that numpy's function wrappers would reach.
+    The work runs in `space`, a `Workspace` of w's shape. The gradients
+    returned are a view of it, valid until its next use. Every numpy call
+    goes straight to the ufunc loop or array method that numpy's function
+    wrappers would reach.
 
     Nothing here is checked: the rows of w are the caller's own simplex
     points (a learner's weights, which its draw checked this trial), and
@@ -132,8 +131,6 @@ def surrogate_rows(opening, connection, order, w, ups, space=None) -> tuple[np.n
     """
     s, n = w.shape
     add = np.add
-    if space is None:
-        space = Workspace(s, n)
     grad = space.grad
     # sorted coordinates; the permutations are valid indices, so "clip" never
     # acts, and unlike the default mode it writes straight into `out`
@@ -175,9 +172,9 @@ def value_and_gradient(inst: SurrogateInstance, w) -> tuple[float, np.ndarray]:
     n = inst.n_sites
     if w.shape != (n,):
         raise ContractViolationError(f"w shape {w.shape} != ({n},)")
-    if abs(w.sum() - 1.0) > SIMPLEX_TOL or w.min() < -SIMPLEX_TOL:
+    if not (abs(w.sum() - 1.0) <= SIMPLEX_TOL and w.min() >= -SIMPLEX_TOL):  # false on NaN too
         raise ContractViolationError("w must lie on the probability simplex (within 1e-9)")
     value, grad = surrogate_rows(
-        inst.opening[None], inst.connection[None], (inst.order - 1)[None], w[None], inst.num_draws
+        inst.opening[None], inst.connection[None], (inst.order - 1)[None], w[None], inst.num_draws, Workspace(1, n)
     )
     return float(value[0]), grad[0]

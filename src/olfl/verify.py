@@ -24,9 +24,9 @@ import numpy as np
 from scipy import special
 
 from .adversaries import KillerSource, generate_scenario, killer_costs
-from .eg import ExponentiatedGradient
+from .eg import Step, starting_point
 from .experiment import trial_loop
-from .game import CostPair, CostRows, GameConfig, SiteSet, facility_loss, sort_by_connection_desc
+from .game import CostPair, CostRows, GameConfig, SiteSet, connection_order, facility_loss
 from .learners import DoublingLearner, FixedCardinalityLearner, LearnerBatch, half_log_ceil
 from .oracles import (
     ExactHedge,
@@ -139,16 +139,18 @@ def random_surrogate_instance(rng: np.random.Generator, max_sites: int, max_draw
 
 
 def eg_regret_slack(n: int, horizon: int, grad_bound: float, grad_fn) -> float:
-    """Average regret of exponentiated gradient against the best corner,
-    minus its closed-form bound, on the gradients grad_fn(t, weights)."""
-    learner = ExponentiatedGradient(n, grad_bound, horizon)
+    """Average regret of exponentiated gradient, stepping as the learners
+    do, against the best corner, minus its closed-form bound, on the
+    gradients grad_fn(t, weights)."""
+    w, rate = starting_point(n, horizon)
+    step = Step(np.array([rate / grad_bound]), np.array([grad_bound]))
     corner_totals = np.zeros(n)
     learner_total = 0.0
     for t in range(horizon):
-        w = learner.play()
         g = grad_fn(t, w)
-        learner_total += learner.update(float(g @ w), g)
+        learner_total += float(g @ w)
         corner_totals += g
+        w = step(w[None], g[None])[0]
     bound = grad_bound * math.sqrt(2.0 * math.log(n) / horizon)
     return learner_total / horizon - (float(corner_totals.min()) / horizon + bound)
 
@@ -275,20 +277,14 @@ def check_eg_regret(scale: Scale = DESK) -> CheckResult:
 
 
 def check_eg_update_arithmetic(scale: Scale = DESK) -> CheckResult:
-    learner = ExponentiatedGradient(2, 1.0, 100)
-    learner.lr = 1.0
-    learner.w = np.array([0.5, 0.5])
-    learner.update(0.0, np.array([math.log(2.0), 0.0]))
-    expected = np.array([1.0 / 3.0, 2.0 / 3.0])
-    err = float(np.abs(learner.w - expected).max())
-    shifted = ExponentiatedGradient(4, 10.0, 50)
-    g = np.full(4, 2.5)
-    shifted.update(0.0, g)
-    drift = float(np.abs(shifted.w - 0.25).max())  # constant gradient is a no-op
-    ok = err <= 1e-12 and drift <= 1e-12 and abs(float(learner.w.sum()) - 1.0) <= 1e-12
-    return CheckResult(
-        "eg update arithmetic", ok, f"hand example err {err:.1e}, constant-shift drift {drift:.1e}"
-    )
+    w = Step(np.ones(1), np.ones(1))(np.array([[0.5, 0.5]]), np.array([[math.log(2.0), 0.0]]))[0]
+    err = float(np.abs(w - np.array([1.0 / 3.0, 2.0 / 3.0])).max())
+    start, rate = starting_point(4, 50)
+    shifted = Step(np.array([rate / 10.0]), np.array([10.0]))(start[None], np.full((1, 4), 2.5))[0]
+    drift = float(np.abs(shifted - 0.25).max())  # constant gradient is a no-op
+    ok = err <= 1e-12 and drift <= 1e-12 and abs(float(w.sum()) - 1.0) <= 1e-12
+    detail = f"hand example err {err:.1e}, constant-shift drift {drift:.1e}"
+    return CheckResult("eg update arithmetic", ok, detail)
 
 
 def check_doubling_mechanics(scale: Scale = DESK) -> CheckResult:
@@ -427,18 +423,16 @@ def check_learner_dominance(scale: Scale = DESK) -> CheckResult:
 def check_sort_round_trip(scale: Scale = DESK) -> CheckResult:
     rng = np.random.default_rng(37)
     for _ in range(50):
-        n = int(rng.integers(1, 40))
-        d = rng.choice(rng.uniform(0.0, 1.0, max(1, n // 2)), size=n)  # force ties
-        order = sort_by_connection_desc(d)
-        if sorted(order.tolist()) != list(range(1, n + 1)):
+        rows, n = int(rng.integers(1, 5)), int(rng.integers(1, 40))
+        d = rng.choice(rng.uniform(0.0, 1.0, max(1, n // 2)), size=(rows, n))  # force ties
+        order = connection_order(d)
+        if not np.array_equal(np.sort(order, axis=1), np.tile(np.arange(n), (rows, 1))):
             return CheckResult("descending sort", False, "not a permutation")
-        sorted_d = d[order - 1]
-        if np.any(np.diff(sorted_d) > 0):
+        if np.any(np.diff(np.take_along_axis(d, order, axis=1), axis=1) > 0):
             return CheckResult("descending sort", False, "not descending")
-        again = sort_by_connection_desc(d)
-        if not np.array_equal(order, again):
+        if not np.array_equal(order, connection_order(d)):
             return CheckResult("descending sort", False, "not deterministic under ties")
-    return CheckResult("descending sort", True, "50 vectors with ties: permutation, order, determinism")
+    return CheckResult("descending sort", True, "50 arrays of 1-4 rows with ties: permutation, order, determinism")
 
 
 ALL_CHECKS = (

@@ -35,7 +35,7 @@ from olfl.experiment import build_learner, trial_loop
 from olfl.learners import KINDS, BoundedCardinalityLearner, DoublingLearner, FixedCardinalityLearner, LearnerBatch
 from olfl.oracles import ExactHedge, FollowTheLeaderGreedy
 from olfl.sampler import UniformStreams
-from olfl.surrogate import surrogate_rows
+from olfl.surrogate import Workspace, surrogate_rows
 
 BOUNDED_ACTIONS = [
     (2, 3, 6), (2, 5, 6), (1, 4), (1, 2, 5, 6), (3, 4), (2, 6), (2, 4, 5, 6), (3, 6),
@@ -151,10 +151,10 @@ def test_surrogate_rows_equal_one_row_calls(data):
     if repeated:
         opening, connection = opening.repeat(rows, axis=0), connection.repeat(rows, axis=0)
     order = np.argsort(-connection, axis=1)
-    values, grads = surrogate_rows(opening, connection, order, w, ups)
+    values, grads = surrogate_rows(opening, connection, order, w, ups, Workspace(rows, n))
     for r in range(rows):
         one = slice(r, r + 1)
-        value, grad = surrogate_rows(opening[one], connection[one], order[one], w[one], ups[one])
+        value, grad = surrogate_rows(opening[one], connection[one], order[one], w[one], ups[one], Workspace(1, n))
         assert value[0] == values[r]
         assert np.array_equal(grad[0], grads[r])
 

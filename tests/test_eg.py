@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from olfl import ConfigError, ContractViolationError, ExponentiatedGradient, NumericError
-from olfl.eg import eg_rows
+from olfl.eg import Step
 
 
 def test_init_examples():
@@ -114,7 +114,7 @@ def test_state_nbytes_tracks_dimension():
 
 def _step(w, g, lr=0.1, bound=1.0):
     rows = len(w)
-    return eg_rows(np.array(w, dtype=float), np.array(g, dtype=float), np.full(rows, lr), np.full(rows, bound))
+    return Step(np.full(rows, lr), np.full(rows, bound))(np.array(w, dtype=float), np.array(g, dtype=float))
 
 
 @pytest.mark.parametrize(
@@ -147,3 +147,15 @@ def test_a_degenerate_normalizer_is_a_numeric_error(w, lr, z):
     with pytest.raises(NumericError) as caught:
         _step(w, [[0.0, 0.0], [1.0, 0.0]], lr=lr)
     assert str(caught.value) == f"weight normalizer degenerate: {np.float64(z)!r}"
+
+
+def test_eg_arithmetic_check_steps_through_the_learners_step(monkeypatch):
+    # the check drives `Step`, the step every learner takes: a step that
+    # climbs the gradient instead of descending it must fail the check
+    import olfl.verify as verify_mod
+
+    assert verify_mod.check_eg_update_arithmetic().passed
+    monkeypatch.setattr(verify_mod, "Step", lambda lr, grad_bound: Step(-lr, grad_bound))
+    result = verify_mod.check_eg_update_arithmetic()
+    assert not result.passed
+    assert "hand example err 3.3e-01" in result.detail

@@ -15,6 +15,7 @@ from olfl import (
     facility_loss,
     sort_by_connection_desc,
 )
+from olfl.game import connection_order
 
 
 def test_game_config_rejects_bad_fields():
@@ -164,6 +165,31 @@ def test_sort_examples():
     assert sort_by_connection_desc([0.3, 0.9]).tolist() == [2, 1]
     assert sort_by_connection_desc([0.5, 0.5, 0.5]).tolist() == [1, 2, 3]
     assert sort_by_connection_desc([0.1, 0.4, 0.2, 0.9]).tolist() == [4, 2, 3, 1]
+
+
+def test_connection_order_is_each_rows_descending_argsort_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        rows, n = int(rng.integers(1, 6)), int(rng.integers(1, 300))
+        d = rng.choice(rng.uniform(0.0, 1.0, max(1, n // 4)), size=(rows, n))  # duplicate-heavy
+        order = connection_order(d)
+        for r in range(rows):
+            expected = np.argsort(-d[r])
+            assert order[r].dtype == expected.dtype
+            assert np.array_equal(order[r], expected)
+        assert np.array_equal(connection_order(d[0]), order[0])  # one 1-D row sorts as a row of many
+
+
+def test_sort_check_covers_the_learners_order(monkeypatch):
+    # `olfl verify`'s sort check calls the one sort every learner and
+    # comparator uses; an ascending order must fail it
+    import olfl.verify as verify_mod
+
+    assert verify_mod.check_sort_round_trip().passed
+    monkeypatch.setattr(verify_mod, "connection_order", lambda d: d.argsort(axis=-1))
+    result = verify_mod.check_sort_round_trip()
+    assert not result.passed
+    assert result.detail == "not descending"
 
 
 def test_sort_is_a_descending_permutation():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olfl import ConfigError, InvalidDistributionError, draw_sites, sample_site_multiset
-from olfl.sampler import PREFETCH_TRIALS, DrawPlan, UniformStreams, draw_flat
+from olfl.sampler import PREFETCH_TRIALS, DrawPlan, UniformStreams
 
 TOP = np.nextafter(1.0, 0.0)  # the largest uniform a generator can return
 
@@ -108,7 +108,7 @@ def test_multiset_pair_probability():
 
 def test_row_draws_check_every_row_and_match_single_draws():
     p = np.array([[0.25, 0.25, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]])
-    flat = draw_flat(p, (4, 1, 6), [np.random.default_rng(seed) for seed in (1, 2, 3)])
+    flat = DrawPlan(*p.shape, (4, 1, 6)).draw(p, [np.random.default_rng(seed) for seed in (1, 2, 3)])
     rows = np.split(flat, [4, 5])
     for row, count, seed, drawn in zip(p, (4, 1, 6), (1, 2, 3), rows):
         assert np.array_equal(drawn, draw_sites(row, count, np.random.default_rng(seed)))
@@ -117,9 +117,9 @@ def test_row_draws_check_every_row_and_match_single_draws():
         q = p.copy()
         q[2] = bad
         with pytest.raises(InvalidDistributionError, match=f"{where}.*row 3"):
-            draw_flat(q, (1, 1, 1), rngs)
+            DrawPlan(*q.shape, (1, 1, 1)).draw(q, rngs)
     with pytest.raises(ConfigError):
-        draw_flat(p, (1, 0, 1), rngs)
+        DrawPlan(*p.shape, (1, 0, 1))
 
 
 class _Given:
@@ -156,7 +156,7 @@ def test_flat_search_equals_the_per_row_search(data):
     plan.cdf[...] = cdf
     flat = plan.search(np.concatenate(u))
     assert np.array_equal(flat, expected)
-    assert np.array_equal(draw_flat(p, counts, [_Given(ur) for ur in u]), expected)
+    assert np.array_equal(DrawPlan(rows, n, counts).draw(p, [_Given(ur) for ur in u]), expected)
     assert (p[np.repeat(np.arange(rows), per_row), flat - 1] > 0).all()  # never a zero-mass site
 
 
@@ -188,9 +188,10 @@ def test_one_row_serves_every_generator_as_a_copy_of_its_own(data):
     counts = _counts(data, rows, 6)
     seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=rows, max_size=rows, unique=True))
     generators = [np.random.default_rng(seed) for seed in seeds]
-    expected = draw_flat(np.repeat(p, rows, axis=0), counts, [np.random.default_rng(seed) for seed in seeds])
-    assert np.array_equal(draw_flat(p, counts, generators), expected)
-    assert np.array_equal(draw_flat(p, counts, UniformStreams(seeds)), expected)
+    copies = np.repeat(p, rows, axis=0)
+    expected = DrawPlan(rows, n, counts).draw(copies, [np.random.default_rng(seed) for seed in seeds])
+    assert np.array_equal(DrawPlan(1, n, counts).draw(p, generators), expected)
+    assert np.array_equal(DrawPlan(1, n, counts).draw(p, UniformStreams(seeds)), expected)
     # each generator advanced by exactly its own draws
     for generator, seed, count in zip(generators, seeds, np.broadcast_to(counts, rows).tolist()):
         twin = np.random.default_rng(seed)

@@ -65,6 +65,10 @@ def test_rejects_off_simplex_points():
         value_and_gradient(inst, np.array([1.2, -0.2]))
     with pytest.raises(ContractViolationError):
         value_and_gradient(inst, np.array([0.5, 0.25, 0.25]))
+    # every comparison with NaN is false, so the check is written to fail on it
+    for bad in ([np.nan, 1.0], [0.0, np.nan], [np.nan, np.nan], [np.inf, 0.0], [1.0, -np.inf]):
+        with pytest.raises(ContractViolationError, match="probability simplex"):
+            value_and_gradient(inst, np.array(bad))
 
 
 def test_matches_direct_evaluation_and_finite_differences():
