@@ -15,8 +15,10 @@ the same loop. Every algo is a batch of learner rows behind one interface
 uniforms through a `UniformStreams`: the generators are private to the run,
 so each seed's uniforms are prefetched for about 64 trials at a time. No
 learner's state depends on its own draws, so on a shared scenario every
-seed follows one trajectory: the batch holds one row, updates it once per
-trial and draws every seed's action from it. On the adaptive killer a
+seed follows one trajectory: the batch holds one row and updates it once
+per trial, and the fl family draws every seed's actions from it per block
+of trials (`trial_loop`), each trial's row recorded before its update, so
+a block's draws take one search per trial and one sort. On the adaptive killer a
 randomized learner's seeds each have their own costs, and the batch one row
 per seed; ftl-greedy is deterministic, so the killer prices the one action
 it plays, and it holds one row on every scenario. A trial's actions are CSR
@@ -34,18 +36,21 @@ row's action as one CostRows per trial; after the loop each row's (T, N)
 history is rebuilt from its actions (`KillerSource.realized`), shared by
 every seed the row serves, and each distinct history is priced by one
 comparator (`oracles.comparator`), whose loss the seeds average. Losses do
-not feed back into play, so they are priced after the loop, one
-`action_losses` call per seed over its whole history, bit for bit as
-`facility_loss` prices them. A comparator the oracles would refuse is
-refused before the first trial.
+not feed back into play, so they are priced after the loop, bit for bit as
+`facility_loss` prices them: on a shared scenario every seed's actions in
+one `action_losses` call, each action mapped to its trial's row, and on the
+killer one call per seed over its history. A comparator the oracles would
+refuse is refused before the first trial.
 
-Each seed's run is a `SeedRun` of per-trial columns; `emit_results` writes
-the trial CSVs straight from the columns, one row template per line.
+Each seed's run is a `SeedRun` of per-trial columns, and seeds that share a
+learner row share its column objects; `emit_results` writes the trial CSVs
+from the columns, formatting each distinct cell once.
 
 A seed's `per_trial_median_ms` is the median over trials of the loop's
-play + update time divided by the number of seeds, and its `wall_time_s` is
-the wall time of the loop and the loss pricing divided by the number of
-seeds, so the seeds' wall times sum to the loop's.
+play + update time divided by the number of seeds (in blocks, a trial's
+record + update time plus an equal share of its block's draw), and its
+`wall_time_s` is the wall time of the loop and the loss pricing divided by
+the number of seeds, so the seeds' wall times sum to the loop's.
 """
 from __future__ import annotations
 
@@ -200,26 +205,44 @@ class RunResult:
     scenario_costs: CostRows | None  # the shared scenario, one row per trial
 
 
-def trial_loop(learner: LearnerRows, rngs, horizon: int, costs_for):
-    """`horizon` trials of `learner`, one action per generator in `rngs`:
-    play, then `costs_for(t, actions)` for trial t (0-based), fetched only
-    after the actions are committed, then update. The actions are recorded
+def trial_loop(learner: LearnerRows, rngs, horizon: int, costs):
+    """`horizon` trials of `learner`, one action per generator in `rngs`.
+    `costs` is a shared scenario, a CostRows with one row per trial, or a
+    callable: `costs(t, actions)` gives trial t's costs (0-based), fetched
+    only after the actions are committed, as the adaptive killer needs.
+    Each trial plays, then updates on its costs. The actions are recorded
     with one column per generator, and the update values and learner state
     as (T, R) columns, one per learner row, so the loop's Python work per
     trial does not grow with the number of generators.
 
+    On a shared scenario a one-row `LearnerBatch` plays in blocks: each
+    trial records its weight row (`LearnerBatch.record`) before its update,
+    and one `play` draws every generator's actions for a block of recorded
+    trials. The weights depend on the costs alone, so the actions are the
+    ones per-trial plays would draw.
+
     Returns (seconds, values, states, actions): the play + update seconds of
-    each trial, the (T, R) update values or None when the learner reports
-    none, the (scale, cardinality, segment) (T, R) columns, each None where
-    the learner keeps no such state, and each generator's ActionRows, one
-    row per trial."""
+    each trial (in blocks, its record and update plus an equal share of its
+    block's draw), the (T, R) update values or None when the learner
+    reports none, the (scale, cardinality, segment) (T, R) columns, each
+    None where the learner keeps no such state, and each generator's
+    ActionRows, one row per trial."""
     values = np.empty((horizon, learner.rows))
     live = learner.state_rows()  # changed in place, so one read serves every trial
     states = [None if a is None else np.empty((horizon, learner.rows), dtype=np.int64) for a in live]
     tracked = [(column, state) for column, state in zip(states, live) if column is not None]
+    seconds = np.empty(horizon)
+    if isinstance(costs, CostRows):
+        if isinstance(learner, LearnerBatch) and learner.rows == 1:
+            lengths = _play_in_blocks(learner, rngs, costs, seconds, values, tracked)
+            return seconds, values, states, _actions_by_seed(*lengths)
+        shared = costs
+
+        def costs(t, actions):
+            return shared[t]
+
     ptrs = np.empty((horizon, len(rngs) + 1), dtype=np.intp)
     sites = []
-    seconds = np.empty(horizon)
     clock, play, update = time.perf_counter, learner.play, learner.update
     for t in range(horizon):
         for column, state in tracked:
@@ -227,9 +250,9 @@ def trial_loop(learner: LearnerRows, rngs, horizon: int, costs_for):
         t0 = clock()
         actions = play(rngs)
         t1 = clock()
-        costs = costs_for(t, actions)
+        trial_costs = costs(t, actions)
         t2 = clock()
-        trial_values = update(costs)
+        trial_values = update(trial_costs)
         t3 = clock()
         seconds[t] = (t1 - t0) + (t3 - t2)
         if trial_values is not None:  # ftl-greedy reports no values
@@ -241,49 +264,90 @@ def trial_loop(learner: LearnerRows, rngs, horizon: int, costs_for):
     return seconds, values, states, _actions_by_seed(np.diff(ptrs, axis=1), np.concatenate(sites))
 
 
+def _play_in_blocks(learner: LearnerBatch, rngs, costs: CostRows, seconds, values, tracked):
+    """`trial_loop` for a one-row `LearnerBatch` on the shared `costs`:
+    record and update trial by trial, and draw each block of recorded
+    trials with one `play`, ended where `record` refuses the next trial.
+    Fills `seconds`, `values` and the `tracked` state columns; returns the
+    (T, S) action lengths and the sites of every trial's actions in
+    trial-major order."""
+    horizon, generators = len(seconds), len(rngs)
+    lengths = np.empty((horizon, generators), dtype=np.intp)
+    sites = []
+    clock, record, play, update = time.perf_counter, learner.record, learner.play, learner.update
+    first = 0  # the block's first trial
+
+    def draw(stop: int) -> None:
+        """Draw trials first .. stop - 1, timed apart and shared equally."""
+        t0 = clock()
+        actions = play(rngs)
+        seconds[first:stop] += (clock() - t0) / (stop - first)
+        lengths[first:stop] = np.diff(actions.ptr).reshape(stop - first, generators)
+        sites.append(actions.sites)
+
+    for t in range(horizon):
+        for column, state in tracked:
+            column[t] = state
+        t0 = clock()
+        if not record(t + 1):  # the block is full, or a restart changed its draw count
+            draw(t)
+            first = t
+            t0 = clock()
+            record(t + 1)
+        t1 = clock()
+        trial_costs = costs[t]
+        t2 = clock()
+        values[t] = update(trial_costs)
+        seconds[t] = (t1 - t0) + (clock() - t2)
+    draw(horizon)
+    return lengths, np.concatenate(sites)
+
+
 def _run_seeds(config: ExperimentConfig, shared_costs: CostRows | None) -> list[SeedRun]:
     """Every seed of the experiment through one `trial_loop`. Seed r reads
     learner row r % R of the loop's R rows: its update values, its state
-    columns and, on the killer, the history the row was priced on. Losses
-    depend on the actions and costs alone, so they are priced once after
-    the loop, one call per seed over its whole history: `shared_costs` when
-    the scenario is shared, else its learner row's realized history,
-    rebuilt from the row's actions."""
+    columns (the same column objects for every seed of the row) and, on the
+    killer, the history the row was priced on. Losses depend on the actions
+    and costs alone, so they are priced after the loop: every seed in one
+    call on `shared_costs` when the scenario is shared, each action mapped
+    to its trial's row, else one call per seed on its learner row's
+    realized history, rebuilt from the row's actions."""
     cfg, seeds = config.game, config.seeds
     learner = build_learner(config)
     rngs = UniformStreams(seeds)  # the generators are private to this run
     wall_start = time.perf_counter()
+    costs = shared_costs
     if shared_costs is None:
         source = KillerSource(cfg.n_sites, config.algo.name == "ftl-greedy")
         first = learner.rows < len(seeds)  # ftl-greedy: one action for every seed, priced once
 
-        def costs_for(t, actions):
+        def costs(t, actions):
             if first:  # the first generator's action, as one row
                 actions = ActionRows(actions.ptr[:2], actions.sites[: actions.ptr[1]])
             return source.costs_for(t + 1, actions)
-    else:
-        def costs_for(t, actions):
-            return shared_costs[t]
 
-    seconds, values, states, by_seed = trial_loop(learner, rngs, cfg.horizon, costs_for)
+    seconds, values, states, by_seed = trial_loop(learner, rngs, cfg.horizon, costs)
     row_of = [r % learner.rows for r in range(len(seeds))]
     if shared_costs is None:
         histories = [source.realized(by_seed[row]) for row in range(learner.rows)]
+        losses = np.array([action_losses(histories[row], actions) for row, actions in zip(row_of, by_seed)])
     else:
-        histories = [shared_costs] * learner.rows
-    losses = np.array([action_losses(histories[row], actions) for row, actions in zip(row_of, by_seed)])
+        trials = np.tile(np.arange(cfg.horizon), len(seeds))
+        losses = action_losses(shared_costs, _joined(by_seed), trials).reshape(len(seeds), cfg.horizon)
     wall = (time.perf_counter() - wall_start) / len(seeds)
     median_ms = float(np.median(seconds / len(seeds)) * 1e3)
     held = learner.segment_starts if config.algo.name == "fl" else None  # one list per learner row
     # a sequential sum along each row, as adding trial by trial would give
     cumulative = np.cumsum(losses, axis=1)[:, -1].tolist()
     columns = [None if c is None else np.ascontiguousarray(c.T) for c in [values, *states]]
+    # lambda, theta, k, segment: one set of column objects per learner row
+    by_row = [[None if column is None else column[row] for column in columns] for row in range(learner.rows)]
     return [
         SeedRun(
             seed,
             by_seed[r],
             losses[r],
-            *(None if column is None else column[row] for column in columns),  # lambda, theta, k, segment
+            *by_row[row],
             cumulative_loss=cumulative[r],
             wall_time_s=wall,
             per_trial_median_ms=median_ms,
@@ -310,6 +374,14 @@ def _actions_by_seed(lengths: np.ndarray, sites: np.ndarray) -> list[ActionRows]
         ptr = seed_ptr[r * horizon : (r + 1) * horizon + 1]
         out.append(ActionRows(ptr - ptr[0], seed_sites[ptr[0] : ptr[-1]]))
     return out
+
+
+def _joined(actions: list[ActionRows]) -> ActionRows:
+    """The rows of every ActionRows in `actions`, in order, as one."""
+    lengths = np.concatenate([np.diff(rows.ptr) for rows in actions])
+    ptr = np.zeros(lengths.size + 1, dtype=np.intp)
+    np.cumsum(lengths, out=ptr[1:])
+    return ActionRows(ptr, np.concatenate([rows.sites for rows in actions]))
 
 
 def _comparator_restriction(config: ExperimentConfig) -> tuple[int | None, int | None, str]:
@@ -438,64 +510,96 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 
 TRIAL_CSV_HEADER = "seed,trial,action,loss,lambda,theta,k,segment"
 CURVE_CSV_HEADER = "trial,mean_cumulative_loss,comparator_scaled_cumulative,regret,bound"
+EMIT_LINES = 4096  # trial-CSV lines joined into one write
 
 
-def _csv_lines(columns):
+def _csv_lines(columns, end: str = "\n"):
     """CSV lines from per-row columns, one str.format template for every
     line: each (values, spec) column is a cell formatted with spec (".17g"
-    for floats, "" for integers and text), and a None column is empty."""
-    template = ",".join("" if values is None else "{:%s}" % spec for values, spec in columns) + "\n"
+    for floats, "" for integers and text), and a None column is empty. At
+    least one column must be present."""
+    template = ",".join("" if values is None else "{:%s}" % spec for values, spec in columns) + end
     return map(template.format, *(values for values, _ in columns if values is not None))
+
+
+def _tail_cells(run: SeedRun, horizon: int) -> list[str]:
+    """Each trial's lambda,theta,k,segment cells of `run`, empty where the
+    algo reports no such column."""
+    columns = [(run.surrogate_losses, ".17g"), (run.scales, ""), (run.cardinalities, ""), (run.segments, "")]
+    if all(values is None for values, _ in columns):
+        return [",,,"] * horizon
+    return list(_csv_lines([(_listed(values), spec) for values, spec in columns], end=""))
 
 
 def _listed(column: np.ndarray | None) -> list | None:
     return None if column is None else column.tolist()
 
 
-def _action_strings(actions: ActionRows, cache: dict) -> list[str]:
-    """Each row's sites joined by ';', formatted once per distinct action."""
-    ptr, sites = actions.ptr.tolist(), actions.sites.tolist()
-    out = []
-    for a, b in zip(ptr, ptr[1:]):
-        members = tuple(sites[a:b])
-        text = cache.get(members)
-        if text is None:
-            text = cache[members] = ";".join(map(str, members))
-        out.append(text)
-    return out
+def _action_strings(actions: ActionRows, n_sites: int) -> list[str]:
+    """Each row's sites joined by ';', formatted once per distinct action:
+    below 63 sites each row is keyed by its site bitmask, all rows in one
+    pass; above, through a dict, row by row."""
+    ptr, sites = actions.ptr, actions.sites
+    if n_sites > 62:
+        ptr, sites = ptr.tolist(), sites.tolist()
+        cache: dict[tuple[int, ...], str] = {}
+        out = []
+        for a, b in zip(ptr, ptr[1:]):
+            members = tuple(sites[a:b])
+            text = cache.get(members)
+            if text is None:
+                text = cache[members] = ";".join(map(str, members))
+            out.append(text)
+        return out
+    masks = np.bitwise_or.reduceat(np.left_shift(1, sites - 1), ptr[:-1])
+    _, first, inverse = np.unique(masks, return_index=True, return_inverse=True)
+    texts = np.array([";".join(map(str, sites[ptr[i] : ptr[i + 1]].tolist())) for i in first.tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
+def _loss_texts(losses: np.ndarray) -> list[list[str]]:
+    """The (S, T) losses' cells, each formatted with .17g once per distinct
+    value: equal bits format alike."""
+    distinct, inverse = np.unique(losses.view(np.int64).ravel(), return_inverse=True)
+    texts = np.array(list(map("{:.17g}".format, distinct.view(float).tolist())), dtype=object)
+    return texts[inverse.reshape(losses.shape)].tolist()
 
 
 def emit_results(result: RunResult, prefix: str) -> list[str]:
     """Write per-seed trial CSVs, the aggregate JSON, the regret-curve CSV,
     and (non-adaptive scenarios) the scenario trace. Returns written paths.
-    The CSVs are written from the run's columns, one template per line."""
+
+    The CSVs are written from the run's columns. Cells are formatted once
+    per distinct text: the trial numbers once per run, each learner row's
+    lambda,theta,k,segment cells once for all the seeds that hold its
+    column objects, and each distinct action and loss once for all seeds.
+    A trial CSV is written in joined blocks of `EMIT_LINES` lines."""
     directory = os.path.dirname(prefix)
     if directory:
         os.makedirs(directory, exist_ok=True)
     paths = []
 
     t = result.config.game.horizon
-    cache: dict[tuple[int, ...], str] = {}
-    for sr in result.seed_runs:
-        lines = _csv_lines(
-            [
-                ([sr.seed] * t, ""),
-                (range(1, t + 1), ""),
-                (_action_strings(sr.actions, cache), ""),
-                (sr.losses.tolist(), ".17g"),
-                (_listed(sr.surrogate_losses), ".17g"),
-                (_listed(sr.scales), ""),
-                (_listed(sr.cardinalities), ""),
-                (_listed(sr.segments), ""),
-            ]
-        )
-        path = f"{prefix}.trials.seed{sr.seed}.csv"
+    runs = result.seed_runs
+    losses = np.array([sr.losses for sr in runs])
+    trials = list(map(str, range(1, t + 1)))
+    tails: dict[tuple[int, ...], list[str]] = {}  # by the ids of a learner row's columns
+    actions = _action_strings(_joined([sr.actions for sr in runs]), result.config.game.n_sites)
+    for r, (sr, loss_cells) in enumerate(zip(runs, _loss_texts(losses))):
+        row = tuple(map(id, (sr.surrogate_losses, sr.scales, sr.cardinalities, sr.segments)))
+        if row not in tails:
+            tails[row] = _tail_cells(sr, t)
+        seed, cells = sr.seed, (trials, actions[r * t : (r + 1) * t], loss_cells, tails[row])
+        path = f"{prefix}.trials.seed{seed}.csv"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(TRIAL_CSV_HEADER + "\n")
-            fh.writelines(lines)
+            for start in range(0, t, EMIT_LINES):
+                block = slice(start, start + EMIT_LINES)
+                lines = zip(*(column[block] for column in cells))
+                fh.write("".join([f"{seed},{trial},{action},{loss},{tail}\n" for trial, action, loss, tail in lines]))
         paths.append(path)
 
-    curves = np.array([sr.losses for sr in result.seed_runs]).cumsum(axis=1)
+    curves = losses.cumsum(axis=1)
     unit = _power_of_two_below(curves)  # as for the mean loss: the seeds' sum stays finite
     mean_curve = (curves / unit).mean(axis=0) * unit
     comp = regret = bound = None

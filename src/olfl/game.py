@@ -232,9 +232,11 @@ class ActionRows:
         return cls(np.arange(rows + 1) * len(action), np.tile(np.asarray(action.members), rows))
 
 
-def action_losses(costs: CostRows, actions: ActionRows) -> np.ndarray:
+def action_losses(costs: CostRows, actions: ActionRows, trials: np.ndarray | None = None) -> np.ndarray:
     """facility_loss of each action, bit for bit: row r of `actions` priced
-    on row r of `costs`, a CostRows with one row per action.
+    on row r of `costs`, a CostRows with one row per action, or with
+    `trials` on row trials[r] of `costs`, so that every seed of a shared
+    scenario is priced in one call on the one scenario.
 
     Rows are grouped by member count, and each group is one (rows, m)
     gather of the raveled costs summed and minimized along its rows, which
@@ -243,16 +245,20 @@ def action_losses(costs: CostRows, actions: ActionRows) -> np.ndarray:
     ptr, sites = actions.ptr, actions.sites
     rows = ptr.size - 1
     shape = costs.opening.shape
-    if shape[:-1] != (rows,):
-        raise ConfigError(f"{rows} actions need a CostRows with one row each, got costs of shape {shape}")
-    n = shape[1]
+    n = shape[-1]
+    if trials is None:
+        if shape[:-1] != (rows,):
+            raise ConfigError(f"{rows} actions need a CostRows with one row each, got costs of shape {shape}")
+        trials = np.arange(rows)
+    elif len(shape) != 2 or trials.shape != (rows,) or not 0 <= trials.min() <= trials.max() < shape[0]:
+        raise ConfigError(f"{rows} actions need one trial each, in 0..{shape[0] - 1}")
     lengths = ptr[1:] - ptr[:-1]
     by_length = np.bincount(lengths)
     if by_length[0]:
         raise InvalidActionError("site set must be nonempty")
     if sites.max() > n:
         raise InvalidActionError(f"site {sites.max()} outside instance with {n} sites")
-    flat = sites - 1 + np.repeat(np.arange(0, rows * n, n), lengths)
+    flat = sites - 1 + np.repeat(trials * n, lengths)
     opening, connection = costs.opening.ravel(), costs.connection.ravel()
     distinct = np.flatnonzero(by_length).tolist()
     if len(distinct) == 1:

@@ -24,6 +24,14 @@ so a row follows the same trajectory whichever rows share its batch, and
 an action is the same whether its generator draws from its own row or from
 the one row every generator shares.
 
+A one-row batch can also defer its draws: `record` checks and records a
+trial's weight row in place of `play` (the row, and each generator's next
+uniforms, fix the trial's actions), and the next `play` draws every
+generator's actions for all recorded trials at once, through the same
+dedup, dummy strip and {1} fallback as a per-trial play, so the actions
+are the same bit for bit. A block of recorded trials ends when it is full
+(`sampler.RecordedRows`) or when a restart changes the draw count.
+
 Kinds:
 
 - "fl-fixed": competes with the best fixed K-subset. Per trial a row draws
@@ -54,10 +62,10 @@ import math
 import numpy as np
 
 from .eg import Step, starting_point
-from .errors import ConfigError
+from .errors import ConfigError, ProtocolError
 from .game import ActionRows, CostPair, CostRows, GameConfig, LearnerRows, SiteSet, connection_order
 from .game import refuse_cost_bounds
-from .sampler import DrawPlan
+from .sampler import DrawPlan, RecordedRows
 from .sampler import sample_site_multiset  # noqa: F401  kept: the benchmark's span tracer looks it up here
 from .surrogate import Workspace, surrogate_rows
 
@@ -89,12 +97,15 @@ class LearnerBatch(LearnerRows):
     restart changes the draw counts (with the draw plan's per-draw arrays
     and the step's constants), and the per-draw offsets when the number of
     generators changes. None of it grows with the number of generators a
-    one-row batch draws for.
+    one-row batch draws for. A one-row batch that records its trials also
+    keeps the (b, n) cumulative sums of a block of them, built at its first
+    `record`, and the layout of its last block's draws.
 
     The weights are checked once per trial, where they are first read: the
-    draw in `play` refuses a negative or non-finite entry or a row whose
-    total is not 1, on the cumulative sums it needs anyway. Only `update`
-    replaces them, and only after that `play`, so the surrogate and the
+    draw in `play`, or `record` in its place, refuses a negative or
+    non-finite entry or a row whose total is not 1, on the cumulative sums
+    it needs anyway. Only `update`
+    replaces them, and only after that check, so the surrogate and the
     step take them unchecked; the step still checks the gradients it is
     given and the normalizer it makes.
     """
@@ -126,6 +137,8 @@ class LearnerBatch(LearnerRows):
         self.w = np.tile(self._start, (rows, 1))
         self._space = Workspace(*self.w.shape)
         self._costs = None  # opening, connection on the extended game
+        self._recorded = None  # a one-row batch's recorded rows, built at its first `record`
+        self._block = None  # the layout of the last recorded block drawn, with its (actions, draws)
         if kind != "fl-fixed":
             # the aggregate dummy's opening 0 and connection C + D are written
             # once; each trial copies the real columns in front of them
@@ -178,14 +191,19 @@ class LearnerBatch(LearnerRows):
         self._set_offsets(self.rows)
 
     def _set_offsets(self, actions: int) -> None:
-        """The draw plan, action starts, per-draw key offsets and the dedup
-        mask for `actions` actions per play."""
+        """The draw plan and the layout of `actions` actions per play."""
         self._plan = DrawPlan(*self.w.shape, self._draws)
+        self._row_starts, self._draw_offsets, self._distinct = self._layout(actions, self._draws)
+
+    def _layout(self, actions: int, draws) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Action starts, per-draw key offsets and the dedup mask for
+        `actions` actions of `draws` draws each (or draws[a] for action a)."""
         stride = self._stride
-        self._row_starts = np.arange(0, (actions + 1) * stride, stride)
-        self._draw_offsets = self._row_starts[:-1].repeat(self._draws)
-        self._distinct = np.empty(self._draw_offsets.size, dtype=bool)
-        self._distinct[0] = True  # the first key is always kept
+        starts = np.arange(0, (actions + 1) * stride, stride)
+        offsets = starts[:-1].repeat(draws)
+        distinct = np.empty(offsets.size, dtype=bool)
+        distinct[0] = True  # the first key is always kept
+        return starts, offsets, distinct
 
     def budget_for(self, scale: np.ndarray) -> np.ndarray:
         """Cardinality budget K = ceil((scale*(a+b) - b)/a) per scale, written
@@ -207,35 +225,84 @@ class LearnerBatch(LearnerRows):
         """Bytes of the (S, n) and (n,) arrays kept between trials, each base
         array once; the per-draw offsets, sized by the draws, are left out."""
         kept = (self.w, self._start, self._space.grad, self._plan.keys, *(self._costs or ()))
+        if self._recorded is not None:
+            kept += (self._recorded.cdf,)
         bases = {id(base): base for base in (a if a.base is None else a.base for a in kept)}
         return sum(base.nbytes for base in bases.values())
 
     def state_rows(self) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
         return self.scale, self.cardinality, self.segment
 
+    def record(self, trial: int) -> bool:
+        """Play trial `trial` (1-based) of a one-row batch without drawing:
+        check its weight row and record it, so that a later `play` draws
+        every generator's action for each recorded trial at once. The
+        weights depend on the costs alone, so those are the actions a play
+        now would draw. Returns False, and records nothing, when the
+        recorded trials must be drawn first: their block is full, or a
+        restart has changed the draw count since."""
+        if self._awaiting_update:
+            raise ProtocolError("play called again before update")
+        if self.rows != 1:
+            raise ConfigError(f"only a one-row batch records its trials, not {self.rows} rows")
+        if self._recorded is None:
+            self._recorded = RecordedRows(self.cfg.n_sites)
+        if not self._recorded.record(self.w, self._draws, trial):  # the one check of the weights this trial
+            return False
+        self._awaiting_update = True
+        return True
+
     def play(self, rngs) -> ActionRows:
         """One action per generator rngs[a], or per row a of a
         `UniformStreams`, drawn from weight row a, or from the one row when
-        the batch has one row."""
+        the batch has one row.
+
+        With trials recorded (`record`) since the last play, it plays no
+        new trial: it draws every generator's action for each recorded
+        trial, trial-major (trial j's action for generator a is row
+        j * len(rngs) + a), from each generator's uniforms in trial order."""
+        if self._recorded is not None and self._recorded.size:
+            return self._play_recorded(rngs)
         actions = self._begin_play(rngs)
         if self._row_starts.size != actions + 1:
             self._set_offsets(actions)
-        # one in-place sort keeps each action's distinct sites, in action order
         keys = self._plan.draw(self.w, rngs)  # the one check of the weights this trial
         keys += self._draw_offsets
+        return self._site_rows(keys, self._row_starts, self._distinct)
+
+    def _play_recorded(self, rngs) -> ActionRows:
+        """Every generator's actions for the recorded trials, with one
+        layout per block shape."""
+        generators, recorded = len(rngs), self._recorded
+        if generators < 1:
+            raise ConfigError(f"{generators} generators for {self.rows} rows")
+        shape = (recorded.size * generators, recorded.count)
+        if self._block is None or self._block[0] != shape:
+            self._block = (shape, *self._layout(*shape))
+        _, starts, offsets, distinct = self._block
+        keys = recorded.draw(rngs).ravel()
+        keys += offsets
+        return self._site_rows(keys, starts, distinct)
+
+    def _site_rows(self, keys: np.ndarray, starts: np.ndarray, distinct: np.ndarray) -> ActionRows:
+        """The actions whose draws are `keys` (action a's draw of site i is
+        a * stride + i), each action's draws contiguous, as CSR rows of
+        their distinct real sites: one in-place sort keeps each action's
+        distinct sites, in action order; a dummy draw is stripped, and an
+        action left with no real site plays {1}. `starts` are the actions'
+        first keys, and `distinct` a mask of the keys' size."""
         keys.sort()
-        distinct = self._distinct
         np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
         keys = keys[distinct]
         stride = self._stride
         real = keys[keys % stride <= self.n_real]  # a dummy draw is stripped
-        ptr = real.searchsorted(self._row_starts)
+        ptr = real.searchsorted(starts)
         if real.size < keys.size:
             empty = (ptr[1:] == ptr[:-1]).nonzero()[0]
             if empty.size:  # {1} where nothing real was drawn
-                real = np.concatenate([real, self._row_starts[empty] + 1])
+                real = np.concatenate([real, starts[empty] + 1])
                 real.sort()
-                ptr = real.searchsorted(self._row_starts)
+                ptr = real.searchsorted(starts)
         return ActionRows(ptr, real % stride)
 
     def update(self, costs: CostPair | CostRows) -> list[float]:

@@ -167,12 +167,16 @@ def surrogate_rows(opening, connection, order, w, ups, space: Workspace) -> tupl
 
 
 def value_and_gradient(inst: SurrogateInstance, w) -> tuple[float, np.ndarray]:
-    """Evaluate the surrogate and its gradient at simplex point w, in O(N)."""
+    """Evaluate the surrogate and its gradient at simplex point w, in O(N).
+    A w whose sum overflows or meets inf - inf is refused as any other,
+    without a numpy warning first."""
     w = np.asarray(w, dtype=float)
     n = inst.n_sites
     if w.shape != (n,):
         raise ContractViolationError(f"w shape {w.shape} != ({n},)")
-    if not (abs(w.sum() - 1.0) <= SIMPLEX_TOL and w.min() >= -SIMPLEX_TOL):  # false on NaN too
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = w.sum()
+    if not (abs(total - 1.0) <= SIMPLEX_TOL and w.min() >= -SIMPLEX_TOL):  # false on NaN too
         raise ContractViolationError("w must lie on the probability simplex (within 1e-9)")
     value, grad = surrogate_rows(
         inst.opening[None], inst.connection[None], (inst.order - 1)[None], w[None], inst.num_draws, Workspace(1, n)

@@ -1,6 +1,7 @@
 """Seeded regression pins, batch-versus-alone equivalence of the learners,
-one weight row drawing for many generators against a row per generator, and
-the number of Python-level calls one trial may make.
+one weight row drawing for many generators against a row per generator, the
+trial loop's blocks of recorded trials against its per-trial plays, and the
+number of Python-level calls one trial may make.
 
 The pins hold the first 40 actions and surrogate losses of two seeded runs,
 recorded before the learners ran as one seed-batched core: the core must
@@ -30,11 +31,12 @@ from olfl import (
     action_losses,
     run_experiment,
 )
-from olfl.adversaries import KillerSource, generate_scenario
+from olfl.adversaries import KillerSource, generate_scenario, save_trace
+from olfl.errors import ProtocolError
 from olfl.experiment import build_learner, trial_loop
 from olfl.learners import KINDS, BoundedCardinalityLearner, DoublingLearner, FixedCardinalityLearner, LearnerBatch
 from olfl.oracles import ExactHedge, FollowTheLeaderGreedy
-from olfl.sampler import UniformStreams
+from olfl.sampler import RecordedRows, UniformStreams
 from olfl.surrogate import Workspace, surrogate_rows
 
 BOUNDED_ACTIONS = [
@@ -278,6 +280,116 @@ def test_a_corrupted_weight_row_ends_in_a_typed_error_by_the_next_play(kind, k, 
             ):
                 between.update(costs)
                 between.play(UniformStreams(range(rows)))
+            if rows == 1:  # in blocks, `record` is the check, before the update reads the row
+                recorded = LearnerBatch(cfg, kind, rows, k)
+                assert recorded.record(1)
+                recorded.update(costs)
+                recorded.w[0, site] = bad
+                with pytest.raises(InvalidDistributionError, match="at trial 2$"):
+                    recorded.record(2)
+
+
+@pytest.mark.parametrize("bad", [*((bad,) for bad in CORRUPTIONS), (1e308, 1e308), (np.inf, -np.inf)])
+@pytest.mark.parametrize("kind, k", [("fl-fixed", 2), ("fl-bounded", 2), ("fl", None)])
+def test_a_corrupted_recorded_row_ends_the_block_loop_in_an_error_naming_its_trial(kind, k, bad):
+    # a weight row corrupted after trial 70's update, inside the second
+    # block, is refused when trial 71 records it, before any arithmetic on
+    # it can warn, its cumulative sums included (the suite turns
+    # RuntimeWarning into an error)
+    cfg = GameConfig(5, 150, 1.0, 1.0)
+    learner = LearnerBatch(cfg, kind, 1, k)
+    updated, update = [], learner.update
+
+    def corrupting(costs):
+        values = update(costs)
+        updated.append(None)
+        if len(updated) == 70:
+            learner.w[0, -len(bad) :] = bad
+        return values
+
+    learner.update = corrupting
+    with pytest.raises(InvalidDistributionError, match="at trial 71$"):
+        trial_loop(learner, UniformStreams(range(3)), cfg.horizon, generate_scenario("iid", cfg, 2))
+
+
+def test_recording_keeps_the_play_update_alternation_and_one_row():
+    cfg = GameConfig(4, 50, 1.0, 1.0)
+    one = LearnerBatch(cfg, "fl-bounded", 1, 2)
+    assert one.record(1)
+    with pytest.raises(ProtocolError):
+        one.record(2)
+    assert len(one.play([np.random.default_rng(1)])) == 1  # draws trial 1 and plays no new trial
+    with pytest.raises(ProtocolError):
+        one.record(2)
+    one.update(CostPair(np.ones(4), np.ones(4)))
+    assert one.record(2)
+    with pytest.raises(ConfigError, match="one-row batch"):
+        LearnerBatch(cfg, "fl-bounded", 2, 2).record(1)
+
+
+FL_FAMILY = [("fl-fixed", 2), ("fl-bounded", 2), ("fl", None)]
+
+
+def _per_trial(config: ExperimentConfig, costs: CostRows, threshold: float = 1.0):
+    """The one-row learner of `config` through the per-trial loop (the
+    scenario as a callable) and through blocks (the scenario as CostRows),
+    with fl's threshold scaled by `threshold`: the two (values, states,
+    actions, segment starts)."""
+    out = []
+    for shared in (lambda t, actions: costs[t], costs):
+        learner = build_learner(config)
+        if threshold != 1.0:
+            learner.threshold_unit *= threshold
+        _, values, states, actions = trial_loop(learner, UniformStreams(config.seeds), config.game.horizon, shared)
+        out.append((values, states, actions, learner.segment_starts if learner.scale is not None else None))
+    return out
+
+
+@pytest.mark.parametrize("seeds", [1, 3, 20, 200])
+@pytest.mark.parametrize("kind", ["iid", "drift", "replay"])
+@pytest.mark.parametrize("algo, k", FL_FAMILY)
+def test_blocks_of_recorded_trials_replay_the_per_trial_loop_bit_for_bit(algo, k, kind, seeds, tmp_path):
+    cfg = GameConfig(6, 150, 1.0, 1.0)
+    assert cfg.horizon % RecordedRows(7).cdf.shape[0]  # the last block is short
+    path = None
+    if kind == "replay":
+        path = str(tmp_path / "trace.csv")
+        save_trace(path, generate_scenario("drift", cfg, 4, 0.2))
+    config = ExperimentConfig(cfg, AlgoSpec(algo, k), ScenarioSpec(kind, seed=4, path=path), tuple(range(seeds)))
+    result = run_experiment(config)
+    costs = result.scenario_costs
+    (values, states, actions, starts), blocked = _per_trial(config, costs)
+    assert all(np.array_equal(a.ptr, b.ptr) and np.array_equal(a.sites, b.sites) for a, b in zip(actions, blocked[2]))
+    assert np.array_equal(values, blocked[0])
+    assert all((a is None and b is None) or np.array_equal(a, b) for a, b in zip(states, blocked[1]))
+    assert starts == blocked[3]
+    for r, run in enumerate(result.seed_runs):  # the run's own columns, losses priced in one call
+        assert run.actions == actions[r]
+        assert run.losses.tobytes() == action_losses(costs, actions[r]).tobytes()
+        assert run.surrogate_losses.tobytes() == values[:, 0].tobytes()
+        for column, state in zip((run.scales, run.cardinalities, run.segments), states):
+            assert (column is None) == (state is None)
+            assert column is None or column.tolist() == state[:, 0].tolist()
+        assert run.segment_starts == (None if starts is None else starts[0])
+
+
+@pytest.mark.parametrize("seeds", [1, 3, 20])
+def test_a_block_ends_where_a_restart_changes_the_draw_count(seeds):
+    # a lowered threshold restarts the row within a few trials, as in the
+    # replay of one row against a row per generator above
+    cfg = GameConfig(6, 150, 1.0, 1.0)
+    config = ExperimentConfig(cfg, AlgoSpec("fl"), ScenarioSpec("iid"), tuple(range(seeds)))
+    costs = generate_scenario("iid", cfg, 8)
+    (values, states, actions, starts), blocked = _per_trial(config, costs, threshold=1e-3)
+    block = RecordedRows(7).cdf.shape[0]
+    draws = states[1][:, 0]  # the cardinality each trial drew at
+    changed = (np.flatnonzero(draws[1:] != draws[:-1]) + 1).tolist()
+    assert any(t % block for t in changed)  # the count changed inside a block
+    assert len(starts[0]) > len(changed) > 1
+    assert all(np.array_equal(a.ptr, b.ptr) and np.array_equal(a.sites, b.sites) for a, b in zip(actions, blocked[2]))
+    assert np.array_equal(values, blocked[0])
+    assert all(np.array_equal(a, b) for a, b in zip(states, blocked[1]))
+    assert starts == blocked[3]
 
 
 @pytest.mark.parametrize("kind", ["iid", "drift", "replay", "killer"])
@@ -418,12 +530,17 @@ def _calls_per_trial(learner, rngs, costs_for, trials=200) -> float:
 # numpy calls went straight to their ufunc loops and array methods); the
 # budget is each plus 10%
 KILLER_CALLS, SEEDS_CALLS = 67.005, 59.535
+# the seeds workload's shape in blocks, as measured when a shared scenario's
+# trials came to be recorded and drawn per block (its draw, one per block,
+# spread over the block's trials)
+BLOCK_CALLS = 44.465
 
 
 def test_a_trial_stays_within_its_call_budget():
     """The killer workload's shape (fl, two rows at N=16, against the
     killer) and the seeds workload's (fl-bounded K=2, one row at N=6, 20
-    prefetched generators), over 200 trials each."""
+    prefetched generators), the latter per trial and in blocks (the
+    scenario as CostRows), over 200 trials each."""
     source = KillerSource(16, False)
     killer = _calls_per_trial(
         LearnerBatch(GameConfig(16, 2000, 1.0, 1.0), "fl", 2),
@@ -436,5 +553,9 @@ def test_a_trial_stays_within_its_call_budget():
         UniformStreams(range(1, 21)),
         lambda t, actions: scenario[t],
     )
+    blocks = _calls_per_trial(
+        LearnerBatch(GameConfig(6, 500, 1.0, 1.0), "fl-bounded", 1, 2), UniformStreams(range(1, 21)), scenario
+    )
     assert killer <= KILLER_CALLS * 1.1
     assert seeds <= SEEDS_CALLS * 1.1
+    assert blocks <= BLOCK_CALLS * 1.1

@@ -27,7 +27,7 @@ from olfl import (
 )
 from olfl.cli import main
 from olfl.errors import NumericError, ProtocolError
-from olfl.experiment import ALGO_NAMES, CARDINALITY_ALGOS, bound_terms, half_log_ceil
+from olfl.experiment import ALGO_NAMES, CARDINALITY_ALGOS, _loss_texts, bound_terms, half_log_ceil
 
 
 def _cfg(**overrides):
@@ -266,6 +266,49 @@ def test_trial_csv_losses_replay_exactly(tmp_path):
         action = SiteSet(tuple(int(i) for i in cells[2].split(";")))
         recorded = float(cells[3])
         assert facility_loss(scenario[trial - 1], action) == recorded  # exact, 17 digits
+
+
+def _reference_trial_csv(run, horizon: int) -> str:
+    """A trial CSV as the emitter wrote it before it formatted shared cells
+    once: one str.format template per line over every column."""
+    columns = [
+        ([run.seed] * horizon, ""),
+        (range(1, horizon + 1), ""),
+        ([";".join(map(str, action)) for action in run.actions], ""),
+        (run.losses.tolist(), ".17g"),
+        *((None if c is None else c.tolist(), spec) for c, spec in (
+            (run.surrogate_losses, ".17g"), (run.scales, ""), (run.cardinalities, ""), (run.segments, "")
+        )),
+    ]
+    template = ",".join("" if values is None else "{:%s}" % spec for values, spec in columns) + "\n"
+    lines = map(template.format, *(values for values, _ in columns if values is not None))
+    return "seed,trial,action,loss,lambda,theta,k,segment\n" + "".join(lines)
+
+
+@pytest.mark.parametrize(
+    "algo, k, n, kind, seeds",
+    [
+        ("fl-bounded", 2, 6, "iid", tuple(range(1, 21))),  # one shared row: cells formatted once
+        ("fl", None, 70, "drift", (1, 2, 3)),  # past 62 sites, actions go through the cache
+        ("fl", None, 5, "killer", (3, 5, 8)),  # one row per seed
+        ("ftl-greedy", None, 6, "killer", (1, 2)),  # no lambda, theta, k or segment cells
+        ("hedge-exact", None, 4, "iid", (1, 2)),
+    ],
+)
+def test_trial_csvs_equal_the_one_template_per_line_emitter_byte_for_byte(algo, k, n, kind, seeds, tmp_path):
+    config = ExperimentConfig(GameConfig(n, 300, 1.0, 1.0), AlgoSpec(algo, k), ScenarioSpec(kind, seed=6), seeds)
+    result = run_experiment(config)
+    paths = emit_results(result, str(tmp_path / "run"))
+    for path, run in zip(paths, result.seed_runs):
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert fh.read() == _reference_trial_csv(run, config.game.horizon)
+
+
+def test_equal_losses_share_a_cell_only_when_their_bits_agree():
+    losses = np.array([[0.0, -0.0, 0.1], [0.1, 0.0, np.nextafter(0.1, 1.0)]])
+    texts = _loss_texts(losses)
+    assert texts == [[f"{loss:.17g}" for loss in row] for row in losses.tolist()]
+    assert texts[0][:2] == ["0", "-0"] and texts[1][2] != texts[1][0]
 
 
 def test_cli_run_and_exit_codes(tmp_path):

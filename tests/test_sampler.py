@@ -28,6 +28,12 @@ def test_build_rejects_bad_distributions():
         draw_sites([], 1, rng)
     with pytest.raises(InvalidDistributionError):
         draw_sites([np.nan, 1.0], 1, rng)
+    # cumulative sums that meet inf - inf or overflow: refused, with no
+    # numpy warning first (the suite turns RuntimeWarning into an error)
+    with pytest.raises(InvalidDistributionError, match="p must be finite"):
+        draw_sites([np.inf, -np.inf], 1, rng)
+    with pytest.raises(InvalidDistributionError, match="total mass inf not 1"):
+        draw_sites([1e308, 1e308], 1, rng)
     with pytest.raises(InvalidDistributionError):
         draw_sites([[0.5, 0.5]], 1, rng)
     with pytest.raises(ConfigError):

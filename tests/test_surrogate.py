@@ -66,7 +66,9 @@ def test_rejects_off_simplex_points():
     with pytest.raises(ContractViolationError):
         value_and_gradient(inst, np.array([0.5, 0.25, 0.25]))
     # every comparison with NaN is false, so the check is written to fail on it
-    for bad in ([np.nan, 1.0], [0.0, np.nan], [np.nan, np.nan], [np.inf, 0.0], [1.0, -np.inf]):
+    # and a sum that meets inf - inf or overflows is refused with no numpy warning first
+    nonfinite = ([np.nan, 1.0], [0.0, np.nan], [np.nan, np.nan], [np.inf, 0.0], [1.0, -np.inf])
+    for bad in (*nonfinite, [np.inf, -np.inf], [1e308, 1e308]):
         with pytest.raises(ContractViolationError, match="probability simplex"):
             value_and_gradient(inst, np.array(bad))
 
