@@ -17,8 +17,10 @@ so each seed's uniforms are prefetched for about 64 trials at a time. No
 learner's state depends on its own draws, so on a shared scenario every
 seed follows one trajectory: the batch holds one row and updates it once
 per trial, and the fl family draws every seed's actions from it per block
-of trials (`trial_loop`), each trial's row recorded before its update, so
-a block's draws take one search per trial and one sort. On the adaptive killer a
+of trials, each trial's row recorded before its update, so a block's draws
+take one search per trial and one sort; `trial_loop` plays every other
+learner trial by trial, a one-row batch's play being a block of one
+recorded trial. On the adaptive killer a
 randomized learner's seeds each have their own costs, and the batch one row
 per seed; ftl-greedy is deterministic, so the killer prices the one action
 it plays, and it holds one row on every scenario. A trial's actions are CSR
@@ -210,16 +212,16 @@ def trial_loop(learner: LearnerRows, rngs, horizon: int, costs):
     `costs` is a shared scenario, a CostRows with one row per trial, or a
     callable: `costs(t, actions)` gives trial t's costs (0-based), fetched
     only after the actions are committed, as the adaptive killer needs.
-    Each trial plays, then updates on its costs. The actions are recorded
-    with one column per generator, and the update values and learner state
-    as (T, R) columns, one per learner row, so the loop's Python work per
-    trial does not grow with the number of generators.
-
-    On a shared scenario a one-row `LearnerBatch` plays in blocks: each
-    trial records its weight row (`LearnerBatch.record`) before its update,
-    and one `play` draws every generator's actions for a block of recorded
-    trials. The weights depend on the costs alone, so the actions are the
-    ones per-trial plays would draw.
+    Each trial plays, then updates on its costs. Every `play` draws a block
+    of trials: one trial, or on a shared scenario, for a one-row
+    `LearnerBatch`, every trial recorded (`LearnerBatch.record`, before its
+    update) since the last play, ended where `record` refuses the next. The
+    weights depend on the costs alone, so the actions are the ones
+    per-trial plays would draw. Every play's actions are kept as they come
+    and split per generator after the loop, and the update values and
+    learner state are recorded as (T, R) columns, one per learner row, so
+    the loop's Python work per trial does not grow with the number of
+    generators.
 
     Returns (seconds, values, states, actions): the play + update seconds of
     each trial (in blocks, its record and update plus an equal share of its
@@ -232,75 +234,59 @@ def trial_loop(learner: LearnerRows, rngs, horizon: int, costs):
     states = [None if a is None else np.empty((horizon, learner.rows), dtype=np.int64) for a in live]
     tracked = [(column, state) for column, state in zip(states, live) if column is not None]
     seconds = np.empty(horizon)
+    generators = len(rngs)
+    lengths = np.empty(horizon * generators, dtype=np.intp)  # each action's site count, trial-major
+    sites = []  # each play's sites
+    record = None
     if isinstance(costs, CostRows):
         if isinstance(learner, LearnerBatch) and learner.rows == 1:
-            lengths = _play_in_blocks(learner, rngs, costs, seconds, values, tracked)
-            return seconds, values, states, _actions_by_seed(*lengths)
+            record = learner.record
         shared = costs
 
         def costs(t, actions):
             return shared[t]
 
-    ptrs = np.empty((horizon, len(rngs) + 1), dtype=np.intp)
-    sites = []
     clock, play, update = time.perf_counter, learner.play, learner.update
+    first = 0  # the first trial whose actions are not kept yet
+    actions = None  # a recorded trial's, drawn with its block
+
+    def keep(played: ActionRows, stop: int) -> ActionRows:
+        """Keep the actions of trials first .. stop - 1, played at once."""
+        nonlocal first
+        np.subtract(played.ptr[1:], played.ptr[:-1], out=lengths[first * generators : stop * generators])
+        sites.append(played.sites)
+        first = stop
+        return played
+
+    def draw(stop: int) -> None:
+        """Draw the recorded trials first .. stop - 1 with one play, its
+        time shared equally among them."""
+        start, t0 = first, clock()
+        keep(play(rngs), stop)
+        seconds[start:stop] += (clock() - t0) / (stop - start)
+
     for t in range(horizon):
         for column, state in tracked:
             column[t] = state
         t0 = clock()
-        actions = play(rngs)
+        if record is None:
+            actions = keep(play(rngs), t + 1)
+        elif not record(t + 1):  # the block is full, or a restart changed its draw count
+            draw(t)
+            t0 = clock()
+            record(t + 1)
         t1 = clock()
         trial_costs = costs(t, actions)
         t2 = clock()
         trial_values = update(trial_costs)
-        t3 = clock()
-        seconds[t] = (t1 - t0) + (t3 - t2)
+        seconds[t] = (t1 - t0) + (clock() - t2)
         if trial_values is not None:  # ftl-greedy reports no values
             values[t] = trial_values
-        ptrs[t] = actions.ptr
-        sites.append(actions.sites)
+    if record is not None:
+        draw(horizon)
     if trial_values is None:  # a learner reports on every trial or on none
         values = None
-    return seconds, values, states, _actions_by_seed(np.diff(ptrs, axis=1), np.concatenate(sites))
-
-
-def _play_in_blocks(learner: LearnerBatch, rngs, costs: CostRows, seconds, values, tracked):
-    """`trial_loop` for a one-row `LearnerBatch` on the shared `costs`:
-    record and update trial by trial, and draw each block of recorded
-    trials with one `play`, ended where `record` refuses the next trial.
-    Fills `seconds`, `values` and the `tracked` state columns; returns the
-    (T, S) action lengths and the sites of every trial's actions in
-    trial-major order."""
-    horizon, generators = len(seconds), len(rngs)
-    lengths = np.empty((horizon, generators), dtype=np.intp)
-    sites = []
-    clock, record, play, update = time.perf_counter, learner.record, learner.play, learner.update
-    first = 0  # the block's first trial
-
-    def draw(stop: int) -> None:
-        """Draw trials first .. stop - 1, timed apart and shared equally."""
-        t0 = clock()
-        actions = play(rngs)
-        seconds[first:stop] += (clock() - t0) / (stop - first)
-        lengths[first:stop] = np.diff(actions.ptr).reshape(stop - first, generators)
-        sites.append(actions.sites)
-
-    for t in range(horizon):
-        for column, state in tracked:
-            column[t] = state
-        t0 = clock()
-        if not record(t + 1):  # the block is full, or a restart changed its draw count
-            draw(t)
-            first = t
-            t0 = clock()
-            record(t + 1)
-        t1 = clock()
-        trial_costs = costs[t]
-        t2 = clock()
-        values[t] = update(trial_costs)
-        seconds[t] = (t1 - t0) + (clock() - t2)
-    draw(horizon)
-    return lengths, np.concatenate(sites)
+    return seconds, values, states, _actions_by_seed(lengths.reshape(horizon, generators), np.concatenate(sites))
 
 
 def _run_seeds(config: ExperimentConfig, shared_costs: CostRows | None) -> list[SeedRun]:

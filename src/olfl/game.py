@@ -288,13 +288,15 @@ class LearnerRows:
         self.rows = rows
         self.n_real = n_sites  # the site count of the costs update takes
 
-    def _begin_play(self, rngs) -> int:
-        if self._awaiting_update:
+    def _begin_play(self, rngs, new_trial: bool = True) -> int:
+        """The checked generator count; a new trial follows an update and awaits one."""
+        if new_trial and self._awaiting_update:
             raise ProtocolError("play called again before update")
         actions = len(rngs)
         if actions < 1 or (actions != self.rows and self.rows != 1):
             raise ConfigError(f"{actions} generators for {self.rows} rows")
-        self._awaiting_update = True
+        if new_trial:
+            self._awaiting_update = True
         return actions
 
     def _begin_update(self, costs: CostPair | CostRows) -> tuple[np.ndarray, np.ndarray]:
@@ -303,11 +305,12 @@ class LearnerRows:
         if not self._awaiting_update:
             raise ProtocolError("update called before play")
         self._awaiting_update = False
-        if not isinstance(costs, (CostPair, CostRows)):
-            raise ConfigError(f"costs must be a CostPair or CostRows, got {type(costs).__name__}")
-        opening, connection = costs.opening, costs.connection
         if isinstance(costs, CostPair):
-            opening, connection = opening[None], connection[None]
+            opening, connection = costs.opening[None], costs.connection[None]
+        elif isinstance(costs, CostRows):
+            opening, connection = costs.opening, costs.connection
+        else:
+            raise ConfigError(f"costs must be a CostPair or CostRows, got {type(costs).__name__}")
         rows, n = opening.shape
         if rows != self.rows:
             raise ConfigError(f"{rows} cost rows for {self.rows} rows")

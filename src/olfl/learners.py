@@ -24,13 +24,14 @@ so a row follows the same trajectory whichever rows share its batch, and
 an action is the same whether its generator draws from its own row or from
 the one row every generator shares.
 
-A one-row batch can also defer its draws: `record` checks and records a
-trial's weight row in place of `play` (the row, and each generator's next
-uniforms, fix the trial's actions), and the next `play` draws every
-generator's actions for all recorded trials at once, through the same
-dedup, dummy strip and {1} fallback as a per-trial play, so the actions
-are the same bit for bit. A block of recorded trials ends when it is full
-(`sampler.RecordedRows`) or when a restart changes the draw count.
+A one-row batch draws through `sampler.RecordedRows`: a trial's `play`
+checks and records the weight row and draws it as a block of one trial.
+`record` instead checks and records a trial's row without drawing (the
+row, and each generator's next uniforms, fix the trial's actions), and the
+next `play` draws every generator's actions for all recorded trials at
+once, through the same search, dedup, dummy strip and {1} fallback, so the
+actions are the same bit for bit. A block of recorded trials ends when it
+is full or when a restart changes the draw count.
 
 Kinds:
 
@@ -88,26 +89,25 @@ class LearnerBatch(LearnerRows):
 
     Memory is the (S, n) weights of the S rows and the (n,) starting
     weights, plus the surrogate's `Workspace` (a 4 x (S, n) scratch that
-    every trial reuses), the (S, n) search keys of the sampler's
-    `DrawPlan`, and outside fl-fixed a 2 x (S, n) cost buffer whose
+    every trial reuses), the draw buffer (for S > 1 rows the (S, n) search
+    keys of the sampler's `DrawPlan`, for one row the (1, n) cumulative
+    sums of `RecordedRows`, widened to a block's (b, n) at the first
+    `record`), and outside fl-fixed a 2 x (S, n) cost buffer whose
     aggregate-dummy column is written once (`state_nbytes` counts them
     all), so a trial allocates no other S x n temporaries besides the new
     weights, the sort and the draws. This state depends only on the shape
-    and the draw counts: it is built in `__init__`, again in `_tune` when a
-    restart changes the draw counts (with the draw plan's per-draw arrays
-    and the step's constants), and the per-draw offsets when the number of
-    generators changes. None of it grows with the number of generators a
-    one-row batch draws for. A one-row batch that records its trials also
-    keeps the (b, n) cumulative sums of a block of them, built at its first
-    `record`, and the layout of its last block's draws.
+    and the draw counts: it is built in `__init__`, and again in `_tune`
+    when a restart changes the draw counts (with the draw plan's per-draw
+    arrays and the step's constants). A one-row batch lays out its draws
+    per block shape, when the shape changes. None of it grows with the
+    number of generators a one-row batch draws for.
 
     The weights are checked once per trial, where they are first read: the
     draw in `play`, or `record` in its place, refuses a negative or
-    non-finite entry or a row whose total is not 1, on the cumulative sums
-    it needs anyway. Only `update`
-    replaces them, and only after that check, so the surrogate and the
-    step take them unchecked; the step still checks the gradients it is
-    given and the normalizer it makes.
+    non-finite entry or a row whose total is not 1 (`accumulate_checked`).
+    Only `update` replaces them, and only after that check, so the surrogate
+    and the step take them unchecked; the step still checks the gradients
+    it is given and the normalizer it makes.
     """
 
     def __init__(self, cfg: GameConfig, kind: str, rows: int, cardinality: int | None = None):
@@ -137,8 +137,11 @@ class LearnerBatch(LearnerRows):
         self.w = np.tile(self._start, (rows, 1))
         self._space = Workspace(*self.w.shape)
         self._costs = None  # opening, connection on the extended game
-        self._recorded = None  # a one-row batch's recorded rows, built at its first `record`
-        self._block = None  # the layout of the last recorded block drawn, with its (actions, draws)
+        self._recorded = RecordedRows(self.cfg.n_sites, 1) if rows == 1 else None  # one row's draws
+        # one row's last block shape (trials, generators, draws), its key
+        # buffer, flat and in that shape (reused: `_site_rows` sorts it in
+        # place), and its layout
+        self._block = ((0, 0, 0),)
         if kind != "fl-fixed":
             # the aggregate dummy's opening 0 and connection C + D are written
             # once; each trial copies the real columns in front of them
@@ -188,12 +191,9 @@ class LearnerBatch(LearnerRows):
         # every row draws alike
         first = int(self.num_draws[0])
         self._draws = first if np.logical_and.reduce(self.num_draws == first) else self.num_draws
-        self._set_offsets(self.rows)
-
-    def _set_offsets(self, actions: int) -> None:
-        """The draw plan and the layout of `actions` actions per play."""
-        self._plan = DrawPlan(*self.w.shape, self._draws)
-        self._row_starts, self._draw_offsets, self._distinct = self._layout(actions, self._draws)
+        if self._recorded is None:  # several rows: one draw plan and one layout per draw counts
+            self._plan = DrawPlan(*self.w.shape, self._draws)
+            self._row_starts, self._draw_offsets, self._distinct = self._layout(self.rows, self._draws)
 
     def _layout(self, actions: int, draws) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Action starts, per-draw key offsets and the dedup mask for
@@ -223,10 +223,10 @@ class LearnerBatch(LearnerRows):
     @property
     def state_nbytes(self) -> int:
         """Bytes of the (S, n) and (n,) arrays kept between trials, each base
-        array once; the per-draw offsets, sized by the draws, are left out."""
-        kept = (self.w, self._start, self._space.grad, self._plan.keys, *(self._costs or ()))
-        if self._recorded is not None:
-            kept += (self._recorded.cdf,)
+        array once; the per-draw offsets and keys, sized by the draws, are
+        left out."""
+        draws = self._plan.keys if self._recorded is None else self._recorded.cdf
+        kept = (self.w, self._start, self._space.grad, draws, *(self._costs or ()))
         bases = {id(base): base for base in (a if a.base is None else a.base for a in kept)}
         return sum(base.nbytes for base in bases.values())
 
@@ -243,11 +243,12 @@ class LearnerBatch(LearnerRows):
         restart has changed the draw count since."""
         if self._awaiting_update:
             raise ProtocolError("play called again before update")
-        if self.rows != 1:
+        recorded = self._recorded
+        if recorded is None:
             raise ConfigError(f"only a one-row batch records its trials, not {self.rows} rows")
-        if self._recorded is None:
-            self._recorded = RecordedRows(self.cfg.n_sites)
-        if not self._recorded.record(self.w, self._draws, trial):  # the one check of the weights this trial
+        if not recorded.size and recorded.cdf.shape[0] < recorded.capacity:  # a play needs one row, a block more
+            recorded = self._recorded = RecordedRows(self.cfg.n_sites)
+        if not recorded.record(self.w, self._draws, trial):  # the one check of the weights this trial
             return False
         self._awaiting_update = True
         return True
@@ -255,32 +256,29 @@ class LearnerBatch(LearnerRows):
     def play(self, rngs) -> ActionRows:
         """One action per generator rngs[a], or per row a of a
         `UniformStreams`, drawn from weight row a, or from the one row when
-        the batch has one row.
+        the batch has one row: then the trial's row is recorded and drawn
+        as a block of one trial.
 
         With trials recorded (`record`) since the last play, it plays no
         new trial: it draws every generator's action for each recorded
         trial, trial-major (trial j's action for generator a is row
         j * len(rngs) + a), from each generator's uniforms in trial order."""
-        if self._recorded is not None and self._recorded.size:
-            return self._play_recorded(rngs)
-        actions = self._begin_play(rngs)
-        if self._row_starts.size != actions + 1:
-            self._set_offsets(actions)
-        keys = self._plan.draw(self.w, rngs)  # the one check of the weights this trial
-        keys += self._draw_offsets
-        return self._site_rows(keys, self._row_starts, self._distinct)
-
-    def _play_recorded(self, rngs) -> ActionRows:
-        """Every generator's actions for the recorded trials, with one
-        layout per block shape."""
-        generators, recorded = len(rngs), self._recorded
-        if generators < 1:
-            raise ConfigError(f"{generators} generators for {self.rows} rows")
-        shape = (recorded.size * generators, recorded.count)
-        if self._block is None or self._block[0] != shape:
-            self._block = (shape, *self._layout(*shape))
-        _, starts, offsets, distinct = self._block
-        keys = recorded.draw(rngs).ravel()
+        recorded = self._recorded
+        if recorded is None:
+            self._begin_play(rngs)
+            keys = self._plan.draw(self.w, rngs)  # the one check of the weights this trial
+            keys += self._draw_offsets
+            return self._site_rows(keys, self._row_starts, self._distinct)
+        new = not recorded.size
+        generators = self._begin_play(rngs, new)
+        if new:
+            recorded.record(self.w, self._draws)  # the one check of the weights this trial
+        shape = (recorded.size, generators, recorded.count)
+        if self._block[0] != shape:
+            keys = np.empty(math.prod(shape), dtype=np.intp)
+            self._block = (shape, keys, keys.reshape(shape), *self._layout(shape[0] * generators, shape[2]))
+        _, keys, drawn, starts, offsets, distinct = self._block
+        recorded.draw(rngs, drawn)
         keys += offsets
         return self._site_rows(keys, starts, distinct)
 

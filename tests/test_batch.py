@@ -36,7 +36,7 @@ from olfl.errors import ProtocolError
 from olfl.experiment import build_learner, trial_loop
 from olfl.learners import KINDS, BoundedCardinalityLearner, DoublingLearner, FixedCardinalityLearner, LearnerBatch
 from olfl.oracles import ExactHedge, FollowTheLeaderGreedy
-from olfl.sampler import RecordedRows, UniformStreams
+from olfl.sampler import PREFETCH_TRIALS, RecordedRows, UniformStreams
 from olfl.surrogate import Workspace, surrogate_rows
 
 BOUNDED_ACTIONS = [
@@ -287,6 +287,14 @@ def test_a_corrupted_weight_row_ends_in_a_typed_error_by_the_next_play(kind, k, 
                 recorded.w[0, site] = bad
                 with pytest.raises(InvalidDistributionError, match="at trial 2$"):
                     recorded.record(2)
+    # entries whose cumulative sums would overflow or meet inf - inf: refused
+    # before anything sums them, with no numpy warning first
+    for bad in ((1e308, 1e308), (np.inf, -np.inf)):
+        batch = LearnerBatch(cfg, kind, rows, k)
+        batch.w[rows - 1] = 0.0
+        batch.w[rows - 1, : len(bad)] = bad
+        with pytest.raises(InvalidDistributionError):
+            batch.play(UniformStreams(range(rows)))
 
 
 @pytest.mark.parametrize("bad", [*((bad,) for bad in CORRUPTIONS), (1e308, 1e308), (np.inf, -np.inf)])
@@ -509,6 +517,23 @@ def test_a_batch_of_one_reads_exactly_its_draws_from_the_callers_generator(data)
         learner.play(rng)
         assert rng.bit_generator.state == twin.bit_generator.state
         learner.update(top)
+
+
+def test_per_trial_plays_refill_each_stream_once_per_prefetch(monkeypatch):
+    # a per-trial play of one row is a recorded block of one trial, and
+    # reads about PREFETCH_TRIALS trials' worth of uniforms per refill, as
+    # a block of PREFETCH_TRIALS trials reads one block's worth
+    refills, refill = [], UniformStreams._refill
+
+    def counted(self, count, ahead):
+        refills.append(ahead)
+        refill(self, count, ahead)
+
+    monkeypatch.setattr(UniformStreams, "_refill", counted)
+    scenario = generate_scenario("iid", GameConfig(6, 500, 1.0, 1.0), 5)
+    learner = LearnerBatch(GameConfig(6, 500, 1.0, 1.0), "fl-bounded", 1, 2)
+    trial_loop(learner, UniformStreams(range(1, 21)), 200, lambda t, actions: scenario[t])
+    assert 0 < len(refills) <= 200 // PREFETCH_TRIALS + 1
 
 
 def _calls_per_trial(learner, rngs, costs_for, trials=200) -> float:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olfl import ConfigError, InvalidDistributionError, draw_sites, sample_site_multiset
-from olfl.sampler import PREFETCH_TRIALS, DrawPlan, UniformStreams
+from olfl.sampler import PREFETCH_TRIALS, DrawPlan, RecordedRows, UniformStreams
 
 TOP = np.nextafter(1.0, 0.0)  # the largest uniform a generator can return
 
@@ -184,6 +184,15 @@ def test_prefetched_streams_equal_per_call_draws(data):
             assert np.array_equal(streams.take(counts), np.concatenate(expected))
 
 
+def _one_row(p, count, rngs):
+    """One trial's draws from the one row p for every generator in rngs,
+    as a recorded block of one trial."""
+    recorded, sites = RecordedRows(p.shape[1], 1), np.empty((1, len(rngs), count), dtype=np.intp)
+    assert recorded.record(p, count)
+    recorded.draw(rngs, sites)
+    return sites.ravel()
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_one_row_serves_every_generator_as_a_copy_of_its_own(data):
@@ -191,15 +200,15 @@ def test_one_row_serves_every_generator_as_a_copy_of_its_own(data):
     weights = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any)
     p = np.array([data.draw(weights)], dtype=float)
     p /= p.sum()
-    counts = _counts(data, rows, 6)
+    count = data.draw(st.integers(1, 6))  # one row draws the same count for every generator
     seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=rows, max_size=rows, unique=True))
     generators = [np.random.default_rng(seed) for seed in seeds]
     copies = np.repeat(p, rows, axis=0)
-    expected = DrawPlan(rows, n, counts).draw(copies, [np.random.default_rng(seed) for seed in seeds])
-    assert np.array_equal(DrawPlan(1, n, counts).draw(p, generators), expected)
-    assert np.array_equal(DrawPlan(1, n, counts).draw(p, UniformStreams(seeds)), expected)
+    expected = DrawPlan(rows, n, count).draw(copies, [np.random.default_rng(seed) for seed in seeds])
+    assert np.array_equal(_one_row(p, count, generators), expected)
+    assert np.array_equal(_one_row(p, count, UniformStreams(seeds)), expected)
     # each generator advanced by exactly its own draws
-    for generator, seed, count in zip(generators, seeds, np.broadcast_to(counts, rows).tolist()):
+    for generator, seed in zip(generators, seeds):
         twin = np.random.default_rng(seed)
         twin.random(count)
         assert generator.bit_generator.state == twin.bit_generator.state
