@@ -238,9 +238,9 @@ def action_losses(costs: CostRows, actions: ActionRows, trials: np.ndarray | Non
     `trials` on row trials[r] of `costs`, so that every seed of a shared
     scenario is priced in one call on the one scenario.
 
-    Rows are grouped by member count, and each group is one (rows, m)
-    gather of the raveled costs summed and minimized along its rows, which
-    sums each row exactly as the one-row sum does.
+    Every call groups the rows by member count, and each group is one
+    (rows, m) gather of the raveled costs summed and minimized along its
+    rows, which sums each row exactly as the one-row sum does.
     """
     ptr, sites = actions.ptr, actions.sites
     rows = ptr.size - 1
@@ -260,12 +260,8 @@ def action_losses(costs: CostRows, actions: ActionRows, trials: np.ndarray | Non
         raise InvalidActionError(f"site {sites.max()} outside instance with {n} sites")
     flat = sites - 1 + np.repeat(trials * n, lengths)
     opening, connection = costs.opening.ravel(), costs.connection.ravel()
-    distinct = np.flatnonzero(by_length).tolist()
-    if len(distinct) == 1:
-        idx = flat.reshape(rows, distinct[0])
-        return opening[idx].sum(axis=1) + connection[idx].min(axis=1)
     losses = np.empty(rows)
-    for m in distinct:
+    for m in np.flatnonzero(by_length).tolist():
         group = np.flatnonzero(lengths == m)
         idx = flat[ptr[group, None] + np.arange(m)]
         losses[group] = opening[idx].sum(axis=1) + connection[idx].min(axis=1)

@@ -1,7 +1,8 @@
 """Brute-force references: exact but exponential-cost counterparts of the
 efficient learners, used to verify them at desk scale.
 
-- ExactHedge: exponential weights over all 2^N - 1 nonempty subsets.
+- ExactHedge: exponential weights over all 2^N - 1 nonempty subsets, whose
+  weight rows pass the sampler's one check and are drawn as it draws.
 - ftl_greedy_play / cheapest_singleton_play: deterministic follow-the-leader
   baselines (both provably beatable by an adaptive adversary), and
   FollowTheLeaderGreedy, which replays the greedy leader as a learner.
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import CapExceededError, ConfigError
 from .game import ActionRows, CostPair, CostRows, GameConfig, LearnerRows, SiteSet, action_losses, connection_order
 from .game import facility_loss
-from .sampler import uniforms
+from .sampler import accumulate_checked, uniforms
 
 BRUTE_FORCE_SITE_CAP = 16
 ENUMERATION_CAP = 1_000_000
@@ -86,9 +87,10 @@ class ExactHedge(LearnerRows):
 
     Losses are scaled into [0, 1] by N*C + D before the exponential step;
     the learning rate sqrt(8 ln(2^N - 1) / T) then gives cumulative expected
-    regret at most (N*C + D) * sqrt(T * ln(2^N - 1) / 2). An action reads one
-    uniform, with `Generator.choice`'s arithmetic. Rows are played and
-    updated one at a time, so a trial's temporaries are a few 2^N vectors.
+    regret at most (N*C + D) * sqrt(T * ln(2^N - 1) / 2). A play checks the
+    (rows, 2^N - 1) weights with `sampler.accumulate_checked` into a buffer
+    of their cumulative sums before it reads any uniform; an action reads one
+    uniform, scaled by its row's total and searched as the sampler's are.
     """
 
     def __init__(self, cfg: GameConfig, rows: int = 1):
@@ -102,6 +104,7 @@ class ExactHedge(LearnerRows):
         n = cfg.n_sites
         self.n_subsets = (1 << n) - 1
         self.weights = np.full((rows, self.n_subsets), 1.0 / self.n_subsets)
+        self._cdf = np.empty_like(self.weights)  # the rows' cumulative sums, written by each play
         self.learning_rate = math.sqrt(8.0 * math.log(self.n_subsets) / cfg.horizon)
         self.loss_scale = n * cfg.opening_max + cfg.connection_max
 
@@ -115,13 +118,10 @@ class ExactHedge(LearnerRows):
 
     def play(self, rngs) -> ActionRows:
         self._begin_play(rngs)
-        u = uniforms(rngs, 1).reshape(self.rows, -1)  # each row's uniforms
-        masks = np.empty(u.shape, dtype=np.int64)
-        for w, row_u, row_masks in zip(self.weights, u, masks):
-            cdf = (w / w.sum()).cumsum()
-            cdf /= cdf[-1]
-            row_masks[:] = cdf.searchsorted(row_u, side="right") + 1
-        held = (masks.reshape(-1, 1) >> np.arange(self.cfg.n_sites)) & 1 == 1
+        accumulate_checked(self.weights, self._cdf)
+        u = uniforms(rngs, 1).reshape(self.rows, -1) * self._cdf[:, -1:]  # each scaled by its row's total
+        masks = [cdf.searchsorted(row_u, side="right") + 1 for cdf, row_u in zip(self._cdf, u)]
+        held = (np.reshape(masks, (-1, 1)) >> np.arange(self.cfg.n_sites)) & 1 == 1
         return ActionRows(np.append(0, held.sum(axis=1).cumsum()), np.nonzero(held)[1] + 1)
 
     def update(self, costs: CostPair | CostRows) -> list[float]:
@@ -176,9 +176,9 @@ class FollowTheLeaderGreedy(LearnerRows):
     The connection history is a preallocated (T, N) array, doubled along
     the trials if updates run past the horizon; each play reads its first t
     trials in place. The opening and connection column sums run alongside,
-    one row added per update: numpy sums axis 0 of a C-contiguous block row
-    by row, so they equal the history's column sums bit for bit, and a play
-    makes one pass over the history instead of three."""
+    one row added per update to zeroed sums: numpy sums axis 0 of a
+    C-contiguous block row by row, so they equal the history's column sums
+    as floats, and a play makes one pass over the history instead of three."""
 
     def __init__(self, cfg: GameConfig):
         super().__init__(1, cfg.n_sites)
@@ -199,11 +199,8 @@ class FollowTheLeaderGreedy(LearnerRows):
         if t == len(self._connection):
             self._connection = np.concatenate([self._connection, np.empty_like(self._connection)])
         self._connection[t] = connection
-        if t:
-            self._sums[0] += opening
-            self._sums[1] += connection
-        else:  # the first row itself, as the column sum of one row is
-            self._sums[:] = opening, connection
+        self._sums[0] += opening
+        self._sums[1] += connection
         self._trials = t + 1
 
 

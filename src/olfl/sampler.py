@@ -11,7 +11,9 @@ one uniform.
 Every draw checks its distributions once, in `accumulate_checked`, which
 also writes the cumulative sums the search needs: every entry must lie in
 [0, 1 + MASS_TOL] before anything sums it, so no sum can overflow or meet
-inf - inf, and every row's total mass must be 1 within MASS_TOL.
+inf - inf, and every row's total mass must be 1 within MASS_TOL. Every
+randomized learner's weight rows pass it before a draw: the fl learners'
+here, `oracles.ExactHedge`'s before its own search of the same arithmetic.
 
 There is one draw per kind of distribution array. `DrawPlan` draws from the
 S > 1 rows of an (S, n) array, each for its own generator, with one search

@@ -23,10 +23,10 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .adversaries import KillerSource, generate_scenario, killer_costs
+from .adversaries import KillerSource, generate_scenario
 from .eg import Step, starting_point
 from .experiment import trial_loop
-from .game import CostPair, CostRows, GameConfig, SiteSet, connection_order, facility_loss
+from .game import ActionRows, CostPair, CostRows, GameConfig, SiteSet, connection_order, facility_loss
 from .learners import DoublingLearner, FixedCardinalityLearner, LearnerBatch, half_log_ceil
 from .oracles import (
     ExactHedge,
@@ -347,13 +347,15 @@ def run_deterministic_against_killer(play_fn, n_sites: int, horizon: int):
     """Drive a deterministic history->action rule through the adaptive
     adversary (which sees each action before pricing it); the rule plays
     {1} at the first trial, when there is no history. Returns (average
-    loss, history as CostRows, actions)."""
+    loss, history as CostRows, actions), priced by one `KillerSource` that
+    moves second, as `olfl run` prices ftl-greedy on the killer."""
+    source = KillerSource(n_sites, use_current_action=True)
     seen = np.empty((2, horizon, n_sites))  # the history so far, read in place by play_fn
     actions: list[SiteSet] = []
     total = 0.0
     for t in range(horizon):
         action = play_fn(CostRows(seen[0, :t], seen[1, :t])) if t else SiteSet((1,))
-        costs = killer_costs(n_sites, action)
+        costs = source.costs_for(t + 1, ActionRows.repeated(action, 1))[0]
         total += facility_loss(costs, action)
         seen[0, t], seen[1, t] = costs.opening, costs.connection
         actions.append(action)

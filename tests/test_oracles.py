@@ -14,6 +14,7 @@ from olfl import (
     CostRows,
     ExactHedge,
     GameConfig,
+    InvalidDistributionError,
     KillerSource,
     ProtocolError,
     SiteSet,
@@ -120,6 +121,25 @@ def test_hedge_update_returns_pre_update_expectation():
     before = float(hedge.weights[0] @ hedge.subset_losses(costs.opening, costs.connection))
     hedge.play((np.random.default_rng(5),))
     assert hedge.update(costs)[0] == before
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize(
+    "last_row",
+    [[np.nan] * 7, [-0.5] * 7, [0.0] * 7, [np.inf] * 7, [1e308, 1e308] + [0.0] * 5],
+    ids=["nan", "negative", "zero", "inf", "huge"],
+)
+def test_hedge_refuses_corrupted_weight_rows_before_reading_a_uniform(rows, last_row):
+    # the suite turns a RuntimeWarning into an error, so a row that only
+    # warns on its way through the draw fails here too
+    hedge = ExactHedge(GameConfig(3, 10, 1.0, 1.0), rows)
+    hedge.weights[-1] = last_row
+    rngs = [np.random.default_rng(seed) for seed in range(rows)]
+    states = [rng.bit_generator.state for rng in rngs]
+    with pytest.raises(InvalidDistributionError) as refused:
+        hedge.play(rngs)
+    assert ("in row 2" in str(refused.value)) == (rows == 2)
+    assert [rng.bit_generator.state for rng in rngs] == states  # no uniform read
 
 
 def test_hedge_alternation():

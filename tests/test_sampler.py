@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from olfl import ConfigError, InvalidDistributionError, draw_sites, sample_site_multiset
+from olfl import ConfigError, ExactHedge, GameConfig, InvalidDistributionError, draw_sites, sample_site_multiset
 from olfl.sampler import PREFETCH_TRIALS, DrawPlan, RecordedRows, UniformStreams
 
 TOP = np.nextafter(1.0, 0.0)  # the largest uniform a generator can return
@@ -212,6 +212,37 @@ def test_one_row_serves_every_generator_as_a_copy_of_its_own(data):
         twin = np.random.default_rng(seed)
         twin.random(count)
         assert generator.bit_generator.state == twin.bit_generator.state
+
+
+def _subset_masks(actions):
+    """Each action's subset bitmask, bit j being site j + 1."""
+    return [sum(1 << (i - 1) for i in action.members) for action in actions]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_hedge_exact_draws_are_the_one_row_draws(data):
+    n, rows = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+    subsets = (1 << n) - 1
+    # integer weights give zero-mass subsets inside a row and trailing ones
+    weights = st.lists(st.integers(0, 3), min_size=subsets, max_size=subsets).filter(any)
+    w = np.array([data.draw(weights) for _ in range(rows)], dtype=float)
+    w /= w.sum(axis=1, keepdims=True)
+    generators = data.draw(st.integers(1, 4)) if rows == 1 else rows
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=generators, max_size=generators, unique=True))
+    row_of = [g if rows > 1 else 0 for g in range(generators)]
+
+    hedge = ExactHedge(GameConfig(n, 10, 1.0, 1.0), rows)
+    hedge.weights[...] = w
+    masks = _subset_masks(hedge.play([np.random.default_rng(seed) for seed in seeds]))
+    expected = [_one_row(w[[r]], 1, [np.random.default_rng(seed)])[0] for r, seed in zip(row_of, seeds)]
+    assert masks == expected
+    assert all(w[r, mask - 1] > 0 for r, mask in zip(row_of, masks))  # never a zero-mass subset
+
+    top = ExactHedge(GameConfig(n, 10, 1.0, 1.0), rows)
+    top.weights[...] = w
+    last_positive = [int(np.flatnonzero(w[r])[-1]) + 1 for r in row_of]
+    assert _subset_masks(top.play([_TopUniform()] * generators)) == last_positive
 
 
 def test_sampler_check_refuses_totals_that_disagree(monkeypatch):
