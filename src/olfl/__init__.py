@@ -10,7 +10,6 @@ the claims with tests.
 from .adversaries import (
     KillerSource,
     generate_scenario,
-    killer_costs,
     load_trace,
     save_trace,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "ftl_greedy_play",
     "generate_scenario",
     "half_log_ceil",
-    "killer_costs",
     "load_trace",
     "run_experiment",
     "sample_site_multiset",

@@ -22,7 +22,7 @@ import re
 import numpy as np
 
 from .errors import ConfigError, TraceFormatError
-from .game import ActionRows, CostPair, CostRows, GameConfig, SiteSet, _unchecked
+from .game import ActionRows, CostRows, GameConfig, _unchecked
 
 SCENARIO_KINDS = ("killer", "iid", "drift", "replay")
 
@@ -64,13 +64,6 @@ def killer_rows(n_sites: int, known: ActionRows) -> CostRows:
     finite and >= 0 by construction, so the CostRows is not checked again."""
     opening = _opening_block(known.ptr.size - 1, n_sites)
     return _unchecked(CostRows, opening, _connection_rows(n_sites, known))
-
-
-def killer_costs(n_sites: int, action: SiteSet | None) -> CostPair:
-    """One adaptive trial against unit cost ranges (C = D = 1), knowing
-    `action`, or None before any action is known: the one-action call of
-    killer_rows."""
-    return killer_rows(n_sites, ActionRows.of([() if action is None else action]))[0]
 
 
 class KillerSource:

@@ -3,9 +3,12 @@
 Runs the doubling learner through `experiment.trial_loop`, the loop every
 experiment runs, against freshly drawn uniform costs; the loop times only
 play() + update(), so cost generation and loss bookkeeping happen off the
-clock. The per-trial work is O(N log N) (the connection sort dominates), so
-doubling N should raise the median per-trial time by a factor comfortably
-under 2.6, and persistent learner state is a few arrays of length O(N).
+clock. The per-trial work is O(N log N), the log factor from the connection
+sort, so doubling N should raise the median per-trial time by a factor
+comfortably under 2.6, and persistent learner state is a few arrays of
+length O(N). At N=16384 (2-core x86-64, numpy 2.4.6) the surrogate's value
+and gradient take about half of a trial, the packed-key connection sort
+about a fifth, and the draw, the cost extension and the EG step the rest.
 Each trial's costs are drawn when the loop asks for them, so memory stays
 O(N) at any horizon.
 """

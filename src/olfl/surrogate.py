@@ -134,10 +134,10 @@ def surrogate_rows(opening, connection, order, w, ups, space: Workspace) -> tupl
     grad = space.grad
     # sorted coordinates; the permutations are valid indices, so "clip" never
     # acts, and unlike the default mode it writes straight into `out`
-    if s == 1:  # along the row's own permutation
+    if s == 1:  # along the row's own permutation, on 1-D row views
         order = order[0]
-        w.take(order, axis=1, out=space.w_sorted, mode="clip")
-        connection.take(order, axis=1, out=space.conn, mode="clip")
+        w[0].take(order, out=space.w_sorted[0], mode="clip")
+        connection[0].take(order, out=space.conn[0], mode="clip")
     else:  # row r's permutation, shifted into the flattened rows
         order = order + space.offsets
         w.take(order, out=space.w_sorted, mode="clip")
@@ -158,7 +158,7 @@ def surrogate_rows(opening, connection, order, w, ups, space: Workspace) -> tupl
         add.accumulate(space.prefix_rev, axis=1, out=space.suffix_rev)  # s'_i; s'_N = 0
     # back to site order: g = Ups * (c + s')
     if s == 1:
-        grad[:, order] = space.work
+        grad[0][order] = space.work[0]
     else:
         grad.put(order, space.work)
     add(opening, grad, out=grad)

@@ -424,9 +424,17 @@ def check_learner_dominance(scale: Scale = DESK) -> CheckResult:
 
 def check_sort_round_trip(scale: Scale = DESK) -> CheckResult:
     rng = np.random.default_rng(37)
+    arrays = []
     for _ in range(50):
         rows, n = int(rng.integers(1, 5)), int(rng.integers(1, 40))
-        d = rng.choice(rng.uniform(0.0, 1.0, max(1, n // 2)), size=(rows, n))  # force ties
+        arrays.append(rng.choice(rng.uniform(0.0, 1.0, max(1, n // 2)), size=(rows, n)))  # force ties
+    for n in (2048, 4096):  # packed-key sizes, as `olfl bench` sorts
+        d = rng.uniform(0.0, 1.0, (3, n))
+        d[1, rng.integers(n, size=8)] = d[1, rng.integers(n, size=8)]  # force ties
+        d[2, [n // 3, n - 1]] = 0.5, np.nextafter(0.5, 1.0)  # a pair apart in the last bit
+        arrays.append(d)
+    for d in arrays:
+        rows, n = d.shape
         order = connection_order(d)
         if not np.array_equal(np.sort(order, axis=1), np.tile(np.arange(n), (rows, 1))):
             return CheckResult("descending sort", False, "not a permutation")
@@ -434,7 +442,12 @@ def check_sort_round_trip(scale: Scale = DESK) -> CheckResult:
             return CheckResult("descending sort", False, "not descending")
         if not np.array_equal(order, connection_order(d)):
             return CheckResult("descending sort", False, "not deterministic under ties")
-    return CheckResult("descending sort", True, "50 arrays of 1-4 rows with ties: permutation, order, determinism")
+    return CheckResult(
+        "descending sort",
+        True,
+        "50 arrays of 1-4 rows with ties, and 2048 and 4096 sites with ties and last-bit pairs: "
+        "permutation, order, determinism",
+    )
 
 
 ALL_CHECKS = (

@@ -15,35 +15,32 @@ from olfl import (
     TraceFormatError,
     facility_loss,
     generate_scenario,
-    killer_costs,
     load_trace,
     save_trace,
 )
 from olfl.adversaries import killer_rows
 
 
-def test_killer_costs_examples():
-    cp = killer_costs(4, SiteSet((1,)))
-    assert np.allclose(cp.opening, 0.5)
-    assert cp.connection.tolist() == [1.0, 0.0, 0.0, 0.0]
-
-    cp = killer_costs(4, SiteSet((1, 2, 3)))  # |X| = 3 > sqrt(4)
-    assert np.all(cp.connection == 0.0)
-
-    cp = killer_costs(4, None)  # nothing known yet
-    assert np.all(cp.connection == 0.0)
+def test_killer_rows_examples():
+    costs = killer_rows(4, ActionRows.of([SiteSet((1,)), SiteSet((1, 2, 3)), ()]))
+    assert np.allclose(costs.opening, 0.5)
+    assert costs.connection.tolist() == [
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0],  # |X| = 3 > sqrt(4)
+        [0.0, 0.0, 0.0, 0.0],  # nothing known yet
+    ]
 
 
 def test_killer_boundary_cardinality():
     # |X| = sqrt(N) exactly still counts as small
-    cp = killer_costs(4, SiteSet((1, 2)))
-    assert cp.connection.tolist() == [1.0, 1.0, 0.0, 0.0]
+    costs = killer_rows(4, ActionRows.of([SiteSet((1, 2))]))
+    assert costs.connection.tolist() == [[1.0, 1.0, 0.0, 0.0]]
 
 
 def test_killer_singleton_always_pays_at_least_one():
-    for i in range(1, 17):
-        x = SiteSet((i,))
-        assert facility_loss(killer_costs(16, x), x) >= 1.0
+    singletons = ActionRows.of([SiteSet((i,)) for i in range(1, 17)])
+    for costs, x in zip(killer_rows(16, singletons), singletons):
+        assert facility_loss(costs, x) >= 1.0
 
 
 def test_killer_source_current_vs_previous():
@@ -77,7 +74,8 @@ def test_killer_source_rows_equal_one_row_calls(data):
         assert isinstance(costs, CostRows) and len(costs) == rows
         for r, single in enumerate(singles):
             one = single.costs_for(t, ActionRows.of([actions[r]]))[0]
-            expected = killer_costs(n, actions[r] if use_current else previous[r])
+            known = actions[r] if use_current else previous[r]
+            expected = killer_rows(n, ActionRows.of([known or ()]))[0]
             for pair in (one, expected):
                 assert np.array_equal(costs.opening[r], pair.opening)
                 assert np.array_equal(costs.connection[r], pair.connection)
@@ -99,9 +97,9 @@ def test_killer_source_rows_equal_one_row_calls(data):
     assert "opening" not in inspect.signature(killer_rows).parameters  # the source keeps its block itself
 
 
-def test_killer_source_rejects_what_killer_costs_rejects():
+def test_killer_source_rejects_what_killer_rows_rejects():
     with pytest.raises(ConfigError):
-        killer_costs(4, SiteSet((5,)))
+        killer_rows(4, ActionRows.of([SiteSet((5,))]))
     with pytest.raises(ConfigError):
         KillerSource(4, use_current_action=True).costs_for(1, ActionRows.of([SiteSet((1,)), SiteSet((5,))]))
     delayed = KillerSource(4, use_current_action=False)

@@ -15,7 +15,7 @@ from olfl import (
     facility_loss,
     sort_by_connection_desc,
 )
-from olfl.game import connection_order
+from olfl.game import PACKED_SORT_MIN, connection_order
 
 
 def test_game_config_rejects_bad_fields():
@@ -178,6 +178,47 @@ def test_connection_order_is_each_rows_descending_argsort_bit_for_bit():
             assert order[r].dtype == expected.dtype
             assert np.array_equal(order[r], expected)
         assert np.array_equal(connection_order(d[0]), order[0])  # one 1-D row sorts as a row of many
+
+
+def _packed_cases(n: int, rng) -> dict:
+    """Rows of n >= PACKED_SORT_MIN sites that the packed sort must order
+    as argsort does, or hand to argsort."""
+    tie_free = rng.uniform(0.0, 1.0, (3, n))
+    low_bit_pair = tie_free[0].copy()
+    low_bit_pair[[40, n - 1]] = 0.5, np.nextafter(0.5, 1.0)  # the larger cost at the higher index
+    signed_zeros = tie_free[0].copy()
+    signed_zeros[[41, 42]] = -0.0, 0.0
+    lone_negative_zero = tie_free[0].copy()
+    lone_negative_zero[41] = -0.0
+    one_row_ties = tie_free.copy()
+    one_row_ties[1, 5] = one_row_ties[1, n - 2]
+    killer_like = np.zeros((2, n))
+    killer_like[0, rng.choice(n, 16, replace=False)] = 1.0  # the killer's rows: ones among zeros
+    not_costs = rng.uniform(0.0, 1.0, (4, n))
+    not_costs[:, 50] = -0.5, np.inf, np.nan, -np.inf
+    return {
+        "tie-free rows": tie_free,
+        "duplicate-heavy rows": rng.choice(rng.uniform(0.0, 1.0, n // 4), size=(3, n)),
+        "a pair apart in the low bits": low_bit_pair,
+        "-0.0 beside +0.0": signed_zeros,
+        "a lone -0.0": lone_negative_zero,
+        "costs near the largest double, subnormal keys": np.finfo(float).max * rng.uniform(0.5, 1.0, (2, n)),
+        "a tie in one row of three": one_row_ties,
+        "killer-like rows, one all zeros": killer_like,
+        "a 1-D row": tie_free[2],
+        "negative, infinite and NaN costs": not_costs,
+    }
+
+
+@pytest.mark.parametrize("n", [PACKED_SORT_MIN, PACKED_SORT_MIN + 1, 4099])
+def test_packed_connection_order_is_each_rows_descending_argsort_bit_for_bit(n):
+    for case, d in _packed_cases(n, np.random.default_rng(n)).items():
+        order = connection_order(d)
+        assert order.shape == d.shape, case
+        for row, row_order in zip(np.atleast_2d(d), np.atleast_2d(order)):
+            expected = np.argsort(-row)
+            assert row_order.dtype == expected.dtype, case
+            assert np.array_equal(row_order, expected), case
 
 
 def test_sort_check_covers_the_learners_order(monkeypatch):

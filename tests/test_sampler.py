@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from olfl import ConfigError, ExactHedge, GameConfig, InvalidDistributionError, draw_sites, sample_site_multiset
+from olfl import (
+    ConfigError,
+    ExactHedge,
+    GameConfig,
+    InvalidDistributionError,
+    SiteSet,
+    draw_sites,
+    sample_site_multiset,
+)
 from olfl.sampler import PREFETCH_TRIALS, DrawPlan, RecordedRows, UniformStreams
 
 TOP = np.nextafter(1.0, 0.0)  # the largest uniform a generator can return
@@ -14,6 +22,14 @@ class _TopUniform:
 
     def random(self, size):
         return np.full(size, np.nextafter(1.0, 0.0))
+
+
+class _ZeroUniform:
+    """Stub generator whose every uniform is 0.0, which `Generator.random`
+    returns with probability 2^-53."""
+
+    def random(self, size):
+        return np.zeros(size)
 
 
 def test_build_rejects_bad_distributions():
@@ -243,6 +259,27 @@ def test_hedge_exact_draws_are_the_one_row_draws(data):
     top.weights[...] = w
     last_positive = [int(np.flatnonzero(w[r])[-1]) + 1 for r in row_of]
     assert _subset_masks(top.play([_TopUniform()] * generators)) == last_positive
+
+    zero = ExactHedge(GameConfig(n, 10, 1.0, 1.0), rows)
+    zero.weights[...] = w
+    first_positive = [int(np.flatnonzero(w[r])[0]) + 1 for r in row_of]
+    assert _subset_masks(zero.play([_ZeroUniform()] * generators)) == first_positive
+
+
+def test_zero_uniform_lands_on_the_first_positive_mass_site():
+    # a uniform of exactly 0.0 must pass over leading zero-mass sites, whose
+    # cumulative sums are 0 too: the search takes the first sum above it
+    for lead in (1, 2, 5):
+        p = np.concatenate([np.zeros(lead), [0.25, 0.0, 0.75]])
+        assert draw_sites(p, 3, _ZeroUniform()).tolist() == [lead + 1] * 3
+        assert _one_row(p[None], 2, [_ZeroUniform()] * 3).tolist() == [lead + 1] * 6
+    p = np.array([[0.0, 0.0, 0.5, 0.5], [0.0, 1.0, 0.0, 0.0]])
+    assert DrawPlan(2, 4, (2, 3)).draw(p, [_ZeroUniform()] * 2).tolist() == [3, 3, 2, 2, 2]
+    hedge = ExactHedge(GameConfig(3, 10, 1.0, 1.0), 2)
+    hedge.weights[...] = 0.0
+    hedge.weights[0, [2, 5]] = 0.5  # subsets {1, 2} and {2, 3}
+    hedge.weights[1, 6] = 1.0  # {1, 2, 3}
+    assert hedge.play([_ZeroUniform()] * 2) == [SiteSet((1, 2)), SiteSet((1, 2, 3))]
 
 
 def test_sampler_check_refuses_totals_that_disagree(monkeypatch):
