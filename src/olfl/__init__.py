@@ -58,7 +58,7 @@ from .oracles import (
     exact_expected_loss,
     ftl_greedy_play,
 )
-from .sampler import draw_sites, sample_site_multiset
+from .sampler import sample_site_multiset
 from .surrogate import SurrogateInstance, value_and_gradient
 
 __version__ = "0.1.0"
@@ -94,7 +94,6 @@ __all__ = [
     "cheapest_singleton_play",
     "config_from_dict",
     "config_to_dict",
-    "draw_sites",
     "emit_results",
     "exact_expected_loss",
     "facility_loss",

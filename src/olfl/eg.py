@@ -41,10 +41,12 @@ GRAD_RANGE_SLACK = 1e-9
 
 class Step:
     """The multiplicative step at per-row rates lr and gradient bounds
-    grad_bound, with its constants built once: the (S, 1) negated rates and
-    the gate grad_bound * (1 + GRAD_RANGE_SLACK) that every row's largest
-    gradient magnitude must not pass. A learner builds one whenever its
-    rates change and calls it every trial.
+    grad_bound, with its constants built once: the negated rates and the
+    gate grad_bound * (1 + GRAD_RANGE_SLACK) that no gradient magnitude of
+    a row may pass. Both are one float when every row shares them, as the
+    one row of a one-row batch does, and (S, 1) columns otherwise, as
+    `LearnerBatch` keeps one draw count while its rows draw alike. A
+    learner builds one whenever its rates change and calls it every trial.
 
     The step checks the gradients it is given against the gate, and the
     normalizer it makes; it does not check w, which a learner's draw
@@ -53,35 +55,41 @@ class Step:
     def __init__(self, lr: np.ndarray, grad_bound: np.ndarray):
         self.grad_bound = grad_bound
         self.neg_lr = -lr[:, None]
-        self.gate = grad_bound * (1.0 + GRAD_RANGE_SLACK)
+        self.gate = (grad_bound * (1.0 + GRAD_RANGE_SLACK))[:, None]
+        if (lr == lr[0]).all() and (grad_bound == grad_bound[0]).all():
+            self.neg_lr, self.gate = float(self.neg_lr[0, 0]), float(self.gate[0, 0])
 
     def __call__(self, w: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """The new (S, n) weights from weights w and gradients g.
+        """The new weights from weights w and gradients g, along the last
+        axis: (n,) for one row, (S, n) for S rows.
 
         Each precondition is one comparison that NaN fails; only a failed
         one looks for the complaint to raise. The reductions call their
-        ufunc loops directly, as the array methods would."""
-        maximum = np.maximum
-        if not np.logical_and.reduce(maximum.reduce(np.abs(g), axis=1) <= self.gate):
+        ufunc loops directly, as the array methods would, and the
+        normalizers are read as one list."""
+        if not np.logical_and.reduce(np.abs(g) <= self.gate, axis=None):
             self._refuse_gradient(g)
         # one new array, stepped in place into the new weights
         u = self.neg_lr * g
-        u -= maximum.reduce(u, axis=1, keepdims=True)  # shift largest exponent to 0; normalization cancels it
+        u -= np.maximum.reduce(u, axis=-1, keepdims=True)  # shift largest exponent to 0; normalization cancels it
         np.exp(u, out=u)
         u *= w
-        z = np.add.reduce(u, axis=1)
-        if not (0.0 < np.minimum.reduce(z) and maximum.reduce(z) < np.inf):
-            degenerate = ~np.isfinite(z) | (z <= 0.0)
-            raise NumericError(f"weight normalizer degenerate: {z[int(np.argmax(degenerate))]!r}")
-        u /= z[:, None]
+        z = np.add.reduce(u, axis=-1, keepdims=True)
+        for total in z.ravel().tolist():
+            if not 0.0 < total < math.inf:  # false on NaN too
+                z = z.ravel()
+                degenerate = ~np.isfinite(z) | (z <= 0.0)
+                raise NumericError(f"weight normalizer degenerate: {z[int(np.argmax(degenerate))]!r}")
+        u /= z
         return u
 
     def _refuse_gradient(self, g: np.ndarray) -> None:
         """Raise the complaint about the first thing wrong with the gradients."""
         if not np.all(np.isfinite(g)):
             raise ContractViolationError("gradient must be finite")
+        g = np.atleast_2d(g)
         magnitude = np.maximum(g.max(axis=1), -g.min(axis=1))
-        r = int(np.argmax(magnitude > self.gate))
+        r = int(np.argmax(np.logical_or.reduce(np.abs(g) > self.gate, axis=1)))
         raise ContractViolationError(f"gradient magnitude {magnitude[r]} exceeds bound {self.grad_bound[r]}")
 
 
@@ -124,7 +132,7 @@ class ExponentiatedGradient:
         g = np.asarray(grad, dtype=float)
         if g.shape != (self.n,):
             raise ContractViolationError(f"gradient shape {g.shape} != ({self.n},)")
-        self.w = Step(np.array([self.lr]), np.array([self.grad_bound]))(self.w[None, :], g[None, :])[0]
+        self.w = Step(np.array([self.lr]), np.array([self.grad_bound]))(self.w, g)
         return value
 
     @property

@@ -18,7 +18,8 @@ learner's state depends on its own draws, so on a shared scenario every
 seed follows one trajectory: the batch holds one row and updates it once
 per trial, and the fl family draws every seed's actions from it per block
 of trials, each trial's row recorded before its update, so a block's draws
-take one search per trial and one sort; `trial_loop` plays every other
+take one search per trial and one sort, and prepares the costs' side of
+the surrogate per block of trials; `trial_loop` plays every other
 learner trial by trial, a one-row batch's play being a block of one
 recorded trial. On the adaptive killer a
 randomized learner's seeds each have their own costs, and the batch one row
@@ -50,7 +51,8 @@ from the columns, formatting each distinct cell once.
 
 A seed's `per_trial_median_ms` is the median over trials of the loop's
 play + update time divided by the number of seeds (in blocks, a trial's
-record + update time plus an equal share of its block's draw), and its
+record + update time plus an equal share of its block's draw and of its
+prepared block's preparation), and its
 `wall_time_s` is the wall time of the loop and the loss pricing divided by
 the number of seeds, so the seeds' wall times sum to the loop's.
 """
@@ -217,15 +219,19 @@ def trial_loop(learner: LearnerRows, rngs, horizon: int, costs):
     `LearnerBatch`, every trial recorded (`LearnerBatch.record`, before its
     update) since the last play, ended where `record` refuses the next. The
     weights depend on the costs alone, so the actions are the ones
-    per-trial plays would draw. Every play's actions are kept as they come
-    and split per generator after the loop, and the update values and
-    learner state are recorded as (T, R) columns, one per learner row, so
-    the loop's Python work per trial does not grow with the number of
-    generators.
+    per-trial plays would draw. Such a learner also takes its costs in
+    prepared blocks: the surrogate's cost side of up to a recorded block's
+    number of trials, built at once (`LearnerBatch.prepare`) at the
+    block's first trial, and handed to `update` one trial's row at a time.
+    Every play's actions are kept as they come and split per generator
+    after the loop, and the update values and learner state are recorded as
+    (T, R) columns, one per learner row, so the loop's Python work per
+    trial does not grow with the number of generators.
 
     Returns (seconds, values, states, actions): the play + update seconds of
     each trial (in blocks, its record and update plus an equal share of its
-    block's draw), the (T, R) update values or None when the learner
+    block's draw and of its prepared block's preparation), the (T, R)
+    update values or None when the learner
     reports none, the (scale, cardinality, segment) (T, R) columns, each
     None where the learner keeps no such state, and each generator's
     ActionRows, one row per trial."""
@@ -233,20 +239,35 @@ def trial_loop(learner: LearnerRows, rngs, horizon: int, costs):
     live = learner.state_rows()  # changed in place, so one read serves every trial
     states = [None if a is None else np.empty((horizon, learner.rows), dtype=np.int64) for a in live]
     tracked = [(column, state) for column, state in zip(states, live) if column is not None]
-    seconds = np.empty(horizon)
+    seconds = np.zeros(horizon)
     generators = len(rngs)
     lengths = np.empty(horizon * generators, dtype=np.intp)  # each action's site count, trial-major
     sites = []  # each play's sites
+    clock, play, update = time.perf_counter, learner.play, learner.update
     record = None
     if isinstance(costs, CostRows):
-        if isinstance(learner, LearnerBatch) and learner.rows == 1:
-            record = learner.record
         shared = costs
+        if isinstance(learner, LearnerBatch) and learner.rows == 1:
+            record, prepare = learner.record, learner.prepare
+            block, start, stop = [], 0, 0
 
-        def costs(t, actions):
-            return shared[t]
+            def costs(t, actions):
+                """Trial t's row of its prepared block; the block is
+                prepared at its first trial, its time shared equally among
+                its trials."""
+                nonlocal block, start, stop
+                if t == stop:
+                    t0 = clock()
+                    block, start = prepare(shared, t, horizon), t
+                    stop = t + len(block)
+                    seconds[start:stop] += (clock() - t0) / (stop - start)
+                return block[t - start]
 
-    clock, play, update = time.perf_counter, learner.play, learner.update
+        else:
+
+            def costs(t, actions):
+                return shared[t]
+
     first = 0  # the first trial whose actions are not kept yet
     actions = None  # a recorded trial's, drawn with its block
 
@@ -279,7 +300,7 @@ def trial_loop(learner: LearnerRows, rngs, horizon: int, costs):
         trial_costs = costs(t, actions)
         t2 = clock()
         trial_values = update(trial_costs)
-        seconds[t] = (t1 - t0) + (clock() - t2)
+        seconds[t] += (t1 - t0) + (clock() - t2)
         if trial_values is not None:  # ftl-greedy reports no values
             values[t] = trial_values
     if record is not None:

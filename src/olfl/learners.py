@@ -16,13 +16,13 @@ own generator (or from its row of a `UniformStreams`, which prefetches
 them; only generators private to one run may be read that way, since
 prefetching leaves them ahead); one in-place sort deduplicates the draws
 into CSR actions (`play` returns `ActionRows`, which reads as one SiteSet
-per action); each row's costs are sorted along the row; the surrogate
-value and gradient and the exponentiated-gradient step run on all rows at
-once; and doubling restarts reset the rows that crossed their threshold
-through a mask. Rows never mix,
-so a row follows the same trajectory whichever rows share its batch, and
-an action is the same whether its generator draws from its own row or from
-the one row every generator shares.
+per action); the surrogate's cost side extends and sorts each row's costs
+along the row; its weight side and the exponentiated-gradient step run on
+all rows at once; and doubling restarts reset the rows that crossed their
+threshold through a mask. Rows never mix, so a row follows the same
+trajectory whichever rows share its batch, and an action is the same
+whether its generator draws from its own row or from the one row every
+generator shares.
 
 A one-row batch draws through `sampler.RecordedRows`: a trial's `play`
 checks and records the weight row and draws it as a block of one trial.
@@ -31,7 +31,11 @@ row, and each generator's next uniforms, fix the trial's actions), and the
 next `play` draws every generator's actions for all recorded trials at
 once, through the same search, dedup, dummy strip and {1} fallback, so the
 actions are the same bit for bit. A block of recorded trials ends when it
-is full or when a restart changes the draw count.
+is full or when a restart changes the draw count. The cost side depends on
+the costs alone, so on a shared scenario `prepare` builds it for a block
+of trials at once, and `update` takes one trial's `Prepared` row in place
+of its costs. A one-row batch steps its (n,) row views, through the same
+weight side and step as S rows.
 
 Kinds:
 
@@ -64,13 +68,22 @@ import numpy as np
 
 from .eg import Step, starting_point
 from .errors import ConfigError, ProtocolError
-from .game import ActionRows, CostPair, CostRows, GameConfig, LearnerRows, SiteSet, connection_order
+from .game import ActionRows, CostPair, CostRows, GameConfig, LearnerRows, SiteSet
 from .game import refuse_cost_bounds
 from .sampler import DrawPlan, RecordedRows
 from .sampler import sample_site_multiset  # noqa: F401  kept: the benchmark's span tracer looks it up here
-from .surrogate import Workspace, surrogate_rows
+from .surrogate import Workspace, prepare_costs, surrogate_rows
 
 KINDS = ("fl-fixed", "fl-bounded", "fl")
+
+
+class Prepared(tuple):
+    """One trial's cost side for a one-row batch, (opening, order, steps,
+    last) as `prepare_costs` returns them for one row: a row of a block
+    that `LearnerBatch.prepare` made, which `update` takes in place of the
+    trial's costs."""
+
+    __slots__ = ()
 
 
 def half_log_ceil(horizon: int) -> int:
@@ -89,18 +102,19 @@ class LearnerBatch(LearnerRows):
 
     Memory is the (S, n) weights of the S rows and the (n,) starting
     weights, plus the surrogate's `Workspace` (a 4 x (S, n) scratch that
-    every trial reuses), the draw buffer (for S > 1 rows the (S, n) search
-    keys of the sampler's `DrawPlan`, for one row the (1, n) cumulative
-    sums of `RecordedRows`, widened to a block's (b, n) at the first
-    `record`), and outside fl-fixed a 2 x (S, n) cost buffer whose
-    aggregate-dummy column is written once (`state_nbytes` counts them
-    all), so a trial allocates no other S x n temporaries besides the new
-    weights, the sort and the draws. This state depends only on the shape
-    and the draw counts: it is built in `__init__`, and again in `_tune`
-    when a restart changes the draw counts (with the draw plan's per-draw
-    arrays and the step's constants). A one-row batch lays out its draws
-    per block shape, when the shape changes. None of it grows with the
-    number of generators a one-row batch draws for.
+    every trial reuses, and outside fl-fixed a 2 x (S, n) cost buffer whose
+    aggregate-dummy column is written once) and the draw buffer (for S > 1
+    rows the (S, n) search keys of the sampler's `DrawPlan`, for one row
+    the (1, n) cumulative sums of `RecordedRows`, widened to a block's
+    (b, n) at the first `record`); `state_nbytes` counts them all. A trial
+    allocates no other S x n temporaries besides the new weights, the sort
+    and the draws; a block `prepare` makes is the caller's, in a Workspace
+    of its own of at most a recorded block's b rows. This state depends
+    only on the shape and the draw counts: it is built in `__init__`, and
+    again in `_tune` when a restart changes the draw counts (with the draw
+    plan's per-draw arrays and the step's constants). A one-row batch lays
+    out its draws per block shape, when the shape changes. None of it grows
+    with the number of generators a one-row batch draws for.
 
     The weights are checked once per trial, where they are first read: the
     draw in `play`, or `record` in its place, refuses a negative or
@@ -135,20 +149,15 @@ class LearnerBatch(LearnerRows):
         self._refuse_cost_range(cfg, kind, (1, n) if kind == "fl" else (cardinality,))
         self._stride = self.cfg.n_sites + 1  # action a's draw of site i is key a * stride + i
         self.w = np.tile(self._start, (rows, 1))
-        self._space = Workspace(*self.w.shape)
-        self._costs = None  # opening, connection on the extended game
+        # the aggregate dummy's connection cost, which each prepared row ends with
+        self._dummy = None if kind == "fl-fixed" else c + d
+        # a one-row batch steps its row views
+        self._space = Workspace(self.w.shape[1:] if rows == 1 else self.w.shape, self._dummy)
         self._recorded = RecordedRows(self.cfg.n_sites, 1) if rows == 1 else None  # one row's draws
         # one row's last block shape (trials, generators, draws), its key
         # buffer, flat and in that shape (reused: `_site_rows` sorts it in
         # place), and its layout
         self._block = ((0, 0, 0),)
-        if kind != "fl-fixed":
-            # the aggregate dummy's opening 0 and connection C + D are written
-            # once; each trial copies the real columns in front of them
-            extended = np.zeros((2, rows, n + 1))
-            extended[1, :, n] = c + d
-            # (whole opening, whole connection, their real columns)
-            self._costs = (*extended, *extended[:, :, :n])
         self.scale = self.segment = None  # no doubling state outside fl
         if kind == "fl":
             self.scale = np.ones(rows, dtype=np.int64)
@@ -226,7 +235,7 @@ class LearnerBatch(LearnerRows):
         array once; the per-draw offsets and keys, sized by the draws, are
         left out."""
         draws = self._plan.keys if self._recorded is None else self._recorded.cdf
-        kept = (self.w, self._start, self._space.grad, draws, *(self._costs or ()))
+        kept = (self.w, self._start, self._space.grad, draws)
         bases = {id(base): base for base in (a if a.base is None else a.base for a in kept)}
         return sum(base.nbytes for base in bases.values())
 
@@ -303,22 +312,46 @@ class LearnerBatch(LearnerRows):
                 ptr = real.searchsorted(starts)
         return ActionRows(ptr, real % stride)
 
-    def update(self, costs: CostPair | CostRows) -> list[float]:
+    def prepare(self, costs: CostRows, start: int, stop: int) -> list[Prepared]:
+        """The cost side of trials start .. stop - 1 of `costs`, a shared
+        scenario with one row a trial, for a one-row batch: at most as many
+        trials as a block of recorded trials holds, each a `Prepared` that
+        `update` takes in place of its trial's costs. It is one
+        `prepare_costs` call on the block's rows, in a Workspace of the
+        block's own, and reads no weights, so it may run at any time."""
+        if self._recorded is None:
+            raise ConfigError(f"only a one-row batch prepares blocks of trials, not {self.rows} rows")
+        if costs.n_sites != self.n_real:
+            raise ConfigError(f"costs for {costs.n_sites} sites, expected {self.n_real}")
+        rows = slice(start, min(stop, start + self._recorded.capacity))
+        opening, connection = costs.opening[rows], costs.connection[rows]
+        space = Workspace((len(opening), self.cfg.n_sites), self._dummy)
+        opening, order, steps, last = prepare_costs(opening, connection, space)
+        return list(map(Prepared, zip(opening, order, steps, last.tolist())))
+
+    def update(self, costs: CostPair | CostRows | Prepared) -> list[float]:
         """Surrogate step on this trial's costs, a CostRows with one row per
-        learner row (or a CostPair for a one-row batch); returns each row's
-        surrogate loss at its pre-update weights."""
-        opening, connection = self._begin_update(costs)
-        extended = self._costs
-        if extended is not None:
-            extended[2][...] = opening
-            extended[3][...] = connection
-            opening, connection = extended[0], extended[1]
-        order = connection_order(connection)
-        values, grads = surrogate_rows(opening, connection, order, self.w, self._draws, self._space)
-        self.w = self._step(self.w, grads)
+        learner row (or a CostPair for a one-row batch), or for a one-row
+        batch one trial of a block `prepare` made; returns each row's
+        surrogate loss at its pre-update weights. A one-row batch steps its
+        row views: its (n,) weights, costs and gradients."""
+        one = self._recorded is not None
+        if type(costs) is Prepared:  # its cost side, already built
+            if not self._awaiting_update:
+                raise ProtocolError("update called before play")
+            self._awaiting_update = False
+        else:
+            opening, connection = self._begin_update(costs)
+            if one:
+                opening, connection = opening[0], connection[0]
+            costs = prepare_costs(opening, connection, self._space)
+        w = self.w[0] if one else self.w
+        values, grads = surrogate_rows(*costs, w, self._draws, self._space)
+        w = self._step(w, grads)
+        self.w = w[None] if one else w
         if self.scale is not None:
             self._advance_segments(values)
-        return values.tolist()
+        return [float(values)] if one else values.tolist()
 
     def _advance_segments(self, values: np.ndarray) -> None:
         """Accumulate the surrogate losses; every row whose segment total

@@ -29,9 +29,9 @@ trials with one read of the uniforms, searching each recorded row on its
 own cumulative sums. Each generator reads its uniforms in trial order, so
 it gets exactly the draws that per-trial draws would give, from the one row
 exactly as from a copy of its own. A per-trial draw is a block of one
-trial, and `draw_sites` one such draw for one generator. A block holds at
-most `PREFETCH_TRIALS` rows and `PREFETCH_CAP` cumulative sums, so its
-memory does not grow with the horizon.
+trial, and `sample_site_multiset` one such draw for one generator. A
+block holds at most `PREFETCH_TRIALS` rows and `PREFETCH_CAP` cumulative
+sums, so its memory does not grow with the horizon.
 
 Uniforms come from one generator per row, read in order: `rngs[r].random`
 gives row r its draws on every call. `UniformStreams` instead owns each
@@ -242,20 +242,15 @@ def uniforms(rngs, counts, ahead: int = PREFETCH_TRIALS) -> np.ndarray:
     return np.concatenate([rng.random(count) for rng, count in zip(rngs, counts)])
 
 
-def draw_sites(p, count: int, rng: np.random.Generator) -> np.ndarray:
-    """`count` independent draws from p, as 1-based site indices: a
-    recorded block of one trial for one generator."""
+def sample_site_multiset(p, count: int, rng: np.random.Generator) -> SiteSet:
+    """Draw `count` sites with replacement from p, as a recorded block of
+    one trial for one generator, and keep the distinct ones."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise InvalidDistributionError("p must be a nonempty 1-D vector")
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count!r}")
-    recorded, sites = RecordedRows(p.size, 1), np.empty(count, dtype=np.intp)
+    recorded, sites = RecordedRows(p.size, 1), np.empty((1, 1, count), dtype=np.intp)
     recorded.record(p[None, :], count)
-    recorded.draw((rng,), sites.reshape(1, 1, count))
-    return sites
-
-
-def sample_site_multiset(p, count: int, rng: np.random.Generator) -> SiteSet:
-    """Draw `count` sites with replacement from p and keep the distinct ones."""
-    return SiteSet(tuple(np.unique(draw_sites(p, count, rng)).tolist()))
+    recorded.draw((rng,), sites)
+    return SiteSet(tuple(np.unique(sites).tolist()))

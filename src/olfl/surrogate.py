@@ -16,13 +16,21 @@ gradient:
 
 with s'_N = 0. Gradients live in [0, Ups * (C + D)].
 
-`surrogate_rows` is the one entry for that computation: S weight vectors
-at once, one per row, each with its own Ups and its own cost row, in a
-`Workspace` the caller keeps. It checks nothing, and every caller sorts
-with `game.connection_order`. The learners call it on their own arrays and
-weights; the public `SurrogateInstance` validates one trial's costs and
-sort order, and `value_and_gradient`, the one-row call, checks that w is a
-point of the simplex.
+The computation is split in two, and neither side checks anything:
+
+- the cost side, `prepare_costs`, depends on the costs alone: it extends
+  cost rows by the aggregate dummy site, sorts them with
+  `game.connection_order` and takes the sorted connection's steps
+  d_v(i) - d_v(i+1) and last entry d_v(N). It runs on one trial's rows, or
+  on a block of trials of a shared scenario at once;
+- the weight side, `surrogate_rows`, evaluates f and its gradient at
+  weight rows from their cost side: one row as (n,) views, or S rows at
+  once, each with its own Ups and its own cost row.
+
+Both work in a `Workspace` the caller keeps. The learners call them on
+their own arrays and weights; the public `SurrogateInstance` validates one
+trial's costs and sort order, and `value_and_gradient`, the one-row call,
+checks that w is a point of the simplex.
 """
 from __future__ import annotations
 
@@ -73,25 +81,74 @@ class SurrogateInstance:
 
 
 class Workspace:
-    """`surrogate_rows`' work space for (S, n) weight rows, built once per
-    shape: a (4, S, n) float scratch cut into the views each pass writes,
-    and the offsets that shift row-wise permutations into the flattened
-    rows. A call given one allocates no S x n float arrays while its rows
-    draw alike.
+    """The surrogate's work space for weight rows of one shape, built once
+    per shape: (n,) for the row views of a one-row batch, (S, n) for S
+    rows. A (4, *shape) float scratch is cut into the views each pass
+    writes; for S rows, the offsets shift row-wise permutations into the
+    flattened rows. A call given one allocates no arrays of the rows' shape
+    while its rows draw alike.
 
-    The last column of `work` holds s'_N = 0 for every row; no pass writes
-    it, so it is zeroed here once."""
+    With a `dummy` connection cost, the last site of every row is the
+    aggregate dummy (opening 0, connection `dummy`), and two more arrays
+    hold the rows' extended costs, whose last column is written here once.
 
-    def __init__(self, rows: int, n: int):
-        self.conn, self.w_sorted, self.work, self.grad = np.empty((4, rows, n))
-        self.offsets = np.arange(0, rows * n, n)[:, None]
-        # the sorted connection's head, tail and last entry, and the steps
-        # between neighbours, written over the sorted weights' head
-        self.head, self.tail, self.last = self.conn[:, :-1], self.conn[:, 1:], self.conn[:, -1]
-        self.w_head = self.steps = self.w_sorted[:, :-1]
-        self.prefix, self.prefix_rev = self.grad[:, :-1], self.grad[:, -2::-1]
-        self.full, self.suffix_rev = self.work[:, :-1], self.work[:, -2::-1]
-        self.work[:, -1] = 0.0
+    The cost side (`prepare_costs`) gathers the sorted connection into
+    `w_sorted` and leaves its steps and last value in `conn`; the weight
+    side (`surrogate_rows`) reuses `w_sorted` for the sorted weights. The
+    last column of `work` holds s'_N = 0; no pass writes it, so it is
+    zeroed here once."""
+
+    def __init__(self, shape: tuple[int, ...], dummy: float | None = None):
+        *rows, n = shape
+        arrays = np.empty((4 if dummy is None else 6, *shape))
+        self.conn, self.w_sorted, self.work, self.grad = arrays[:4]
+        self.offsets = np.arange(0, rows[0] * n, n)[:, None] if rows else None
+        self.grad_flat = self.grad.reshape(-1)
+        # the sorted connection's head and tail, gathered into the sorted
+        # weights' buffer; its steps and last value, kept in `conn`
+        self.w_head, self.tail = self.w_sorted[..., :-1], self.w_sorted[..., 1:]
+        self.steps, self.last = self.conn[..., :-1], self.conn[..., -1]
+        self.prefix, self.prefix_rev = self.grad[..., :-1], self.grad[..., -2::-1]
+        self.full, self.suffix_rev = self.work[..., :-1], self.work[..., -2::-1]
+        self.work[..., -1] = 0.0
+        self.extended = self.real = None
+        if dummy is not None:
+            self.extended = arrays[4:]
+            self.extended[0, ..., -1] = 0.0
+            self.extended[1, ..., -1] = dummy
+            self.real = self.extended[..., :-1]  # opening and connection of the real sites
+
+
+def prepare_costs(opening, connection, space: Workspace, order=None) -> tuple:
+    """The surrogate's cost side of real cost rows, in `space`, a Workspace
+    of the prepared rows' shape (one site wider than the real costs when it
+    has a dummy): one trial's costs, (n,) for a one-row batch or (S, n) for
+    S rows, or a block of trials of a shared scenario, one row a trial.
+    Returns (opening, order, steps, last), the four cost arguments of
+    `surrogate_rows`:
+
+    - the rows, extended by the aggregate dummy when `space` has one;
+    - their 0-based permutations, connection descending:
+      `game.connection_order`'s, or `order` if given;
+    - the sorted connection's steps d_v(i) - d_v(i+1), and its last entry
+      d_v(N), views of `space` valid until its next use.
+
+    None of it depends on weights, so a shared scenario's block of trials
+    is prepared at once and stepped one trial's row at a time. Nothing is
+    checked: the costs are rows of a checked CostPair or CostRows."""
+    if space.extended is not None:
+        space.real[0][...] = opening
+        space.real[1][...] = connection
+        opening, connection = space.extended
+    if order is None:
+        order = connection_order(connection)
+    # the permutations are valid indices, so "clip" never acts, and unlike
+    # the default mode it writes straight into `out`
+    connection.take(order if space.offsets is None else order + space.offsets, out=space.w_sorted, mode="clip")
+    np.subtract(space.w_head, space.tail, out=space.steps)  # nonnegative by construction
+    last = space.last
+    last[...] = space.w_sorted[..., -1]
+    return opening, order, space.steps, last
 
 
 def _powers(x: np.ndarray, ups, full: np.ndarray, less: np.ndarray) -> None:
@@ -113,11 +170,13 @@ def _powers(x: np.ndarray, ups, full: np.ndarray, less: np.ndarray) -> None:
         less[rows] = np.power(x[rows], u - 1)
 
 
-def surrogate_rows(opening, connection, order, w, ups, space: Workspace) -> tuple[np.ndarray, np.ndarray]:
-    """Surrogate values (S,) and gradients (S, n) at the rows of w (S, n),
-    with ups draws: one int for every row, or (S,) with ups[r] for row r.
-    `opening`, `connection` and `order` (0-based, connection descending) are
-    (S, n), row r's costs and permutation.
+def surrogate_rows(opening, order, steps, last, w, ups, space: Workspace):
+    """The surrogate's weight side: values and gradients at the rows of w,
+    (n,) for one row or (S, n) for S rows, with ups draws: one int for
+    every row, or (S,) with ups[r] for row r. `opening`, `order`, `steps`
+    and `last` are the rows' cost side, as `prepare_costs` returns it.
+    Every reduction runs along the last axis, so one row is a value and an
+    (n,) gradient, and S rows (S,) values and (S, n) gradients.
 
     The work runs in `space`, a `Workspace` of w's shape. The gradients
     returned are a view of it, valid until its next use. Every numpy call
@@ -126,41 +185,29 @@ def surrogate_rows(opening, connection, order, w, ups, space: Workspace) -> tupl
 
     Nothing here is checked: the rows of w are the caller's own simplex
     points (a learner's weights, which its draw checked this trial), and
-    the costs and permutations are what the caller built from a checked
+    the cost side is what `prepare_costs` built from a checked CostPair or
     CostRows. `value_and_gradient` is the checked entry.
     """
-    s, n = w.shape
     add = np.add
     grad = space.grad
-    # sorted coordinates; the permutations are valid indices, so "clip" never
-    # acts, and unlike the default mode it writes straight into `out`
-    if s == 1:  # along the row's own permutation, on 1-D row views
-        order = order[0]
-        w[0].take(order, out=space.w_sorted[0], mode="clip")
-        connection[0].take(order, out=space.conn[0], mode="clip")
-    else:  # row r's permutation, shifted into the flattened rows
+    if space.offsets is not None:  # row r's permutation, shifted into the flattened rows
         order = order + space.offsets
-        w.take(order, out=space.w_sorted, mode="clip")
-        connection.take(order, out=space.conn, mode="clip")
+    w.take(order, out=space.w_sorted, mode="clip")  # sorted coordinates
     # row dots as products summed along the row: a row's bits then never
     # depend on where the row sits in memory, as a BLAS dot's can
-    value = ups * add.reduce(np.multiply(opening, w, out=grad), axis=1) + space.last
-    if n > 1:
-        prefix = add.accumulate(space.w_head, axis=1, out=space.prefix)  # s_1 .. s_{N-1}
-        steps = np.subtract(space.head, space.tail, out=space.steps)  # nonnegative by construction
+    value = ups * add.reduce(np.multiply(opening, w, out=grad), axis=-1) + last
+    if w.shape[-1] > 1:
+        prefix = add.accumulate(space.w_head, axis=-1, out=space.prefix)  # s_1 .. s_{N-1}
         # np.power keeps the 0-mass conventions: 0^Ups = 0, and 0^(Ups-1)
         # is 0 for Ups >= 2 but 1 for Ups = 1 (0**0 == 1).
         full = space.full
         _powers(prefix, ups, full=full, less=prefix)
         full *= steps
-        value += add.reduce(full, axis=1)
+        value += add.reduce(full, axis=-1)
         prefix *= steps  # the tail terms (d_v(k) - d_v(k+1)) * s_k^(Ups-1)
-        add.accumulate(space.prefix_rev, axis=1, out=space.suffix_rev)  # s'_i; s'_N = 0
+        add.accumulate(space.prefix_rev, axis=-1, out=space.suffix_rev)  # s'_i; s'_N = 0
     # back to site order: g = Ups * (c + s')
-    if s == 1:
-        grad[0][order] = space.work[0]
-    else:
-        grad.put(order, space.work)
+    space.grad_flat[order] = space.work
     add(opening, grad, out=grad)
     grad *= ups if isinstance(ups, int) else ups[:, None]
     return value, grad
@@ -178,7 +225,7 @@ def value_and_gradient(inst: SurrogateInstance, w) -> tuple[float, np.ndarray]:
         total = w.sum()
     if not (abs(total - 1.0) <= SIMPLEX_TOL and w.min() >= -SIMPLEX_TOL):  # false on NaN too
         raise ContractViolationError("w must lie on the probability simplex (within 1e-9)")
-    value, grad = surrogate_rows(
-        inst.opening[None], inst.connection[None], (inst.order - 1)[None], w[None], inst.num_draws, Workspace(1, n)
-    )
-    return float(value[0]), grad[0]
+    space = Workspace((n,))
+    costs = prepare_costs(inst.opening, inst.connection, space, inst.order - 1)
+    value, grad = surrogate_rows(*costs, w, inst.num_draws, space)
+    return float(value), grad

@@ -36,8 +36,9 @@ from olfl.errors import ProtocolError
 from olfl.experiment import build_learner, trial_loop
 from olfl.learners import KINDS, BoundedCardinalityLearner, DoublingLearner, FixedCardinalityLearner, LearnerBatch
 from olfl.oracles import ExactHedge, FollowTheLeaderGreedy
+from olfl.game import PACKED_SORT_MIN
 from olfl.sampler import PREFETCH_TRIALS, RecordedRows, UniformStreams
-from olfl.surrogate import Workspace, surrogate_rows
+from olfl.surrogate import Workspace, prepare_costs, surrogate_rows
 
 BOUNDED_ACTIONS = [
     (2, 3, 6), (2, 5, 6), (1, 4), (1, 2, 5, 6), (3, 4), (2, 6), (2, 4, 5, 6), (3, 6),
@@ -152,13 +153,16 @@ def test_surrogate_rows_equal_one_row_calls(data):
     connection = _grid_rows(data, 1 if repeated else rows, n, 2.0)
     if repeated:
         opening, connection = opening.repeat(rows, axis=0), connection.repeat(rows, axis=0)
-    order = np.argsort(-connection, axis=1)
-    values, grads = surrogate_rows(opening, connection, order, w, ups, Workspace(rows, n))
-    for r in range(rows):
-        one = slice(r, r + 1)
-        value, grad = surrogate_rows(opening[one], connection[one], order[one], w[one], ups[one], Workspace(1, n))
-        assert value[0] == values[r]
-        assert np.array_equal(grad[0], grads[r])
+    # a stable sort given, or the learners' own connection_order
+    order = np.argsort(-connection, axis=1, kind="stable") if data.draw(st.booleans()) else None
+    space = Workspace((rows, n))
+    values, grads = surrogate_rows(*prepare_costs(opening, connection, space, order), w, ups, space)
+    for r in range(rows):  # one row's (n,) views, as a one-row batch steps them
+        one = Workspace((n,))
+        costs = prepare_costs(opening[r], connection[r], one, None if order is None else order[r])
+        value, grad = surrogate_rows(*costs, w[r], int(ups[r]), one)
+        assert value == values[r]
+        assert np.array_equal(grad, grads[r])
 
 
 @settings(max_examples=60, deadline=None)
@@ -400,6 +404,75 @@ def test_a_block_ends_where_a_restart_changes_the_draw_count(seeds):
     assert starts == blocked[3]
 
 
+def _run(learner, seeds, horizon, costs):
+    """`learner` through `trial_loop`: its (values, states, actions), and
+    its weights after the last trial."""
+    _, values, states, actions = trial_loop(learner, UniformStreams(seeds), horizon, costs)
+    return (values, states, actions), learner.w
+
+
+def _same_runs(one, two) -> bool:
+    """Two `_run` results equal bit for bit."""
+    (values, states, actions), w = one
+    (other_values, other_states, other_actions), other_w = two
+    return (
+        values.tobytes() == other_values.tobytes()
+        and w.tobytes() == other_w.tobytes()
+        and all((a is None and b is None) or np.array_equal(a, b) for a, b in zip(states, other_states))
+        and all(np.array_equal(a.ptr, b.ptr) and np.array_equal(a.sites, b.sites) for a, b in zip(actions, other_actions))
+    )
+
+
+@pytest.mark.parametrize("algo, k", FL_FAMILY)
+def test_prepared_blocks_of_tied_rows_from_2048_sites_replay_the_per_trial_loop_bit_for_bit(algo, k):
+    # a prepared block sorts all its rows at once, through packed keys from
+    # PACKED_SORT_MIN sites; inside the first block a row with one tie, a
+    # quantized row and a row with a -0.0 cost fall back to argsort one by
+    # one, and the horizon ends inside the third block
+    cfg = GameConfig(PACKED_SORT_MIN, 70, 1.0, 1.0)
+    scenario = generate_scenario("iid", cfg, 6)
+    connection = scenario.connection.copy()
+    connection[3, 10] = connection[3, 20]
+    connection[8] = np.round(connection[8], 2)
+    connection[12, 7] = -0.0
+    costs = CostRows(scenario.opening, connection)
+    capacity = RecordedRows(LearnerBatch(cfg, algo, 1, k).cfg.n_sites).capacity
+    assert 12 < capacity < cfg.horizon / 2 and cfg.horizon % capacity
+    per_trial = _run(LearnerBatch(cfg, algo, 1, k), (1, 2, 3), cfg.horizon, lambda t, actions: costs[t])
+    assert _same_runs(per_trial, _run(LearnerBatch(cfg, algo, 1, k), (1, 2, 3), cfg.horizon, costs))
+
+
+def test_one_row_blocks_across_restarts_equal_the_rows_of_a_batch_stepping_at_different_rates():
+    # three one-row learners, each through prepared blocks of its own
+    # scenario, against one three-row batch that steps them trial by trial:
+    # a threshold lowered tenfold restarts every row, each at its own
+    # trials, so the batch's rows step at different rates in one call while
+    # each one-row learner restarts inside its prepared blocks
+    cfg = GameConfig(6, 150, 1.0, 1.0)
+    scenarios = [generate_scenario(kind, cfg, seed) for kind, seed in (("iid", 1), ("drift", 2), ("iid", 3))]
+    opening = np.stack([scenario.opening for scenario in scenarios], axis=1)  # (T, rows, N)
+    connection = np.stack([scenario.connection for scenario in scenarios], axis=1)
+    seeds = (11, 12, 13)
+
+    def lowered(rows):
+        learner = LearnerBatch(cfg, "fl", rows)
+        learner.threshold_unit *= 0.1
+        return learner
+
+    batch = lowered(3)
+    (values, states, actions), w = _run(batch, seeds, cfg.horizon, lambda t, a: CostRows(opening[t], connection[t]))
+    cardinality = states[1]
+    assert any(len(set(row)) > 1 for row in cardinality.tolist())  # rates differ within one step
+    capacity = RecordedRows(batch.cfg.n_sites).capacity
+    for r, (scenario, seed) in enumerate(zip(scenarios, seeds)):
+        single = lowered(1)
+        alone = _run(single, (seed,), cfg.horizon, scenario)
+        row = ((values[:, [r]], [state[:, [r]] for state in states], [actions[r]]), w[[r]])
+        assert _same_runs(alone, row)
+        assert single.segment_starts[0] == batch.segment_starts[r]
+        assert any((start - 1) % capacity for start in single.segment_starts[0][1:])  # a restart inside a block
+
+
 @pytest.mark.parametrize("kind", ["iid", "drift", "replay", "killer"])
 @pytest.mark.parametrize("algo, k", ALGOS)
 def test_a_shared_scenario_holds_one_weight_row_and_the_killer_one_per_seed(kind, algo, k):
@@ -556,9 +629,11 @@ def _calls_per_trial(learner, rngs, costs_for, trials=200) -> float:
 # budget is each plus 10%
 KILLER_CALLS, SEEDS_CALLS = 67.005, 59.535
 # the seeds workload's shape in blocks, as measured when a shared scenario's
-# trials came to be recorded and drawn per block (its draw, one per block,
-# spread over the block's trials)
-BLOCK_CALLS = 44.465
+# costs came to be prepared per block and a one-row batch to step its row
+# views (44.29 before; 44.465 when its trials came to be recorded and drawn
+# per block, the draw and the preparation, one per block, spread over the
+# block's trials)
+BLOCK_CALLS = 30.61
 
 
 def test_a_trial_stays_within_its_call_budget():

@@ -9,7 +9,6 @@ from olfl import (
     GameConfig,
     InvalidDistributionError,
     SiteSet,
-    draw_sites,
     sample_site_multiset,
 )
 from olfl.sampler import PREFETCH_TRIALS, DrawPlan, RecordedRows, UniformStreams
@@ -32,43 +31,53 @@ class _ZeroUniform:
         return np.zeros(size)
 
 
+def _draws(p, count: int, rng) -> np.ndarray:
+    """`count` draws from the one distribution p for one generator, as
+    1-based sites: a recorded block of one trial, as a one-row learner's
+    play draws."""
+    return _one_row(np.array([p], dtype=float), count, [rng])
+
+
 def test_build_rejects_bad_distributions():
     rng = np.random.default_rng(3)
     with pytest.raises(InvalidDistributionError):
-        draw_sites([0.5, -0.5, 1.0], 1, rng)
+        _draws([0.5, -0.5, 1.0], 1, rng)
     with pytest.raises(InvalidDistributionError):
-        draw_sites([0.0, 0.0], 1, rng)
+        _draws([0.0, 0.0], 1, rng)
     with pytest.raises(InvalidDistributionError):
-        draw_sites([0.5, 0.6], 1, rng)
+        _draws([0.5, 0.6], 1, rng)
     with pytest.raises(InvalidDistributionError):
-        draw_sites([], 1, rng)
-    with pytest.raises(InvalidDistributionError):
-        draw_sites([np.nan, 1.0], 1, rng)
+        _draws([np.nan, 1.0], 1, rng)
     # cumulative sums that meet inf - inf or overflow: refused, with no
     # numpy warning first (the suite turns RuntimeWarning into an error)
     with pytest.raises(InvalidDistributionError, match="p must be finite"):
-        draw_sites([np.inf, -np.inf], 1, rng)
+        _draws([np.inf, -np.inf], 1, rng)
     with pytest.raises(InvalidDistributionError, match="total mass inf not 1"):
-        draw_sites([1e308, 1e308], 1, rng)
+        _draws([1e308, 1e308], 1, rng)
+    # the arguments sample_site_multiset takes from its caller
     with pytest.raises(InvalidDistributionError):
-        draw_sites([[0.5, 0.5]], 1, rng)
+        sample_site_multiset([], 1, rng)
+    with pytest.raises(InvalidDistributionError):
+        sample_site_multiset([[0.5, 0.5]], 1, rng)
+    with pytest.raises(InvalidDistributionError, match="negative mass"):
+        sample_site_multiset([0.5, -0.5, 1.0], 1, rng)
     with pytest.raises(ConfigError):
-        draw_sites([0.5, 0.5], 0, rng)
+        sample_site_multiset([0.5, 0.5], 0, rng)
     with pytest.raises(ConfigError):
         sample_site_multiset([1.0], -1, rng)
 
 
 def test_point_mass_always_hits_its_site():
     rng = np.random.default_rng(5)
-    assert np.all(draw_sites([1.0, 0.0, 0.0, 0.0], 10_000, rng) == 1)
-    assert np.all(draw_sites([0.0, 0.0, 1.0, 0.0], 10_000, rng) == 3)
-    assert draw_sites([1.0], 1, rng).tolist() == [1]
+    assert np.all(_draws([1.0, 0.0, 0.0, 0.0], 10_000, rng) == 1)
+    assert np.all(_draws([0.0, 0.0, 1.0, 0.0], 10_000, rng) == 3)
+    assert _draws([1.0], 1, rng).tolist() == [1]
 
 
 def test_zero_mass_sites_never_drawn():
     p = np.array([0.25, 0.0, 0.5, 0.0, 0.25])
     rng = np.random.default_rng(6)
-    draws = draw_sites(p, 200_000, rng)
+    draws = _draws(p, 200_000, rng)
     assert not np.any((draws == 2) | (draws == 4))
 
 
@@ -79,20 +88,20 @@ def test_top_uniform_lands_on_the_last_positive_mass_site():
     for n_pos, n_zero in ((1, 1), (4, 2), (7, 5), (100, 30), (1000, 1)):
         for _ in range(20):
             p = np.concatenate([rng.dirichlet(np.ones(n_pos)), np.zeros(n_zero)])
-            assert draw_sites(p, 3, _TopUniform()).tolist() == [n_pos] * 3
-    assert draw_sites([0.1, 0.2, 0.3, 0.4, 0.0, 0.0], 1, _TopUniform()).tolist() == [4]
+            assert _draws(p, 3, _TopUniform()).tolist() == [n_pos] * 3
+    assert _draws([0.1, 0.2, 0.3, 0.4, 0.0, 0.0], 1, _TopUniform()).tolist() == [4]
 
 
 def test_uniform_frequencies():
     rng = np.random.default_rng(7)
-    draws = draw_sites([0.25] * 4, 1_000_000, rng)
+    draws = _draws([0.25] * 4, 1_000_000, rng)
     freq = np.bincount(draws - 1, minlength=4) / 1e6
     assert np.abs(freq - 0.25).max() <= 0.005
 
 
 def test_biased_frequencies():
     rng = np.random.default_rng(8)
-    draws = draw_sites([0.7, 0.3], 1_000_000, rng)
+    draws = _draws([0.7, 0.3], 1_000_000, rng)
     freq = np.bincount(draws - 1, minlength=2) / 1e6
     assert abs(freq[0] - 0.7) <= 0.005
     assert abs(freq[1] - 0.3) <= 0.005
@@ -100,17 +109,17 @@ def test_biased_frequencies():
 
 def test_four_site_frequencies_match_p():
     p = np.array([0.1, 0.2, 0.3, 0.4])
-    draws = draw_sites(p, 100_000, np.random.default_rng(11))
+    draws = _draws(p, 100_000, np.random.default_rng(11))
     freq = np.bincount(draws - 1, minlength=4) / draws.size
     assert np.abs(freq - p).max() <= 0.01
 
 
 def test_identical_seed_gives_identical_draws():
     p = np.random.default_rng(9).dirichlet(np.ones(13))
-    one = draw_sites(p, 5000, np.random.default_rng(43))
-    two = draw_sites(p, 5000, np.random.default_rng(43))
+    one = _draws(p, 5000, np.random.default_rng(43))
+    two = _draws(p, 5000, np.random.default_rng(43))
     assert np.array_equal(one, two)
-    single = [int(draw_sites(p, 1, np.random.default_rng(42))[0]) for _ in range(50)]
+    single = [int(_draws(p, 1, np.random.default_rng(42))[0]) for _ in range(50)]
     assert len(set(single)) == 1
 
 
@@ -133,7 +142,7 @@ def test_row_draws_check_every_row_and_match_single_draws():
     flat = DrawPlan(*p.shape, (4, 1, 6)).draw(p, [np.random.default_rng(seed) for seed in (1, 2, 3)])
     rows = np.split(flat, [4, 5])
     for row, count, seed, drawn in zip(p, (4, 1, 6), (1, 2, 3), rows):
-        assert np.array_equal(drawn, draw_sites(row, count, np.random.default_rng(seed)))
+        assert np.array_equal(drawn, _draws(row, count, np.random.default_rng(seed)))
     rngs = [np.random.default_rng(0)] * 3
     for bad, where in (([0.5, 0.6, 0.0], "total mass"), ([1.5, -0.5, 0.0], "negative"), ([np.nan, 1.0, 0.0], "finite")):
         q = p.copy()
@@ -271,7 +280,7 @@ def test_zero_uniform_lands_on_the_first_positive_mass_site():
     # cumulative sums are 0 too: the search takes the first sum above it
     for lead in (1, 2, 5):
         p = np.concatenate([np.zeros(lead), [0.25, 0.0, 0.75]])
-        assert draw_sites(p, 3, _ZeroUniform()).tolist() == [lead + 1] * 3
+        assert _draws(p, 3, _ZeroUniform()).tolist() == [lead + 1] * 3
         assert _one_row(p[None], 2, [_ZeroUniform()] * 3).tolist() == [lead + 1] * 6
     p = np.array([[0.0, 0.0, 0.5, 0.5], [0.0, 1.0, 0.0, 0.0]])
     assert DrawPlan(2, 4, (2, 3)).draw(p, [_ZeroUniform()] * 2).tolist() == [3, 3, 2, 2, 2]
@@ -287,7 +296,11 @@ def test_sampler_check_refuses_totals_that_disagree(monkeypatch):
     # totals agree; a sample one draw short must fail the check, not pass it
     import olfl.verify as verify_mod
 
-    monkeypatch.setattr(verify_mod, "draw_sites", lambda p, count, rng: draw_sites(p, count - 1, rng))
+    class OneShort(RecordedRows):
+        def record(self, p, count, trial=None):
+            return super().record(p, count - 1, trial)
+
+    monkeypatch.setattr(verify_mod, "RecordedRows", OneShort)
     result = verify_mod.check_sampler_distribution()
     assert not result.passed
     assert "expected total" in result.detail
