@@ -72,14 +72,17 @@ class KillerSource:
     adversary moves second; otherwise from the realized previous action.
 
     One source serves a whole learner batch: given one action per learner
-    row as ActionRows, it returns the trial's CostRows and keeps each row's
-    action for the next trial. Every trial of one row count shares one
-    read-only opening block, which the source keeps. Like killer_rows, it
-    makes its costs from its own constants and does not check them again;
-    what it checks is what comes in: the site count, once, and each trial's
-    action count and action sites. `realized` rebuilds a row's whole
-    history from its actions, so a caller need not keep the costs trial by
-    trial."""
+    row as ActionRows, `costs_for` returns the trial's CostRows and keeps
+    each row's action for the next trial. Every trial of one row count
+    shares one read-only opening block, which the source keeps. Like
+    killer_rows, it makes its costs from its own constants and does not
+    check them again; what it checks is what comes in: the site count,
+    once, and each trial's action count and action sites. It is a cost
+    source of `experiment.trial_loop`, as a scenario's CostRows is:
+    `source(t, actions)` gives trial t's costs (0-based), pricing only the
+    first generator's action when it moves second, since a deterministic
+    learner's one row plays one action for every generator, and `realized`
+    rebuilds a row's whole history from its actions."""
 
     def __init__(self, n_sites: int, use_current_action: bool):
         # the opening block of the last call; built empty here, which checks the site count
@@ -102,6 +105,11 @@ class KillerSource:
         if self._opening.shape[0] != count:
             self._opening = _opening_block(count, self.n_sites)
         return _unchecked(CostRows, self._opening, _connection_rows(self.n_sites, known))
+
+    def __call__(self, trial: int, actions: ActionRows) -> CostRows:
+        if self.use_current_action:
+            actions = ActionRows(actions.ptr[:2], actions.sites[: actions.ptr[1]])
+        return self.costs_for(trial + 1, actions)
 
     def realized(self, actions: ActionRows) -> CostRows:
         """The costs this source priced for one row's actions, given as

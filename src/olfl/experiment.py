@@ -4,6 +4,11 @@ The trial loop follows the game protocol structurally: the learner's play()
 takes no cost argument, so trial-t costs cannot leak into the trial-t action;
 they are fetched only after the action is committed (for the adaptive killer
 source this is also where the adversary's order of moves is realized).
+Every scenario is one cost source with a two-part interface: called as
+`source(t, actions)` with the committed actions it gives trial t's costs,
+and `source.realized(actions)` gives the history a learner row's actions
+were priced on. A scenario's CostRows ignores the actions and is its own
+history; a `KillerSource` prices them and rebuilds the history from them.
 
 Seeds drive the learner's own randomness: each seed owns the generator
 `np.random.default_rng(seed)`. All seeds of an experiment run through one
@@ -17,44 +22,37 @@ so each seed's uniforms are prefetched for about 64 trials at a time. No
 learner's state depends on its own draws, so on a shared scenario every
 seed follows one trajectory: the batch holds one row and updates it once
 per trial, and the fl family draws every seed's actions from it per block
-of trials, each trial's row recorded before its update, so a block's draws
-take one search per trial and one sort, and prepares the costs' side of
-the surrogate per block of trials; `trial_loop` plays every other
-learner trial by trial, a one-row batch's play being a block of one
-recorded trial. On the adaptive killer a
-randomized learner's seeds each have their own costs, and the batch one row
-per seed; ftl-greedy is deterministic, so the killer prices the one action
-it plays, and it holds one row on every scenario. A trial's actions are CSR
-rows (`ActionRows`), one per seed; the loop records them with one column
-per seed, the update values and learner state as (T, R) columns, one per
+of recorded trials (one search per trial and one sort) and prepares the
+surrogate's cost side per block; `trial_loop` plays every other learner
+trial by trial, as a block of one. On the killer a randomized learner's
+seeds each have their own costs, and the batch one row per seed;
+ftl-greedy is deterministic, so the killer prices the one action it plays,
+and it holds one row on every scenario. A trial's actions are CSR rows
+(`ActionRows`), one per seed; the loop records them with one column per
+seed, the update values and learner state as (T, R) columns, one per
 learner row, and keeps no per-trial objects. Seed r reads row r % R, and
-seeds that share a row share its columns.
+seeds that share a row share its columns and its history.
 
-Non-adaptive scenarios materialize one cost sequence (from the scenario's
-own seed or a trace file) shared by every learner seed, so the in-hindsight
-comparator is common; the one (T, N) CostRows feeds each trial's row to the
-learners and prices every seed's losses, the comparator, the regret curve
-and the trace file. On the adaptive killer one source prices each learner
-row's action as one CostRows per trial; after the loop each row's (T, N)
-history is rebuilt from its actions (`KillerSource.realized`), shared by
-every seed the row serves, and each distinct history is priced by one
-comparator (`oracles.comparator`), whose loss the seeds average. Losses do
-not feed back into play, so they are priced after the loop, bit for bit as
-`facility_loss` prices them: on a shared scenario every seed's actions in
-one `action_losses` call, each action mapped to its trial's row, and on the
-killer one call per seed over its history. A comparator the oracles would
-refuse is refused before the first trial.
+A shared scenario (from its own seed or a trace file) is one (T, N)
+CostRows: it feeds each trial's row to the learners and prices every
+seed's losses, the one comparator, the regret curve and the trace file.
+On the killer each distinct history is priced by one comparator
+(`oracles.comparator`), whose loss the seeds average. Losses do not feed
+back into play, so they are priced after the loop, bit for bit as
+`facility_loss` prices them: one `action_losses` call per learner row's
+history, on the seeds that row serves, each action mapped to its trial's
+row. A comparator the oracles would refuse is refused before the first
+trial.
 
-Each seed's run is a `SeedRun` of per-trial columns, and seeds that share a
-learner row share its column objects; `emit_results` writes the trial CSVs
-from the columns, formatting each distinct cell once.
+Each seed's run is a `SeedRun` of per-trial columns; `emit_results` writes
+the trial CSVs from the columns, formatting each distinct cell once.
 
 A seed's `per_trial_median_ms` is the median over trials of the loop's
 play + update time divided by the number of seeds (in blocks, a trial's
 record + update time plus an equal share of its block's draw and of its
-prepared block's preparation), and its
-`wall_time_s` is the wall time of the loop and the loss pricing divided by
-the number of seeds, so the seeds' wall times sum to the loop's.
+prepared block's preparation), and its `wall_time_s` is the wall time of
+the loop and the loss pricing divided by the number of seeds, so the
+seeds' wall times sum to the loop's.
 """
 from __future__ import annotations
 
@@ -186,7 +184,7 @@ class SeedRun:
     wall_time_s: float
     per_trial_median_ms: float
     segment_starts: list[int] | None
-    realized_costs: CostRows | None  # one row per trial, kept only when the source adapts
+    realized_costs: CostRows | None  # the learner row's history, one row per trial; None when it is the shared scenario
 
 
 @dataclass
@@ -209,32 +207,33 @@ class RunResult:
     scenario_costs: CostRows | None  # the shared scenario, one row per trial
 
 
-def trial_loop(learner: LearnerRows, rngs, horizon: int, costs):
+def trial_loop(learner: LearnerRows, rngs, horizon: int, source):
     """`horizon` trials of `learner`, one action per generator in `rngs`.
-    `costs` is a shared scenario, a CostRows with one row per trial, or a
-    callable: `costs(t, actions)` gives trial t's costs (0-based), fetched
-    only after the actions are committed, as the adaptive killer needs.
+    `source(t, actions)` gives trial t's costs (0-based), called only after
+    the actions are committed, as the adaptive killer needs: a scenario's
+    CostRows gives its row t, a `KillerSource` prices the actions, and any
+    other callable (fresh costs, one row per learner row) may stand in. A
+    CostRows shorter than the horizon is refused before the first trial.
     Each trial plays, then updates on its costs. Every `play` draws a block
-    of trials: one trial, or on a shared scenario, for a one-row
-    `LearnerBatch`, every trial recorded (`LearnerBatch.record`, before its
-    update) since the last play, ended where `record` refuses the next. The
-    weights depend on the costs alone, so the actions are the ones
-    per-trial plays would draw. Such a learner also takes its costs in
-    prepared blocks: the surrogate's cost side of up to a recorded block's
-    number of trials, built at once (`LearnerBatch.prepare`) at the
-    block's first trial, and handed to `update` one trial's row at a time.
-    Every play's actions are kept as they come and split per generator
-    after the loop, and the update values and learner state are recorded as
-    (T, R) columns, one per learner row, so the loop's Python work per
-    trial does not grow with the number of generators.
+    of trials: one trial, or on a CostRows, for a one-row `LearnerBatch`,
+    every trial recorded (`LearnerBatch.record`, before its update) since
+    the last play, ended where `record` refuses the next. The weights
+    depend on the costs alone, so the actions are the ones per-trial plays
+    would draw. Such a learner also takes its costs in prepared blocks: the
+    surrogate's cost side of up to a recorded block's number of trials,
+    built at once (`LearnerBatch.prepare`) at the block's first trial, and
+    handed to `update` one trial's row at a time. Every play's actions are
+    kept as they come and split per generator after the loop, and the
+    update values and learner state are recorded as (T, R) columns, one
+    per learner row, so the loop's Python work per trial does not grow
+    with the number of generators.
 
     Returns (seconds, values, states, actions): the play + update seconds of
     each trial (in blocks, its record and update plus an equal share of its
     block's draw and of its prepared block's preparation), the (T, R)
-    update values or None when the learner
-    reports none, the (scale, cardinality, segment) (T, R) columns, each
-    None where the learner keeps no such state, and each generator's
-    ActionRows, one row per trial."""
+    update values or None when the learner reports none, the (scale,
+    cardinality, segment) (T, R) columns, each None where the learner keeps
+    no such state, and each generator's ActionRows, one row per trial."""
     values = np.empty((horizon, learner.rows))
     live = learner.state_rows()  # changed in place, so one read serves every trial
     states = [None if a is None else np.empty((horizon, learner.rows), dtype=np.int64) for a in live]
@@ -244,9 +243,10 @@ def trial_loop(learner: LearnerRows, rngs, horizon: int, costs):
     lengths = np.empty(horizon * generators, dtype=np.intp)  # each action's site count, trial-major
     sites = []  # each play's sites
     clock, play, update = time.perf_counter, learner.play, learner.update
-    record = None
-    if isinstance(costs, CostRows):
-        shared = costs
+    costs, record = source, None
+    if isinstance(source, CostRows):
+        if len(source) < horizon:
+            raise ConfigError(f"a scenario of {len(source)} trials for a horizon of {horizon}")
         if isinstance(learner, LearnerBatch) and learner.rows == 1:
             record, prepare = learner.record, learner.prepare
             block, start, stop = [], 0, 0
@@ -258,15 +258,10 @@ def trial_loop(learner: LearnerRows, rngs, horizon: int, costs):
                 nonlocal block, start, stop
                 if t == stop:
                     t0 = clock()
-                    block, start = prepare(shared, t, horizon), t
+                    block, start = prepare(source, t, horizon), t
                     stop = t + len(block)
                     seconds[start:stop] += (clock() - t0) / (stop - start)
                 return block[t - start]
-
-        else:
-
-            def costs(t, actions):
-                return shared[t]
 
     first = 0  # the first trial whose actions are not kept yet
     actions = None  # a recorded trial's, drawn with its block
@@ -310,37 +305,26 @@ def trial_loop(learner: LearnerRows, rngs, horizon: int, costs):
     return seconds, values, states, _actions_by_seed(lengths.reshape(horizon, generators), np.concatenate(sites))
 
 
-def _run_seeds(config: ExperimentConfig, shared_costs: CostRows | None) -> list[SeedRun]:
-    """Every seed of the experiment through one `trial_loop`. Seed r reads
-    learner row r % R of the loop's R rows: its update values, its state
-    columns (the same column objects for every seed of the row) and, on the
-    killer, the history the row was priced on. Losses depend on the actions
-    and costs alone, so they are priced after the loop: every seed in one
-    call on `shared_costs` when the scenario is shared, each action mapped
-    to its trial's row, else one call per seed on its learner row's
-    realized history, rebuilt from the row's actions."""
+def _run_seeds(config: ExperimentConfig, source) -> list[SeedRun]:
+    """Every seed of the experiment through one `trial_loop` on `source`.
+    Seed r reads learner row r % R of the loop's R rows: its update values,
+    its state columns (the same column objects for every seed of the row)
+    and the history the row was priced on, `source.realized` of the row's
+    actions. Losses depend on the actions and costs alone, so they are
+    priced after the loop: the seeds of each learner row in one call on its
+    history, each action mapped to its trial's row."""
     cfg, seeds = config.game, config.seeds
     learner = build_learner(config)
     rngs = UniformStreams(seeds)  # the generators are private to this run
     wall_start = time.perf_counter()
-    costs = shared_costs
-    if shared_costs is None:
-        source = KillerSource(cfg.n_sites, config.algo.name == "ftl-greedy")
-        first = learner.rows < len(seeds)  # ftl-greedy: one action for every seed, priced once
-
-        def costs(t, actions):
-            if first:  # the first generator's action, as one row
-                actions = ActionRows(actions.ptr[:2], actions.sites[: actions.ptr[1]])
-            return source.costs_for(t + 1, actions)
-
-    seconds, values, states, by_seed = trial_loop(learner, rngs, cfg.horizon, costs)
-    row_of = [r % learner.rows for r in range(len(seeds))]
-    if shared_costs is None:
-        histories = [source.realized(by_seed[row]) for row in range(learner.rows)]
-        losses = np.array([action_losses(histories[row], actions) for row, actions in zip(row_of, by_seed)])
-    else:
-        trials = np.tile(np.arange(cfg.horizon), len(seeds))
-        losses = action_losses(shared_costs, _joined(by_seed), trials).reshape(len(seeds), cfg.horizon)
+    seconds, values, states, by_seed = trial_loop(learner, rngs, cfg.horizon, source)
+    histories = [source.realized(by_seed[row]) for row in range(learner.rows)]
+    losses = np.empty((len(seeds), cfg.horizon))
+    for row, history in enumerate(histories):
+        served = slice(row, None, learner.rows)  # the seeds r with r % R == row
+        actions = by_seed[served]
+        trials = np.tile(np.arange(cfg.horizon), len(actions))
+        losses[served] = action_losses(history, _joined(actions), trials).reshape(len(actions), cfg.horizon)
     wall = (time.perf_counter() - wall_start) / len(seeds)
     median_ms = float(np.median(seconds / len(seeds)) * 1e3)
     held = learner.segment_starts if config.algo.name == "fl" else None  # one list per learner row
@@ -349,6 +333,7 @@ def _run_seeds(config: ExperimentConfig, shared_costs: CostRows | None) -> list[
     columns = [None if c is None else np.ascontiguousarray(c.T) for c in [values, *states]]
     # lambda, theta, k, segment: one set of column objects per learner row
     by_row = [[None if column is None else column[row] for column in columns] for row in range(learner.rows)]
+    row_of = [r % learner.rows for r in range(len(seeds))]
     return [
         SeedRun(
             seed,
@@ -359,7 +344,7 @@ def _run_seeds(config: ExperimentConfig, shared_costs: CostRows | None) -> list[
             wall_time_s=wall,
             per_trial_median_ms=median_ms,
             segment_starts=None if held is None else list(held[row]),
-            realized_costs=histories[row] if shared_costs is None else None,
+            realized_costs=None if histories[row] is source else histories[row],
         )
         for r, (seed, row) in enumerate(zip(seeds, row_of))
     ]
@@ -443,14 +428,14 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         # refuse an infeasible comparator before any trial runs; an
         # unrestricted one is exact or greedy and never refused
         comparator_cardinalities(cfg.n_sites, max_card, exact_card)
-    shared_costs = None
+    per_seed_comparators = config.scenario.kind == "killer"
     if config.scenario.kind == "replay":
-        shared_costs = load_trace(config.scenario.path, cfg)
-    elif config.scenario.kind != "killer":
-        shared_costs = generate_scenario(
-            config.scenario.kind, cfg, config.scenario.seed, config.scenario.drift_step
-        )
-    seed_runs = _run_seeds(config, shared_costs)
+        source = load_trace(config.scenario.path, cfg)
+    elif per_seed_comparators:  # ftl-greedy is deterministic: the killer prices the action it plays
+        source = KillerSource(cfg.n_sites, config.algo.name == "ftl-greedy")
+    else:
+        source = generate_scenario(config.scenario.kind, cfg, config.scenario.seed, config.scenario.drift_step)
+    seed_runs = _run_seeds(config, source)
 
     cum_losses = np.array([sr.cumulative_loss for sr in seed_runs])
     # the mean and deviation of the losses scaled by a power of two, which is
@@ -469,18 +454,15 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         half = 0.0
     ci95 = (mean_loss - half, mean_loss + half)
 
-    per_seed_comparators = config.scenario.kind == "killer"
     if per_seed_comparators:
         # seeds served by one learner row share its history: price it once
-        priced = {}
-        for sr in seed_runs:
-            if id(sr.realized_costs) not in priced:
-                priced[id(sr.realized_costs)] = comparator(sr.realized_costs, max_card, exact_card)
+        histories = {id(sr.realized_costs): sr.realized_costs for sr in seed_runs}
+        priced = {key: comparator(history, max_card, exact_card) for key, history in histories.items()}
         members = None
         approx = any(a for _, _, a in priced.values())
         comparator_loss = float(np.mean([priced[id(sr.realized_costs)][1] for sr in seed_runs]))
     else:
-        subset, comparator_loss, approx = comparator(shared_costs, max_card, exact_card)
+        subset, comparator_loss, approx = comparator(source, max_card, exact_card)
         members = subset.members
 
     if config.algo.name == "fl":
@@ -511,7 +493,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         bound_name=bound_name,
         regret_raw=regret_raw,
         regret_normalized=regret_normalized,
-        scenario_costs=shared_costs,
+        scenario_costs=None if per_seed_comparators else source,
     )
 
 

@@ -107,7 +107,9 @@ class CostRows:
     costs for every row of a learner batch.
 
     It reads as a sequence of CostPairs: an int index gives row views as a
-    CostPair, not checked again, and a slice gives a CostRows."""
+    CostPair, not checked again, and a slice gives a CostRows. A scenario
+    is a cost source of `experiment.trial_loop`: `costs(t, actions)` is its
+    row t whatever the actions, and its `realized` history is itself."""
 
     opening: np.ndarray
     connection: np.ndarray
@@ -132,6 +134,12 @@ class CostRows:
 
     def __iter__(self) -> Iterator[CostPair]:
         return map(partial(_unchecked, CostPair), self.opening, self.connection)
+
+    def __call__(self, trial: int, actions: ActionRows) -> CostPair:
+        return self[trial]
+
+    def realized(self, actions: ActionRows) -> CostRows:
+        return self
 
 
 @dataclass(frozen=True)

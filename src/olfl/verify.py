@@ -392,7 +392,7 @@ def check_comparator_scan(scale: Scale = DESK) -> CheckResult:
     n, horizon = 10, 300
     learner = LearnerBatch(GameConfig(n, horizon, 1.0, 1.0), "fl", 1)
     source = KillerSource(n, use_current_action=False)
-    actions = trial_loop(learner, (rng,), horizon, lambda t, played: source.costs_for(t + 1, played))[3]
+    actions = trial_loop(learner, (rng,), horizon, source)[3]
     killer = source.realized(actions[0])
     iid = generate_scenario("iid", GameConfig(8, 200, 1.0, 1.0), seed=int(rng.integers(1 << 30)))
     worst = 0.0

@@ -97,6 +97,20 @@ def test_killer_source_rows_equal_one_row_calls(data):
     assert "opening" not in inspect.signature(killer_rows).parameters  # the source keeps its block itself
 
 
+def test_every_scenario_is_a_source_of_trial_costs_and_histories():
+    played = ActionRows.of([SiteSet((2,)), SiteSet((3,))])  # trial 0's action of two generators
+    current = KillerSource(4, use_current_action=True)
+    costs = current(0, played)  # moving second, the source prices the first generator's action alone
+    assert costs.connection.tolist() == [[0.0, 1.0, 0.0, 0.0]]
+    delayed = KillerSource(4, use_current_action=False)
+    assert np.all(delayed(0, played).connection == 0.0)  # trial 0 knows no action yet
+    assert delayed(1, played).connection.tolist() == [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
+    scenario = generate_scenario("iid", GameConfig(4, 3, 1.0, 1.0), seed=1)
+    row = scenario(2, played)  # whatever the actions
+    assert np.array_equal(row.opening, scenario.opening[2]) and np.array_equal(row.connection, scenario.connection[2])
+    assert scenario.realized(played) is scenario
+
+
 def test_killer_source_rejects_what_killer_rows_rejects():
     with pytest.raises(ConfigError):
         killer_rows(4, ActionRows.of([SiteSet((5,))]))

@@ -339,6 +339,23 @@ def test_recording_keeps_the_play_update_alternation_and_one_row():
         LearnerBatch(cfg, "fl-bounded", 2, 2).record(1)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda cfg: LearnerBatch(cfg, "fl-bounded", 1, 2), lambda cfg: ExactHedge(cfg, 1), FollowTheLeaderGreedy],
+    ids=["fl-bounded", "hedge-exact", "ftl-greedy"],
+)
+def test_a_scenario_shorter_than_the_horizon_is_refused_before_the_first_trial(make):
+    # past its end a one-row batch would prepare an empty block and a
+    # per-trial learner would index past the rows, after trials had run
+    cfg = GameConfig(4, 10, 1.0, 1.0)
+    learner, plays = make(cfg), []
+    play = learner.play
+    learner.play = lambda rngs: plays.append(None) or play(rngs)
+    with pytest.raises(ConfigError, match="a scenario of 5 trials for a horizon of 10"):
+        trial_loop(learner, UniformStreams(range(3)), cfg.horizon, generate_scenario("iid", replace(cfg, horizon=5), 1))
+    assert not plays
+
+
 FL_FAMILY = [("fl-fixed", 2), ("fl-bounded", 2), ("fl", None)]
 
 
@@ -642,11 +659,7 @@ def test_a_trial_stays_within_its_call_budget():
     prefetched generators), the latter per trial and in blocks (the
     scenario as CostRows), over 200 trials each."""
     source = KillerSource(16, False)
-    killer = _calls_per_trial(
-        LearnerBatch(GameConfig(16, 2000, 1.0, 1.0), "fl", 2),
-        UniformStreams((1, 2)),
-        lambda t, actions: source.costs_for(t + 1, actions),
-    )
+    killer = _calls_per_trial(LearnerBatch(GameConfig(16, 2000, 1.0, 1.0), "fl", 2), UniformStreams((1, 2)), source)
     scenario = generate_scenario("iid", GameConfig(6, 500, 1.0, 1.0), 5)
     seeds = _calls_per_trial(
         LearnerBatch(GameConfig(6, 500, 1.0, 1.0), "fl-bounded", 1, 2),

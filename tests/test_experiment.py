@@ -16,6 +16,7 @@ from olfl import (
     GameConfig,
     ScenarioSpec,
     SiteSet,
+    action_losses,
     best_fixed_subset,
     config_from_dict,
     config_to_dict,
@@ -28,6 +29,7 @@ from olfl import (
 from olfl.cli import main
 from olfl.errors import NumericError, ProtocolError
 from olfl.experiment import ALGO_NAMES, CARDINALITY_ALGOS, _loss_texts, bound_terms, half_log_ceil
+from olfl.oracles import comparator
 
 
 def _cfg(**overrides):
@@ -130,6 +132,16 @@ def test_ftl_greedy_on_the_killer_holds_one_history_and_prices_it_once(monkeypat
     history = result.seed_runs[0].realized_costs
     assert len(history) == 300 and all(sr.realized_costs is history for sr in result.seed_runs)
     assert len({sr.cumulative_loss for sr in result.seed_runs}) == 1
+    for sr in result.seed_runs:  # all seeds priced in one call, bit for bit as each seed priced alone
+        assert sr.losses.tobytes() == action_losses(history, sr.actions).tobytes()
+
+
+def test_a_shared_scenario_has_one_comparator_loss_not_a_mean_of_equal_ones():
+    config = _cfg(algo=AlgoSpec("fl-bounded", 2), scenario=ScenarioSpec("iid", seed=2), seeds=(1, 2, 3))
+    result = run_experiment(config)
+    _, loss, _ = comparator(result.scenario_costs, 2, None)
+    assert np.mean([loss] * 3) != loss  # the mean of the seeds' equal losses would differ in its last bit
+    assert result.comparator_loss == loss
 
 
 def test_infeasible_comparator_is_refused_before_any_trial(monkeypatch, capsys):

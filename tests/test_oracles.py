@@ -343,7 +343,7 @@ def test_best_fixed_bit_identical_on_a_killer_history():
     learner = LearnerBatch(GameConfig(n, horizon, 1.0, 1.0), "fl", 1)
     source = KillerSource(n, use_current_action=False)
     rng = np.random.default_rng(14)
-    actions = trial_loop(learner, (rng,), horizon, lambda t, played: source.costs_for(t + 1, played))[3]
+    actions = trial_loop(learner, (rng,), horizon, source)[3]
     history = source.realized(actions[0])
     assert len({row.tobytes() for row in history.connection}) < horizon  # repeated rows occur
     subset, loss = best_fixed_subset(history)
