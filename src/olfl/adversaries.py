@@ -133,8 +133,8 @@ def generate_scenario(kind: str, cfg: GameConfig, seed: int, drift_step: float =
         # contiguous halves, which the loss pricing ravels without a copy
         return CostRows(draws[:, :n].copy(), draws[:, n:].copy())
     if kind == "drift":
-        if drift_step < 0:
-            raise ConfigError(f"drift step must be >= 0, got {drift_step!r}")
+        if not 0 <= drift_step < math.inf:  # false for NaN as well
+            raise ConfigError(f"drift step must be finite and >= 0, got {drift_step!r}")
         sites = rng.uniform(0.0, 1.0, (n, 2))
         user = rng.uniform(0.0, 1.0, 2)
         opening = rng.uniform(0.0, cfg.opening_max, n)

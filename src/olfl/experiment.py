@@ -121,6 +121,9 @@ class ExperimentConfig:
             raise ConfigError("at least one seed required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
+        for field, seed in (("seeds", min(self.seeds)), ("scenario seed", self.scenario.seed)):
+            if seed < 0:  # numpy would refuse it only later, naming no field
+                raise ConfigError(f"{field} must be >= 0, got {seed}")
         game = self.game  # the fl family's `LearnerBatch` refuses what it derives itself
         bound = game.horizon * (game.n_sites * game.opening_max + game.connection_max)
         refuse_cost_bounds(game, [("cumulative loss bound T (N C + D)", bound, True)])

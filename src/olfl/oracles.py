@@ -4,11 +4,11 @@ efficient learners, used to verify them at desk scale.
 - ExactHedge: exponential weights over all 2^N - 1 nonempty subsets, whose
   weight rows pass the sampler's one check and are drawn as it draws.
 - ftl_greedy_play / cheapest_singleton_play: deterministic follow-the-leader
-  baselines (both provably beatable by an adaptive adversary), and
-  FollowTheLeaderGreedy, which replays the greedy leader as a learner.
-  Both learners stand behind `game.LearnerRows`, the play / update protocol
-  of the fl learners: ExactHedge as a batch of rows, FollowTheLeaderGreedy
-  as one row, since a deterministic learner has one trajectory.
+  baselines (both provably beatable by an adaptive adversary), replayed as
+  learners by FollowTheLeaderGreedy and CheapestSingleton. The learners
+  stand behind `game.LearnerRows`, the play / update protocol of the fl
+  learners: ExactHedge as a batch of rows, the baselines as one row each,
+  since a deterministic learner has one trajectory.
 - best_fixed_subset: the in-hindsight comparator. Up to the site cap it
   prices all 2^N bitmasks in one superset-sum pass over the history; above
   the cap a cardinality-restricted scan, best_fixed_scan, enumerates
@@ -168,8 +168,8 @@ def _greedy_leader(connection: np.ndarray, cum_open: np.ndarray, cum_conn: np.nd
 
 
 class FollowTheLeaderGreedy(LearnerRows):
-    """Deterministic baseline: one history, whose greedy leader ({1} before
-    the first trial) it plays for every generator it serves, reading no
+    """Deterministic baseline: one history, whose `leader` ({1} before the
+    first trial) it plays for every generator it serves, reading no
     uniforms. It follows one trajectory whatever the source, since even the
     adaptive killer prices the one action it has just played.
 
@@ -180,9 +180,10 @@ class FollowTheLeaderGreedy(LearnerRows):
     C-contiguous block row by row, so they equal the history's column sums
     as floats, and a play makes one pass over the history instead of three."""
 
+    leader = staticmethod(_greedy_leader)  # the rule a play applies to the history and its sums
+
     def __init__(self, cfg: GameConfig):
         super().__init__(1, cfg.n_sites)
-        self.cfg = cfg
         self._connection = np.empty((cfg.horizon, cfg.n_sites))
         self._sums = np.zeros((2, cfg.n_sites))  # opening, connection column sums
         self._trials = 0
@@ -190,7 +191,7 @@ class FollowTheLeaderGreedy(LearnerRows):
     def play(self, rngs) -> ActionRows:
         actions = self._begin_play(rngs)
         t = self._trials
-        leader = _greedy_leader(self._connection[:t], *self._sums) if t else SiteSet((1,))
+        leader = self.leader(self._connection[:t], *self._sums) if t else SiteSet((1,))
         return ActionRows.repeated(leader, actions)
 
     def update(self, costs: CostPair | CostRows) -> None:
@@ -204,9 +205,17 @@ class FollowTheLeaderGreedy(LearnerRows):
         self._trials = t + 1
 
 
+class CheapestSingleton(FollowTheLeaderGreedy):
+    """FollowTheLeaderGreedy playing cheapest_singleton_play from its running sums."""
+
+    @staticmethod
+    def leader(connection: np.ndarray, cum_open: np.ndarray, cum_conn: np.ndarray) -> SiteSet:
+        return SiteSet((int(np.argmin(cum_open + cum_conn)) + 1,))
+
+
 def cheapest_singleton_play(history: CostRows) -> SiteSet:
     """The singleton with the least cumulative loss so far."""
-    return SiteSet((int(np.argmin(history.opening.sum(axis=0) + history.connection.sum(axis=0))) + 1,))
+    return CheapestSingleton.leader(history.connection, history.opening.sum(axis=0), history.connection.sum(axis=0))
 
 
 def comparator_cardinalities(n_sites: int, max_card: int | None = None, exact_card: int | None = None):

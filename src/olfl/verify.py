@@ -26,15 +26,15 @@ from scipy import special
 from .adversaries import KillerSource, generate_scenario
 from .eg import Step, starting_point
 from .experiment import trial_loop
-from .game import ActionRows, CostPair, CostRows, GameConfig, SiteSet, connection_order, facility_loss
+from .game import CostPair, CostRows, GameConfig, action_losses, connection_order
 from .learners import DoublingLearner, FixedCardinalityLearner, LearnerBatch, half_log_ceil
 from .oracles import (
+    CheapestSingleton,
     ExactHedge,
+    FollowTheLeaderGreedy,
     best_fixed_scan,
     best_fixed_subset,
-    cheapest_singleton_play,
     exact_expected_loss,
-    ftl_greedy_play,
 )
 from .sampler import RecordedRows
 from .surrogate import SurrogateInstance, value_and_gradient
@@ -354,29 +354,16 @@ def check_hedge_bound(scale: Scale = DESK) -> CheckResult:
     return CheckResult("hedge exact bound", True, f"{plan.count} scenarios; worst slack {worst:.1f}")
 
 
-def run_deterministic_against_killer(play_fn, n_sites: int, horizon: int):
-    """Drive a deterministic history->action rule through the adaptive
-    adversary (which sees each action before pricing it); the rule plays
-    {1} at the first trial, when there is no history. Returns (average
-    loss, history as CostRows, actions), priced by one `KillerSource` that
-    moves second, as `olfl run` prices ftl-greedy on the killer."""
-    source = KillerSource(n_sites, use_current_action=True)
-    seen = np.empty((2, horizon, n_sites))  # the history so far, read in place by play_fn
-    actions: list[SiteSet] = []
-    total = 0.0
-    for t in range(horizon):
-        action = play_fn(CostRows(seen[0, :t], seen[1, :t])) if t else SiteSet((1,))
-        costs = source.costs_for(t + 1, ActionRows.repeated(action, 1))[0]
-        total += facility_loss(costs, action)
-        seen[0, t], seen[1, t] = costs.opening, costs.connection
-        actions.append(action)
-    return total / horizon, CostRows(seen[0], seen[1]), actions
-
-
 def check_killer_regression(scale: Scale = DESK) -> CheckResult:
+    """The deterministic baselines run as learner rows through `trial_loop` on
+    the killer moving second, as ftl-greedy runs, priced as `_run_seeds` does."""
     n, horizon = scale["killer"].sites, scale["killer"].horizon
-    for name, play_fn in (("ftl-greedy", ftl_greedy_play), ("cheapest-singleton", cheapest_singleton_play)):
-        avg, history, _ = run_deterministic_against_killer(play_fn, n, horizon)
+    cfg = GameConfig(n, horizon, 1.0, 1.0)
+    for name, learner in (("ftl-greedy", FollowTheLeaderGreedy), ("cheapest-singleton", CheapestSingleton)):
+        source = KillerSource(n, use_current_action=True)
+        actions = trial_loop(learner(cfg), (np.random.default_rng(0),), horizon, source)[3][0]
+        history = source.realized(actions)
+        avg = sum(action_losses(history, actions).tolist()) / horizon  # summed trial by trial
         if avg < 1.0:
             return CheckResult("killer regression", False, f"{name} averaged {avg} < 1")
         _, best_single = best_fixed_subset(history, max_card=1)

@@ -1,4 +1,5 @@
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -173,8 +174,9 @@ def test_generate_scenario_rejections():
         generate_scenario("killer", cfg, seed=0)
     with pytest.raises(ConfigError):
         generate_scenario("lunar", cfg, seed=0)
-    with pytest.raises(ConfigError):
-        generate_scenario("drift", cfg, seed=0, drift_step=-0.1)
+    for step in (-0.1, math.nan, math.inf):
+        with pytest.raises(ConfigError, match=f"drift step must be finite and >= 0, got {step}"):
+            generate_scenario("drift", cfg, seed=0, drift_step=step)
 
 
 def test_trace_round_trip(tmp_path):

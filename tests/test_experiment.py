@@ -64,6 +64,11 @@ def test_config_validation():
         _cfg(seeds=())
     with pytest.raises(ConfigError):
         _cfg(seeds=(1, 1))
+    with pytest.raises(ConfigError, match="seeds must be >= 0, got -1"):
+        _cfg(seeds=(-1, 2))
+    for kind in ("iid", "killer"):  # a killer run reads no scenario seed, and is refused one as well
+        with pytest.raises(ConfigError, match="scenario seed must be >= 0, got -3"):
+            _cfg(scenario=ScenarioSpec(kind, seed=-3))
 
 
 def test_config_dict_round_trip():
@@ -409,6 +414,14 @@ def test_a_killer_seed_emits_the_same_bytes_alone_and_beside_another(tmp_path):
         cumulative.append(json.loads((tmp_path / f"{seeds}.aggregate.json").read_text())["loss"]["per_seed"][0])
     assert trials[0] == trials[1]
     assert cumulative[0] == cumulative[1] and cumulative[0]["seed"] == 3
+
+
+@pytest.mark.parametrize("step", ["nan", "inf"])
+def test_cli_refuses_a_non_finite_drift_step_before_any_trial(step, tmp_path, capsys):
+    args = ["run", "--algo", "fl", "--n", "4", "--t", "10", "--c-max", "1", "--d-max", "1", "--scenario", "drift"]
+    assert main([*args, "--drift-step", step, "--seeds", "1", "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"error: drift step must be finite and >= 0, got {step}\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_validation_failures(tmp_path):

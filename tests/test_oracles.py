@@ -27,9 +27,9 @@ from olfl import (
 )
 from olfl.experiment import trial_loop
 from olfl.learners import LearnerBatch
-from olfl.oracles import FollowTheLeaderGreedy
+from olfl.oracles import CheapestSingleton, FollowTheLeaderGreedy
 from olfl.sampler import UniformStreams
-from olfl.verify import best_fixed_scan, run_deterministic_against_killer
+from olfl.verify import best_fixed_scan
 
 
 def test_hedge_init():
@@ -182,7 +182,10 @@ def _slow_greedy(history, tol=1e-9):
 
 
 def test_ftl_greedy_matches_slow_reimplementation_on_killer_history():
-    _, history, actions = run_deterministic_against_killer(ftl_greedy_play, 8, 60)
+    source = KillerSource(8, use_current_action=True)
+    ftl = FollowTheLeaderGreedy(GameConfig(8, 60, 1.0, 1.0))
+    actions = trial_loop(ftl, (np.random.default_rng(0),), 60, source)[3][0]
+    history = source.realized(actions)
     for t, action in enumerate(actions):
         expected = (1,) if t == 0 else _slow_greedy(history[:t])
         assert action.members == expected
@@ -190,16 +193,21 @@ def test_ftl_greedy_matches_slow_reimplementation_on_killer_history():
 
 @pytest.mark.parametrize("scenario", ["iid", "killer"])
 @pytest.mark.parametrize("n", [1, 2, 3, 16])
-def test_ftl_greedy_running_sums_play_the_leader_of_every_prefix(n, scenario):
+@pytest.mark.parametrize(
+    "baseline, leader_of",
+    [(FollowTheLeaderGreedy, ftl_greedy_play), (CheapestSingleton, cheapest_singleton_play)],
+    ids=["ftl-greedy", "cheapest-singleton"],
+)
+def test_ftl_greedy_running_sums_play_the_leader_of_every_prefix(baseline, leader_of, n, scenario):
     horizon = 400
     cfg = GameConfig(n, horizon, 1.0, 1.0)
-    ftl = FollowTheLeaderGreedy(cfg)
+    ftl = baseline(cfg)
     scenario_costs = generate_scenario("iid", cfg, 11) if scenario == "iid" else None
     source = KillerSource(n, True)
     opening, connection = np.empty((horizon, n)), np.empty((horizon, n))
     for t in range(horizon):
         action = ftl.play(UniformStreams((1, 2)))
-        expected = ftl_greedy_play(CostRows(opening[:t], connection[:t])) if t else SiteSet((1,))
+        expected = leader_of(CostRows(opening[:t], connection[:t])) if t else SiteSet((1,))
         assert list(action) == [expected] * 2
         if scenario_costs is None:  # the killer prices the one action played
             costs = source.costs_for(t + 1, ActionRows.of([action[0]]))[0]
