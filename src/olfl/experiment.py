@@ -22,16 +22,18 @@ so each seed's uniforms are prefetched for about 64 trials at a time. No
 learner's state depends on its own draws, so on a shared scenario every
 seed follows one trajectory: the batch holds one row and updates it once
 per trial, and the fl family draws every seed's actions from it per block
-of recorded trials (one search per trial and one sort) and prepares the
-surrogate's cost side per block; `trial_loop` plays every other learner
-trial by trial, as a block of one. On the killer a randomized learner's
-seeds each have their own costs, and the batch one row per seed;
-ftl-greedy is deterministic, so the killer prices the one action it plays,
-and it holds one row on every scenario. A trial's actions are CSR rows
-(`ActionRows`), one per seed; the loop records them with one column per
-seed, the update values and learner state as (T, R) columns, one per
-learner row, and keeps no per-trial objects. Seed r reads row r % R, and
-seeds that share a row share its columns and its history.
+of recorded trials (on narrow rows one count, for all its trials at once,
+of the cumulative sums at or below each uniform, and one sort of each
+action's draws) and prepares the surrogate's cost side per block;
+`trial_loop` plays every other learner trial by trial, as a block of one.
+On the killer a randomized learner's seeds each have their own costs, and
+the batch one row per seed; ftl-greedy is deterministic, so the killer
+prices the one action it plays, and it holds one row on every scenario. A
+trial's actions are CSR rows (`ActionRows`), one per seed; the loop records
+them with one column per seed, the update values and learner state as
+(T, R) columns, one per learner row, and keeps no per-trial objects. Seed
+r reads row r % R, and seeds that share a row share its columns and its
+history.
 
 A shared scenario (from its own seed or a trace file) is one (T, N)
 CostRows: it feeds each trial's row to the learners and prices every
@@ -124,6 +126,8 @@ class ExperimentConfig:
         for field, seed in (("seeds", min(self.seeds)), ("scenario seed", self.scenario.seed)):
             if seed < 0:  # numpy would refuse it only later, naming no field
                 raise ConfigError(f"{field} must be >= 0, got {seed}")
+        if kind in ("killer", "replay") and self.scenario.seed:  # nothing would read it
+            raise ConfigError(f"scenario {kind} takes no scenario seed")
         game = self.game  # the fl family's `LearnerBatch` refuses what it derives itself
         bound = game.horizon * (game.n_sites * game.opening_max + game.connection_max)
         refuse_cost_bounds(game, [("cumulative loss bound T (N C + D)", bound, True)])
@@ -565,7 +569,8 @@ def emit_results(result: RunResult, prefix: str) -> list[str]:
     per distinct text: the trial numbers once per run, each learner row's
     lambda,theta,k,segment cells once for all the seeds that hold its
     column objects, and each distinct action and loss once for all seeds.
-    A trial CSV is written in joined blocks of `EMIT_LINES` lines."""
+    A trial CSV is written in blocks of `EMIT_LINES` lines, each block's
+    cells filled into one list of line templates and joined once."""
     directory = os.path.dirname(prefix)
     if directory:
         os.makedirs(directory, exist_ok=True)
@@ -581,14 +586,17 @@ def emit_results(result: RunResult, prefix: str) -> list[str]:
         row = tuple(map(id, (sr.surrogate_losses, sr.scales, sr.cardinalities, sr.segments)))
         if row not in tails:
             tails[row] = _tail_cells(sr, t)
-        seed, cells = sr.seed, (trials, actions[r * t : (r + 1) * t], loss_cells, tails[row])
-        path = f"{prefix}.trials.seed{seed}.csv"
+        cells = (trials, actions[r * t : (r + 1) * t], loss_cells, tails[row])
+        line = [f"{sr.seed},", "", ",", "", ",", "", ",", "", "\n"]  # the cells go in the odd slots
+        path = f"{prefix}.trials.seed{sr.seed}.csv"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(TRIAL_CSV_HEADER + "\n")
             for start in range(0, t, EMIT_LINES):
                 block = slice(start, start + EMIT_LINES)
-                lines = zip(*(column[block] for column in cells))
-                fh.write("".join([f"{seed},{trial},{action},{loss},{tail}\n" for trial, action, loss, tail in lines]))
+                parts = line * (min(t, start + EMIT_LINES) - start)
+                for slot, column in enumerate(cells):
+                    parts[2 * slot + 1 :: len(line)] = column[block]
+                fh.write("".join(parts))
         paths.append(path)
 
     curves = losses.cumsum(axis=1)

@@ -14,28 +14,30 @@ that does not grow with the number of actions: every action's sites come
 from one flat inverse-CDF search, reading each action's uniforms from its
 own generator (or from its row of a `UniformStreams`, which prefetches
 them; only generators private to one run may be read that way, since
-prefetching leaves them ahead); one in-place sort deduplicates the draws
-into CSR actions (`play` returns `ActionRows`, which reads as one SiteSet
-per action); the surrogate's cost side extends and sorts each row's costs
-along the row; its weight side and the exponentiated-gradient step run on
-all rows at once; and doubling restarts reset the rows that crossed their
-threshold through a mask. Rows never mix, so a row follows the same
-trajectory whichever rows share its batch, and an action is the same
-whether its generator draws from its own row or from the one row every
-generator shares.
+prefetching leaves them ahead); one in-place sort along the rows of draws,
+one row per action, deduplicates them into CSR actions (`play` returns
+`ActionRows`, which reads as one SiteSet per action); the surrogate's cost
+side extends and sorts each row's costs along the row; its weight side and
+the exponentiated-gradient step run on all rows at once; and doubling
+restarts reset the rows that crossed their threshold through a mask. Rows
+never mix, so a row follows the same trajectory whichever rows share its
+batch, and an action is the same whether its generator draws from its own
+row or from the one row every generator shares.
 
 A one-row batch draws through `sampler.RecordedRows`: a trial's `play`
 checks and records the weight row and draws it as a block of one trial.
 `record` instead checks and records a trial's row without drawing (the
 row, and each generator's next uniforms, fix the trial's actions), and the
 next `play` draws every generator's actions for all recorded trials at
-once, through the same search, dedup, dummy strip and {1} fallback, so the
-actions are the same bit for bit. A block of recorded trials ends when it
-is full or when a restart changes the draw count. The cost side depends on
-the costs alone, so on a shared scenario `prepare` builds it for a block
-of trials at once, and `update` takes one trial's `Prepared` row in place
-of its costs. A one-row batch steps its (n,) row views, through the same
-weight side and step as S rows.
+once (on narrow rows by counting the cumulative sums at or below each
+scaled uniform, which is the search's answer), through the same dedup,
+dummy strip and {1} fallback, so the actions are the same bit for bit. A
+block of recorded trials ends when it is full or when a restart changes the
+draw count. The cost side depends on the costs alone, so on a shared
+scenario `prepare` builds it for a block of trials at once, and `update`
+takes one trial's `Prepared` row in place of its costs. A one-row batch
+checks, steps and records its (n,) row views, through the same weight
+check, weight side and step as S rows.
 
 Kinds:
 
@@ -112,8 +114,9 @@ class LearnerBatch(LearnerRows):
     of its own of at most a recorded block's b rows. This state depends
     only on the shape and the draw counts: it is built in `__init__`, and
     again in `_tune` when a restart changes the draw counts (with the draw
-    plan's per-draw arrays and the step's constants). A one-row batch lays
-    out its draws per block shape, when the shape changes. None of it grows
+    plan's per-draw arrays, the index that lays S rows' draws out one row
+    per action, and the step's constants). A one-row batch allocates its
+    draw buffer per block shape, when the shape changes. None of it grows
     with the number of generators a one-row batch draws for.
 
     The weights are checked once per trial, where they are first read: the
@@ -147,16 +150,15 @@ class LearnerBatch(LearnerRows):
             self.base = c + d  # b
             self.threshold_unit = 2.0 * (self.slope + self.base) * math.sqrt(math.log(2 * n) * cfg.horizon)
         self._refuse_cost_range(cfg, kind, (1, n) if kind == "fl" else (cardinality,))
-        self._stride = self.cfg.n_sites + 1  # action a's draw of site i is key a * stride + i
         self.w = np.tile(self._start, (rows, 1))
         # the aggregate dummy's connection cost, which each prepared row ends with
         self._dummy = None if kind == "fl-fixed" else c + d
         # a one-row batch steps its row views
         self._space = Workspace(self.w.shape[1:] if rows == 1 else self.w.shape, self._dummy)
         self._recorded = RecordedRows(self.cfg.n_sites, 1) if rows == 1 else None  # one row's draws
-        # one row's last block shape (trials, generators, draws), its key
-        # buffer, flat and in that shape (reused: `_site_rows` sorts it in
-        # place), and its layout
+        # one row's last block shape (trials, generators, draws) and its
+        # draw buffer, in that shape and as one row per action (reused:
+        # `_site_rows` sorts it in place)
         self._block = ((0, 0, 0),)
         self.scale = self.segment = None  # no doubling state outside fl
         if kind == "fl":
@@ -200,19 +202,14 @@ class LearnerBatch(LearnerRows):
         # every row draws alike
         first = int(self.num_draws[0])
         self._draws = first if np.logical_and.reduce(self.num_draws == first) else self.num_draws
-        if self._recorded is None:  # several rows: one draw plan and one layout per draw counts
+        if self._recorded is None:  # several rows: one draw plan and one row layout per draw counts
             self._plan = DrawPlan(*self.w.shape, self._draws)
-            self._row_starts, self._draw_offsets, self._distinct = self._layout(self.rows, self._draws)
-
-    def _layout(self, actions: int, draws) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Action starts, per-draw key offsets and the dedup mask for
-        `actions` actions of `draws` draws each (or draws[a] for action a)."""
-        stride = self._stride
-        starts = np.arange(0, (actions + 1) * stride, stride)
-        offsets = starts[:-1].repeat(draws)
-        distinct = np.empty(offsets.size, dtype=bool)
-        distinct[0] = True  # the first key is always kept
-        return starts, offsets, distinct
+            # row r's draws, flat at first[r] .. first[r] + counts[r] - 1,
+            # as one row of the widest count, padded with repeats of its
+            # last draw, which the dedup drops
+            counts = np.broadcast_to(self._draws, self.rows)
+            first = np.add.accumulate(counts) - counts
+            self._rows_of_draws = first[:, None] + np.minimum(np.arange(counts.max()), counts[:, None] - 1)
 
     def budget_for(self, scale: np.ndarray) -> np.ndarray:
         """Cardinality budget K = ceil((scale*(a+b) - b)/a) per scale, written
@@ -232,7 +229,7 @@ class LearnerBatch(LearnerRows):
     @property
     def state_nbytes(self) -> int:
         """Bytes of the (S, n) and (n,) arrays kept between trials, each base
-        array once; the per-draw offsets and keys, sized by the draws, are
+        array once; the draw layouts and buffers, sized by the draws, are
         left out."""
         draws = self._plan.keys if self._recorded is None else self._recorded.cdf
         kept = (self.w, self._start, self._space.grad, draws)
@@ -275,42 +272,39 @@ class LearnerBatch(LearnerRows):
         recorded = self._recorded
         if recorded is None:
             self._begin_play(rngs)
-            keys = self._plan.draw(self.w, rngs)  # the one check of the weights this trial
-            keys += self._draw_offsets
-            return self._site_rows(keys, self._row_starts, self._distinct)
+            sites = self._plan.draw(self.w, rngs)  # the one check of the weights this trial
+            return self._site_rows(sites[self._rows_of_draws])
         new = not recorded.size
         generators = self._begin_play(rngs, new)
         if new:
             recorded.record(self.w, self._draws)  # the one check of the weights this trial
         shape = (recorded.size, generators, recorded.count)
         if self._block[0] != shape:
-            keys = np.empty(math.prod(shape), dtype=np.intp)
-            self._block = (shape, keys, keys.reshape(shape), *self._layout(shape[0] * generators, shape[2]))
-        _, keys, drawn, starts, offsets, distinct = self._block
+            drawn = np.empty(shape, dtype=np.intp)
+            self._block = (shape, drawn, drawn.reshape(-1, shape[2]))
+        _, drawn, per_action = self._block
         recorded.draw(rngs, drawn)
-        keys += offsets
-        return self._site_rows(keys, starts, distinct)
+        return self._site_rows(per_action)
 
-    def _site_rows(self, keys: np.ndarray, starts: np.ndarray, distinct: np.ndarray) -> ActionRows:
-        """The actions whose draws are `keys` (action a's draw of site i is
-        a * stride + i), each action's draws contiguous, as CSR rows of
-        their distinct real sites: one in-place sort keeps each action's
-        distinct sites, in action order; a dummy draw is stripped, and an
-        action left with no real site plays {1}. `starts` are the actions'
-        first keys, and `distinct` a mask of the keys' size."""
-        keys.sort()
-        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-        keys = keys[distinct]
-        stride = self._stride
-        real = keys[keys % stride <= self.n_real]  # a dummy draw is stripped
-        ptr = real.searchsorted(starts)
-        if real.size < keys.size:
-            empty = (ptr[1:] == ptr[:-1]).nonzero()[0]
-            if empty.size:  # {1} where nothing real was drawn
-                real = np.concatenate([real, starts[empty] + 1])
-                real.sort()
-                ptr = real.searchsorted(starts)
-        return ActionRows(ptr, real % stride)
+    def _site_rows(self, sites: np.ndarray) -> ActionRows:
+        """The actions whose draws are the rows of `sites`, (actions, draws)
+        1-based site indices, as CSR rows of their distinct real sites: one
+        in-place sort of each row puts its distinct sites in order; a dummy
+        draw, which sorts last, is stripped, and an action that drew only
+        the dummy plays {1}."""
+        sites.sort()
+        draws = sites.shape[1]
+        if self._dummy is not None:
+            first = sites[:, 0]
+            first[first > self.n_real] = 1  # {1} where nothing real was drawn
+        flat, marks = sites.ravel(), np.empty(sites.size + 1, dtype=bool)
+        marks[0], keep = False, marks[1:]  # keep[i]: draw i is kept; marks[0] starts the count at 0
+        np.not_equal(flat[1:], flat[:-1], out=keep[1:])
+        keep[::draws] = True  # each action's first draw
+        if self._dummy is not None:
+            keep &= flat <= self.n_real  # a dummy draw is stripped
+        ptr = np.add.accumulate(marks, dtype=np.intp)[::draws]  # the draws kept before each action
+        return ActionRows(ptr, flat[keep])
 
     def prepare(self, costs: CostRows, start: int, stop: int) -> list[Prepared]:
         """The cost side of trials start .. stop - 1 of `costs`, a shared

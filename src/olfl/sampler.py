@@ -5,8 +5,9 @@ first site whose cumulative mass exceeds it. Scaling by the computed total,
 not 1, keeps every draw strictly below the last cumulative value, so a draw
 never lands past the last positive-mass site; a zero-mass site adds nothing
 to the cumulative sum, so no draw lands on one. A call costs one O(n)
-cumulative sum plus a binary search per draw, and each draw consumes exactly
-one uniform.
+cumulative sum plus a binary search per draw (or, for a block of narrow
+recorded rows, one pass over the row's sums), and each draw consumes
+exactly one uniform.
 
 Every draw checks its distributions once, in `accumulate_checked`, which
 also writes the cumulative sums the search needs: every entry must lie in
@@ -25,13 +26,18 @@ per counts; each draw accumulates straight into the keys' imaginary view.
 
 `RecordedRows` draws one row for any number of generators: it records each
 trial's row, and draws every generator's actions for a block of recorded
-trials with one read of the uniforms, searching each recorded row on its
-own cumulative sums. Each generator reads its uniforms in trial order, so
-it gets exactly the draws that per-trial draws would give, from the one row
-exactly as from a copy of its own. A per-trial draw is a block of one
-trial, and `sample_site_multiset` one such draw for one generator. A
-block holds at most `PREFETCH_TRIALS` rows and `PREFETCH_CAP` cumulative
-sums, so its memory does not grow with the horizon.
+trials with one read of the uniforms. On rows of at most `COUNTED_DRAW_MAX`
+sites it counts, for every trial of the block at once, the cumulative sums
+at or below each scaled uniform: a row's sums never decrease, since they
+add checked non-negative masses, so the count is exactly the search's
+answer, zero-mass sites included. Wider rows, and a block of one trial, are
+searched trial by trial on their own cumulative sums. Each generator reads
+its uniforms in trial order, so it gets exactly the draws that per-trial
+draws would give, from the one row exactly as from a copy of its own. A
+per-trial draw is a block of one trial, and `sample_site_multiset` one such
+draw for one generator. A block holds at most `PREFETCH_TRIALS` rows and
+`PREFETCH_CAP` cumulative sums, so its memory does not grow with the
+horizon.
 
 Uniforms come from one generator per row, read in order: `rngs[r].random`
 gives row r its draws on every call. `UniformStreams` instead owns each
@@ -56,6 +62,13 @@ PREFETCH_TRIALS = 64  # trials' worth of uniforms a stream refill reads ahead
 # the most uniforms a refill prefetches per row beyond one call's, and the
 # most cumulative sums a block of recorded rows holds
 PREFETCH_CAP = 1 << 16
+# the widest rows a block of recorded trials draws by counting, not by one
+# search per trial: in 64-trial blocks of 4 to 1600 uniforms a trial,
+# counting took 0.31-0.66 of the per-trial searches' time on 7 sites,
+# 0.57-1.00 on 17, 0.76-0.85 on 25, 0.97-1.08 on 33 and 1.5-1.8 on 65; on a
+# block of one trial it took 1.5-3.7 times the one search's time on 7 to 33
+# sites, so such a block keeps its search (timeit, 2-core x86-64, numpy 2.4.6)
+COUNTED_DRAW_MAX = 24
 
 
 def _in_row(p: np.ndarray, r: int) -> str:
@@ -117,22 +130,25 @@ class UniformStreams:
 
 
 def accumulate_checked(p: np.ndarray, cdf: np.ndarray, trial: int | None = None) -> None:
-    """Accumulate the rows of the (rows, n) distributions p into `cdf`, or
-    refuse p, naming the row and the trial if given: every entry must lie
-    in [0, 1 + MASS_TOL] before anything sums it, so no sum can warn first,
+    """Accumulate the (n,) distribution p, or the rows of the (rows, n)
+    distributions p, along the last axis into `cdf`, or refuse p, naming
+    the row and the trial if given: every entry must lie in
+    [0, 1 + MASS_TOL] before anything sums it, so no sum can warn first,
     and every row's total mass must be 1 within MASS_TOL."""
     # false on NaN too
     if not (np.minimum.reduce(p, axis=None) >= 0 and np.maximum.reduce(p, axis=None) <= 1.0 + MASS_TOL):
         _refuse(p, trial)
-    np.add.accumulate(p, axis=1, out=cdf)
-    for total in cdf[:, -1].tolist():  # exactly |total - 1| <= MASS_TOL, cheaper on few rows
+    np.add.accumulate(p, axis=-1, out=cdf)
+    for total in cdf[..., -1:].flat:  # exactly |total - 1| <= MASS_TOL, cheaper on few rows
         if not -MASS_TOL <= total - 1.0 <= MASS_TOL:
             _refuse(p, trial)
 
 
 def _refuse(p: np.ndarray, trial: int | None) -> None:
-    """Raise the complaint about the first thing wrong with p."""
+    """Raise the complaint about the first thing wrong with p, one
+    distribution or rows of them."""
     where = "" if trial is None else f" at trial {trial}"
+    p = p.reshape(-1, p.shape[-1])
     if not np.isfinite(p).all():
         r = int(np.argmin(np.isfinite(p).all(axis=1)))
         raise InvalidDistributionError(f"p must be finite{_in_row(p, r)}{where}")
@@ -209,7 +225,7 @@ class RecordedRows:
         size = self.size
         if size and (size == self.cdf.shape[0] or count != self.count):
             return False
-        accumulate_checked(p, self.cdf[size : size + 1], trial)
+        accumulate_checked(p[0], self.cdf[size], trial)
         self.size, self.count = size + 1, count
         return True
 
@@ -218,14 +234,22 @@ class RecordedRows:
         (rows, generators, count) 1-based site indices, and empty the
         buffer. `rngs` is a sequence of generators or a `UniformStreams`,
         whose refill reads about `PREFETCH_TRIALS` trials' worth; each
-        generator's uniforms are read in trial order with one read, and
-        each row is searched on its own cumulative sums."""
+        generator's uniforms are read in trial order with one read. A
+        block of several trials on rows of at most `COUNTED_DRAW_MAX` sites
+        counts each uniform's sums at or below it, all trials at once;
+        otherwise each row is searched on its own cumulative sums."""
         size, generators, count = out.shape
         cdf = self.cdf
         u = uniforms(rngs, size * count, PREFETCH_TRIALS // size).reshape(generators, size, count)
-        needles = u * cdf[:size, -1:]  # each uniform scaled by its trial's total
-        for trial in range(size):
-            out[trial] = cdf[trial].searchsorted(needles[:, trial], side="right")
+        if size > 1 and cdf.shape[1] <= COUNTED_DRAW_MAX:
+            # each uniform scaled by its trial's total, trial-major
+            needles = np.multiply(u.transpose(1, 0, 2), cdf[:size, -1:, None]).reshape(size, 1, -1)
+            below = np.less_equal(cdf[:size, :, None], needles)
+            np.add.reduce(below, axis=1, dtype=np.intp, out=out.reshape(size, -1))
+        else:
+            needles = u * cdf[:size, -1:]  # each uniform scaled by its trial's total
+            for trial in range(size):
+                out[trial] = cdf[trial].searchsorted(needles[:, trial], side="right")
         out += 1
         self.size = 0
 

@@ -7,6 +7,7 @@ The pins hold the first 40 actions and surrogate losses of two seeded runs,
 recorded before the learners ran as one seed-batched core: the core must
 replay the actions exactly and the losses to 1e-12.
 """
+import copy
 import cProfile
 import pstats
 import time
@@ -111,9 +112,8 @@ BATCH_CASES = [
 
 @pytest.mark.parametrize("algo, k, kind, n, horizon", BATCH_CASES)
 def test_batched_seeds_replay_each_seed_run_alone(algo, k, kind, n, horizon):
-    config = ExperimentConfig(
-        GameConfig(n, horizon, 1.0, 1.0), AlgoSpec(algo, k), ScenarioSpec(kind, seed=11), (3, 5, 8)
-    )
+    scenario = ScenarioSpec(kind, seed=11 if kind != "killer" else 0)
+    config = ExperimentConfig(GameConfig(n, horizon, 1.0, 1.0), AlgoSpec(algo, k), scenario, (3, 5, 8))
     for run in run_experiment(config).seed_runs:
         alone = run_experiment(replace(config, seeds=(run.seed,))).seed_runs[0]
         assert run.actions == alone.actions
@@ -254,6 +254,17 @@ def test_an_all_dummy_row_plays_site_one_for_every_generator():
     assert [action.members for action in actions] == [(1,)] * 5
 
 
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("kind, k", [("fl-fixed", 2), ("fl-bounded", 2)])
+def test_weights_on_one_real_site_play_it_for_every_generator(kind, k, rows):
+    # every action draws what the action before it drew, and each still
+    # keeps its first draw
+    batch = LearnerBatch(GameConfig(3, 50, 1.0, 1.0), kind, rows, k)
+    batch.w = np.eye(batch.cfg.n_sites)[[1] * rows]
+    actions = batch.play([np.random.default_rng(seed) for seed in range(5 if rows == 1 else rows)])
+    assert [action.members for action in actions] == [(2,)] * len(actions)
+
+
 CORRUPTIONS = (np.nan, np.inf, -0.5)
 
 
@@ -324,6 +335,30 @@ def test_a_corrupted_recorded_row_ends_the_block_loop_in_an_error_naming_its_tri
         trial_loop(learner, UniformStreams(range(3)), cfg.horizon, generate_scenario("iid", cfg, 2))
 
 
+@pytest.mark.parametrize("block", [1, 7, PREFETCH_TRIALS])
+@pytest.mark.parametrize("kind, k", [("fl-fixed", 2), ("fl-bounded", 2)])
+def test_a_blocks_actions_are_each_actions_distinct_real_draws(kind, k, block):
+    # the play sorts each action's own draws in place and keeps its distinct
+    # real sites in order: a dummy draw (site N + 1) is stripped, and an
+    # action that drew only the dummy plays {1}
+    cfg, generators = GameConfig(6, 500, 1.0, 1.0), 20
+    costs = generate_scenario("iid", cfg, 5)
+    learner = LearnerBatch(cfg, kind, 1, k)
+    for t in range(block - 1):
+        assert learner.record(t + 1)
+        learner.update(costs[t])
+    assert learner.record(block)
+    recorded = copy.deepcopy(learner._recorded)
+    drawn = np.empty((block, generators, recorded.count), dtype=np.intp)
+    recorded.draw(UniformStreams(range(generators)), drawn)
+    rows = drawn.reshape(-1, recorded.count).tolist()
+    expected = [tuple(sorted(set(row) - {cfg.n_sites + 1})) or (1,) for row in rows]
+    actions = learner.play(UniformStreams(range(generators)))
+    assert [action.members for action in actions] == expected
+    if kind == "fl-bounded" and block == PREFETCH_TRIALS:  # the fallback ran
+        assert any(set(row) == {cfg.n_sites + 1} for row in rows)
+
+
 def test_recording_keeps_the_play_update_alternation_and_one_row():
     cfg = GameConfig(4, 50, 1.0, 1.0)
     one = LearnerBatch(cfg, "fl-bounded", 1, 2)
@@ -384,7 +419,8 @@ def test_blocks_of_recorded_trials_replay_the_per_trial_loop_bit_for_bit(algo, k
     if kind == "replay":
         path = str(tmp_path / "trace.csv")
         save_trace(path, generate_scenario("drift", cfg, 4, 0.2))
-    config = ExperimentConfig(cfg, AlgoSpec(algo, k), ScenarioSpec(kind, seed=4, path=path), tuple(range(seeds)))
+    scenario = ScenarioSpec(kind, seed=4 if kind != "replay" else 0, path=path)
+    config = ExperimentConfig(cfg, AlgoSpec(algo, k), scenario, tuple(range(seeds)))
     result = run_experiment(config)
     costs = result.scenario_costs
     (values, states, actions, starts), blocked = _per_trial(config, costs)
@@ -645,12 +681,15 @@ def _calls_per_trial(learner, rngs, costs_for, trials=200) -> float:
 # numpy calls went straight to their ufunc loops and array methods); the
 # budget is each plus 10%
 KILLER_CALLS, SEEDS_CALLS = 67.005, 59.535
-# the seeds workload's shape in blocks, as measured when a shared scenario's
-# costs came to be prepared per block and a one-row batch to step its row
-# views (44.29 before; 44.465 when its trials came to be recorded and drawn
-# per block, the draw and the preparation, one per block, spread over the
-# block's trials)
-BLOCK_CALLS = 30.61
+# the seeds workload's shape in blocks, as measured when a block of narrow
+# recorded rows came to be drawn by counting, not by one search per trial,
+# each action's draws to be sorted and deduplicated as one row, and a
+# recorded row to be checked as a 1-D view (30.61 before, when a
+# shared scenario's costs came to be prepared per block and a one-row batch
+# to step its row views; 44.29 before that; 44.465 when its trials came to
+# be recorded and drawn per block, the draw and the preparation, one per
+# block, spread over the block's trials)
+BLOCK_CALLS = 28.61
 
 
 def test_a_trial_stays_within_its_call_budget():

@@ -69,6 +69,10 @@ def test_config_validation():
     for kind in ("iid", "killer"):  # a killer run reads no scenario seed, and is refused one as well
         with pytest.raises(ConfigError, match="scenario seed must be >= 0, got -3"):
             _cfg(scenario=ScenarioSpec(kind, seed=-3))
+    for kind, path in (("killer", None), ("replay", "x.csv")):  # nothing reads a scenario seed there
+        with pytest.raises(ConfigError, match=f"scenario {kind} takes no scenario seed"):
+            _cfg(scenario=ScenarioSpec(kind, seed=5, path=path))
+        _cfg(scenario=ScenarioSpec(kind, seed=0, path=path))  # the CLI's default
 
 
 def test_config_dict_round_trip():
@@ -313,7 +317,8 @@ def _reference_trial_csv(run, horizon: int) -> str:
     ],
 )
 def test_trial_csvs_equal_the_one_template_per_line_emitter_byte_for_byte(algo, k, n, kind, seeds, tmp_path):
-    config = ExperimentConfig(GameConfig(n, 300, 1.0, 1.0), AlgoSpec(algo, k), ScenarioSpec(kind, seed=6), seeds)
+    scenario = ScenarioSpec(kind, seed=6 if kind != "killer" else 0)
+    config = ExperimentConfig(GameConfig(n, 300, 1.0, 1.0), AlgoSpec(algo, k), scenario, seeds)
     result = run_experiment(config)
     paths = emit_results(result, str(tmp_path / "run"))
     for path, run in zip(paths, result.seed_runs):
@@ -421,6 +426,13 @@ def test_cli_refuses_a_non_finite_drift_step_before_any_trial(step, tmp_path, ca
     args = ["run", "--algo", "fl", "--n", "4", "--t", "10", "--c-max", "1", "--d-max", "1", "--scenario", "drift"]
     assert main([*args, "--drift-step", step, "--seeds", "1", "--out", str(tmp_path / "run")]) == 1
     assert capsys.readouterr().err == f"error: drift step must be finite and >= 0, got {step}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_refuses_a_scenario_seed_nothing_reads(tmp_path, capsys):
+    args = ["run", "--algo", "fl", "--n", "3", "--t", "5", "--c-max", "1", "--d-max", "1", "--scenario", "killer"]
+    assert main([*args, "--scenario-seed", "5", "--seeds", "1", "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == "error: scenario killer takes no scenario seed\n"
     assert not list(tmp_path.iterdir())
 
 

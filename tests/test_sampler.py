@@ -11,7 +11,7 @@ from olfl import (
     SiteSet,
     sample_site_multiset,
 )
-from olfl.sampler import PREFETCH_TRIALS, DrawPlan, RecordedRows, UniformStreams
+from olfl.sampler import COUNTED_DRAW_MAX, PREFETCH_TRIALS, DrawPlan, RecordedRows, UniformStreams
 
 TOP = np.nextafter(1.0, 0.0)  # the largest uniform a generator can return
 
@@ -237,6 +237,46 @@ def test_one_row_serves_every_generator_as_a_copy_of_its_own(data):
         twin = np.random.default_rng(seed)
         twin.random(count)
         assert generator.bit_generator.state == twin.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_counted_block_draws_are_the_per_trial_searches(data):
+    # a block of several trials on rows of at most COUNTED_DRAW_MAX sites
+    # counts each uniform's cumulative sums at or below it; wider rows, and
+    # a block of one trial, search each trial's sums. Integer weights give
+    # zero-mass sites, so equal neighbouring sums, inside a row and at its
+    # ends; a uniform of 0 or of the largest double below 1 lands on the
+    # first or the last positive-mass site
+    n = data.draw(st.sampled_from([COUNTED_DRAW_MAX, COUNTED_DRAW_MAX + 1]))
+    generators, count = data.draw(st.sampled_from([1, 20])), data.draw(st.integers(1, 4))
+    trials = data.draw(st.integers(1, 6))
+    weights = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any)
+    p = np.array([data.draw(weights) for _ in range(trials)], dtype=float)
+    p /= p.sum(axis=1, keepdims=True)
+    stub = data.draw(st.sampled_from([None, _ZeroUniform, _TopUniform]))
+    if stub is None:
+        seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=generators, max_size=generators))
+        rngs, twins = ([np.random.default_rng(seed) for seed in seeds] for _ in range(2))
+    else:
+        rngs = twins = [stub()] * generators
+    u = np.array([twin.random(trials * count) for twin in twins]).reshape(generators, trials, count)
+    expected = np.empty((trials, generators, count), dtype=np.intp)
+    for t in range(trials):
+        cdf = np.add.accumulate(p[t])
+        expected[t] = cdf.searchsorted(u[:, t] * cdf[-1], side="right") + 1
+
+    recorded = RecordedRows(n)
+    for t in range(trials):
+        assert recorded.record(p[[t]], count, t + 1)
+    sites = np.empty((trials, generators, count), dtype=np.intp)
+    recorded.draw(rngs, sites)
+    assert np.array_equal(sites, expected)
+    assert (p[np.arange(trials)[:, None, None], sites - 1] > 0).all()  # never a zero-mass site
+    if stub is not None:  # the first or the last positive-mass site of each trial's row
+        positive = [np.flatnonzero(row) for row in p]
+        edge = [row[0 if stub is _ZeroUniform else -1] + 1 for row in positive]
+        assert np.array_equal(sites, np.broadcast_to(np.array(edge)[:, None, None], sites.shape))
 
 
 def _subset_masks(actions):
