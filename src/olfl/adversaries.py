@@ -25,6 +25,9 @@ from .errors import ConfigError, TraceFormatError
 from .game import ActionRows, CostRows, GameConfig, _unchecked
 
 SCENARIO_KINDS = ("killer", "iid", "drift", "replay")
+# lines joined into one write: a trial CSV's (`experiment.emit_results`), or
+# a trace's rows of at most this many sites in all (`save_trace`)
+EMIT_LINES = 4096
 
 
 def _opening_block(rows: int, n_sites: int) -> np.ndarray:
@@ -229,10 +232,13 @@ def load_trace(path: str, cfg: GameConfig | None = None) -> CostRows:
 
 def save_trace(path: str, costs: CostRows) -> None:
     """Write the trace CSV format load_trace reads (17 significant digits),
-    one row template per trial."""
+    one row template per trial, in blocks of at most `EMIT_LINES` sites'
+    rows, so that the text held at once does not grow with the horizon."""
     n = costs.n_sites
     template = "{}" + ",{:.17g}" * (2 * n) + "\n"
+    rows = max(1, EMIT_LINES // n)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(["t"] + [f"c_{i + 1}" for i in range(n)] + [f"d_{i + 1}" for i in range(n)]) + "\n")
-        for t, trial in enumerate(np.hstack([costs.opening, costs.connection]).tolist(), start=1):
-            fh.write(template.format(t, *trial))
+        for start in range(0, len(costs), rows):
+            block = np.hstack([costs.opening[start : start + rows], costs.connection[start : start + rows]])
+            fh.write("".join(template.format(t, *trial) for t, trial in enumerate(block.tolist(), start + 1)))

@@ -6,8 +6,9 @@
     olfl verify
 
 Exit codes: 0 on success, 1 on a validation error (bad flags, bad config,
-bad trace file), 2 when verify finds a failing check, 3 on a numeric or
-protocol failure inside a run (NumericError, ProtocolError).
+bad trace file) or a run too large for memory (MemoryError), 2 when verify
+finds a failing check, 3 on a numeric or protocol failure inside a run
+(NumericError, ProtocolError).
 """
 from __future__ import annotations
 
@@ -39,8 +40,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part != ""]
+    try:  # an empty text is the empty list; an empty item is refused
+        return [int(part) for part in text.split(",")] if text else []
     except ValueError:
         raise _UsageError(f"expected a comma-separated integer list, got {text!r}") from None
 
@@ -158,8 +159,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, TraceFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, TraceFormatError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     except (NumericError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)

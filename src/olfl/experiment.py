@@ -67,7 +67,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 from scipy import special
 
-from .adversaries import SCENARIO_KINDS, KillerSource, generate_scenario, load_trace, save_trace
+from .adversaries import EMIT_LINES, SCENARIO_KINDS, KillerSource, generate_scenario, load_trace, save_trace
 from .errors import ConfigError
 from .game import ActionRows, CostRows, GameConfig, LearnerRows, SiteSet, action_losses, refuse_cost_bounds
 from .learners import KINDS, LearnerBatch, half_log_ceil
@@ -506,7 +506,6 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 
 TRIAL_CSV_HEADER = "seed,trial,action,loss,lambda,theta,k,segment"
 CURVE_CSV_HEADER = "trial,mean_cumulative_loss,comparator_scaled_cumulative,regret,bound"
-EMIT_LINES = 4096  # trial-CSV lines joined into one write
 
 
 def _csv_lines(columns, end: str = "\n"):

@@ -11,7 +11,8 @@ batch of S rows draws row r's action from generator r.
 
 Each trial makes one row-wise pass per stage, with a number of numpy calls
 that does not grow with the number of actions: every action's sites come
-from one flat inverse-CDF search, reading each action's uniforms from its
+from one inverse-CDF search of the recorded weight rows
+(`sampler.RecordedRows.search`), reading each action's uniforms from its
 own generator (or from its row of a `UniformStreams`, which prefetches
 them; only generators private to one run may be read that way, since
 prefetching leaves them ahead); one in-place sort along the rows of draws,
@@ -24,16 +25,18 @@ never mix, so a row follows the same trajectory whichever rows share its
 batch, and an action is the same whether its generator draws from its own
 row or from the one row every generator shares.
 
-A one-row batch draws through `sampler.RecordedRows`: a trial's `play`
-checks and records the weight row and draws it as a block of one trial.
-`record` instead checks and records a trial's row without drawing (the
-row, and each generator's next uniforms, fix the trial's actions), and the
-next `play` draws every generator's actions for all recorded trials at
-once (on narrow rows by counting the cumulative sums at or below each
-scaled uniform, which is the search's answer), through the same dedup,
-dummy strip and {1} fallback, so the actions are the same bit for bit. A
-block of recorded trials ends when it is full or when a restart changes the
-draw count. The cost side depends on the costs alone, so on a shared
+Every batch draws through `sampler.RecordedRows`, which checks the weight
+rows as it records them. A batch of S rows records its trial's S rows and
+searches them once, row r's uniforms laid out as one row of the widest
+draw count. A one-row batch's `play` records the weight row and draws it
+as a block of one trial; `record` instead checks and records a trial's
+row without drawing (the row, and each generator's next uniforms, fix the
+trial's actions), and the next `play` draws every generator's actions for
+all recorded trials at once (on narrow rows by counting the cumulative
+sums at or below each scaled uniform, which is the search's answer),
+through the same dedup, dummy strip and {1} fallback, so the actions are
+the same bit for bit. A block of recorded trials ends when it is full or
+when a restart changes the draw count. The cost side depends on the costs alone, so on a shared
 scenario `prepare` builds it for a block of trials at once, and `update`
 takes one trial's `Prepared` row in place of its costs. A one-row batch
 checks, steps and records its (n,) row views, through the same weight
@@ -72,7 +75,7 @@ from .eg import Step, starting_point
 from .errors import ConfigError, ProtocolError
 from .game import ActionRows, CostPair, CostRows, GameConfig, LearnerRows, SiteSet
 from .game import refuse_cost_bounds
-from .sampler import DrawPlan, RecordedRows
+from .sampler import RecordedRows, uniforms
 from .sampler import sample_site_multiset  # noqa: F401  kept: the benchmark's span tracer looks it up here
 from .surrogate import Workspace, prepare_costs, surrogate_rows
 
@@ -105,22 +108,20 @@ class LearnerBatch(LearnerRows):
     Memory is the (S, n) weights of the S rows and the (n,) starting
     weights, plus the surrogate's `Workspace` (a 4 x (S, n) scratch that
     every trial reuses, and outside fl-fixed a 2 x (S, n) cost buffer whose
-    aggregate-dummy column is written once) and the draw buffer (for S > 1
-    rows the (S, n) search keys of the sampler's `DrawPlan`, for one row
-    the (1, n) cumulative sums of `RecordedRows`, widened to a block's
-    (b, n) at the first `record`); `state_nbytes` counts them all. A trial
-    allocates no other S x n temporaries besides the new weights, the sort
-    and the draws; a block `prepare` makes is the caller's, in a Workspace
-    of its own of at most a recorded block's b rows. This state depends
-    only on the shape and the draw counts: it is built in `__init__`, and
-    again in `_tune` when a restart changes the draw counts (with the draw
-    plan's per-draw arrays, the index that lays S rows' draws out one row
-    per action, and the step's constants). A one-row batch allocates its
-    draw buffer per block shape, when the shape changes. None of it grows
+    aggregate-dummy column is written once) and the draw buffer (the
+    complex search keys of `RecordedRows`, (S, n) for S rows and (1, n) for
+    one row, widened to a block's (b, n) at the first `record`);
+    `state_nbytes` counts them all. A trial allocates no other S x n
+    temporaries besides the new weights, the sort and the draws; a block
+    `prepare` makes is the caller's, in a Workspace of its own of at most a
+    recorded block's b rows. This state depends only on the shape and the
+    draw counts: it is built in `__init__`, and again in `_tune` when a
+    restart changes the draw counts (with the index that lays S rows' draws
+    out one row per action, and the step's constants). None of it grows
     with the number of generators a one-row batch draws for.
 
     The weights are checked once per trial, where they are first read: the
-    draw in `play`, or `record` in its place, refuses a negative or
+    sampler's `record`, in `play` or in `record`, refuses a negative or
     non-finite entry or a row whose total is not 1 (`accumulate_checked`).
     Only `update` replaces them, and only after that check, so the surrogate
     and the step take them unchecked; the step still checks the gradients
@@ -155,11 +156,7 @@ class LearnerBatch(LearnerRows):
         self._dummy = None if kind == "fl-fixed" else c + d
         # a one-row batch steps its row views
         self._space = Workspace(self.w.shape[1:] if rows == 1 else self.w.shape, self._dummy)
-        self._recorded = RecordedRows(self.cfg.n_sites, 1) if rows == 1 else None  # one row's draws
-        # one row's last block shape (trials, generators, draws) and its
-        # draw buffer, in that shape and as one row per action (reused:
-        # `_site_rows` sorts it in place)
-        self._block = ((0, 0, 0),)
+        self._recorded = RecordedRows(self.cfg.n_sites, rows)
         self.scale = self.segment = None  # no doubling state outside fl
         if kind == "fl":
             self.scale = np.ones(rows, dtype=np.int64)
@@ -202,14 +199,13 @@ class LearnerBatch(LearnerRows):
         # every row draws alike
         first = int(self.num_draws[0])
         self._draws = first if np.logical_and.reduce(self.num_draws == first) else self.num_draws
-        if self._recorded is None:  # several rows: one draw plan and one row layout per draw counts
-            self._plan = DrawPlan(*self.w.shape, self._draws)
-            # row r's draws, flat at first[r] .. first[r] + counts[r] - 1,
-            # as one row of the widest count, padded with repeats of its
-            # last draw, which the dedup drops
-            counts = np.broadcast_to(self._draws, self.rows)
-            first = np.add.accumulate(counts) - counts
-            self._rows_of_draws = first[:, None] + np.minimum(np.arange(counts.max()), counts[:, None] - 1)
+        # for S rows, row r's uniforms, flat at first[r] .. first[r] +
+        # counts[r] - 1, as one row of the widest count, padded with repeats
+        # of its last uniform, whose draws repeat its last draw, which the
+        # dedup drops
+        counts = np.broadcast_to(self._draws, self.rows)
+        first = np.add.accumulate(counts) - counts
+        self._rows_of_draws = first[:, None] + np.minimum(np.arange(counts.max()), counts[:, None] - 1)
 
     def budget_for(self, scale: np.ndarray) -> np.ndarray:
         """Cardinality budget K = ceil((scale*(a+b) - b)/a) per scale, written
@@ -231,8 +227,7 @@ class LearnerBatch(LearnerRows):
         """Bytes of the (S, n) and (n,) arrays kept between trials, each base
         array once; the draw layouts and buffers, sized by the draws, are
         left out."""
-        draws = self._plan.keys if self._recorded is None else self._recorded.cdf
-        kept = (self.w, self._start, self._space.grad, draws)
+        kept = (self.w, self._start, self._space.grad, self._recorded.keys)
         bases = {id(base): base for base in (a if a.base is None else a.base for a in kept)}
         return sum(base.nbytes for base in bases.values())
 
@@ -249,15 +244,13 @@ class LearnerBatch(LearnerRows):
         restart has changed the draw count since."""
         if self._awaiting_update:
             raise ProtocolError("play called again before update")
-        recorded = self._recorded
-        if recorded is None:
+        if self.rows > 1:
             raise ConfigError(f"only a one-row batch records its trials, not {self.rows} rows")
+        recorded = self._recorded
         if not recorded.size and recorded.cdf.shape[0] < recorded.capacity:  # a play needs one row, a block more
             recorded = self._recorded = RecordedRows(self.cfg.n_sites)
-        if not recorded.record(self.w, self._draws, trial):  # the one check of the weights this trial
-            return False
-        self._awaiting_update = True
-        return True
+        self._awaiting_update = recorded.record(self.w, self._draws, trial)  # the one check of the weights this trial
+        return self._awaiting_update
 
     def play(self, rngs) -> ActionRows:
         """One action per generator rngs[a], or per row a of a
@@ -270,21 +263,13 @@ class LearnerBatch(LearnerRows):
         trial, trial-major (trial j's action for generator a is row
         j * len(rngs) + a), from each generator's uniforms in trial order."""
         recorded = self._recorded
-        if recorded is None:
-            self._begin_play(rngs)
-            sites = self._plan.draw(self.w, rngs)  # the one check of the weights this trial
-            return self._site_rows(sites[self._rows_of_draws])
         new = not recorded.size
-        generators = self._begin_play(rngs, new)
+        self._begin_play(rngs, new)
         if new:
             recorded.record(self.w, self._draws)  # the one check of the weights this trial
-        shape = (recorded.size, generators, recorded.count)
-        if self._block[0] != shape:
-            drawn = np.empty(shape, dtype=np.intp)
-            self._block = (shape, drawn, drawn.reshape(-1, shape[2]))
-        _, drawn, per_action = self._block
-        recorded.draw(rngs, drawn)
-        return self._site_rows(per_action)
+        if self.rows > 1:
+            return self._site_rows(recorded.search(uniforms(rngs, self._draws)[self._rows_of_draws]))
+        return self._site_rows(recorded.draw(rngs))
 
     def _site_rows(self, sites: np.ndarray) -> ActionRows:
         """The actions whose draws are the rows of `sites`, (actions, draws)
@@ -313,7 +298,7 @@ class LearnerBatch(LearnerRows):
         `update` takes in place of its trial's costs. It is one
         `prepare_costs` call on the block's rows, in a Workspace of the
         block's own, and reads no weights, so it may run at any time."""
-        if self._recorded is None:
+        if self.rows > 1:
             raise ConfigError(f"only a one-row batch prepares blocks of trials, not {self.rows} rows")
         if costs.n_sites != self.n_real:
             raise ConfigError(f"costs for {costs.n_sites} sites, expected {self.n_real}")
@@ -329,7 +314,7 @@ class LearnerBatch(LearnerRows):
         batch one trial of a block `prepare` made; returns each row's
         surrogate loss at its pre-update weights. A one-row batch steps its
         row views: its (n,) weights, costs and gradients."""
-        one = self._recorded is not None
+        one = self.rows == 1
         if type(costs) is Prepared:  # its cost side, already built
             if not self._awaiting_update:
                 raise ProtocolError("update called before play")

@@ -5,8 +5,8 @@ first site whose cumulative mass exceeds it. Scaling by the computed total,
 not 1, keeps every draw strictly below the last cumulative value, so a draw
 never lands past the last positive-mass site; a zero-mass site adds nothing
 to the cumulative sum, so no draw lands on one. A call costs one O(n)
-cumulative sum plus a binary search per draw (or, for a block of narrow
-recorded rows, one pass over the row's sums), and each draw consumes
+cumulative sum per distribution plus a binary search per draw (or, for
+several narrow rows, one pass over each row's sums), and each draw consumes
 exactly one uniform.
 
 Every draw checks its distributions once, in `accumulate_checked`, which
@@ -16,28 +16,28 @@ inf - inf, and every row's total mass must be 1 within MASS_TOL. Every
 randomized learner's weight rows pass it before a draw: the fl learners'
 here, `oracles.ExactHedge`'s before its own search of the same arithmetic.
 
-There is one draw per kind of distribution array. `DrawPlan` draws from the
-S > 1 rows of an (S, n) array, each for its own generator, with one search
-over complex keys r + i*cdf[r, j]: numpy orders complex numbers by real
-part, then imaginary part, so the row index and the cumulative mass are
-compared exactly and nothing is added to any cumulative sum. The plan holds
-every array that depends only on the shape and the draw counts, built once
-per counts; each draw accumulates straight into the keys' imaginary view.
+One class, `RecordedRows`, draws every learner row. `record` checks k rows
+at a time into a buffer of cumulative sums, held as the imaginary part of
+complex keys r + i*cdf[r, j]: numpy orders complex numbers by real part,
+then imaginary part, so one search of the flattened keys compares the row
+index and the cumulative mass exactly, and nothing is added to any
+cumulative sum. `search` turns each recorded row's uniforms into sites.
+Several rows of at most `COUNTED_DRAW_MAX` sites, each with at least as
+many uniforms as sites, are counted, all at once: the cumulative sums at or
+below each scaled uniform, which is exactly the search's answer, since a
+row's sums never decrease (they add checked non-negative masses), zero-mass
+sites included. Otherwise, one row or rows wider than that take one search
+of the flattened keys.
 
-`RecordedRows` draws one row for any number of generators: it records each
-trial's row, and draws every generator's actions for a block of recorded
-trials with one read of the uniforms. On rows of at most `COUNTED_DRAW_MAX`
-sites it counts, for every trial of the block at once, the cumulative sums
-at or below each scaled uniform: a row's sums never decrease, since they
-add checked non-negative masses, so the count is exactly the search's
-answer, zero-mass sites included. Wider rows, and a block of one trial, are
-searched trial by trial on their own cumulative sums. Each generator reads
-its uniforms in trial order, so it gets exactly the draws that per-trial
-draws would give, from the one row exactly as from a copy of its own. A
-per-trial draw is a block of one trial, and `sample_site_multiset` one such
-draw for one generator. A block holds at most `PREFETCH_TRIALS` rows and
-`PREFETCH_CAP` cumulative sums, so its memory does not grow with the
-horizon.
+S learner rows record one trial's S rows, each drawn from its own
+generator. One row serving any number of generators records one row per
+trial, and `draw` draws every generator's actions for a block of recorded
+trials with one read of the uniforms. Each generator reads its uniforms in
+trial order, so it gets exactly the draws that per-trial draws would give,
+from the one row exactly as from a copy of its own. A per-trial draw is a
+block of one trial, and `sample_site_multiset` one such draw for one
+generator. A block holds at most `PREFETCH_TRIALS` rows and `PREFETCH_CAP`
+cumulative sums, so its memory does not grow with the horizon.
 
 Uniforms come from one generator per row, read in order: `rngs[r].random`
 gives row r its draws on every call. `UniformStreams` instead owns each
@@ -62,12 +62,14 @@ PREFETCH_TRIALS = 64  # trials' worth of uniforms a stream refill reads ahead
 # the most uniforms a refill prefetches per row beyond one call's, and the
 # most cumulative sums a block of recorded rows holds
 PREFETCH_CAP = 1 << 16
-# the widest rows a block of recorded trials draws by counting, not by one
-# search per trial: in 64-trial blocks of 4 to 1600 uniforms a trial,
-# counting took 0.31-0.66 of the per-trial searches' time on 7 sites,
-# 0.57-1.00 on 17, 0.76-0.85 on 25, 0.97-1.08 on 33 and 1.5-1.8 on 65; on a
-# block of one trial it took 1.5-3.7 times the one search's time on 7 to 33
-# sites, so such a block keeps its search (timeit, 2-core x86-64, numpy 2.4.6)
+# the widest rows that several rows' draws count, not search, when each row
+# has at least as many uniforms as sites. Counting took, of one search of
+# the flattened keys' time, on 7 / 17 / 24 / 33 sites: 0.25 / 0.41 / 0.51 /
+# 0.63 in 64-trial blocks of 160 uniforms a trial (0.20-0.59 at 1600);
+# 0.30 / 0.51 / 0.69 / 0.85 on 200 rows of 32 uniforms, but 0.76 / 1.17 /
+# 1.53 / 1.69 on 20 such rows; on rows of 4 or 8 uniforms 0.86-1.64 on 2
+# rows and 1.02-4.79 on 20, 64 and 200 rows (timeit, 2-core x86-64, numpy
+# 2.4.6)
 COUNTED_DRAW_MAX = 24
 
 
@@ -93,7 +95,7 @@ class UniformStreams:
         an int count is every row's. A refill reads about `ahead` such
         calls' worth."""
         width = self._buffer.shape[1]
-        if isinstance(counts, int) and self._shared is not None:
+        if type(counts) is int and self._shared is not None:
             start = self._shared
             if start + counts > width:
                 self._refill(counts, ahead)
@@ -161,97 +163,69 @@ def _refuse(p: np.ndarray, trial: int | None) -> None:
     raise InvalidDistributionError(f"total mass {totals[r]} not 1 within {MASS_TOL}{_in_row(p, r)}{where}")
 
 
-class DrawPlan:
-    """What draws from (rows, n) distributions, rows > 1, at fixed draw
-    counts need beyond the distributions, built once per shape and counts:
-    counts[r] draws from row r, an int count being every row's.
-
-    `cdf` is the buffer `draw` accumulates each row's cumulative sums into:
-    the imaginary part of the (rows, n) complex keys r + i*cdf[r, j]. The
-    plan also keeps, per draw, its row index, a needle buffer whose real
-    part holds that index, and the shift row * n - 1 that turns a position
-    in the flattened keys into a 1-based site.
-
-    The counts are checked here, once; `draw` checks the distributions it
-    is given on every call."""
-
-    def __init__(self, rows: int, n: int, counts):
-        fewest = counts if isinstance(counts, int) else np.minimum.reduce(counts)
-        if fewest < 1:
-            raise ConfigError(f"count must be >= 1, got {fewest!r}")
-        self.counts = counts
-        self.keys = np.empty((rows, n), dtype=complex)
-        self.keys.real = np.arange(rows)[:, None]
-        self.cdf, self._flat = self.keys.imag, self.keys.ravel()
-        self._row = np.arange(rows).repeat(counts)
-        self._needles = np.empty(self._row.size, dtype=complex)
-        self._needles.real = self._row
-        self._shift = self._row * n - 1
-        self._totals = self.cdf[:, -1]
-
-    def draw(self, p: np.ndarray, rngs) -> np.ndarray:
-        """The plan's draws from the rows of p, of the plan's shape, flat in
-        row order as 1-based site indices. `rngs` is one generator per row
-        or a `UniformStreams`. p passes `accumulate_checked` first."""
-        accumulate_checked(p, self.cdf)
-        return self.search(uniforms(rngs, self.counts))
-
-    def search(self, u: np.ndarray) -> np.ndarray:
-        """Inverse-CDF draws for the flat uniforms u from the cumulative
-        sums in `cdf`: counts[r] draws from row r, in row order, as 1-based
-        site indices."""
-        # each uniform scaled by its row's total, as the needle's imaginary part
-        np.multiply(u, self._totals.take(self._row), out=self._needles.imag)
-        return self._flat.searchsorted(self._needles, side="right") - self._shift
-
-
 class RecordedRows:
-    """The cumulative sums of one-row distributions recorded one per trial
-    at one draw count, drawn for every generator at once, in a buffer of
-    `rows` rows, by default `capacity`, a block's: at most `PREFETCH_TRIALS`
-    rows and `PREFETCH_CAP` sums, one row at least."""
+    """Distributions over n sites recorded k rows at a time, in a buffer of
+    `rows` rows, by default `capacity`, a block's: at most
+    `PREFETCH_TRIALS` rows and `PREFETCH_CAP` sums, one row at least.
+    `cdf` is the imaginary part of the (rows, n) search keys
+    r + i*cdf[r, j], whose real parts are written once."""
 
     def __init__(self, n: int, rows: int | None = None):
         self.capacity = max(1, min(PREFETCH_TRIALS, PREFETCH_CAP // n))
-        self.cdf = np.empty((rows or self.capacity, n))
-        self.size = 0
-        self.count = 0
+        index = np.arange(rows or self.capacity)[:, None]
+        self.keys = index + np.zeros(n, dtype=complex)  # each row's index as its real part
+        self.cdf, self._flat = self.keys.imag, self.keys.ravel()
+        self._shift = index * n - 1  # turns a position in the flat keys into a 1-based site
+        self._needles = self.keys[:0]  # the key search's, per shape of its uniforms
+        self.size, self.count = 0, None
 
-    def record(self, p: np.ndarray, count: int, trial: int | None = None) -> bool:
-        """Record the (1, n) distribution p of trial `trial` for `count`
-        draws per generator; if the buffer is full or holds rows of another
-        count, record nothing and return False. p passes
+    def record(self, p: np.ndarray, count, trial: int | None = None) -> bool:
+        """Record the (k, n) distributions p, each for `count` draws, an int
+        or one count per row, after the rows already recorded; if they do
+        not fit, or those rows were recorded at another count, record
+        nothing and return False. A count below 1 is refused, and p passes
         `accumulate_checked`, a refusal naming the trial if given."""
-        size = self.size
-        if size and (size == self.cdf.shape[0] or count != self.count):
+        size, end = self.size, self.size + p.shape[0]
+        if size and (end > self.cdf.shape[0] or count != self.count):
             return False
-        accumulate_checked(p[0], self.cdf[size], trial)
-        self.size, self.count = size + 1, count
+        if count is not self.count and (count if type(count) is int else np.minimum.reduce(count, axis=None)) < 1:
+            raise ConfigError(f"count must be >= 1, got {count!r}")
+        accumulate_checked(p, self.cdf[size:end], trial)
+        self.size, self.count = end, count
         return True
 
-    def draw(self, rngs, out: np.ndarray) -> None:
-        """Write every generator's draws from each recorded row into `out`,
-        (rows, generators, count) 1-based site indices, and empty the
-        buffer. `rngs` is a sequence of generators or a `UniformStreams`,
-        whose refill reads about `PREFETCH_TRIALS` trials' worth; each
-        generator's uniforms are read in trial order with one read. A
-        block of several trials on rows of at most `COUNTED_DRAW_MAX` sites
-        counts each uniform's sums at or below it, all trials at once;
-        otherwise each row is searched on its own cumulative sums."""
-        size, generators, count = out.shape
-        cdf = self.cdf
-        u = uniforms(rngs, size * count, PREFETCH_TRIALS // size).reshape(generators, size, count)
-        if size > 1 and cdf.shape[1] <= COUNTED_DRAW_MAX:
-            # each uniform scaled by its trial's total, trial-major
-            needles = np.multiply(u.transpose(1, 0, 2), cdf[:size, -1:, None]).reshape(size, 1, -1)
-            below = np.less_equal(cdf[:size, :, None], needles)
-            np.add.reduce(below, axis=1, dtype=np.intp, out=out.reshape(size, -1))
-        else:
-            needles = u * cdf[:size, -1:]  # each uniform scaled by its trial's total
-            for trial in range(size):
-                out[trial] = cdf[trial].searchsorted(needles[:, trial], side="right")
-        out += 1
-        self.size = 0
+    def search(self, u: np.ndarray) -> np.ndarray:
+        """Inverse-CDF draws for the uniforms u, (rows, m), row r's from
+        recorded row r, as (rows, m) 1-based sites; the buffer is emptied.
+        Several rows of at most `COUNTED_DRAW_MAX` sites, and of at most m,
+        are counted: a row's sums never decrease, since they add checked
+        non-negative masses, so the count of its sums at or below a scaled
+        uniform is exactly the search's answer, zero-mass sites included.
+        Otherwise the flattened keys are searched once."""
+        rows, n, self.size = u.shape[0], self.cdf.shape[1], 0
+        if rows > 1 and n <= COUNTED_DRAW_MAX and n <= u.shape[1]:  # each uniform scaled by its row's total
+            below = np.less_equal(self.cdf[:rows, :, None], np.multiply(u, self.cdf[:rows, -1:])[:, None])
+            return np.add.reduce(below, axis=1, dtype=np.intp) + 1
+        if self._needles.shape != u.shape:  # per shape of u: row r's needles r + i*scaled, and views
+            self._needles = np.empty(u.shape, dtype=complex)
+            self._needles.real = self.keys.real[:rows, :1]
+            self._views = (self._needles.imag, self.cdf[:rows, -1:], self._flat[: rows * n], self._shift[:rows])
+        scaled, totals, keys, shift = self._views
+        np.multiply(u, totals, out=scaled)
+        return keys.searchsorted(self._needles, side="right") - shift
+
+    def draw(self, rngs) -> np.ndarray:
+        """Every generator's draws from each recorded row, one row of
+        `count` 1-based sites per action, trial-major: trial j's draws for
+        generator a are row j * len(rngs) + a. `rngs` is a sequence of
+        generators or a `UniformStreams`, whose refill reads about
+        `PREFETCH_TRIALS` trials' worth; each generator's uniforms are read
+        in trial order with one read."""
+        size, count = self.size, self.count
+        u = uniforms(rngs, size * count, PREFETCH_TRIALS // size)[None]  # as one trial's
+        if size > 1:  # trial-major: each trial's uniforms in generator order
+            u = u.reshape(-1, size, count).transpose(1, 0, 2).reshape(size, -1)
+        return self.search(u).reshape(-1, count)
 
 
 def uniforms(rngs, counts, ahead: int = PREFETCH_TRIALS) -> np.ndarray:
@@ -272,9 +246,6 @@ def sample_site_multiset(p, count: int, rng: np.random.Generator) -> SiteSet:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise InvalidDistributionError("p must be a nonempty 1-D vector")
-    if count < 1:
-        raise ConfigError(f"count must be >= 1, got {count!r}")
-    recorded, sites = RecordedRows(p.size, 1), np.empty((1, 1, count), dtype=np.intp)
+    recorded = RecordedRows(p.size, 1)
     recorded.record(p[None, :], count)
-    recorded.draw((rng,), sites)
-    return SiteSet(tuple(np.unique(sites).tolist()))
+    return SiteSet(tuple(np.unique(recorded.draw((rng,))).tolist()))

@@ -36,7 +36,7 @@ from .oracles import (
     best_fixed_subset,
     exact_expected_loss,
 )
-from .sampler import RecordedRows
+from .sampler import COUNTED_DRAW_MAX, RecordedRows, UniformStreams, uniforms
 from .surrogate import SurrogateInstance, value_and_gradient
 
 CHISQUARE_SUM_RTOL = float(np.finfo(float).eps) ** 0.5  # scipy.stats.chisquare's tolerance on the totals
@@ -216,34 +216,68 @@ def check_single_draw_identity(scale: Scale = DESK) -> CheckResult:
 
 
 def check_sampler_distribution(scale: Scale = DESK) -> CheckResult:
+    """Chi-square per distribution row on the sampler's draws: one trial
+    for one generator at each layout size; a block of recorded trials on
+    rows of `COUNTED_DRAW_MAX` sites, counted for prefetched generators; one
+    trial of rows a site wider, with unequal draw counts, searched. Each
+    draw's rows share the 1e-3 level (Bonferroni). Uniforms of 0 and 1-2^-53
+    must land on each row's first and last positive-mass site; the last two
+    draws' first site has no mass."""
     plan = scale["sampler"]
     name = "sampler distribution"
     rng = np.random.default_rng(plan.seed)
+
+    def masses(rows, n, zeros, trailing=False):
+        p = rng.uniform(*plan.mass, (rows, n))
+        for row in p:
+            row[np.arange(n - zeros, n) if trailing else rng.choice(n, size=zeros, replace=False)] = 0.0
+        if rows > 1:  # a zero-mass first site, which the edge uniform 0 must pass over
+            p[:, 0] = 0.0
+        return p / p.sum(axis=1, keepdims=True)
+
+    cases = []  # (label, distribution rows, each row's draws as 1-based sites, the draws each should hold)
     for n, zeros, trailing in plan.layout:
-        p = rng.uniform(*plan.mass, n)
-        zero = np.arange(n - zeros, n) if trailing else rng.choice(n, size=zeros, replace=False)
-        p[zero] = 0.0
-        p /= p.sum()
-        # one trial's draws for one generator, as a one-row learner draws
-        recorded = RecordedRows(n, 1)
-        recorded.record(p[None], plan.draws)
-        sample = np.empty((1, 1, recorded.count), dtype=np.intp)
-        recorded.draw((rng,), sample)
-        counts = np.bincount(sample.ravel() - 1, minlength=n)
-        if counts[zero].sum() != 0:
-            return CheckResult(name, False, f"zero-mass site drawn (n={n})")
-        support = p > 0
-        observed, expected = counts[support].astype(float), plan.draws * p[support]
-        # Pearson's test as scipy.stats.chisquare runs it, with its refusal
-        # of totals that differ by more than sqrt(eps) relative
-        totals = observed.sum(), expected.sum()
-        if abs(totals[0] - totals[1]) / min(totals) > CHISQUARE_SUM_RTOL:
-            return CheckResult(name, False, f"observed total {totals[0]} != expected total {totals[1]} (n={n})")
-        pvalue = special.chdtrc(observed.size - 1, ((observed - expected) ** 2 / expected).sum())
-        if pvalue < 1e-3:
-            return CheckResult(name, False, f"chi-square rejects at n={n} (p={pvalue:.2e})")
-    sizes = ",".join(str(n) for n, _, _ in plan.layout)
-    return CheckResult(name, True, f"chi-square accepts at n={sizes}; zero mass never drawn ({plan.draws} each)")
+        p, recorded = masses(1, n, zeros, trailing), RecordedRows(n, 1)
+        recorded.record(p, plan.draws)
+        cases.append((f"n={n}", p, recorded.draw((rng,)), [plan.draws]))  # as a one-row learner's play
+    n, generators, block = COUNTED_DRAW_MAX, 4, RecordedRows(COUNTED_DRAW_MAX)
+    p, count = masses(block.capacity, n, n // 4), plan.draws // (block.capacity * generators)
+    block.record(p, count)
+    sample = block.draw(UniformStreams(rng.integers(2**32, size=generators).tolist())).reshape(len(p), -1)
+    cases.append((f"n={n} block", p, sample, [count * generators] * len(p)))
+    n, draws = COUNTED_DRAW_MAX + 1, np.array([plan.draws // 2, plan.draws // 4, plan.draws // 8])
+    p, recorded = masses(len(draws), n, n // 4), RecordedRows(n, len(draws))
+    recorded.record(p, draws)
+    keep = np.arange(draws.max()) < draws[:, None]
+    u = np.zeros(keep.shape)  # each row's uniforms, padded to the most draws
+    u[keep] = uniforms(UniformStreams(rng.integers(2**32, size=len(p)).tolist()), draws)
+    cases.append((f"n={n} rows", p, [row[k] for row, k in zip(recorded.search(u), keep)], draws.tolist()))
+
+    for label, p, samples, wanted in cases:
+        # as many edge uniforms as sites, so that several narrow rows count
+        recorded = RecordedRows(p.shape[1], len(p))
+        recorded.record(p, p.shape[1])
+        edges = recorded.search(np.tile([0.0, np.nextafter(1.0, 0.0)], (len(p), p.shape[1]))).tolist()
+        for r, (row, sample, size) in enumerate(zip(p, samples, wanted)):
+            where = label if len(p) == 1 else f"{label}, row {r + 1}"
+            counts, positive = np.bincount(sample - 1, minlength=row.size), np.flatnonzero(row) + 1
+            if counts[row == 0].sum() != 0:
+                return CheckResult(name, False, f"zero-mass site drawn ({where})")
+            if edges[r] != [positive[0], positive[-1]] * row.size:
+                return CheckResult(name, False, f"uniforms 0 and 1-2^-53 drew sites {edges[r][:2]} ({where})")
+            observed, expected = counts[row > 0].astype(float), size * row[row > 0]
+            # Pearson's test as scipy.stats.chisquare runs it, with its refusal
+            # of totals that differ by more than sqrt(eps) relative
+            totals = observed.sum(), expected.sum()
+            if abs(totals[0] - totals[1]) / min(totals) > CHISQUARE_SUM_RTOL:
+                return CheckResult(name, False, f"observed total {totals[0]} != expected total {totals[1]} ({where})")
+            pvalue = special.chdtrc(observed.size - 1, ((observed - expected) ** 2 / expected).sum())
+            if pvalue < 1e-3 / len(p):
+                return CheckResult(name, False, f"chi-square rejects at {where} (p={pvalue:.2e})")
+    sizes, listed = ",".join(str(n) for n, _, _ in plan.layout), ",".join(map(str, draws.tolist()))
+    detail = f"{block.capacity} counted trials at n={n - 1} ({count * generators} each), {len(draws)} searched rows"
+    return CheckResult(name, True, f"chi-square accepts at n={sizes} ({plan.draws} each), {detail} at n={n} "
+                       f"({listed}); zero mass never drawn; edge uniforms on the first and last positive mass")
 
 
 def check_dominance(scale: Scale = DESK) -> CheckResult:

@@ -19,7 +19,7 @@ from olfl import (
     load_trace,
     save_trace,
 )
-from olfl.adversaries import killer_rows
+from olfl.adversaries import EMIT_LINES, killer_rows
 
 
 def test_killer_rows_examples():
@@ -189,6 +189,30 @@ def test_trace_round_trip(tmp_path):
     for x, y in zip(costs, back):
         assert np.array_equal(x.opening, y.opening)  # 17 digits round-trip exactly
         assert np.array_equal(x.connection, y.connection)
+
+
+def _one_template_per_row(path, costs: CostRows) -> None:
+    """The trace writer as one `str.format` template per row of all the
+    rows at once."""
+    n = costs.n_sites
+    template = "{}" + ",{:.17g}" * (2 * n) + "\n"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(["t"] + [f"c_{i + 1}" for i in range(n)] + [f"d_{i + 1}" for i in range(n)]) + "\n")
+        for t, trial in enumerate(np.hstack([costs.opening, costs.connection]).tolist(), start=1):
+            fh.write(template.format(t, *trial))
+
+
+@pytest.mark.parametrize("n", [1, 3, 64, EMIT_LINES + 1])
+def test_trace_blocks_write_the_one_template_per_row_bytes(n, tmp_path):
+    # a trace is written in blocks of EMIT_LINES // n rows (one row at least);
+    # a horizon two blocks and five rows long ends on a short block
+    rows = max(1, EMIT_LINES // n)
+    rng = np.random.default_rng(n)
+    costs = CostRows(rng.random((2 * rows + 5, n)), rng.random((2 * rows + 5, n)))
+    costs.connection[0, 0] = 1e-300  # a cell whose 17 digits carry an exponent
+    save_trace(str(tmp_path / "blocks.csv"), costs)
+    _one_template_per_row(str(tmp_path / "rows.csv"), costs)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_trace_format_single_row(tmp_path):

@@ -349,9 +349,7 @@ def test_a_blocks_actions_are_each_actions_distinct_real_draws(kind, k, block):
         learner.update(costs[t])
     assert learner.record(block)
     recorded = copy.deepcopy(learner._recorded)
-    drawn = np.empty((block, generators, recorded.count), dtype=np.intp)
-    recorded.draw(UniformStreams(range(generators)), drawn)
-    rows = drawn.reshape(-1, recorded.count).tolist()
+    rows = recorded.draw(UniformStreams(range(generators))).tolist()
     expected = [tuple(sorted(set(row) - {cfg.n_sites + 1})) or (1,) for row in rows]
     actions = learner.play(UniformStreams(range(generators)))
     assert [action.members for action in actions] == expected
@@ -539,10 +537,10 @@ def test_a_shared_scenario_holds_one_weight_row_and_the_killer_one_per_seed(kind
     if algo in KINDS:
         n = learner.cfg.n_sites
         assert learner.w.shape == (rows, n)
-        # per row: weights, the surrogate's 4-array workspace, the search keys
-        # (complex for several rows) and outside fl-fixed the 2-array
-        # extended costs; once: the starting weights
-        per_row = 1 + 4 + (2 if rows > 1 else 1) + (0 if algo == "fl-fixed" else 2)
+        # per row: weights, the surrogate's 4-array workspace, the complex
+        # search keys and outside fl-fixed the 2-array extended costs; once:
+        # the starting weights
+        per_row = 1 + 4 + 2 + (0 if algo == "fl-fixed" else 2)
         assert learner.state_nbytes == (per_row * rows + 1) * n * 8
     elif algo == "hedge-exact":
         assert learner.weights.shape == (rows, 63)
@@ -681,15 +679,16 @@ def _calls_per_trial(learner, rngs, costs_for, trials=200) -> float:
 # numpy calls went straight to their ufunc loops and array methods); the
 # budget is each plus 10%
 KILLER_CALLS, SEEDS_CALLS = 67.005, 59.535
-# the seeds workload's shape in blocks, as measured when a block of narrow
+# the seeds workload's shape in blocks, as measured when every learner row
+# came to be drawn through one class (28.61 before, when a block of narrow
 # recorded rows came to be drawn by counting, not by one search per trial,
 # each action's draws to be sorted and deduplicated as one row, and a
-# recorded row to be checked as a 1-D view (30.61 before, when a
+# recorded row to be checked as a 1-D view; 30.61 before that, when a
 # shared scenario's costs came to be prepared per block and a one-row batch
 # to step its row views; 44.29 before that; 44.465 when its trials came to
 # be recorded and drawn per block, the draw and the preparation, one per
 # block, spread over the block's trials)
-BLOCK_CALLS = 28.61
+BLOCK_CALLS = 28.6
 
 
 def test_a_trial_stays_within_its_call_budget():

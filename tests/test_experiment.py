@@ -482,6 +482,36 @@ def test_cli_numeric_and_protocol_failures_exit_3(error, tmp_path, monkeypatch, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 58.2 TiB for an array"), "error: Unable to allocate 58.2 TiB for an array"),
+    (MemoryError(), "error: MemoryError"),
+])
+def test_cli_out_of_memory_exits_1_with_one_line(error, line, tmp_path, monkeypatch, capsys):
+    def failing_run(config):
+        raise error
+
+    monkeypatch.setattr("olfl.cli.run_experiment", failing_run)
+    args = ["run", "--algo", "fl", "--n", "4", "--t", "1000000000000", "--c-max", "1", "--d-max", "1"]
+    assert main([*args, "--scenario", "iid", "--seeds", "1", "--out", str(tmp_path / "big")]) == 1
+    assert capsys.readouterr().err == line + "\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("items", ["1,,", ",1", "1,,2", "1,"])
+def test_cli_refuses_an_empty_list_item(items, tmp_path, monkeypatch, capsys):
+    def unreachable(*args):
+        raise AssertionError("ran past the refusal")
+
+    monkeypatch.setattr("olfl.cli.run_experiment", unreachable)
+    monkeypatch.setattr("olfl.cli.bench_per_trial", unreachable)
+    args = ["run", "--algo", "fl", "--n", "4", "--t", "10", "--c-max", "1", "--d-max", "1", "--scenario", "iid"]
+    assert main([*args, "--seeds", items, "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"usage error: expected a comma-separated integer list, got {items!r}\n"
+    assert main(["bench", "--n-values", items.replace("1", "32")]) == 1
+    assert capsys.readouterr().err.startswith("usage error: expected a comma-separated integer list")
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_bench_smoke(tmp_path):
     rc = main(["bench", "--n-values", "32,64", "--t", "30", "--out", str(tmp_path / "b")])
     assert rc == 0

@@ -162,8 +162,8 @@ def test_bounded_learner_shape():
     assert lrn.weights.size == 6  # real sites, then the N dummies' equal shares
     # the dummies are held as one aggregate site: 4 columns each in the
     # weights, the starting weights, the surrogate's 4-array workspace, the
-    # search keys and the 2-array extended costs
-    assert lrn.state_nbytes == (1 + 1 + 4 + 1 + 2) * 4 * 8
+    # complex search keys and the 2-array extended costs
+    assert lrn.state_nbytes == (1 + 1 + 4 + 2 + 2) * 4 * 8
     assert lrn.num_draws == 2 * half_log_ceil(100)
     # inner connection bound is C + D
     assert lrn._inner.cfg.connection_max == 1.5

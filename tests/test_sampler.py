@@ -11,7 +11,7 @@ from olfl import (
     SiteSet,
     sample_site_multiset,
 )
-from olfl.sampler import COUNTED_DRAW_MAX, PREFETCH_TRIALS, DrawPlan, RecordedRows, UniformStreams
+from olfl.sampler import COUNTED_DRAW_MAX, PREFETCH_TRIALS, RecordedRows, UniformStreams, uniforms
 
 TOP = np.nextafter(1.0, 0.0)  # the largest uniform a generator can return
 
@@ -137,9 +137,28 @@ def test_multiset_pair_probability():
     assert abs(hits / 1e5 - 0.5) <= 0.01
 
 
+def _row_draws(p, counts, rngs) -> np.ndarray:
+    """counts[r] draws from row r of the (rows, n) distributions p for
+    generator rngs[r], an int count being every row's, flat in row order as
+    1-based sites: the rows recorded as one trial and searched once, each
+    row's uniforms padded to the widest count."""
+    recorded = RecordedRows(p.shape[1], len(p))
+    assert recorded.record(p, counts)
+    return _search(recorded, np.broadcast_to(counts, len(p)), uniforms(rngs, counts))
+
+
+def _search(recorded, counts, flat_uniforms) -> np.ndarray:
+    """`recorded.search` of counts[r] uniforms for row r, taken in row order
+    from `flat_uniforms`, as flat 1-based sites in row order."""
+    keep = np.arange(max(counts)) < np.asarray(counts)[:, None]
+    u = np.zeros(keep.shape)
+    u[keep] = flat_uniforms
+    return recorded.search(u)[keep]
+
+
 def test_row_draws_check_every_row_and_match_single_draws():
     p = np.array([[0.25, 0.25, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]])
-    flat = DrawPlan(*p.shape, (4, 1, 6)).draw(p, [np.random.default_rng(seed) for seed in (1, 2, 3)])
+    flat = _row_draws(p, (4, 1, 6), [np.random.default_rng(seed) for seed in (1, 2, 3)])
     rows = np.split(flat, [4, 5])
     for row, count, seed, drawn in zip(p, (4, 1, 6), (1, 2, 3), rows):
         assert np.array_equal(drawn, _draws(row, count, np.random.default_rng(seed)))
@@ -148,9 +167,9 @@ def test_row_draws_check_every_row_and_match_single_draws():
         q = p.copy()
         q[2] = bad
         with pytest.raises(InvalidDistributionError, match=f"{where}.*row 3"):
-            DrawPlan(*q.shape, (1, 1, 1)).draw(q, rngs)
-    with pytest.raises(ConfigError):
-        DrawPlan(*p.shape, (1, 0, 1))
+            _row_draws(q, (1, 1, 1), rngs)
+    with pytest.raises(ConfigError, match="count must be >= 1"):
+        RecordedRows(3, 3).record(p, (1, 0, 1))
 
 
 class _Given:
@@ -160,6 +179,7 @@ class _Given:
         self.values = np.asarray(values, dtype=float)
 
     def random(self, size):
+        size = int(np.prod(size))  # an int, or a shape
         out, self.values = self.values[:size], self.values[size:]
         return out
 
@@ -172,22 +192,26 @@ def _counts(data, rows, top):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_flat_search_equals_the_per_row_search(data):
-    rows, n = data.draw(st.integers(2, 6)), data.draw(st.integers(1, 9))
+    # several rows of at most COUNTED_DRAW_MAX sites, each with at least as
+    # many uniforms as sites, are counted; otherwise the flattened keys are
+    # searched
+    rows = data.draw(st.integers(1, 6))
+    n = data.draw(st.one_of(st.integers(1, 9), st.sampled_from([COUNTED_DRAW_MAX, COUNTED_DRAW_MAX + 1])))
     # integer weights give exact zeros inside a row and trailing zero mass
     weights = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any)
     p = np.array([data.draw(weights) for _ in range(rows)], dtype=float)
     p /= p.sum(axis=1, keepdims=True)
-    counts = _counts(data, rows, 6)
+    counts = _counts(data, rows, data.draw(st.sampled_from([6, COUNTED_DRAW_MAX + 2])))
     per_row = np.broadcast_to(counts, rows).tolist()
     uniform = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.0, TOP]))
     u = [np.array(data.draw(st.lists(uniform, min_size=c, max_size=c))) for c in per_row]
     cdf = np.cumsum(p, axis=1)
     expected = np.concatenate([cdf[r].searchsorted(u[r] * cdf[r, -1], side="right") + 1 for r in range(rows)])
-    plan = DrawPlan(rows, n, counts)
-    plan.cdf[...] = cdf
-    flat = plan.search(np.concatenate(u))
+    recorded = RecordedRows(n, rows)
+    recorded.cdf[...] = cdf
+    flat = _search(recorded, per_row, np.concatenate(u))
     assert np.array_equal(flat, expected)
-    assert np.array_equal(DrawPlan(rows, n, counts).draw(p, [_Given(ur) for ur in u]), expected)
+    assert np.array_equal(_row_draws(p, counts, [_Given(ur) for ur in u]), expected)
     assert (p[np.repeat(np.arange(rows), per_row), flat - 1] > 0).all()  # never a zero-mass site
 
 
@@ -212,10 +236,9 @@ def test_prefetched_streams_equal_per_call_draws(data):
 def _one_row(p, count, rngs):
     """One trial's draws from the one row p for every generator in rngs,
     as a recorded block of one trial."""
-    recorded, sites = RecordedRows(p.shape[1], 1), np.empty((1, len(rngs), count), dtype=np.intp)
+    recorded = RecordedRows(p.shape[1], 1)
     assert recorded.record(p, count)
-    recorded.draw(rngs, sites)
-    return sites.ravel()
+    return recorded.draw(rngs).ravel()
 
 
 @settings(max_examples=60, deadline=None)
@@ -229,7 +252,7 @@ def test_one_row_serves_every_generator_as_a_copy_of_its_own(data):
     seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=rows, max_size=rows, unique=True))
     generators = [np.random.default_rng(seed) for seed in seeds]
     copies = np.repeat(p, rows, axis=0)
-    expected = DrawPlan(rows, n, count).draw(copies, [np.random.default_rng(seed) for seed in seeds])
+    expected = _row_draws(copies, count, [np.random.default_rng(seed) for seed in seeds])
     assert np.array_equal(_one_row(p, count, generators), expected)
     assert np.array_equal(_one_row(p, count, UniformStreams(seeds)), expected)
     # each generator advanced by exactly its own draws
@@ -242,9 +265,10 @@ def test_one_row_serves_every_generator_as_a_copy_of_its_own(data):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_counted_block_draws_are_the_per_trial_searches(data):
-    # a block of several trials on rows of at most COUNTED_DRAW_MAX sites
-    # counts each uniform's cumulative sums at or below it; wider rows, and
-    # a block of one trial, search each trial's sums. Integer weights give
+    # a block of several trials on rows of at most COUNTED_DRAW_MAX sites,
+    # with at least as many uniforms a trial as sites, counts each uniform's
+    # cumulative sums at or below it; otherwise the block's keys are
+    # searched. Integer weights give
     # zero-mass sites, so equal neighbouring sums, inside a row and at its
     # ends; a uniform of 0 or of the largest double below 1 lands on the
     # first or the last positive-mass site
@@ -269,8 +293,7 @@ def test_counted_block_draws_are_the_per_trial_searches(data):
     recorded = RecordedRows(n)
     for t in range(trials):
         assert recorded.record(p[[t]], count, t + 1)
-    sites = np.empty((trials, generators, count), dtype=np.intp)
-    recorded.draw(rngs, sites)
+    sites = recorded.draw(rngs).reshape(trials, generators, count)
     assert np.array_equal(sites, expected)
     assert (p[np.arange(trials)[:, None, None], sites - 1] > 0).all()  # never a zero-mass site
     if stub is not None:  # the first or the last positive-mass site of each trial's row
@@ -323,7 +346,7 @@ def test_zero_uniform_lands_on_the_first_positive_mass_site():
         assert _draws(p, 3, _ZeroUniform()).tolist() == [lead + 1] * 3
         assert _one_row(p[None], 2, [_ZeroUniform()] * 3).tolist() == [lead + 1] * 6
     p = np.array([[0.0, 0.0, 0.5, 0.5], [0.0, 1.0, 0.0, 0.0]])
-    assert DrawPlan(2, 4, (2, 3)).draw(p, [_ZeroUniform()] * 2).tolist() == [3, 3, 2, 2, 2]
+    assert _row_draws(p, (2, 3), [_ZeroUniform()] * 2).tolist() == [3, 3, 2, 2, 2]
     hedge = ExactHedge(GameConfig(3, 10, 1.0, 1.0), 2)
     hedge.weights[...] = 0.0
     hedge.weights[0, [2, 5]] = 0.5  # subsets {1, 2} and {2, 3}
