@@ -54,7 +54,6 @@ from .learners import (
 from .oracles import (
     ExactHedge,
     best_fixed_subset,
-    cheapest_singleton_play,
     exact_expected_loss,
     ftl_greedy_play,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "TraceFormatError",
     "action_losses",
     "best_fixed_subset",
-    "cheapest_singleton_play",
     "config_from_dict",
     "config_to_dict",
     "emit_results",

@@ -3,9 +3,10 @@ efficient learners, used to verify them at desk scale.
 
 - ExactHedge: exponential weights over all 2^N - 1 nonempty subsets, whose
   weight rows pass the sampler's one check and are drawn as it draws.
-- ftl_greedy_play / cheapest_singleton_play: deterministic follow-the-leader
-  baselines (both provably beatable by an adaptive adversary), replayed as
-  learners by FollowTheLeaderGreedy and CheapestSingleton. The learners
+- FollowTheLeaderGreedy and CheapestSingleton: deterministic
+  follow-the-leader baselines (both provably beatable by an adaptive
+  adversary), playing the greedy leader (ftl_greedy_play, on a whole
+  history) and the cheapest singleton of the history so far. The learners
   stand behind `game.LearnerRows`, the play / update protocol of the fl
   learners: ExactHedge as a batch of rows, the baselines as one row each,
   since a deterministic learner has one trajectory.
@@ -206,16 +207,12 @@ class FollowTheLeaderGreedy(LearnerRows):
 
 
 class CheapestSingleton(FollowTheLeaderGreedy):
-    """FollowTheLeaderGreedy playing cheapest_singleton_play from its running sums."""
+    """FollowTheLeaderGreedy playing the singleton with the least cumulative
+    loss so far, from its running sums."""
 
     @staticmethod
     def leader(connection: np.ndarray, cum_open: np.ndarray, cum_conn: np.ndarray) -> SiteSet:
         return SiteSet((int(np.argmin(cum_open + cum_conn)) + 1,))
-
-
-def cheapest_singleton_play(history: CostRows) -> SiteSet:
-    """The singleton with the least cumulative loss so far."""
-    return CheapestSingleton.leader(history.connection, history.opening.sum(axis=0), history.connection.sum(axis=0))
 
 
 def comparator_cardinalities(n_sites: int, max_card: int | None = None, exact_card: int | None = None):

@@ -5,7 +5,8 @@ formula evaluation instead of the prefix/suffix passes, central finite
 differences instead of the analytic gradient, full enumeration instead of
 sampling, frequency counts instead of the inverse-CDF draw, hand arithmetic
 instead of the doubling bookkeeping, a combinations scan instead of the
-superset-sum comparator.
+superset-sum comparator. Every check that steps a learner runs it through
+`experiment.trial_loop`, as `olfl run` does, and checks what it returns.
 
 Each check takes a `scale`, a row of constants: `DESK`, which `olfl verify`
 runs in about a second, or `FULL`, at which the test suite reruns the same
@@ -27,7 +28,7 @@ from .adversaries import KillerSource, generate_scenario
 from .eg import Step, starting_point
 from .experiment import trial_loop
 from .game import CostPair, CostRows, GameConfig, action_losses, connection_order
-from .learners import DoublingLearner, FixedCardinalityLearner, LearnerBatch, half_log_ceil
+from .learners import LearnerBatch, half_log_ceil
 from .oracles import (
     CheapestSingleton,
     ExactHedge,
@@ -109,7 +110,7 @@ def surrogate_value_direct(opening, connection, num_draws: int, w) -> float:
     value = num_draws * float(opening @ w) + float(conn_sorted[-1])
     for i in range(n - 1):
         value += (conn_sorted[i] - conn_sorted[i + 1]) * float(w_sorted[: i + 1].sum()) ** num_draws
-    return value
+    return float(value)
 
 
 def finite_difference_gradient(opening, connection, num_draws: int, w, step: float = 1e-6) -> np.ndarray:
@@ -326,37 +327,45 @@ def check_eg_update_arithmetic(scale: Scale = DESK) -> CheckResult:
 
 
 def check_doubling_mechanics(scale: Scale = DESK) -> CheckResult:
+    """One fl row through `trial_loop` on an all-ones scenario, which forces
+    crossings, in the recorded and prepared blocks of a shared scenario's
+    run. Hand bookkeeping of the threshold, scale guess and budget, run on
+    the returned surrogate losses, must give the (scale, cardinality,
+    segment) columns at every trial, and the accumulator and segment starts
+    the learner ends with. Each segment's first loss must be the direct
+    surrogate at the starting weights: 1/(2N) on each real site and 1/2 on
+    the aggregate dummy, whose costs are (0, C + D)."""
     plan = scale["doubling"]
     name, n = "doubling mechanics", plan.sites
     cfg = GameConfig(n, plan.horizon, 1.0, 1.0)
-    learner = DoublingLearner(cfg)
-    rng = np.random.default_rng(plan.seed)
-    costs = CostPair(np.ones(n), np.ones(n))  # worst-case costs force crossings
-    slope = half_log_ceil(cfg.horizon) * 6.0  # a = h (4C + 2D)
+    learner = LearnerBatch(cfg, "fl", 1)
+    ones = np.ones((cfg.horizon, n))  # worst-case costs force crossings
+    values, states = trial_loop(learner, UniformStreams([plan.seed]), cfg.horizon, CostRows(ones, ones))[1:3]
+    draws_per_unit = half_log_ceil(cfg.horizon)
+    slope = draws_per_unit * 6.0  # a = h (4C + 2D)
     base = 2.0  # b = C + D
     unit = 2.0 * (slope + base) * math.sqrt(math.log(2 * n) * cfg.horizon)
+    extended = np.append(np.ones(n), 0.0), np.append(np.ones(n), base)
+    start = np.append(np.full(n, 1.0 / (2 * n)), 0.5)
     observed = []
     accumulated = 0.0
-    scale_guess = 1
-    for t in range(1, cfg.horizon + 1):
-        learner.play(rng)
-        accumulated += learner.update(costs)
-        did_double = learner.scale != scale_guess
-        if (accumulated >= scale_guess * unit) != did_double:
-            return CheckResult(name, False, f"crossing mismatch at trial {t}")
-        if did_double:
+    scale_guess = budget = 1
+    for t, (value, state) in enumerate(zip(values[:, 0].tolist(), np.hstack(states).tolist()), 1):
+        if state != [scale_guess, budget, len(observed)]:  # the state trial t was played in
+            return CheckResult(name, False, f"scale, budget or segment off at trial {t}")
+        if t == 1 or observed[-1:] == [t - 1]:  # a segment's first trial
+            direct = surrogate_value_direct(*extended, budget * draws_per_unit, start)
+            if abs(value - direct) > 1e-12 * direct:
+                return CheckResult(name, False, f"weights not reset at trial {t}: loss {value!r}, {direct!r} due")
+        accumulated += value
+        if accumulated >= scale_guess * unit:
             observed.append(t)
             scale_guess *= 2
             accumulated = 0.0
-            expected_budget = min(n, math.ceil((scale_guess * (slope + base) - base) / slope))
-            if learner.scale != scale_guess or learner.cardinality_budget != expected_budget:
-                return CheckResult(name, False, f"scale or budget off at trial {t}")
-            w = learner.weights
-            uniform = w.size == 2 * n and float(np.abs(w - 1.0 / (2 * n)).max()) <= 1e-15
-            if not uniform or learner.accumulated != 0.0:
-                return CheckResult(name, False, f"weights or accumulator not reset at trial {t}")
-    if len(observed) < plan.count or learner.segment_starts != [1] + [t + 1 for t in observed]:
-        detail = f"restarts at {observed} (at least {plan.count} due), segments {learner.segment_starts}"
+            budget = min(n, math.ceil((scale_guess * (slope + base) - base) / slope))
+    ends = float(learner.accumulated[0]), learner.segment_starts[0]
+    if len(observed) < plan.count or ends != (accumulated, [1] + [t + 1 for t in observed]):
+        detail = f"restarts at {observed} (at least {plan.count} due), accumulator and segments {ends}"
         return CheckResult(name, False, detail)
     return CheckResult(name, True, f"restarts at trials {observed}, budgets, resets and segments verified")
 
@@ -437,21 +446,28 @@ def check_comparator_scan(scale: Scale = DESK) -> CheckResult:
 
 
 def check_learner_dominance(scale: Scale = DESK) -> CheckResult:
+    """Four fl-fixed K=1 rows on N=3 through `trial_loop`, each on costs of
+    its own, as the fl family runs on the killer: one search of the rows'
+    recorded weights per trial, and the surrogate's gather of every row's
+    permutation. The source copies the weights when the loop asks it for a
+    trial's costs, after the play and before the update, so they are the
+    weights the trial was played at. At each of them, each row's exact
+    expected loss must stay under the surrogate loss its update returns."""
     rng = np.random.default_rng(31)
-    cfg = GameConfig(3, 50, 1.0, 1.0)  # horizon gives num_draws = 2 per unit budget
-    learner = FixedCardinalityLearner(cfg, 1)
-    worst = -math.inf
-    for _ in range(25):
-        costs = CostPair(rng.uniform(0.0, 1.0, 3), rng.uniform(0.0, 1.0, 3))
-        p = learner.weights.copy()
-        learner.play(rng)
-        value = learner.update(costs)
-        expected = exact_expected_loss(p, learner.num_draws, costs)
-        gap = expected - value
-        worst = max(worst, gap)
-        if gap > 1e-9:
-            return CheckResult("learner-level dominance", False, f"E - lambda = {gap:.2e}")
-    return CheckResult("learner-level dominance", True, f"25 trials; max E - lambda = {worst:.1e}")
+    rows, n, horizon = 4, 3, 25
+    learner = LearnerBatch(GameConfig(n, 50, 1.0, 1.0), "fl-fixed", rows, 1)  # T = 50 gives 2 draws per row
+    trials = []  # the weights each trial was played at, and its costs
+
+    def source(t, actions):
+        costs = CostRows(rng.uniform(0.0, 1.0, (rows, n)), rng.uniform(0.0, 1.0, (rows, n)))
+        trials.append((learner.weights.copy(), costs))
+        return costs
+
+    values = trial_loop(learner, UniformStreams(range(rows)), horizon, source)[1]
+    expected = [[exact_expected_loss(p, 2, costs[r]) for r, p in enumerate(weights)] for weights, costs in trials]
+    worst = float((np.array(expected) - values).max())
+    detail = f"{horizon} trials of {rows} rows; max E - lambda = {worst:.1e}"
+    return CheckResult("learner-level dominance", worst <= 1e-9, detail)
 
 
 def check_sort_round_trip(scale: Scale = DESK) -> CheckResult:

@@ -7,8 +7,15 @@ import pytest
 from olfl import sampler
 from olfl.adversaries import KillerSource, killer_rows
 from olfl.game import ActionRows
+from olfl.learners import LearnerBatch
 from olfl.sampler import RecordedRows
-from olfl.verify import check_killer_regression, check_sampler_distribution
+from olfl.surrogate import Workspace
+from olfl.verify import (
+    check_doubling_mechanics,
+    check_killer_regression,
+    check_learner_dominance,
+    check_sampler_distribution,
+)
 
 
 def _realized_always_shifted(self, actions):
@@ -45,11 +52,53 @@ def _keys_searched_left(self, n, rows=None):
     self._flat = self._flat.view(_LeftSearch)
 
 
+_advance = LearnerBatch._advance_segments
+
+
+def _segment_plus_two(self, values):
+    """Doubling restarts that count two segments each."""
+    before = self.segment.copy()
+    _advance(self, values)
+    self.segment += self.segment - before
+
+
+def _restart_scale_x4(self, values):
+    """Doubling restarts that multiply the scale guess by 4, with the budget
+    and tuning of that scale."""
+    before = self.scale.copy()
+    _advance(self, values)
+    self.scale[self.scale != before] *= 2
+    self.cardinality[:] = self.budget_for(self.scale)
+    self._tune()
+
+
+def _no_weight_reset(self, values):
+    """Doubling restarts that keep the weights they crossed at."""
+    kept = self.w.copy()
+    _advance(self, values)
+    self.w[:] = kept
+
+
+_workspace_init = Workspace.__init__
+
+
+def _row_offsets_zero(self, shape, dummy=None):
+    """A Workspace whose S-row offsets are zero, so every row gathers row 0's
+    permutation."""
+    _workspace_init(self, shape, dummy)
+    if self.offsets is not None:
+        self.offsets = np.zeros_like(self.offsets)
+
+
 # (mutant, the object it patches, the attribute it replaces, its replacement, the check that must fail)
 MUTANTS = [
     ("killer-realized-shifted", KillerSource, "realized", _realized_always_shifted, check_killer_regression),
     ("counted-draw-less", sampler, "np", _NumpyWith(less_equal=np.less), check_sampler_distribution),
     ("key-search-left", RecordedRows, "__init__", _keys_searched_left, check_sampler_distribution),
+    ("segment-plus-two", LearnerBatch, "_advance_segments", _segment_plus_two, check_doubling_mechanics),
+    ("restart-scale-x4", LearnerBatch, "_advance_segments", _restart_scale_x4, check_doubling_mechanics),
+    ("no-weight-reset", LearnerBatch, "_advance_segments", _no_weight_reset, check_doubling_mechanics),
+    ("row-offsets-zero", Workspace, "__init__", _row_offsets_zero, check_learner_dominance),
 ]
 
 

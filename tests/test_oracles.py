@@ -19,7 +19,6 @@ from olfl import (
     ProtocolError,
     SiteSet,
     best_fixed_subset,
-    cheapest_singleton_play,
     exact_expected_loss,
     facility_loss,
     ftl_greedy_play,
@@ -191,11 +190,17 @@ def test_ftl_greedy_matches_slow_reimplementation_on_killer_history():
         assert action.members == expected
 
 
+def _cheapest_singleton(history: CostRows) -> SiteSet:
+    """The reference for CheapestSingleton: the site whose opening plus
+    connection costs sum least over the history, the first of a tie."""
+    return SiteSet((int(np.argmin(history.opening.sum(axis=0) + history.connection.sum(axis=0))) + 1,))
+
+
 @pytest.mark.parametrize("scenario", ["iid", "killer"])
 @pytest.mark.parametrize("n", [1, 2, 3, 16])
 @pytest.mark.parametrize(
     "baseline, leader_of",
-    [(FollowTheLeaderGreedy, ftl_greedy_play), (CheapestSingleton, cheapest_singleton_play)],
+    [(FollowTheLeaderGreedy, ftl_greedy_play), (CheapestSingleton, _cheapest_singleton)],
     ids=["ftl-greedy", "cheapest-singleton"],
 )
 def test_ftl_greedy_running_sums_play_the_leader_of_every_prefix(baseline, leader_of, n, scenario):
@@ -223,7 +228,12 @@ def test_cheapest_singleton():
     history = CostRows([[0.5, 0.1, 0.3], [0.4, 0.1, 0.5]], [[0.2, 0.6, 0.1], [0.3, 0.2, 0.2]])
     totals = [0.5 + 0.2 + 0.4 + 0.3, 0.1 + 0.6 + 0.1 + 0.2, 0.3 + 0.1 + 0.5 + 0.2]
     assert totals[1] == min(totals)
-    assert cheapest_singleton_play(history).members == (2,)
+    assert _cheapest_singleton(history).members == (2,)
+    baseline = CheapestSingleton(GameConfig(3, 2, 1.0, 1.0))
+    for costs in history:
+        baseline.play((np.random.default_rng(0),))
+        baseline.update(costs)
+    assert baseline.play((np.random.default_rng(0),))[0].members == (2,)
 
 
 def test_best_fixed_tie_rules():

@@ -1,6 +1,7 @@
 """Print the size of the olfl package: the `wc -l` total of src/olfl/*.py,
 then its code lines, which leave out blank lines, lines that start with `#`
-and the lines of module, class and function docstrings.
+and the lines of module, class and function docstrings, then each module's
+code lines, one module a line.
 
 Run from anywhere: python tools/count_lines.py
 """
@@ -37,9 +38,12 @@ def count(path: pathlib.Path) -> tuple[int, int]:
 
 
 def main() -> None:
-    totals = [count(path) for path in sorted(PACKAGE.glob("*.py"))]
+    paths = sorted(PACKAGE.glob("*.py"))
+    totals = [count(path) for path in paths]
     print(f"wc -l {sum(total for total, _ in totals)}")
     print(f"code lines {sum(code for _, code in totals)}")
+    for path, (_, code) in zip(paths, totals):
+        print(f"  {path.stem} {code}")
 
 
 if __name__ == "__main__":
