@@ -45,9 +45,7 @@ from .game import (
     sort_by_connection_desc,
 )
 from .learners import (
-    BoundedCardinalityLearner,
     DoublingLearner,
-    FixedCardinalityLearner,
     LearnerBatch,
     half_log_ceil,
 )
@@ -65,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ActionRows",
     "AlgoSpec",
-    "BoundedCardinalityLearner",
     "CapExceededError",
     "ConfigError",
     "ContractViolationError",
@@ -75,7 +72,6 @@ __all__ = [
     "ExactHedge",
     "ExperimentConfig",
     "ExponentiatedGradient",
-    "FixedCardinalityLearner",
     "GameConfig",
     "InvalidActionError",
     "InvalidDistributionError",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
 from .experiment import trial_loop
 from .game import CostPair, GameConfig
 from .learners import LearnerBatch
@@ -24,6 +25,8 @@ from .learners import LearnerBatch
 def bench_per_trial(n_values, horizon: int, seed: int = 0) -> list[dict]:
     """One row per site count: median/p90 per-trial milliseconds and
     persistent state size in bytes."""
+    if seed < 0:  # numpy would refuse it only later, naming no flag
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     rows = []
     for n in n_values:
         n = int(n)

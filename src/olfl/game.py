@@ -282,15 +282,19 @@ class LearnerRows:
     per generator (or `UniformStreams` row); one row serves any number of
     them, S rows take exactly S. update(costs) takes a CostRows with one row
     per learner row, or a CostPair as the one row of a one-row learner, and
-    returns per-row values, or None when the learner reports none."""
+    returns per-row values, or None when the learner reports none. A
+    learner takes at most the horizon of its game `cfg` in updates: its
+    tuning, and the guarantee that rests on it, hold for that horizon."""
 
     _awaiting_update = False
 
-    def __init__(self, rows: int, n_sites: int):
+    def __init__(self, rows: int, cfg: GameConfig):
         if not isinstance(rows, int) or rows < 1:
             raise ConfigError(f"rows must be a positive integer, got {rows!r}")
         self.rows = rows
-        self.n_real = n_sites  # the site count of the costs update takes
+        self.n_real = cfg.n_sites  # the site count of the costs update takes
+        self.horizon = cfg.horizon
+        self.trials_seen = 0  # updates taken
 
     def _begin_play(self, rngs, new_trial: bool = True) -> int:
         """The checked generator count; a new trial follows an update and awaits one."""
@@ -303,12 +307,20 @@ class LearnerRows:
             self._awaiting_update = True
         return actions
 
+    def _take_update(self) -> None:
+        """End the played trial for its update, refused before a play and
+        past the horizon; the caller counts the trial once its costs are
+        read, so a refused update ends the trial uncounted."""
+        if not self._awaiting_update:
+            raise ProtocolError("update called before play")
+        if self.trials_seen == self.horizon:
+            raise ProtocolError(f"update past the horizon of {self.horizon} trials")
+        self._awaiting_update = False
+
     def _begin_update(self, costs: CostPair | CostRows) -> tuple[np.ndarray, np.ndarray]:
         """The trial's (rows, N) opening and connection arrays: the one place
         that reads a CostPair, as the one row of a one-row learner."""
-        if not self._awaiting_update:
-            raise ProtocolError("update called before play")
-        self._awaiting_update = False
+        self._take_update()
         if isinstance(costs, CostPair):
             opening, connection = costs.opening[None], costs.connection[None]
         elif isinstance(costs, CostRows):
@@ -320,6 +332,7 @@ class LearnerRows:
             raise ConfigError(f"{rows} cost rows for {self.rows} rows")
         if n != self.n_real:
             raise ConfigError(f"costs for {n} sites, expected {self.n_real}")
+        self.trials_seen += 1
         return opening, connection
 
     def state_rows(self) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:

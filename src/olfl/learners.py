@@ -60,10 +60,12 @@ Kinds:
   budget, whenever the accumulated surrogate loss of its current segment
   crosses 2 * (a + b) * scale * sqrt(ln(2N) * T).
 
-FixedCardinalityLearner, BoundedCardinalityLearner and DoublingLearner are
-batches of one behind the scalar play(rng) / update(costs) interface. They
-draw from the caller's generator, which advances by exactly num_draws
-uniforms per play. Every learner enforces strict play/update alternation.
+DoublingLearner is one fl row behind the scalar play(rng) / update(costs)
+interface; it draws from the caller's generator, which advances by exactly
+num_draws uniforms per play. A scalar learner of another kind is a one-row
+batch: `play((rng,))[0]`, `update(costs)[0]` and `weights[0]`. Every
+learner enforces strict play/update alternation and refuses an update past
+the horizon T it is tuned for.
 """
 from __future__ import annotations
 
@@ -137,7 +139,7 @@ class LearnerBatch(LearnerRows):
         elif not isinstance(cardinality, int) or not 1 <= cardinality <= cfg.n_sites:
             label = "cardinality" if kind == "fl-fixed" else "max_cardinality"
             raise ConfigError(f"{label} must be an integer in 1..{cfg.n_sites}, got {cardinality!r}")
-        super().__init__(rows, cfg.n_sites)
+        super().__init__(rows, cfg)
         n, c, d = cfg.n_sites, cfg.opening_max, cfg.connection_max
         multiplicity = None
         self.cfg = cfg
@@ -163,7 +165,6 @@ class LearnerBatch(LearnerRows):
             self.segment = np.zeros(rows, dtype=np.int64)
             self.accumulated = np.zeros(rows)
             self.segment_starts = [[1] for _ in range(rows)]  # trial index opening each segment
-            self.trials_seen = 0
             self.cardinality = self.budget_for(self.scale)
         else:
             self.cardinality = np.full(rows, cardinality, dtype=np.int64)
@@ -316,9 +317,8 @@ class LearnerBatch(LearnerRows):
         row views: its (n,) weights, costs and gradients."""
         one = self.rows == 1
         if type(costs) is Prepared:  # its cost side, already built
-            if not self._awaiting_update:
-                raise ProtocolError("update called before play")
-            self._awaiting_update = False
+            self._take_update()
+            self.trials_seen += 1
         else:
             opening, connection = self._begin_update(costs)
             if one:
@@ -337,7 +337,6 @@ class LearnerBatch(LearnerRows):
         reaches its threshold doubles its scale and restarts from scratch
         (starting weights, zero accumulator) at the new budget. The state
         rows change in place."""
-        self.trials_seen += 1
         self.accumulated += values
         crossed = self.accumulated >= self.scale * self.threshold_unit
         if not np.logical_or.reduce(crossed):
@@ -353,16 +352,37 @@ class LearnerBatch(LearnerRows):
 
 
 def _row0(name: str, cast=lambda value: value) -> property:
-    """Row 0 of the core's per-row attribute `name`, for the batches of one."""
+    """Row 0 of the core's per-row attribute `name`."""
     return property(lambda self: cast(getattr(self._inner, name)[0]))
 
 
-class _BatchOfOne:
-    """One row of the core behind the scalar learner interface."""
+class DoublingLearner:
+    """One fl learner behind the scalar interface: a one-row `LearnerBatch`
+    whose play(rng) draws one action from the caller's generator, which
+    advances by exactly num_draws uniforms, and whose update(costs) takes a
+    CostPair and returns the surrogate loss at the pre-update weights.
+    `weights` covers the 2N-site extended instance: the N real sites, then
+    N equal dummies sharing the aggregate site's mass.
 
-    _inner: LearnerBatch
+    The affine map scale = (a * K + b) / (a + b) with a = ceil(ln(T)/2) *
+    (4C + 2D) and b = C + D prices a cardinality-K comparator; inverting it
+    at the current scale guess sets the budget K = ceil((scale*(a+b) - b)/a),
+    clamped to N. Crossing the segment threshold doubles the scale and
+    restarts the learner from scratch (uniform weights, zero accumulator).
+    `segment_starts` lists the trial opening each segment.
+    """
+
     weights = _row0("weights")
     num_draws = _row0("num_draws", int)
+    cardinality_budget = _row0("cardinality", int)
+    segment = _row0("segment", int)
+    segment_starts = _row0("segment_starts")
+    accumulated = _row0("accumulated", float)
+    scale = _row0("scale", int)
+
+    def __init__(self, cfg: GameConfig):
+        self._inner = LearnerBatch(cfg, "fl", 1)
+        self.cfg = cfg
 
     @property
     def state_nbytes(self) -> int:
@@ -372,52 +392,4 @@ class _BatchOfOne:
         return self._inner.play((rng,))[0]
 
     def update(self, costs: CostPair) -> float:
-        """Surrogate step on this trial's costs; returns the surrogate loss
-        at the pre-update weights."""
         return self._inner.update(costs)[0]
-
-
-class FixedCardinalityLearner(_BatchOfOne):
-    """Plays the distinct outcomes of num_draws weighted site draws per trial."""
-
-    def __init__(self, cfg: GameConfig, cardinality: int):
-        self._inner = LearnerBatch(cfg, "fl-fixed", 1, cardinality)
-        self.cfg = cfg
-        self.cardinality = cardinality
-
-
-class BoundedCardinalityLearner(_BatchOfOne):
-    """Fixed-cardinality learner on a dummy-extended instance; competes with
-    every nonempty subset of at most max_cardinality real sites. `weights`
-    covers the 2N-site extended instance: the N real sites, then N equal
-    dummies sharing the aggregate site's mass."""
-
-    def __init__(self, cfg: GameConfig, max_cardinality: int):
-        self._inner = LearnerBatch(cfg, "fl-bounded", 1, max_cardinality)
-        self.cfg = cfg
-        self.max_cardinality = max_cardinality
-
-
-class DoublingLearner(_BatchOfOne):
-    """Bounded-cardinality learner under a doubling guess of comparator scale.
-
-    The affine map scale = (a * K + b) / (a + b) with a = ceil(ln(T)/2) *
-    (4C + 2D) and b = C + D prices a cardinality-K comparator; inverting it
-    at the current scale guess sets the budget K = ceil((scale*(a+b) - b)/a),
-    clamped to N. Crossing the segment threshold doubles the scale and
-    restarts the inner learner from scratch (uniform weights, zero
-    accumulator). `segment_starts` lists the trial opening each segment.
-    """
-
-    cardinality_budget = _row0("cardinality", int)
-    segment = _row0("segment", int)
-    segment_starts = _row0("segment_starts")
-    accumulated = _row0("accumulated", float)
-
-    def __init__(self, cfg: GameConfig):
-        self._inner = LearnerBatch(cfg, "fl", 1)
-        self.cfg = cfg
-
-    @property
-    def scale(self) -> int:
-        return int(self._inner.scale[0])

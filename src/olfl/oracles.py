@@ -100,7 +100,7 @@ class ExactHedge(LearnerRows):
                 f"{cfg.n_sites} sites needs {2 ** cfg.n_sites - 1} subset weights;"
                 f" cap is {BRUTE_FORCE_SITE_CAP} sites"
             )
-        super().__init__(rows, cfg.n_sites)
+        super().__init__(rows, cfg)
         self.cfg = cfg
         n = cfg.n_sites
         self.n_subsets = (1 << n) - 1
@@ -174,36 +174,31 @@ class FollowTheLeaderGreedy(LearnerRows):
     uniforms. It follows one trajectory whatever the source, since even the
     adaptive killer prices the one action it has just played.
 
-    The connection history is a preallocated (T, N) array, doubled along
-    the trials if updates run past the horizon; each play reads its first t
-    trials in place. The opening and connection column sums run alongside,
-    one row added per update to zeroed sums: numpy sums axis 0 of a
-    C-contiguous block row by row, so they equal the history's column sums
-    as floats, and a play makes one pass over the history instead of three."""
+    The connection history is a preallocated (T, N) array; each play reads
+    its first t trials in place. The opening and connection column sums run
+    alongside, one row added per update to zeroed sums: numpy sums axis 0
+    of a C-contiguous block row by row, so they equal the history's column
+    sums as floats, and a play makes one pass over the history instead of
+    three."""
 
     leader = staticmethod(_greedy_leader)  # the rule a play applies to the history and its sums
 
     def __init__(self, cfg: GameConfig):
-        super().__init__(1, cfg.n_sites)
+        super().__init__(1, cfg)
         self._connection = np.empty((cfg.horizon, cfg.n_sites))
         self._sums = np.zeros((2, cfg.n_sites))  # opening, connection column sums
-        self._trials = 0
 
     def play(self, rngs) -> ActionRows:
         actions = self._begin_play(rngs)
-        t = self._trials
+        t = self.trials_seen
         leader = self.leader(self._connection[:t], *self._sums) if t else SiteSet((1,))
         return ActionRows.repeated(leader, actions)
 
     def update(self, costs: CostPair | CostRows) -> None:
         (opening,), (connection,) = self._begin_update(costs)
-        t = self._trials
-        if t == len(self._connection):
-            self._connection = np.concatenate([self._connection, np.empty_like(self._connection)])
-        self._connection[t] = connection
+        self._connection[self.trials_seen - 1] = connection
         self._sums[0] += opening
         self._sums[1] += connection
-        self._trials = t + 1
 
 
 class CheapestSingleton(FollowTheLeaderGreedy):

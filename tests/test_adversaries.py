@@ -238,6 +238,10 @@ def test_trace_errors_name_their_lines(tmp_path):
     bad_header.write_text("t,c_1,c_2,d_1\n")
     with pytest.raises(TraceFormatError, match="line 1"):
         load_trace(str(bad_header))
+    for header in ("t,c_2,c_1,d_1,d_2", "t,d_1,c_1"):  # the right count, names out of order
+        bad_header.write_text(header + "\n1,0.5,0.5" + ",0.5" * (header.count(",") - 2) + "\n")
+        with pytest.raises(TraceFormatError, match=f"line 1: header must be t,c_1..c_N,d_1..d_N, got '{header}'"):
+            load_trace(str(bad_header))
 
     bad_count = tmp_path / "count.csv"
     bad_count.write_text("t,c_1,d_1\n1,0.5\n")
@@ -258,6 +262,13 @@ def test_trace_errors_name_their_lines(tmp_path):
     negative.write_text("t,c_1,d_1\n1,-0.5,0.5\n")
     with pytest.raises(TraceFormatError, match=r"line 2, field c_1: negative"):
         load_trace(str(negative))
+
+    not_finite = tmp_path / "finite.csv"
+    for cell, field in (("inf", "c_2"), ("nan", "d_1")):
+        row = ["0.5", cell, "0.5", "0.5"] if field == "c_2" else ["0.5", "0.5", cell, "0.5"]
+        not_finite.write_text("t,c_1,c_2,d_1,d_2\n1," + ",".join(row) + "\n")
+        with pytest.raises(TraceFormatError, match=f"line 2, field {field}: not finite$"):
+            load_trace(str(not_finite))
 
 
 def test_trace_bound_check_names_the_field(tmp_path):

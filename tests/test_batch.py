@@ -35,7 +35,7 @@ from olfl import (
 from olfl.adversaries import KillerSource, generate_scenario, save_trace
 from olfl.errors import ProtocolError
 from olfl.experiment import build_learner, trial_loop
-from olfl.learners import KINDS, BoundedCardinalityLearner, DoublingLearner, FixedCardinalityLearner, LearnerBatch
+from olfl.learners import KINDS, DoublingLearner, LearnerBatch
 from olfl.oracles import ExactHedge, FollowTheLeaderGreedy
 from olfl.game import PACKED_SORT_MIN
 from olfl.sampler import PREFETCH_TRIALS, RecordedRows, UniformStreams
@@ -171,7 +171,8 @@ def test_every_row_of_a_batch_equals_a_batch_of_one(data):
     kind = data.draw(st.sampled_from(KINDS))
     n, rows = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 4))
     c_max, d_max = data.draw(st.sampled_from([(1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (2.0, 0.5)]))
-    cfg = GameConfig(n, data.draw(st.sampled_from([2, 8, 60, 500])), c_max, d_max)
+    trials = data.draw(st.integers(1, 4))
+    cfg = GameConfig(n, max(trials, data.draw(st.sampled_from([2, 8, 60, 500]))), c_max, d_max)
     k = None if kind == "fl" else data.draw(st.integers(1, n))
     batch = LearnerBatch(cfg, kind, rows, k)
     singles = [LearnerBatch(cfg, kind, 1, k) for _ in range(rows)]
@@ -179,7 +180,7 @@ def test_every_row_of_a_batch_equals_a_batch_of_one(data):
     for r, single in enumerate(singles):
         single.w = batch.w[r : r + 1].copy()
     repeated = data.draw(st.booleans())  # every row on the same costs
-    for trial in range(data.draw(st.integers(1, 4))):
+    for trial in range(trials):
         seeds = [1000 * trial + r for r in range(rows)]
         actions = batch.play([np.random.default_rng(seed) for seed in seeds])
         assert actions == [s.play([np.random.default_rng(seed)])[0] for s, seed in zip(singles, seeds)]
@@ -202,7 +203,8 @@ def test_one_weight_row_drawing_for_every_generator_equals_a_row_per_generator(d
     kind = data.draw(st.sampled_from(KINDS))
     n, rows = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 4))
     c_max, d_max = data.draw(st.sampled_from([(1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (2.0, 0.5)]))
-    cfg = GameConfig(n, data.draw(st.sampled_from([2, 8, 60, 500])), c_max, d_max)
+    trials = data.draw(st.integers(1, 6))
+    cfg = GameConfig(n, max(trials, data.draw(st.sampled_from([2, 8, 60, 500]))), c_max, d_max)
     k = None if kind == "fl" else data.draw(st.integers(1, n))
     one, batch = LearnerBatch(cfg, kind, 1, k), LearnerBatch(cfg, kind, rows, k)
     one.w = _simplex_rows(data, 1, one.cfg.n_sites)
@@ -211,7 +213,7 @@ def test_one_weight_row_drawing_for_every_generator_equals_a_row_per_generator(d
     batch.w = np.repeat(one.w, rows, axis=0)
     if kind == "fl":  # a low threshold makes the rows restart within a few trials
         one.threshold_unit = batch.threshold_unit = one.threshold_unit * data.draw(st.sampled_from([1.0, 1e-3]))
-    for trial in range(data.draw(st.integers(1, 6))):
+    for trial in range(trials):
         seeds = [1000 * trial + r for r in range(rows)]
         drawn = one.play([np.random.default_rng(seed) for seed in seeds])
         expected = batch.play([np.random.default_rng(seed) for seed in seeds])
@@ -370,6 +372,11 @@ def test_recording_keeps_the_play_update_alternation_and_one_row():
     assert one.record(2)
     with pytest.raises(ConfigError, match="one-row batch"):
         LearnerBatch(cfg, "fl-bounded", 2, 2).record(1)
+    scenario = generate_scenario("iid", cfg, 1)
+    with pytest.raises(ConfigError, match="only a one-row batch prepares blocks of trials, not 2 rows"):
+        LearnerBatch(cfg, "fl-bounded", 2, 2).prepare(scenario, 0, 10)
+    with pytest.raises(ConfigError, match="costs for 5 sites, expected 4"):
+        one.prepare(generate_scenario("iid", GameConfig(5, 50, 1.0, 1.0), 1), 0, 10)
 
 
 @pytest.mark.parametrize(
@@ -629,16 +636,23 @@ def test_seeds_share_the_batch_timing_equally():
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_a_batch_of_one_reads_exactly_its_draws_from_the_callers_generator(data):
-    n = data.draw(st.integers(1, 6))
-    cfg = GameConfig(n, data.draw(st.sampled_from([2, 60, 500])), 1.0, 1.0)
-    kind = data.draw(st.sampled_from([FixedCardinalityLearner, BoundedCardinalityLearner, DoublingLearner]))
-    learner = kind(cfg) if kind is DoublingLearner else kind(cfg, data.draw(st.integers(1, n)))
+    n, trials = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    cfg = GameConfig(n, max(trials, data.draw(st.sampled_from([2, 60, 500]))), 1.0, 1.0)
+    kind = data.draw(st.sampled_from([*KINDS, DoublingLearner]))
+    if kind is DoublingLearner:
+        learner = DoublingLearner(cfg)
+    else:
+        learner = LearnerBatch(cfg, kind, 1, None if kind == "fl" else data.draw(st.integers(1, n)))
     seed = data.draw(st.integers(0, 2**32 - 1))
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     top = CostPair(np.ones(n), np.ones(n))  # the costliest trial, which drives fl to restart
-    for _ in range(data.draw(st.integers(1, 6))):
-        twin.random(learner.num_draws)
-        learner.play(rng)
+    for _ in range(trials):
+        if kind is DoublingLearner:
+            twin.random(learner.num_draws)
+            learner.play(rng)
+        else:
+            twin.random(int(learner.num_draws[0]))
+            learner.play((rng,))
         assert rng.bit_generator.state == twin.bit_generator.state
         learner.update(top)
 

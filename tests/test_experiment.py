@@ -519,6 +519,13 @@ def test_cli_bench_smoke(tmp_path):
     assert main(["bench", "--n-values", ""]) == 1
 
 
+def test_cli_bench_refuses_a_negative_seed(tmp_path, capsys):
+    # as `run` refuses a negative seed: one line naming the flag, before any trial
+    assert main(["bench", "--n-values", "32", "--t", "5", "--seed", "-1", "--out", str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_verify_passes():
     assert main(["verify"]) == 0
 

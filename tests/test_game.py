@@ -111,6 +111,10 @@ def test_action_losses_reject_what_facility_loss_rejects():
         action_losses(costs[:1], ActionRows.of([SiteSet((4,))]))
     with pytest.raises(ConfigError):
         action_losses(costs, ActionRows.of([SiteSet((1,))]))  # two cost rows, one action
+    with pytest.raises(ConfigError, match=r"1 actions need one trial each, in 0\.\.1"):
+        action_losses(costs, ActionRows.of([SiteSet((1,))]), np.array([2]))  # a trial past the costs
+    with pytest.raises(InvalidActionError, match="site set must be nonempty"):
+        action_losses(costs, ActionRows(np.array([0, 1, 1]), np.array([2])))  # the second action is empty
 
 
 def test_site_set_basics():

@@ -70,7 +70,7 @@ def test_hedge_play_single_site():
 
 
 def test_hedge_fresh_distribution_uniform():
-    hedge = ExactHedge(GameConfig(2, 10, 1.0, 1.0))
+    hedge = ExactHedge(GameConfig(2, 30_000, 1.0, 1.0))
     rng = np.random.default_rng(1)
     counts = {(1,): 0, (2,): 0, (1, 2): 0}
     costs = CostPair([0.0, 0.0], [0.0, 0.0])  # zero losses keep weights flat
@@ -101,7 +101,7 @@ def test_hedge_exact_exponents():
 
 
 def test_hedge_concentrates():
-    hedge = ExactHedge(GameConfig(2, 400, 1.0, 1.0))
+    hedge = ExactHedge(GameConfig(2, 10_400, 1.0, 1.0))
     rng = np.random.default_rng(4)
     costs = CostPair([1.0, 0.0], [1.0, 0.0])  # {2} is free
     for _ in range(400):
@@ -150,6 +150,19 @@ def test_hedge_alternation():
         hedge.play((np.random.default_rng(6),))
 
 
+@pytest.mark.parametrize("rows", [1, 2])
+def test_hedge_refuses_an_update_past_its_horizon(rows):
+    # its learning rate is tuned for T trials
+    hedge = ExactHedge(GameConfig(2, 3, 1.0, 1.0), rows)
+    costs = CostRows(np.full((rows, 2), 0.5), np.full((rows, 2), 0.5))
+    for _ in range(3):
+        hedge.play(UniformStreams(range(rows)))
+        hedge.update(costs)
+    hedge.play(UniformStreams(range(rows)))
+    with pytest.raises(ProtocolError, match="update past the horizon of 3 trials"):
+        hedge.update(costs)
+
+
 def test_ftl_greedy_conventions():
     history = CostRows([[0.0, 0.0]], [[0.9, 0.1]])
     assert ftl_greedy_play(history).members == (2,)
@@ -178,6 +191,37 @@ def _slow_greedy(history, tol=1e-9):
         members.append(site)
         obj = cost
     return tuple(sorted(members))
+
+
+def test_greedy_leader_adds_each_site_that_lowers_the_cumulative_loss():
+    # each of sites 1..3 connects one trial for free: the leader opens them
+    # one at a time, and the third pays off only once the connections the
+    # first two cover are counted
+    history = CostRows(np.full((3, 4), 0.01), [[0.0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]])
+    expected = _slow_greedy(history)
+    assert expected == (1, 2, 3)
+    assert ftl_greedy_play(history).members == expected
+    ftl = FollowTheLeaderGreedy(GameConfig(4, 3, 1.0, 1.0))
+    for costs in history:
+        ftl.play((np.random.default_rng(0),))
+        ftl.update(costs)
+    assert ftl.play((np.random.default_rng(0),))[0].members == expected
+
+
+@pytest.mark.parametrize("baseline", [FollowTheLeaderGreedy, CheapestSingleton])
+def test_ftl_refuses_an_update_past_its_horizon(baseline):
+    # its (T, N) history holds T trials
+    ftl = baseline(GameConfig(2, 3, 1.0, 1.0))
+    costs = CostPair([0.5, 0.5], [0.5, 0.5])
+    ftl.play((np.random.default_rng(0),))
+    with pytest.raises(ConfigError):  # a refused update ends its trial uncounted
+        ftl.update(CostPair([0.5] * 3, [0.5] * 3))
+    for _ in range(3):
+        ftl.play((np.random.default_rng(0),))
+        ftl.update(costs)
+    assert ftl.play((np.random.default_rng(0),))[0].members == (1,)
+    with pytest.raises(ProtocolError, match="update past the horizon of 3 trials"):
+        ftl.update(costs)
 
 
 def test_ftl_greedy_matches_slow_reimplementation_on_killer_history():
