@@ -94,7 +94,7 @@ class KillerSource:
         self.use_current_action = use_current_action
         self._prev = None  # the last call's actions
 
-    def costs_for(self, trial: int, actions: ActionRows) -> CostRows:
+    def costs_for(self, actions: ActionRows) -> CostRows:
         count = actions.ptr.size - 1
         if self.use_current_action:
             known = actions
@@ -112,7 +112,7 @@ class KillerSource:
     def __call__(self, trial: int, actions: ActionRows) -> CostRows:
         if self.use_current_action:
             actions = ActionRows(actions.ptr[:2], actions.sites[: actions.ptr[1]])
-        return self.costs_for(trial + 1, actions)
+        return self.costs_for(actions)
 
     def realized(self, actions: ActionRows) -> CostRows:
         """The costs this source priced for one row's actions, given as

@@ -29,8 +29,9 @@ action's draws) and prepares the surrogate's cost side per block;
 On the killer a randomized learner's seeds each have their own costs, and
 the batch one row per seed; ftl-greedy is deterministic, so the killer
 prices the one action it plays, and it holds one row on every scenario. A
-trial's actions are CSR rows (`ActionRows`), one per seed; the loop records
-them with one column per seed, the update values and learner state as
+trial's actions are CSR rows (`ActionRows`), one per seed; the loop returns
+every seed's as one seed-major ActionRows (`RunResult.actions`, of which
+each seed's run holds its rows) and the update values and learner state as
 (T, R) columns, one per learner row, and keeps no per-trial objects. Seed
 r reads row r % R, and seeds that share a row share its columns and its
 history.
@@ -41,13 +42,15 @@ seed's losses, the one comparator, the regret curve and the trace file.
 On the killer each distinct history is priced by one comparator
 (`oracles.comparator`), whose loss the seeds average. Losses do not feed
 back into play, so they are priced after the loop, bit for bit as
-`facility_loss` prices them: one `action_losses` call per learner row's
-history, on the seeds that row serves, each action mapped to its trial's
-row. A comparator the oracles would refuse is refused before the first
+`facility_loss` prices them: a one-row learner's seeds in one
+`action_losses` call on the seed-major actions, each action mapped to its
+trial's row, and an R-row learner's seeds one call each, on its row's
+history. A comparator the oracles would refuse is refused before the first
 trial.
 
 Each seed's run is a `SeedRun` of per-trial columns; `emit_results` writes
-the trial CSVs from the columns, formatting each distinct cell once.
+the trial CSVs from the columns and the run's seed-major actions,
+formatting each distinct cell once.
 
 A seed's `per_trial_median_ms` is the median over trials of the loop's
 play + update time divided by the number of seeds (in blocks, a trial's
@@ -198,6 +201,7 @@ class SeedRun:
 class RunResult:
     config: ExperimentConfig
     seed_runs: list[SeedRun]
+    actions: ActionRows  # every seed's, seed-major: seed r's trial t is row r * T + t
     mean_cumulative_loss: float
     ci95: tuple[float, float]
     comparator_members: tuple[int, ...] | None
@@ -230,8 +234,8 @@ def trial_loop(learner: LearnerRows, rngs, horizon: int, source):
     surrogate's cost side of up to a recorded block's number of trials,
     built at once (`LearnerBatch.prepare`) at the block's first trial, and
     handed to `update` one trial's row at a time. Every play's actions are
-    kept as they come and split per generator after the loop, and the
-    update values and learner state are recorded as (T, R) columns, one
+    kept as they come and put in generator order once, after the loop, and
+    the update values and learner state are recorded as (T, R) columns, one
     per learner row, so the loop's Python work per trial does not grow
     with the number of generators.
 
@@ -240,7 +244,8 @@ def trial_loop(learner: LearnerRows, rngs, horizon: int, source):
     block's draw and of its prepared block's preparation), the (T, R)
     update values or None when the learner reports none, the (scale,
     cardinality, segment) (T, R) columns, each None where the learner keeps
-    no such state, and each generator's ActionRows, one row per trial."""
+    no such state, and every generator's actions as one ActionRows,
+    generator-major: generator g's trial t is row g * T + t."""
     values = np.empty((horizon, learner.rows))
     live = learner.state_rows()  # changed in place, so one read serves every trial
     states = [None if a is None else np.empty((horizon, learner.rows), dtype=np.int64) for a in live]
@@ -309,29 +314,40 @@ def trial_loop(learner: LearnerRows, rngs, horizon: int, source):
         draw(horizon)
     if trial_values is None:  # a learner reports on every trial or on none
         values = None
-    return seconds, values, states, _actions_by_seed(lengths.reshape(horizon, generators), np.concatenate(sites))
+    # each action's start in the trial-major sites, then the lengths and starts generator-major
+    starts = (np.cumsum(lengths) - lengths).reshape(horizon, generators).T.ravel()
+    lengths = lengths.reshape(horizon, generators).T.ravel()
+    ptr = np.append(0, np.cumsum(lengths))
+    order = np.repeat(starts - ptr[:-1], lengths) + np.arange(ptr[-1])
+    return seconds, values, states, ActionRows(ptr, np.concatenate(sites)[order])
 
 
-def _run_seeds(config: ExperimentConfig, source) -> list[SeedRun]:
-    """Every seed of the experiment through one `trial_loop` on `source`.
+def _run_seeds(config: ExperimentConfig, source) -> tuple[list[SeedRun], ActionRows]:
+    """Every seed of the experiment through one `trial_loop` on `source`,
+    and every seed's actions, seed-major as the loop returns them: seed r's
+    are rows r * T .. (r + 1) * T - 1, which are its `SeedRun.actions`.
     Seed r reads learner row r % R of the loop's R rows: its update values,
     its state columns (the same column objects for every seed of the row)
     and the history the row was priced on, `source.realized` of the row's
     actions. Losses depend on the actions and costs alone, so they are
-    priced after the loop: the seeds of each learner row in one call on its
-    history, each action mapped to its trial's row."""
-    cfg, seeds = config.game, config.seeds
+    priced after the loop: a one-row learner's seeds in one call on its
+    history, each action mapped to its trial's row, and each seed of an
+    R-row learner, one a row, on its row's history."""
+    seeds, horizon = config.seeds, config.game.horizon
     learner = build_learner(config)
     rngs = UniformStreams(seeds)  # the generators are private to this run
     wall_start = time.perf_counter()
-    seconds, values, states, by_seed = trial_loop(learner, rngs, cfg.horizon, source)
+    seconds, values, states, actions = trial_loop(learner, rngs, horizon, source)
+    by_seed = []
+    for r in range(len(seeds)):
+        ptr = actions.ptr[r * horizon : (r + 1) * horizon + 1]
+        by_seed.append(ActionRows(ptr - ptr[0], actions.sites[ptr[0] : ptr[-1]]))
     histories = [source.realized(by_seed[row]) for row in range(learner.rows)]
-    losses = np.empty((len(seeds), cfg.horizon))
-    for row, history in enumerate(histories):
-        served = slice(row, None, learner.rows)  # the seeds r with r % R == row
-        actions = by_seed[served]
-        trials = np.tile(np.arange(cfg.horizon), len(actions))
-        losses[served] = action_losses(history, _joined(actions), trials).reshape(len(actions), cfg.horizon)
+    if learner.rows == 1:
+        trials = np.tile(np.arange(horizon), len(seeds))
+        losses = action_losses(histories[0], actions, trials).reshape(len(seeds), horizon)
+    else:
+        losses = np.array([action_losses(history, rows) for history, rows in zip(histories, by_seed)])
     wall = (time.perf_counter() - wall_start) / len(seeds)
     median_ms = float(np.median(seconds / len(seeds)) * 1e3)
     held = learner.segment_starts if config.algo.name == "fl" else None  # one list per learner row
@@ -354,33 +370,7 @@ def _run_seeds(config: ExperimentConfig, source) -> list[SeedRun]:
             realized_costs=None if histories[row] is source else histories[row],
         )
         for r, (seed, row) in enumerate(zip(seeds, row_of))
-    ]
-
-
-def _actions_by_seed(lengths: np.ndarray, sites: np.ndarray) -> list[ActionRows]:
-    """Per-seed ActionRows, one row per trial, from the (T, S) action
-    lengths and the sites of every trial's rows in trial-major order."""
-    horizon, rows = lengths.shape
-    starts = (np.cumsum(lengths.ravel()) - lengths.ravel()).reshape(horizon, rows)
-    by_seed = lengths.T.ravel()  # seed-major lengths
-    first = np.cumsum(by_seed) - by_seed
-    order = np.repeat(starts.T.ravel() - first, by_seed) + np.arange(by_seed.sum())
-    seed_sites = sites[order]
-    seed_ptr = np.zeros(horizon * rows + 1, dtype=np.intp)
-    np.cumsum(by_seed, out=seed_ptr[1:])
-    out = []
-    for r in range(rows):
-        ptr = seed_ptr[r * horizon : (r + 1) * horizon + 1]
-        out.append(ActionRows(ptr - ptr[0], seed_sites[ptr[0] : ptr[-1]]))
-    return out
-
-
-def _joined(actions: list[ActionRows]) -> ActionRows:
-    """The rows of every ActionRows in `actions`, in order, as one."""
-    lengths = np.concatenate([np.diff(rows.ptr) for rows in actions])
-    ptr = np.zeros(lengths.size + 1, dtype=np.intp)
-    np.cumsum(lengths, out=ptr[1:])
-    return ActionRows(ptr, np.concatenate([rows.sites for rows in actions]))
+    ], actions
 
 
 def _comparator_restriction(config: ExperimentConfig) -> tuple[int | None, int | None, str]:
@@ -396,8 +386,8 @@ def bound_terms(config: ExperimentConfig) -> tuple[str | None, int, float | None
     """(bound name, comparator scale factor, penalty term) for the algo's
     closed-form guarantee; the RHS is scale * comparator + penalty.
 
-    For the doubling learner the bounded-cardinality form at the final
-    budget is reported as a reference (its own guarantee is asymptotic).
+    The doubling learner's own guarantee is asymptotic: `run_experiment`
+    reports fl-bounded's at fl's final budget as a reference.
     """
     cfg = config.game
     c_max, d_max, n, t = cfg.opening_max, cfg.connection_max, cfg.n_sites, cfg.horizon
@@ -407,10 +397,8 @@ def bound_terms(config: ExperimentConfig) -> tuple[str | None, int, float | None
         k = config.algo.cardinality
         penalty = (2 * k * (c_max + d_max) * h + d_max) * math.sqrt(math.log(n) * t)
         return "fixed-cardinality", h, penalty
-    if name in ("fl-bounded", "fl"):
-        k = config.algo.cardinality  # fl fills this in later with its final budget
-        if k is None:
-            return "bounded-cardinality", h, None
+    if name == "fl-bounded":
+        k = config.algo.cardinality
         penalty = (2 * k * (2 * c_max + d_max) * h + (c_max + d_max)) * math.sqrt(
             math.log(2 * n) * t
         )
@@ -442,7 +430,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         source = KillerSource(cfg.n_sites, config.algo.name == "ftl-greedy")
     else:
         source = generate_scenario(config.scenario.kind, cfg, config.scenario.seed, config.scenario.drift_step)
-    seed_runs = _run_seeds(config, source)
+    seed_runs, actions = _run_seeds(config, source)
 
     cum_losses = np.array([sr.cumulative_loss for sr in seed_runs])
     # the mean and deviation of the losses scaled by a power of two, which is
@@ -487,6 +475,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     return RunResult(
         config=config,
         seed_runs=seed_runs,
+        actions=actions,
         mean_cumulative_loss=mean_loss,
         ci95=ci95,
         comparator_members=members,
@@ -580,7 +569,7 @@ def emit_results(result: RunResult, prefix: str) -> list[str]:
     losses = np.array([sr.losses for sr in runs])
     trials = list(map(str, range(1, t + 1)))
     tails: dict[tuple[int, ...], list[str]] = {}  # by the ids of a learner row's columns
-    actions = _action_strings(_joined([sr.actions for sr in runs]), result.config.game.n_sites)
+    actions = _action_strings(result.actions, result.config.game.n_sites)
     for r, (sr, loss_cells) in enumerate(zip(runs, _loss_texts(losses))):
         row = tuple(map(id, (sr.surrogate_losses, sr.scales, sr.cardinalities, sr.segments)))
         if row not in tails:

@@ -183,8 +183,6 @@ class SiteSet:
 
 def facility_loss(costs: CostPair, sites: SiteSet) -> float:
     """Opening costs of every chosen site plus the cheapest chosen connection."""
-    if len(sites.members) == 0:
-        raise InvalidActionError("site set must be nonempty")
     if sites.members[-1] > costs.n_sites:
         raise InvalidActionError(
             f"site {sites.members[-1]} outside instance with {costs.n_sites} sites"

@@ -2,7 +2,8 @@
 efficient learners, used to verify them at desk scale.
 
 - ExactHedge: exponential weights over all 2^N - 1 nonempty subsets, whose
-  weight rows pass the sampler's one check and are drawn as it draws.
+  weight rows the sampler's `RecordedRows` checks and draws, as it does the
+  fl learners'.
 - FollowTheLeaderGreedy and CheapestSingleton: deterministic
   follow-the-leader baselines (both provably beatable by an adaptive
   adversary), playing the greedy leader (ftl_greedy_play, on a whole
@@ -33,7 +34,7 @@ import numpy as np
 from .errors import CapExceededError, ConfigError
 from .game import ActionRows, CostPair, CostRows, GameConfig, LearnerRows, SiteSet, action_losses, connection_order
 from .game import facility_loss
-from .sampler import accumulate_checked, uniforms
+from .sampler import RecordedRows, uniforms
 
 BRUTE_FORCE_SITE_CAP = 16
 ENUMERATION_CAP = 1_000_000
@@ -45,15 +46,17 @@ def _subset_members(mask: int) -> tuple[int, ...]:
 
 
 def _doubling_table(values: np.ndarray, op, empty: float) -> np.ndarray:
-    """op folded over the sites of every bitmask 0..2^N - 1, indexed by mask
-    (bit j is site j+1), with `empty` at mask 0.
+    """op folded over the sites of every bitmask 0..2^N - 1 along the last
+    axis of `values`, (N,) or (rows, N), indexed by mask (bit j is site
+    j+1), with `empty` at mask 0.
 
     The masks with top bit j are the masks below 2^j plus site j, so the
     table doubles one site at a time."""
-    table = np.empty(1 << values.size)
-    table[0] = empty
-    for j, value in enumerate(values.tolist()):
-        op(table[: 1 << j], value, out=table[1 << j : 2 << j])
+    n = values.shape[-1]
+    table = np.empty(values.shape[:-1] + (1 << n,))
+    table[..., 0] = empty
+    for j in range(n):
+        op(table[..., : 1 << j], values[..., j, None], out=table[..., 1 << j : 2 << j])
     return table
 
 
@@ -88,10 +91,11 @@ class ExactHedge(LearnerRows):
 
     Losses are scaled into [0, 1] by N*C + D before the exponential step;
     the learning rate sqrt(8 ln(2^N - 1) / T) then gives cumulative expected
-    regret at most (N*C + D) * sqrt(T * ln(2^N - 1) / 2). A play checks the
-    (rows, 2^N - 1) weights with `sampler.accumulate_checked` into a buffer
-    of their cumulative sums before it reads any uniform; an action reads one
-    uniform, scaled by its row's total and searched as the sampler's are.
+    regret at most (N*C + D) * sqrt(T * ln(2^N - 1) / 2). A play records the
+    (rows, 2^N - 1) weights in a `RecordedRows`, whose one check refuses a
+    corrupted row before any uniform is read, and draws each action as the
+    sampler draws: one uniform, scaled by its row's total, the 1-based index
+    it lands on being the subset's bitmask. An update steps every row at once.
     """
 
     def __init__(self, cfg: GameConfig, rows: int = 1):
@@ -105,37 +109,36 @@ class ExactHedge(LearnerRows):
         n = cfg.n_sites
         self.n_subsets = (1 << n) - 1
         self.weights = np.full((rows, self.n_subsets), 1.0 / self.n_subsets)
-        self._cdf = np.empty_like(self.weights)  # the rows' cumulative sums, written by each play
+        self._recorded = RecordedRows(self.n_subsets, rows)  # the rows' cumulative sums, written by each play
         self.learning_rate = math.sqrt(8.0 * math.log(self.n_subsets) / cfg.horizon)
         self.loss_scale = n * cfg.opening_max + cfg.connection_max
 
     @staticmethod
     def subset_losses(opening: np.ndarray, connection: np.ndarray) -> np.ndarray:
-        """Facility loss of every nonempty subset of one trial's sites, in
-        bitmask order: the connection minimum plus the opening sum, each a
+        """Facility loss of every nonempty subset of one trial's sites, (N,)
+        or a row per learner row, (rows, N), in bitmask order along the
+        last axis: the connection minimum plus the opening sum, each a
         doubling table."""
-        mins = _doubling_table(connection, np.minimum, np.inf)
-        return (mins + _doubling_table(opening, np.add, 0.0))[1:]
+        losses = _doubling_table(connection, np.minimum, np.inf)
+        losses += _doubling_table(opening, np.add, 0.0)
+        return losses[..., 1:]
 
     def play(self, rngs) -> ActionRows:
         self._begin_play(rngs)
-        accumulate_checked(self.weights, self._cdf)
-        u = uniforms(rngs, 1).reshape(self.rows, -1) * self._cdf[:, -1:]  # each scaled by its row's total
-        masks = [cdf.searchsorted(row_u, side="right") + 1 for cdf, row_u in zip(self._cdf, u)]
-        held = (np.reshape(masks, (-1, 1)) >> np.arange(self.cfg.n_sites)) & 1 == 1
+        self._recorded.record(self.weights, 1)
+        masks = self._recorded.search(uniforms(rngs, 1).reshape(self.rows, -1))
+        held = (masks.reshape(-1, 1) >> np.arange(self.cfg.n_sites)) & 1 == 1
         return ActionRows(np.append(0, held.sum(axis=1).cumsum()), np.nonzero(held)[1] + 1)
 
     def update(self, costs: CostPair | CostRows) -> list[float]:
-        """Exponential step on each row; returns its pre-update expected loss."""
-        openings, connections = self._begin_update(costs)
-        expected = []
-        for w, opening, connection in zip(self.weights, openings, connections):
-            losses = self.subset_losses(opening, connection)
-            expected.append(float(w @ losses))
-            losses *= -self.learning_rate
-            losses /= self.loss_scale
-            w *= np.exp(losses, out=losses)
-            w /= w.sum()
+        """Exponential step on every row; returns each row's pre-update
+        expected loss, a dot product per row."""
+        losses = self.subset_losses(*self._begin_update(costs))
+        expected = [float(w @ row) for w, row in zip(self.weights, losses)]
+        losses *= -self.learning_rate
+        losses /= self.loss_scale
+        self.weights *= np.exp(losses, out=losses)
+        self.weights /= self.weights.sum(axis=1, keepdims=True)
         return expected
 
 

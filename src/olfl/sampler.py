@@ -13,10 +13,10 @@ Every draw checks its distributions once, in `accumulate_checked`, which
 also writes the cumulative sums the search needs: every entry must lie in
 [0, 1 + MASS_TOL] before anything sums it, so no sum can overflow or meet
 inf - inf, and every row's total mass must be 1 within MASS_TOL. Every
-randomized learner's weight rows pass it before a draw: the fl learners'
-here, `oracles.ExactHedge`'s before its own search of the same arithmetic.
+randomized learner's weight rows pass it before a draw.
 
-One class, `RecordedRows`, draws every learner row. `record` checks k rows
+One class, `RecordedRows`, draws every learner row: the fl learners' and
+`oracles.ExactHedge`'s, whose sites are its subsets. `record` checks k rows
 at a time into a buffer of cumulative sums, held as the imaginary part of
 complex keys r + i*cdf[r, j]: numpy orders complex numbers by real part,
 then imaginary part, so one search of the flattened keys compares the row

@@ -404,7 +404,7 @@ def check_killer_regression(scale: Scale = DESK) -> CheckResult:
     cfg = GameConfig(n, horizon, 1.0, 1.0)
     for name, learner in (("ftl-greedy", FollowTheLeaderGreedy), ("cheapest-singleton", CheapestSingleton)):
         source = KillerSource(n, use_current_action=True)
-        actions = trial_loop(learner(cfg), (np.random.default_rng(0),), horizon, source)[3][0]
+        actions = trial_loop(learner(cfg), (np.random.default_rng(0),), horizon, source)[3]
         history = source.realized(actions)
         avg = sum(action_losses(history, actions).tolist()) / horizon  # summed trial by trial
         if avg < 1.0:
@@ -423,7 +423,7 @@ def check_comparator_scan(scale: Scale = DESK) -> CheckResult:
     learner = LearnerBatch(GameConfig(n, horizon, 1.0, 1.0), "fl", 1)
     source = KillerSource(n, use_current_action=False)
     actions = trial_loop(learner, (rng,), horizon, source)[3]
-    killer = source.realized(actions[0])
+    killer = source.realized(actions)
     iid = generate_scenario("iid", GameConfig(8, 200, 1.0, 1.0), seed=int(rng.integers(1 << 30)))
     worst = 0.0
     for name, history in (("killer", killer), ("iid", iid)):

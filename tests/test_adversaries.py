@@ -46,14 +46,14 @@ def test_killer_singleton_always_pays_at_least_one():
 
 def test_killer_source_current_vs_previous():
     current = KillerSource(4, use_current_action=True)
-    costs = current.costs_for(1, ActionRows.of([SiteSet((2,))]))
+    costs = current.costs_for(ActionRows.of([SiteSet((2,))]))
     assert isinstance(costs, CostRows)
     assert costs.connection.tolist() == [[0.0, 1.0, 0.0, 0.0]]
 
     delayed = KillerSource(4, use_current_action=False)
-    first = delayed.costs_for(1, ActionRows.of([SiteSet((2,))]))
+    first = delayed.costs_for(ActionRows.of([SiteSet((2,))]))
     assert np.all(first.connection == 0.0)  # nothing realized yet
-    second = delayed.costs_for(2, ActionRows.of([SiteSet((3,))]))
+    second = delayed.costs_for(ActionRows.of([SiteSet((3,))]))
     assert second.connection.tolist() == [[0.0, 1.0, 0.0, 0.0]]  # trial-1 action
 
 
@@ -67,14 +67,14 @@ def test_killer_source_rows_equal_one_row_calls(data):
     previous = [None] * rows
     action = st.lists(st.integers(1, n), min_size=1, max_size=n).map(SiteSet.of)
     played, priced = [], []
-    for t in range(1, data.draw(st.integers(1, 4)) + 1):
+    for _ in range(data.draw(st.integers(1, 4))):
         actions = [data.draw(action) for _ in range(rows)]
-        costs = batch.costs_for(t, ActionRows.of(actions))
+        costs = batch.costs_for(ActionRows.of(actions))
         played.append(actions)
         priced.append(costs)
         assert isinstance(costs, CostRows) and len(costs) == rows
         for r, single in enumerate(singles):
-            one = single.costs_for(t, ActionRows.of([actions[r]]))[0]
+            one = single.costs_for(ActionRows.of([actions[r]]))[0]
             known = actions[r] if use_current else previous[r]
             expected = killer_rows(n, ActionRows.of([known or ()]))[0]
             for pair in (one, expected):
@@ -115,14 +115,16 @@ def test_every_scenario_is_a_source_of_trial_costs_and_histories():
 def test_killer_source_rejects_what_killer_rows_rejects():
     with pytest.raises(ConfigError):
         killer_rows(4, ActionRows.of([SiteSet((5,))]))
+    with pytest.raises(ConfigError, match="n_sites must be >= 1, got 0"):
+        KillerSource(0, True)
     with pytest.raises(ConfigError):
-        KillerSource(4, use_current_action=True).costs_for(1, ActionRows.of([SiteSet((1,)), SiteSet((5,))]))
+        KillerSource(4, use_current_action=True).costs_for(ActionRows.of([SiteSet((1,)), SiteSet((5,))]))
     delayed = KillerSource(4, use_current_action=False)
-    delayed.costs_for(1, ActionRows.of([SiteSet((1,)), SiteSet((5,))]))  # nothing known yet
+    delayed.costs_for(ActionRows.of([SiteSet((1,)), SiteSet((5,))]))  # nothing known yet
     with pytest.raises(ConfigError):
-        delayed.costs_for(2, ActionRows.of([SiteSet((1,)), SiteSet((2,))]))
+        delayed.costs_for(ActionRows.of([SiteSet((1,)), SiteSet((2,))]))
     with pytest.raises(ConfigError):
-        delayed.costs_for(3, ActionRows.of([SiteSet((1,))]))  # a two-row source given one action
+        delayed.costs_for(ActionRows.of([SiteSet((1,))]))  # a two-row source given one action
 
 
 def test_generate_scenario_deterministic():

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olfl import (
+    ActionRows,
     AlgoSpec,
     ConfigError,
     ContractViolationError,
@@ -429,13 +430,15 @@ def test_blocks_of_recorded_trials_replay_the_per_trial_loop_bit_for_bit(algo, k
     result = run_experiment(config)
     costs = result.scenario_costs
     (values, states, actions, starts), blocked = _per_trial(config, costs)
-    assert all(np.array_equal(a.ptr, b.ptr) and np.array_equal(a.sites, b.sites) for a, b in zip(actions, blocked[2]))
+    assert _same_actions(actions, blocked[2])
     assert np.array_equal(values, blocked[0])
     assert all((a is None and b is None) or np.array_equal(a, b) for a, b in zip(states, blocked[1]))
     assert starts == blocked[3]
+    assert _same_actions(result.actions, actions)
     for r, run in enumerate(result.seed_runs):  # the run's own columns, losses priced in one call
-        assert run.actions == actions[r]
-        assert run.losses.tobytes() == action_losses(costs, actions[r]).tobytes()
+        rows = _seed_rows(actions, r, cfg.horizon)
+        assert run.actions == rows
+        assert run.losses.tobytes() == action_losses(costs, rows).tobytes()
         assert run.surrogate_losses.tobytes() == values[:, 0].tobytes()
         for column, state in zip((run.scales, run.cardinalities, run.segments), states):
             assert (column is None) == (state is None)
@@ -456,7 +459,7 @@ def test_a_block_ends_where_a_restart_changes_the_draw_count(seeds):
     changed = (np.flatnonzero(draws[1:] != draws[:-1]) + 1).tolist()
     assert any(t % block for t in changed)  # the count changed inside a block
     assert len(starts[0]) > len(changed) > 1
-    assert all(np.array_equal(a.ptr, b.ptr) and np.array_equal(a.sites, b.sites) for a, b in zip(actions, blocked[2]))
+    assert _same_actions(actions, blocked[2])
     assert np.array_equal(values, blocked[0])
     assert all(np.array_equal(a, b) for a, b in zip(states, blocked[1]))
     assert starts == blocked[3]
@@ -477,8 +480,19 @@ def _same_runs(one, two) -> bool:
         values.tobytes() == other_values.tobytes()
         and w.tobytes() == other_w.tobytes()
         and all((a is None and b is None) or np.array_equal(a, b) for a, b in zip(states, other_states))
-        and all(np.array_equal(a.ptr, b.ptr) and np.array_equal(a.sites, b.sites) for a, b in zip(actions, other_actions))
+        and _same_actions(actions, other_actions)
     )
+
+
+def _same_actions(one: ActionRows, two: ActionRows) -> bool:
+    """Two ActionRows equal array for array."""
+    return np.array_equal(one.ptr, two.ptr) and np.array_equal(one.sites, two.sites)
+
+
+def _seed_rows(actions: ActionRows, r: int, horizon: int) -> ActionRows:
+    """Generator r's rows of `trial_loop`'s generator-major actions."""
+    ptr = actions.ptr[r * horizon : (r + 1) * horizon + 1]
+    return ActionRows(ptr - ptr[0], actions.sites[ptr[0] : ptr[-1]])
 
 
 @pytest.mark.parametrize("algo, k", FL_FAMILY)
@@ -525,7 +539,7 @@ def test_one_row_blocks_across_restarts_equal_the_rows_of_a_batch_stepping_at_di
     for r, (scenario, seed) in enumerate(zip(scenarios, seeds)):
         single = lowered(1)
         alone = _run(single, (seed,), cfg.horizon, scenario)
-        row = ((values[:, [r]], [state[:, [r]] for state in states], [actions[r]]), w[[r]])
+        row = ((values[:, [r]], [state[:, [r]] for state in states], _seed_rows(actions, r, cfg.horizon)), w[[r]])
         assert _same_runs(alone, row)
         assert single.segment_starts[0] == batch.segment_starts[r]
         assert any((start - 1) % capacity for start in single.segment_starts[0][1:])  # a restart inside a block

@@ -145,6 +145,25 @@ def test_ftl_greedy_on_the_killer_holds_one_history_and_prices_it_once(monkeypat
         assert sr.losses.tobytes() == action_losses(history, sr.actions).tobytes()
 
 
+@pytest.mark.parametrize(
+    "algo, k, kind",
+    [("fl-bounded", 2, "iid"), ("hedge-exact", None, "drift"), ("ftl-greedy", None, "killer"),
+     ("fl", None, "killer"), ("hedge-exact", None, "killer")],
+)
+def test_run_actions_are_every_seeds_rows_seed_major(algo, k, kind):
+    # one learner row serving every seed, and on the killer one row per seed
+    # outside ftl-greedy: seed r's actions are rows r * T .. (r + 1) * T - 1
+    horizon = 40
+    config = ExperimentConfig(GameConfig(5, horizon, 1.0, 1.0), AlgoSpec(algo, k), ScenarioSpec(kind), (3, 1, 2))
+    result = run_experiment(config)
+    rows = list(result.actions)
+    assert len(rows) == 3 * horizon
+    for r, sr in enumerate(result.seed_runs):
+        assert sr.actions == rows[r * horizon : (r + 1) * horizon]
+        history = result.scenario_costs if sr.realized_costs is None else sr.realized_costs
+        assert sr.losses.tobytes() == action_losses(history, sr.actions).tobytes()
+
+
 def test_a_shared_scenario_has_one_comparator_loss_not_a_mean_of_equal_ones():
     config = _cfg(algo=AlgoSpec("fl-bounded", 2), scenario=ScenarioSpec("iid", seed=2), seeds=(1, 2, 3))
     result = run_experiment(config)

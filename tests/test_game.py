@@ -128,6 +128,7 @@ def test_site_set_basics():
         SiteSet(())
     with pytest.raises(InvalidActionError):
         SiteSet((2, 1))  # must be sorted strictly increasing
+    assert ActionRows.of([s]) == [s] and ActionRows.of([s]) != 5  # what has no length is unequal
     with pytest.raises(InvalidActionError):
         SiteSet.of([0, 1], 5)
     with pytest.raises(InvalidActionError):
@@ -169,6 +170,9 @@ def test_sort_examples():
     assert sort_by_connection_desc([0.3, 0.9]).tolist() == [2, 1]
     assert sort_by_connection_desc([0.5, 0.5, 0.5]).tolist() == [1, 2, 3]
     assert sort_by_connection_desc([0.1, 0.4, 0.2, 0.9]).tolist() == [4, 2, 3, 1]
+    for refused in ([], [[0.3, 0.9]]):
+        with pytest.raises(ConfigError, match="connection vector must be 1-D and nonempty"):
+            sort_by_connection_desc(refused)
 
 
 def test_connection_order_is_each_rows_descending_argsort_bit_for_bit():

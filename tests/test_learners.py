@@ -41,6 +41,8 @@ def test_fixed_init_rejects_bad_cardinality():
         LearnerBatch(cfg, "fl-exact", 1, 2)
     with pytest.raises(ConfigError, match="fl picks its own cardinality budget"):
         LearnerBatch(cfg, "fl", 1, 2)
+    with pytest.raises(ConfigError, match="rows must be a positive integer, got 0"):
+        LearnerBatch(cfg, "fl", 0)
 
 
 def test_fixed_play_single_site():

@@ -43,6 +43,8 @@ def test_hedge_init():
 def test_hedge_refuses_large_instances():
     with pytest.raises(CapExceededError):
         ExactHedge(GameConfig(17, 10, 1.0, 1.0))
+    with pytest.raises(ConfigError, match="rows must be a positive integer, got 0"):
+        ExactHedge(GameConfig(2, 10, 1.0, 1.0), 0)
 
 
 def test_hedge_subset_losses_in_bitmask_order():
@@ -141,6 +143,23 @@ def test_hedge_refuses_corrupted_weight_rows_before_reading_a_uniform(rows, last
     assert [rng.bit_generator.state for rng in rngs] == states  # no uniform read
 
 
+@pytest.mark.parametrize("n, rows, horizon", [(1, 3, 20), (3, 2, 40), (5, 4, 40), (12, 2, 10)])
+def test_hedge_rows_equal_one_row_hedges_bit_for_bit(n, rows, horizon):
+    # an S-row learner, each row on costs and a generator of its own,
+    # steps and draws every row as a one-row learner steps and draws it
+    cfg = GameConfig(n, horizon, 1.0, 1.0)
+    opening, connection = np.random.default_rng(n).uniform(0.0, 1.0, (2, horizon, rows, n))
+    batch, batch_rngs = ExactHedge(cfg, rows), [np.random.default_rng(seed) for seed in range(rows)]
+    singles = [(ExactHedge(cfg), np.random.default_rng(seed)) for seed in range(rows)]
+    for t in range(horizon):
+        played = batch.play(batch_rngs)
+        expected = batch.update(CostRows(opening[t], connection[t]))
+        for r, (single, rng) in enumerate(singles):
+            assert single.play((rng,)) == [played[r]]
+            assert single.update(CostPair(opening[t, r], connection[t, r])) == [expected[r]]
+            assert single.weights.tobytes() == batch.weights[r].tobytes()
+
+
 def test_hedge_alternation():
     hedge = ExactHedge(GameConfig(2, 10, 1.0, 1.0))
     with pytest.raises(ProtocolError):
@@ -227,7 +246,7 @@ def test_ftl_refuses_an_update_past_its_horizon(baseline):
 def test_ftl_greedy_matches_slow_reimplementation_on_killer_history():
     source = KillerSource(8, use_current_action=True)
     ftl = FollowTheLeaderGreedy(GameConfig(8, 60, 1.0, 1.0))
-    actions = trial_loop(ftl, (np.random.default_rng(0),), 60, source)[3][0]
+    actions = trial_loop(ftl, (np.random.default_rng(0),), 60, source)[3]
     history = source.realized(actions)
     for t, action in enumerate(actions):
         expected = (1,) if t == 0 else _slow_greedy(history[:t])
@@ -259,7 +278,7 @@ def test_ftl_greedy_running_sums_play_the_leader_of_every_prefix(baseline, leade
         expected = leader_of(CostRows(opening[:t], connection[:t])) if t else SiteSet((1,))
         assert list(action) == [expected] * 2
         if scenario_costs is None:  # the killer prices the one action played
-            costs = source.costs_for(t + 1, ActionRows.of([action[0]]))[0]
+            costs = source.costs_for(ActionRows.of([action[0]]))[0]
         else:
             costs = scenario_costs[t]
         opening[t], connection[t] = costs.opening, costs.connection
@@ -406,7 +425,7 @@ def test_best_fixed_bit_identical_on_a_killer_history():
     source = KillerSource(n, use_current_action=False)
     rng = np.random.default_rng(14)
     actions = trial_loop(learner, (rng,), horizon, source)[3]
-    history = source.realized(actions[0])
+    history = source.realized(actions)
     assert len({row.tobytes() for row in history.connection}) < horizon  # repeated rows occur
     subset, loss = best_fixed_subset(history)
     assert (subset.members, loss) == best_fixed_scan(history)

@@ -30,6 +30,8 @@ def test_two_site_worked_example():
 def test_instance_validation():
     with pytest.raises(ConfigError):
         SurrogateInstance([0.1], [0.2], [1], 0)  # num_draws must be >= 1
+    with pytest.raises(ConfigError, match="opening, connection, and order must share a positive length"):
+        SurrogateInstance([0.1], [0.1, 0.2], [1, 2], 1)
     with pytest.raises(ConfigError):
         SurrogateInstance([0.1, 0.2], [0.9, 0.3], [1, 1], 2)  # not a permutation
     with pytest.raises(ConfigError):
