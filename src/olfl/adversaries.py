@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 
 import numpy as np
 
@@ -154,9 +153,6 @@ def generate_scenario(kind: str, cfg: GameConfig, seed: int, drift_step: float =
     if kind == "killer":
         raise ConfigError("killer is adaptive; build a KillerSource instead")
     raise ConfigError(f"unknown scenario kind {kind!r}; known: {', '.join(SCENARIO_KINDS)}")
-
-
-_HEADER_RE = re.compile(r"^(c|d)_(\d+)$")
 
 
 def _parse_header(fields: list[str], path: str) -> int:

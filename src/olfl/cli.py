@@ -80,7 +80,7 @@ def build_parser() -> _Parser:
 def _cmd_run(args) -> int:
     scenario_text = args.scenario
     if scenario_text.startswith("replay:"):
-        spec = ScenarioSpec("replay", args.scenario_seed, scenario_text[len("replay:") :])
+        spec = ScenarioSpec("replay", args.scenario_seed, scenario_text[len("replay:") :], args.drift_step)
     else:
         spec = ScenarioSpec(scenario_text, args.scenario_seed, None, args.drift_step)
     config = ExperimentConfig(

@@ -131,6 +131,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{field} must be >= 0, got {seed}")
         if kind in ("killer", "replay") and self.scenario.seed:  # nothing would read it
             raise ConfigError(f"scenario {kind} takes no scenario seed")
+        step = self.scenario.drift_step
+        if kind != "drift" and step != ScenarioSpec.drift_step:  # nothing would read it; NaN differs too
+            raise ConfigError(f"scenario {kind} takes no drift step")
+        if not 0 <= step < math.inf:  # false for NaN as well
+            raise ConfigError(f"drift step must be finite and >= 0, got {step!r}")
         game = self.game  # the fl family's `LearnerBatch` refuses what it derives itself
         bound = game.horizon * (game.n_sites * game.opening_max + game.connection_max)
         refuse_cost_bounds(game, [("cumulative loss bound T (N C + D)", bound, True)])

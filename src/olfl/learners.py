@@ -11,8 +11,8 @@ batch of S rows draws row r's action from generator r.
 
 Each trial makes one row-wise pass per stage, with a number of numpy calls
 that does not grow with the number of actions: every action's sites come
-from one inverse-CDF search of the recorded weight rows
-(`sampler.RecordedRows.search`), reading each action's uniforms from its
+from one inverse-CDF draw of the recorded weight rows
+(`sampler.RecordedRows.draw`), reading each action's uniforms from its
 own generator (or from its row of a `UniformStreams`, which prefetches
 them; only generators private to one run may be read that way, since
 prefetching leaves them ahead); one in-place sort along the rows of draws,
@@ -26,21 +26,22 @@ batch, and an action is the same whether its generator draws from its own
 row or from the one row every generator shares.
 
 Every batch draws through `sampler.RecordedRows`, which checks the weight
-rows as it records them. A batch of S rows records its trial's S rows and
-searches them once, row r's uniforms laid out as one row of the widest
-draw count. A one-row batch's `play` records the weight row and draws it
-as a block of one trial; `record` instead checks and records a trial's
-row without drawing (the row, and each generator's next uniforms, fix the
-trial's actions), and the next `play` draws every generator's actions for
-all recorded trials at once (on narrow rows by counting the cumulative
-sums at or below each scaled uniform, which is the search's answer),
-through the same dedup, dummy strip and {1} fallback, so the actions are
-the same bit for bit. A block of recorded trials ends when it is full or
-when a restart changes the draw count. The cost side depends on the costs alone, so on a shared
-scenario `prepare` builds it for a block of trials at once, and `update`
-takes one trial's `Prepared` row in place of its costs. A one-row batch
-checks, steps and records its (n,) row views, through the same weight
-check, weight side and step as S rows.
+rows as it records them; the sampler lays out every action's uniforms. A
+batch of S rows records its trial's S rows and draws them at once, row r
+from generator r, its draws padded to the widest draw count with repeats
+of its last, which the dedup drops. A one-row batch's `play` records the
+weight row and draws it as a block of one trial; `record` instead checks
+and records a trial's row without drawing (the row, and each generator's
+next uniforms, fix the trial's actions), and the next `play` draws every
+generator's actions for all recorded trials at once (on narrow rows by
+counting the cumulative sums at or below each scaled uniform, which is the
+search's answer), through the same dedup, dummy strip and {1} fallback, so
+the actions are the same bit for bit. A block of recorded trials ends when
+it is full or when a restart changes the draw count. The cost side depends
+on the costs alone, so on a shared scenario `prepare` builds it for a
+block of trials at once, and `update` takes one trial's `Prepared` row in
+place of its costs. A one-row batch checks, steps and records its (n,) row
+views, through the same weight check, weight side and step as S rows.
 
 Kinds:
 
@@ -77,7 +78,7 @@ from .eg import Step, starting_point
 from .errors import ConfigError, ProtocolError
 from .game import ActionRows, CostPair, CostRows, GameConfig, LearnerRows, SiteSet
 from .game import refuse_cost_bounds
-from .sampler import RecordedRows, uniforms
+from .sampler import RecordedRows
 from .sampler import sample_site_multiset  # noqa: F401  kept: the benchmark's span tracer looks it up here
 from .surrogate import Workspace, prepare_costs, surrogate_rows
 
@@ -117,9 +118,8 @@ class LearnerBatch(LearnerRows):
     temporaries besides the new weights, the sort and the draws; a block
     `prepare` makes is the caller's, in a Workspace of its own of at most a
     recorded block's b rows. This state depends only on the shape and the
-    draw counts: it is built in `__init__`, and again in `_tune` when a
-    restart changes the draw counts (with the index that lays S rows' draws
-    out one row per action, and the step's constants). None of it grows
+    draw counts: it is built in `__init__`, and a restart that changes the
+    draw counts rebuilds the step's constants in `_tune`. None of it grows
     with the number of generators a one-row batch draws for.
 
     The weights are checked once per trial, where they are first read: the
@@ -200,13 +200,6 @@ class LearnerBatch(LearnerRows):
         # every row draws alike
         first = int(self.num_draws[0])
         self._draws = first if np.logical_and.reduce(self.num_draws == first) else self.num_draws
-        # for S rows, row r's uniforms, flat at first[r] .. first[r] +
-        # counts[r] - 1, as one row of the widest count, padded with repeats
-        # of its last uniform, whose draws repeat its last draw, which the
-        # dedup drops
-        counts = np.broadcast_to(self._draws, self.rows)
-        first = np.add.accumulate(counts) - counts
-        self._rows_of_draws = first[:, None] + np.minimum(np.arange(counts.max()), counts[:, None] - 1)
 
     def budget_for(self, scale: np.ndarray) -> np.ndarray:
         """Cardinality budget K = ceil((scale*(a+b) - b)/a) per scale, written
@@ -268,8 +261,6 @@ class LearnerBatch(LearnerRows):
         self._begin_play(rngs, new)
         if new:
             recorded.record(self.w, self._draws)  # the one check of the weights this trial
-        if self.rows > 1:
-            return self._site_rows(recorded.search(uniforms(rngs, self._draws)[self._rows_of_draws]))
         return self._site_rows(recorded.draw(rngs))
 
     def _site_rows(self, sites: np.ndarray) -> ActionRows:

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import CapExceededError, ConfigError
 from .game import ActionRows, CostPair, CostRows, GameConfig, LearnerRows, SiteSet, action_losses, connection_order
 from .game import facility_loss
-from .sampler import RecordedRows, uniforms
+from .sampler import RecordedRows
 
 BRUTE_FORCE_SITE_CAP = 16
 ENUMERATION_CAP = 1_000_000
@@ -126,8 +126,8 @@ class ExactHedge(LearnerRows):
     def play(self, rngs) -> ActionRows:
         self._begin_play(rngs)
         self._recorded.record(self.weights, 1)
-        masks = self._recorded.search(uniforms(rngs, 1).reshape(self.rows, -1))
-        held = (masks.reshape(-1, 1) >> np.arange(self.cfg.n_sites)) & 1 == 1
+        masks = self._recorded.draw(rngs)  # (actions, 1) subset bitmasks
+        held = (masks >> np.arange(self.cfg.n_sites)) & 1 == 1
         return ActionRows(np.append(0, held.sum(axis=1).cumsum()), np.nonzero(held)[1] + 1)
 
     def update(self, costs: CostPair | CostRows) -> list[float]:

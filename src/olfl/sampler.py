@@ -29,26 +29,31 @@ row's sums never decrease (they add checked non-negative masses), zero-mass
 sites included. Otherwise, one row or rows wider than that take one search
 of the flattened keys.
 
-S learner rows record one trial's S rows, each drawn from its own
-generator. One row serving any number of generators records one row per
-trial, and `draw` draws every generator's actions for a block of recorded
-trials with one read of the uniforms. Each generator reads its uniforms in
-trial order, so it gets exactly the draws that per-trial draws would give,
-from the one row exactly as from a copy of its own. A per-trial draw is a
-block of one trial, and `sample_site_multiset` one such draw for one
-generator. A block holds at most `PREFETCH_TRIALS` rows and `PREFETCH_CAP`
-cumulative sums, so its memory does not grow with the horizon.
+S learner rows record one trial's S rows, and `draw` draws row r from
+generator r, for the fl learners and `oracles.ExactHedge` alike. One row
+serving any number of generators records one row per trial, and `draw`
+draws every generator's actions for a block of recorded trials with one
+read of the uniforms. Each generator reads its uniforms in trial order, so
+it gets exactly the draws that per-trial draws would give, from the one row
+exactly as from a copy of its own. A per-trial draw is a block of one
+trial, and `sample_site_multiset` one such draw for one generator. A block
+holds at most `PREFETCH_TRIALS` rows and `PREFETCH_CAP` cumulative sums, so
+its memory does not grow with the horizon.
 
 Uniforms come from one generator per row, read in order: `rngs[r].random`
-gives row r its draws on every call. `UniformStreams` instead owns each
-row's generator `default_rng(seed)` and prefetches about `PREFETCH_TRIALS`
-trials' worth of uniforms per row (a block of b trials, about
-`PREFETCH_TRIALS` // b blocks), so a call reads every row's uniforms with
-one gather. That yields the same uniforms as per-call draws, because
-`rng.random(a + b)` equals `rng.random(a)` followed by `rng.random(b)`; but
-it leaves each generator ahead of the reads, so it is for generators
-private to one run only. A caller's own generator is read one call at a
-time and advances by exactly the draws made.
+gives row r its draws on every call, and is all that is read of a caller's
+generator. This module alone lays them out: `uniforms` gives row r of a
+(rows, most counts) array its generator's counts[r] uniforms, then repeats
+of the last of them, whose draws repeat row r's last draw, which a
+learner's dedup drops. `UniformStreams` instead owns each row's generator
+`default_rng(seed)` and prefetches about `PREFETCH_TRIALS` trials' worth of
+uniforms per row (a block of b trials, about `PREFETCH_TRIALS` // b
+blocks), so a call reads every row's uniforms with one gather. That yields
+the same uniforms as per-call draws, because `rng.random(a + b)` equals
+`rng.random(a)` followed by `rng.random(b)`; but it leaves each generator
+ahead of the reads, so it is for generators private to one run only. A
+caller's own generator is read one call at a time and advances by exactly
+the draws made.
 """
 from __future__ import annotations
 
@@ -91,9 +96,10 @@ class UniformStreams:
         return len(self.generators)
 
     def take(self, counts, ahead: int = PREFETCH_TRIALS) -> np.ndarray:
-        """The next counts[r] uniforms of every row r, flat in row order;
-        an int count is every row's. A refill reads about `ahead` such
-        calls' worth."""
+        """The next counts[r] uniforms of every row r, as row r of a (rows,
+        most counts) array padded with repeats of its last one; an int
+        count is every row's. A refill reads about `ahead` such calls'
+        worth."""
         width = self._buffer.shape[1]
         if type(counts) is int and self._shared is not None:
             start = self._shared
@@ -101,18 +107,18 @@ class UniformStreams:
                 self._refill(counts, ahead)
                 start, width = 0, self._buffer.shape[1]
             self._shared = start + counts
-            return self._buffer[:, start : self._shared].ravel()
+            return self._buffer[:, start : self._shared]
         counts = np.broadcast_to(counts, self._cursor.shape)
+        most = int(np.maximum.reduce(counts))
         if self._shared is not None:
             self._cursor[:] = self._shared
         end = self._cursor + counts
         if np.maximum.reduce(end) > width:
-            self._refill(int(np.maximum.reduce(counts)), ahead)
+            self._refill(most, ahead)
             width, end = self._buffer.shape[1], counts.copy()
-        first = np.add.accumulate(counts) - counts  # where each row's reads start in the output
-        base = np.arange(0, counts.size * width, width) + self._cursor - first
+        base = np.arange(0, counts.size * width, width) + self._cursor  # where each row's reads start
         self._cursor, self._shared = end, None
-        return self._buffer.ravel()[base.repeat(counts) + np.arange(first[-1] + counts[-1])]
+        return self._buffer.ravel()[base[:, None] + np.minimum(np.arange(most), counts[:, None] - 1)]
 
     def _refill(self, count: int, ahead: int) -> None:
         """Every row's unread tail followed by fresh uniforms from its own
@@ -168,10 +174,14 @@ class RecordedRows:
     `rows` rows, by default `capacity`, a block's: at most
     `PREFETCH_TRIALS` rows and `PREFETCH_CAP` sums, one row at least.
     `cdf` is the imaginary part of the (rows, n) search keys
-    r + i*cdf[r, j], whose real parts are written once."""
+    r + i*cdf[r, j], whose real parts are written once. A buffer of
+    several `rows` holds learner rows, one trial's, each drawn from a
+    generator of its own; any other holds one row's trials, which every
+    generator draws from."""
 
     def __init__(self, n: int, rows: int | None = None):
         self.capacity = max(1, min(PREFETCH_TRIALS, PREFETCH_CAP // n))
+        self._per_generator = (rows or 1) > 1  # several learner rows, row r drawn from generator r
         index = np.arange(rows or self.capacity)[:, None]
         self.keys = index + np.zeros(n, dtype=complex)  # each row's index as its real part
         self.cdf, self._flat = self.keys.imag, self.keys.ravel()
@@ -215,14 +225,19 @@ class RecordedRows:
         return keys.searchsorted(self._needles, side="right") - shift
 
     def draw(self, rngs) -> np.ndarray:
-        """Every generator's draws from each recorded row, one row of
-        `count` 1-based sites per action, trial-major: trial j's draws for
-        generator a are row j * len(rngs) + a. `rngs` is a sequence of
-        generators or a `UniformStreams`, whose refill reads about
-        `PREFETCH_TRIALS` trials' worth; each generator's uniforms are read
-        in trial order with one read."""
+        """The actions' draws, one row of 1-based sites per action. Rows
+        built for several learner rows draw row r from generator rngs[r],
+        its `count` draws padded to the most counts with repeats of its
+        last. Otherwise every generator draws `count` sites from each
+        recorded row, trial-major: trial j's draws for generator a are row
+        j * len(rngs) + a. `rngs` is a sequence of generators or a
+        `UniformStreams`, whose refill reads about `PREFETCH_TRIALS`
+        trials' worth; each generator's uniforms are read in trial order
+        with one read."""
         size, count = self.size, self.count
-        u = uniforms(rngs, size * count, PREFETCH_TRIALS // size)[None]  # as one trial's
+        if self._per_generator:
+            return self.search(uniforms(rngs, count))
+        u = uniforms(rngs, size * count, PREFETCH_TRIALS // size).reshape(1, -1)  # as one trial's
         if size > 1:  # trial-major: each trial's uniforms in generator order
             u = u.reshape(-1, size, count).transpose(1, 0, 2).reshape(size, -1)
         return self.search(u).reshape(-1, count)
@@ -230,14 +245,20 @@ class RecordedRows:
 
 def uniforms(rngs, counts, ahead: int = PREFETCH_TRIALS) -> np.ndarray:
     """The next counts[r] uniforms of generator rngs[r], or of row r of a
-    `UniformStreams` (whose refill reads about `ahead` calls' worth), flat
-    in row order; an int count is every row's."""
+    `UniformStreams` (whose refill reads about `ahead` calls' worth), as
+    row r of a (rows, most counts) array, padded with repeats of its last
+    uniform, whose draws repeat its last draw; an int count is every
+    row's."""
     if isinstance(rngs, UniformStreams):
         return rngs.take(counts, ahead)
     if len(rngs) == 1:
-        return rngs[0].random(counts)
+        return rngs[0].random(counts)[None]
     counts = np.broadcast_to(counts, len(rngs)).tolist()
-    return np.concatenate([rng.random(count) for rng, count in zip(rngs, counts)])
+    u = np.empty((len(rngs), max(counts)))
+    for row, rng, count in zip(u, rngs, counts):
+        row[:count] = rng.random(count)
+        row[count:] = row[count - 1]
+    return u
 
 
 def sample_site_multiset(p, count: int, rng: np.random.Generator) -> SiteSet:

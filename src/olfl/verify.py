@@ -6,7 +6,9 @@ differences instead of the analytic gradient, full enumeration instead of
 sampling, frequency counts instead of the inverse-CDF draw, hand arithmetic
 instead of the doubling bookkeeping, a combinations scan instead of the
 superset-sum comparator. Every check that steps a learner runs it through
-`experiment.trial_loop`, as `olfl run` does, and checks what it returns.
+`experiment.trial_loop`, as `olfl run` does, and checks what it returns;
+the hedge check runs `run_experiment` itself, and the sampler check draws
+learner rows as a learner batch does, through `RecordedRows.draw`.
 
 Each check takes a `scale`, a row of constants: `DESK`, which `olfl verify`
 runs in about a second, or `FULL`, at which the test suite reruns the same
@@ -26,18 +28,11 @@ from scipy import special
 
 from .adversaries import KillerSource, generate_scenario
 from .eg import Step, starting_point
-from .experiment import trial_loop
+from .experiment import AlgoSpec, ExperimentConfig, ScenarioSpec, run_experiment, trial_loop
 from .game import CostPair, CostRows, GameConfig, action_losses, connection_order
 from .learners import LearnerBatch, half_log_ceil
-from .oracles import (
-    CheapestSingleton,
-    ExactHedge,
-    FollowTheLeaderGreedy,
-    best_fixed_scan,
-    best_fixed_subset,
-    exact_expected_loss,
-)
-from .sampler import COUNTED_DRAW_MAX, RecordedRows, UniformStreams, uniforms
+from .oracles import CheapestSingleton, FollowTheLeaderGreedy, best_fixed_scan, best_fixed_subset, exact_expected_loss
+from .sampler import COUNTED_DRAW_MAX, RecordedRows, UniformStreams
 from .surrogate import SurrogateInstance, value_and_gradient
 
 CHISQUARE_SUM_RTOL = float(np.finfo(float).eps) ** 0.5  # scipy.stats.chisquare's tolerance on the totals
@@ -219,11 +214,13 @@ def check_single_draw_identity(scale: Scale = DESK) -> CheckResult:
 def check_sampler_distribution(scale: Scale = DESK) -> CheckResult:
     """Chi-square per distribution row on the sampler's draws: one trial
     for one generator at each layout size; a block of recorded trials on
-    rows of `COUNTED_DRAW_MAX` sites, counted for prefetched generators; one
-    trial of rows a site wider, with unequal draw counts, searched. Each
-    draw's rows share the 1e-3 level (Bonferroni). Uniforms of 0 and 1-2^-53
-    must land on each row's first and last positive-mass site; the last two
-    draws' first site has no mass."""
+    rows of `COUNTED_DRAW_MAX` sites, counted for prefetched generators;
+    one trial of rows a site wider, with unequal draw counts, searched,
+    each row's draws padded to the most with repeats of its last, as a
+    learner batch of several rows draws them. Each draw's rows share the
+    1e-3 level (Bonferroni). Uniforms of 0 and 1-2^-53 must land on each
+    row's first and last positive-mass site; the last two draws' first
+    site has no mass."""
     plan = scale["sampler"]
     name = "sampler distribution"
     rng = np.random.default_rng(plan.seed)
@@ -249,10 +246,12 @@ def check_sampler_distribution(scale: Scale = DESK) -> CheckResult:
     n, draws = COUNTED_DRAW_MAX + 1, np.array([plan.draws // 2, plan.draws // 4, plan.draws // 8])
     p, recorded = masses(len(draws), n, n // 4), RecordedRows(n, len(draws))
     recorded.record(p, draws)
-    keep = np.arange(draws.max()) < draws[:, None]
-    u = np.zeros(keep.shape)  # each row's uniforms, padded to the most draws
-    u[keep] = uniforms(UniformStreams(rng.integers(2**32, size=len(p)).tolist()), draws)
-    cases.append((f"n={n} rows", p, [row[k] for row, k in zip(recorded.search(u), keep)], draws.tolist()))
+    sample = recorded.draw(UniformStreams(rng.integers(2**32, size=len(p)).tolist()))
+    kept = [row[:size] for row, size in zip(sample, draws.tolist())]
+    for r, (row, first) in enumerate(zip(sample, kept)):
+        if (row[first.size :] != first[-1]).any():  # the padding the dedup drops
+            return CheckResult(name, False, f"padded draws differ from the last kept draw (n={n} rows, row {r + 1})")
+    cases.append((f"n={n} rows", p, kept, draws.tolist()))
 
     for label, p, samples, wanted in cases:
         # as many edge uniforms as sites, so that several narrow rows count
@@ -373,6 +372,10 @@ def check_doubling_mechanics(scale: Scale = DESK) -> CheckResult:
 def check_hedge_bound(scale: Scale = DESK) -> CheckResult:
     """Exact Hedge's expected regret against the best fixed subset stays
     under its bound (N + 1) sqrt(T ln(2^N - 1) / 2) on every scenario.
+    Scenario seed s runs through `run_experiment` as `olfl run --algo
+    hedge-exact --scenario iid --scenario-seed s --seeds s+1` runs it; the
+    check reads the expected losses and the comparator the run reports,
+    and computes the bound term itself.
 
     The bound is loose here: at `DESK` the worst slack is -25.0, and a
     learning rate of twice or half the tuned one still passes (-30.1 and
@@ -382,16 +385,12 @@ def check_hedge_bound(scale: Scale = DESK) -> CheckResult:
     n = plan.sites
     cfg = GameConfig(n, plan.horizon, 1.0, 1.0)
     bound_term = (n + 1.0) * math.sqrt(cfg.horizon * math.log(2**n - 1) / 2.0)
-    seeds = range(plan.seed, plan.seed + plan.count)
-    scenarios = [generate_scenario("iid", cfg, seed=seed) for seed in seeds]
-    # (T, scenarios, N): trial t's costs of every scenario, one row each
-    opening = np.stack([costs.opening for costs in scenarios], axis=1)
-    connection = np.stack([costs.connection for costs in scenarios], axis=1)
-    hedge = ExactHedge(cfg, plan.count)  # row r learns scenario r and plays its seed + 1
-    rngs = [np.random.default_rng(seed + 1) for seed in seeds]
-    values = trial_loop(hedge, rngs, cfg.horizon, lambda t, _: CostRows(opening[t], connection[t]))[1]
-    expected = values.sum(axis=0)
-    worst = float(max(expected - [best_fixed_subset(costs)[1] for costs in scenarios] - bound_term))
+    worst = -math.inf
+    for seed in range(plan.seed, plan.seed + plan.count):
+        config = ExperimentConfig(cfg, AlgoSpec("hedge-exact"), ScenarioSpec("iid", seed), (seed + 1,))
+        result = run_experiment(config)
+        expected = float(result.seed_runs[0].surrogate_losses.sum())
+        worst = max(worst, expected - result.comparator_loss - bound_term)
     if worst > 1e-6:
         return CheckResult("hedge exact bound", False, f"bound violated by {worst:.2e}")
     return CheckResult("hedge exact bound", True, f"{plan.count} scenarios; worst slack {worst:.1f}")

@@ -73,6 +73,14 @@ def test_config_validation():
         with pytest.raises(ConfigError, match=f"scenario {kind} takes no scenario seed"):
             _cfg(scenario=ScenarioSpec(kind, seed=5, path=path))
         _cfg(scenario=ScenarioSpec(kind, seed=0, path=path))  # the CLI's default
+    for kind, path in (("iid", None), ("killer", None), ("replay", "x.csv")):  # nothing reads a drift step there
+        for step in (0.1, -1.0, float("nan")):
+            with pytest.raises(ConfigError, match=f"scenario {kind} takes no drift step"):
+                _cfg(scenario=ScenarioSpec(kind, path=path, drift_step=step))
+        _cfg(scenario=ScenarioSpec(kind, path=path, drift_step=0.05))  # the CLI's default
+    for step in (-0.5, float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match="drift step must be finite and >= 0"):
+            _cfg(scenario=ScenarioSpec("drift", drift_step=step))
 
 
 def test_config_dict_round_trip():
@@ -449,10 +457,18 @@ def test_cli_refuses_a_non_finite_drift_step_before_any_trial(step, tmp_path, ca
 
 
 def test_cli_refuses_a_scenario_seed_nothing_reads(tmp_path, capsys):
-    args = ["run", "--algo", "fl", "--n", "3", "--t", "5", "--c-max", "1", "--d-max", "1", "--scenario", "killer"]
-    assert main([*args, "--scenario-seed", "5", "--seeds", "1", "--out", str(tmp_path / "run")]) == 1
-    assert capsys.readouterr().err == "error: scenario killer takes no scenario seed\n"
-    assert not list(tmp_path.iterdir())
+    args = ["run", "--algo", "fl", "--n", "3", "--t", "5", "--c-max", "1", "--d-max", "1"]
+    cases = [  # (scenario and its flags, the complaint)
+        (["killer", "--scenario-seed", "5"], "scenario killer takes no scenario seed"),
+        (["killer", "--drift-step", "nan"], "scenario killer takes no drift step"),
+        (["iid", "--drift-step", "-1"], "scenario iid takes no drift step"),
+        ([f"replay:{tmp_path / 'missing.csv'}", "--drift-step", "0.1"], "scenario replay takes no drift step"),
+        (["drift", "--drift-step", "-1"], "drift step must be finite and >= 0, got -1.0"),
+    ]
+    for scenario, complaint in cases:
+        assert main([*args, "--scenario", *scenario, "--seeds", "1", "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == f"error: {complaint}\n"
+        assert not list(tmp_path.iterdir())
 
 
 def test_cli_validation_failures(tmp_path):

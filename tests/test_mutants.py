@@ -8,7 +8,7 @@ from olfl import sampler
 from olfl.adversaries import KillerSource, killer_rows
 from olfl.game import ActionRows
 from olfl.learners import LearnerBatch
-from olfl.sampler import RecordedRows
+from olfl.sampler import PREFETCH_TRIALS, RecordedRows, UniformStreams
 from olfl.surrogate import Workspace
 from olfl.verify import (
     check_doubling_mechanics,
@@ -50,6 +50,16 @@ def _keys_searched_left(self, n, rows=None):
     """RecordedRows whose key search takes side="left" for side="right"."""
     _init(self, n, rows)
     self._flat = self._flat.view(_LeftSearch)
+
+
+_take = UniformStreams.take
+
+
+def _padding_zeroed(self, counts, ahead=PREFETCH_TRIALS):
+    """UniformStreams.take with each row's padding, past its counts[r]
+    uniforms, zeroed instead of repeating its last uniform."""
+    u = _take(self, counts, ahead)
+    return u * (np.arange(u.shape[1]) < np.broadcast_to(counts, len(u))[:, None])
 
 
 _advance = LearnerBatch._advance_segments
@@ -95,6 +105,7 @@ MUTANTS = [
     ("killer-realized-shifted", KillerSource, "realized", _realized_always_shifted, check_killer_regression),
     ("counted-draw-less", sampler, "np", _NumpyWith(less_equal=np.less), check_sampler_distribution),
     ("key-search-left", RecordedRows, "__init__", _keys_searched_left, check_sampler_distribution),
+    ("padding-zeroed", UniformStreams, "take", _padding_zeroed, check_sampler_distribution),
     ("segment-plus-two", LearnerBatch, "_advance_segments", _segment_plus_two, check_doubling_mechanics),
     ("restart-scale-x4", LearnerBatch, "_advance_segments", _restart_scale_x4, check_doubling_mechanics),
     ("no-weight-reset", LearnerBatch, "_advance_segments", _no_weight_reset, check_doubling_mechanics),

@@ -140,20 +140,19 @@ def test_multiset_pair_probability():
 def _row_draws(p, counts, rngs) -> np.ndarray:
     """counts[r] draws from row r of the (rows, n) distributions p for
     generator rngs[r], an int count being every row's, flat in row order as
-    1-based sites: the rows recorded as one trial and searched once, each
-    row's uniforms padded to the widest count."""
+    1-based sites: the rows recorded as one trial and drawn once, as a
+    learner batch of several rows draws them, each row's draws padded to
+    the widest count with repeats of its last, which are left out here.
+    One row draws as a block of one trial, at its one count."""
     recorded = RecordedRows(p.shape[1], len(p))
-    assert recorded.record(p, counts)
-    return _search(recorded, np.broadcast_to(counts, len(p)), uniforms(rngs, counts))
+    assert recorded.record(p, counts if len(p) > 1 else int(np.broadcast_to(counts, 1)[0]))
+    return recorded.draw(rngs)[_kept(counts, len(p))]
 
 
-def _search(recorded, counts, flat_uniforms) -> np.ndarray:
-    """`recorded.search` of counts[r] uniforms for row r, taken in row order
-    from `flat_uniforms`, as flat 1-based sites in row order."""
-    keep = np.arange(max(counts)) < np.asarray(counts)[:, None]
-    u = np.zeros(keep.shape)
-    u[keep] = flat_uniforms
-    return recorded.search(u)[keep]
+def _kept(counts, rows) -> np.ndarray:
+    """The (rows, most counts) mask of each row's first counts[r] entries."""
+    counts = np.broadcast_to(counts, rows)
+    return np.arange(counts.max()) < counts[:, None]
 
 
 def test_row_draws_check_every_row_and_match_single_draws():
@@ -209,7 +208,7 @@ def test_flat_search_equals_the_per_row_search(data):
     expected = np.concatenate([cdf[r].searchsorted(u[r] * cdf[r, -1], side="right") + 1 for r in range(rows)])
     recorded = RecordedRows(n, rows)
     recorded.cdf[...] = cdf
-    flat = _search(recorded, per_row, np.concatenate(u))
+    flat = recorded.search(uniforms([_Given(ur) for ur in u], counts))[_kept(counts, rows)]
     assert np.array_equal(flat, expected)
     assert np.array_equal(_row_draws(p, counts, [_Given(ur) for ur in u]), expected)
     assert (p[np.repeat(np.arange(rows), per_row), flat - 1] > 0).all()  # never a zero-mass site
@@ -221,16 +220,22 @@ def test_prefetched_streams_equal_per_call_draws(data):
     rows = data.draw(st.integers(1, 4))
     seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=rows, max_size=rows, unique=True))
     streams = UniformStreams(seeds)
-    generators = [np.random.default_rng(seed) for seed in seeds]
+    plain, generators = ([np.random.default_rng(seed) for seed in seeds] for _ in range(2))
     # runs of calls at one draw pattern, long enough to cross refills, and
     # pattern changes as doubling restarts make them
     for _ in range(data.draw(st.integers(1, 4))):
         counts = _counts(data, rows, 8)
         if not isinstance(counts, int):
             counts = np.array(counts)
+        per_row = np.broadcast_to(counts, rows).tolist()
         for _ in range(data.draw(st.integers(1, 2 * PREFETCH_TRIALS))):
-            expected = [g.random(c) for g, c in zip(generators, np.broadcast_to(counts, rows).tolist())]
-            assert np.array_equal(streams.take(counts), np.concatenate(expected))
+            expected = [g.random(c) for g, c in zip(generators, per_row)]
+            # row r: generator r's own counts[r] uniforms, then repeats of the last of them
+            for u in (streams.take(counts), uniforms(plain, counts)):
+                assert u.shape == (rows, max(per_row))
+                for row, own, count in zip(u, expected, per_row):
+                    assert np.array_equal(row[:count], own)
+                    assert (row[count:] == own[-1]).all()
 
 
 def _one_row(p, count, rngs):
@@ -260,6 +265,18 @@ def test_one_row_serves_every_generator_as_a_copy_of_its_own(data):
         twin = np.random.default_rng(seed)
         twin.random(count)
         assert generator.bit_generator.state == twin.bit_generator.state
+    # the copies as rows of their own at unequal counts: row r's first
+    # counts[r] draws are the one row's for generator r, the rest repeat the
+    # last of them
+    counts = data.draw(st.lists(st.integers(1, 6), min_size=rows, max_size=rows, unique=True))
+    for make in (lambda: [np.random.default_rng(seed) for seed in seeds], lambda: UniformStreams(seeds)):
+        recorded = RecordedRows(n, rows)
+        assert recorded.record(copies, np.array(counts))
+        sites = recorded.draw(make())
+        assert sites.shape == (rows, max(counts))
+        for row, seed, count in zip(sites, seeds, counts):
+            assert np.array_equal(row[:count], _one_row(p, count, [np.random.default_rng(seed)]))
+            assert (row[count:] == row[count - 1]).all()
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,9 +1,8 @@
 """`olfl verify` checks the code that `olfl run` runs.
 
 Every line of the learner core's modules (`learners`, `sampler`,
-`surrogate`, `eg`, `game`) that a fixed set of small runs executes must
-also be executed by `verify.run_checks()`, apart from the lines of
-`ALLOWED`, each with the reason verify cannot reach it. A fault on a line
+`surrogate`, `eg`, `game`) and of `oracles` that a fixed set of small runs
+executes must also be executed by `verify.run_checks()`. A fault on a line
 that only the runs execute would pass `olfl verify`.
 
 Lines are recorded with the standard library's `sys.settrace`; the
@@ -18,10 +17,10 @@ import linecache
 import sys
 
 from olfl import AlgoSpec, ExperimentConfig, GameConfig, ScenarioSpec, eg, game, learners, run_experiment
-from olfl import sampler, surrogate, verify
+from olfl import oracles, sampler, surrogate, verify
 
 MODULES = {inspect.getsourcefile(module): module.__name__.rpartition(".")[2]
-           for module in (learners, sampler, surrogate, eg, game)}
+           for module in (learners, sampler, surrogate, eg, game, oracles)}
 
 RUNS = [  # (algo, cardinality, scenario, sites), each at T=300 with seeds 1, 2 and 3
     ("fl-bounded", 2, "iid", 6),
@@ -32,22 +31,6 @@ RUNS = [  # (algo, cardinality, scenario, sites), each at T=300 with seeds 1, 2 
     ("ftl-greedy", None, "killer", 8),
     ("fl-bounded", 2, "killer", 8),
 ]
-
-# (module, function, stripped source line) -> why verify cannot reach it.
-# The list may only shrink: an entry that verify reaches fails the test.
-ALLOWED = {
-    ("game", "__call__", "return self[trial]"):
-        "CostRows.__call__ feeds a shared scenario to hedge-exact; verify's one-row learner takes its "
-        "scenario in prepared blocks, and its other checks pass callables or the killer",
-    ("game", "realized", "return self"):
-        "CostRows.realized gives a shared scenario's history; verify prices actions on the killer only",
-    ("game", "action_losses",
-     "elif len(shape) != 2 or trials.shape != (rows,) or not 0 <= trials.min() <= trials.max() < shape[0]:"):
-        "action_losses' `trials` branch prices every seed of a shared scenario at once; verify prices killer rows",
-    ("game", "_begin_update", "opening, connection = costs.opening[None], costs.connection[None]"):
-        "the CostPair branch of `_begin_update` takes the CostPair that CostRows.__call__ gives hedge-exact; "
-        "verify's hedge check hands it one CostRows per trial, a row per scenario",
-}
 
 
 def _traced_lines(work) -> set[tuple[str, str, str]]:
@@ -87,6 +70,4 @@ def _checks() -> None:
 
 def test_verify_executes_every_core_line_the_runs_execute():
     run_only = _traced_lines(_runs) - _traced_lines(_checks)
-    assert run_only - ALLOWED.keys() == set(), "lines the runs execute and olfl verify does not"
-    assert ALLOWED.keys() - run_only == set(), "allow-list entries verify now reaches; remove them"
-    assert {module for module, _, _ in ALLOWED} == {"game"}
+    assert run_only == set(), "lines the runs execute and olfl verify does not"
